@@ -43,26 +43,13 @@ class BinStats:
 
 def bin_statistics(inst: Instance, asg: RiskAssignment) -> BinStats:
     """Aggregate the allocation against the instance, bin by bin."""
-    rows = assignment_rows_for(inst, asg)
-    nbins = asg.bin_count
-    mass = [[Fraction(0)] * nbins for _ in range(2)]
-    positive = [[Fraction(0)] * nbins for _ in range(2)]
-    for f, row in zip(inst.features, rows):
-        counts = (f.n1, f.n2)
-        for b, x in enumerate(row):
-            if x == 0:
-                continue
-            for i in range(2):
-                if counts[i]:
-                    mass[i][b] += counts[i] * x
-                    positive[i][b] += counts[i] * f.p * x
-    score_mass = tuple(
-        tuple(asg.scores[b] * mass[i][b] for b in range(nbins)) for i in range(2)
-    )
+    mass, positive = _bin_table(inst, asg)
     return BinStats(
         mass=(tuple(mass[0]), tuple(mass[1])),
         positive=(tuple(positive[0]), tuple(positive[1])),
-        score_mass=score_mass,  # type: ignore[arg-type]
+        score_mass=tuple(  # type: ignore[arg-type]
+            tuple(v * m for v, m in zip(asg.scores, mass[i])) for i in range(2)
+        ),
     )
 
 
@@ -91,58 +78,40 @@ class AuditReport:
 def audit_exact(inst: Instance, asg: RiskAssignment) -> AuditReport:
     """Audit all three fairness conditions with exact arithmetic."""
     gs = derived_stats(inst)
-    stats = bin_statistics(inst, asg)
-    nbins = asg.bin_count
+    return _exact_report(gs, asg.scores, *_bin_table(inst, asg))
 
+
+def _exact_report(gs, scores, mass, positive) -> AuditReport:
     residuals = tuple(
-        tuple(stats.positive[i][b] - stats.score_mass[i][b] for b in range(nbins))
-        for i in range(2)
+        tuple(g - v * m for v, m, g in zip(scores, mass[i], positive[i])) for i in range(2)
     )
     calibration_ok = all(r == 0 for per_group in residuals for r in per_group)
-
-    expected_total = tuple(
-        sum(stats.score_mass[i], Fraction(0)) for i in range(2)
-    )
-
-    pos_avg: list[Optional[Fraction]] = []
-    neg_avg: list[Optional[Fraction]] = []
-    for i in range(2):
-        pos_score = sum(
-            (stats.positive[i][b] * asg.scores[b] for b in range(nbins)), Fraction(0)
-        )
-        mu = gs.positive_mass[i]
-        neg_mass = gs.population[i] - mu
-        pos_avg.append(pos_score / mu if mu > 0 else None)
-        neg_avg.append((expected_total[i] - pos_score) / neg_mass if neg_mass > 0 else None)
+    pos_score, total = _class_scores(scores, mass, positive)
+    pos_avg, neg_avg = _class_averages(gs, pos_score, total)
 
     pos_vacuous = pos_avg[0] is None or pos_avg[1] is None
     pos_ok = True if pos_vacuous else pos_avg[0] == pos_avg[1]
     neg_vacuous = neg_avg[0] is None or neg_avg[1] is None
     neg_ok = True if neg_vacuous else neg_avg[0] == neg_avg[1]
 
-    parity_gap = expected_total[0] / gs.population[0] - expected_total[1] / gs.population[1]
-
     return AuditReport(
         calibration_ok=calibration_ok,
         calibration_residuals=residuals,
-        expected_score_total=(expected_total[0], expected_total[1]),
-        pos_class_avg=(pos_avg[0], pos_avg[1]),
-        neg_class_avg=(neg_avg[0], neg_avg[1]),
+        expected_score_total=total,
+        pos_class_avg=pos_avg,
+        neg_class_avg=neg_avg,
         balance_pos_ok=pos_ok,
         balance_pos_vacuous=pos_vacuous,
         balance_neg_ok=neg_ok,
         balance_neg_vacuous=neg_vacuous,
-        parity_gap=parity_gap,
+        parity_gap=total[0] / gs.population[0] - total[1] / gs.population[1],
         fair=calibration_ok and pos_ok and neg_ok,
     )
 
 
 def statistical_parity_gap(inst: Instance, asg: RiskAssignment) -> Fraction:
     """Difference of per-person expected score between the groups."""
-    gs = derived_stats(inst)
-    stats = bin_statistics(inst, asg)
-    totals = [sum(stats.score_mass[i], Fraction(0)) for i in range(2)]
-    return totals[0] / gs.population[0] - totals[1] / gs.population[1]
+    return audit_exact(inst, asg).parity_gap
 
 
 _SQRT_SCALE = 1 << 128
@@ -207,12 +176,12 @@ def classify_consequence(inst: Instance, asg: RiskAssignment, eps) -> Consequenc
     """
     slack = consequence_slack(eps)
     gs = derived_stats(inst)
-    report = audit_exact(inst, asg)
-    near_perfect = True
-    for i in range(2):
-        avg = report.pos_class_avg[i]
-        if avg is not None and avg < 1 - slack:
-            near_perfect = False
+    report = _exact_report(gs, asg.scores, *_bin_table(inst, asg))
+    return _consequence(gs, report, slack)
+
+
+def _consequence(gs, report: AuditReport, slack: Fraction) -> ConsequenceFlags:
+    near_perfect = all(avg is None or avg >= 1 - slack for avg in report.pos_class_avg)
     near_equal = abs(gs.base_rate[0] - gs.base_rate[1]) <= slack
     return ConsequenceFlags(
         slack=slack,
@@ -256,21 +225,18 @@ def audit_approx(inst: Instance, asg: RiskAssignment, eps) -> ApproxAuditReport:
     e = as_fraction(eps)
     if e < 0:
         raise DomainError("eps must be nonnegative")
-    exact = audit_exact(inst, asg)
-    stats = bin_statistics(inst, asg)
-    nbins = asg.bin_count
+    gs = derived_stats(inst)
+    return _approx_report(gs, e, consequence_slack(e), asg.scores, *_bin_table(inst, asg))
 
-    calib_ok = True
+
+def _approx_report(gs, e: Fraction, slack: Fraction, scores, mass, positive) -> ApproxAuditReport:
+    exact = _exact_report(gs, scores, mass, positive)
     lo, hi = 1 - e, 1 + e
-    for i in range(2):
-        for b in range(nbins):
-            g = stats.positive[i][b]
-            s = stats.score_mass[i][b]
-            if not (lo * s <= g <= hi * s):
-                calib_ok = False
-                break
-        if not calib_ok:
-            break
+    calib_ok = all(
+        lo * (v * m) <= g <= hi * (v * m)
+        for i in range(2)
+        for v, m, g in zip(scores, mass[i], positive[i])
+    )
 
     def balance(avgs) -> tuple[bool, bool]:
         if avgs[0] is None or avgs[1] is None:
@@ -288,12 +254,16 @@ def audit_approx(inst: Instance, asg: RiskAssignment, eps) -> ApproxAuditReport:
         balance_neg_ok=neg_ok,
         balance_neg_vacuous=neg_vac,
         passed=calib_ok and pos_ok and neg_ok,
-        consequence=classify_consequence(inst, asg, e),
+        consequence=_consequence(gs, exact, slack),
     )
 
 
 def _accumulate_bins(features, rows, nbins):
-    # group-major running mass and expected positives per bin
+    """The bin table: group-major mass and expected positives per bin.
+
+    Every audit, loss and search verdict reads this one aggregation; the
+    people mass of bin b is mass[0][b] + mass[1][b].
+    """
     mass = [[Fraction(0)] * nbins for _ in range(2)]
     positive = [[Fraction(0)] * nbins for _ in range(2)]
     for f, row in zip(features, rows):
@@ -310,29 +280,52 @@ def _accumulate_bins(features, rows, nbins):
     return mass, positive
 
 
-def _fair_from_parts(gs, scores, mass, positive, tol: Fraction) -> bool:
-    nbins = len(scores)
+def _bin_table(inst: Instance, asg: RiskAssignment):
+    return _accumulate_bins(inst.features, assignment_rows_for(inst, asg), asg.bin_count)
+
+
+def _class_scores(scores, mass, positive) -> tuple[PerGroup, PerGroup]:
+    """Per group: the score received by the positive class, and by everyone."""
+    pos_score = []
+    total = []
     for i in range(2):
-        mi, pi = mass[i], positive[i]
-        for b in range(nbins):
-            if abs(pi[b] - scores[b] * mi[b]) > tol:
-                return False
+        a = Fraction(0)
+        t = Fraction(0)
+        for v, m, g in zip(scores, mass[i], positive[i]):
+            if g:
+                a += g * v
+            if m:
+                t += m * v
+        pos_score.append(a)
+        total.append(t)
+    return (pos_score[0], pos_score[1]), (total[0], total[1])
+
+
+def _class_averages(gs, pos_score, total):
+    """Per group: the positive and the negative class's average score, None
+    for an empty class."""
     pos_avg = []
     neg_avg = []
     for i in range(2):
-        pos_score = Fraction(0)
-        total_score = Fraction(0)
-        for b in range(nbins):
-            v = scores[b]
-            if positive[i][b]:
-                pos_score += positive[i][b] * v
-            if mass[i][b]:
-                total_score += mass[i][b] * v
         mu = gs.positive_mass[i]
         neg_mass = gs.population[i] - mu
-        pos_avg.append(pos_score / mu if mu > 0 else None)
-        neg_avg.append((total_score - pos_score) / neg_mass if neg_mass > 0 else None)
-    for avgs in (pos_avg, neg_avg):
+        pos_avg.append(pos_score[i] / mu if mu > 0 else None)
+        neg_avg.append((total[i] - pos_score[i]) / neg_mass if neg_mass > 0 else None)
+    return (pos_avg[0], pos_avg[1]), (neg_avg[0], neg_avg[1])
+
+
+def _calibrated(scores, mass, positive, tol: Fraction = Fraction(0)) -> bool:
+    return all(
+        abs(g - v * m) <= tol
+        for i in range(2)
+        for v, m, g in zip(scores, mass[i], positive[i])
+    )
+
+
+def _fair_from_parts(gs, scores, mass, positive, tol: Fraction) -> bool:
+    if not _calibrated(scores, mass, positive, tol):
+        return False
+    for avgs in _class_averages(gs, *_class_scores(scores, mass, positive)):
         if avgs[0] is not None and avgs[1] is not None and abs(avgs[0] - avgs[1]) > tol:
             return False
     return True
@@ -346,7 +339,5 @@ def passes_fairness(inst: Instance, asg: RiskAssignment, tolerance: Optional[Fra
     Agrees with audit_exact(...).fair when tolerance is None.
     """
     gs = derived_stats(inst)
-    rows = assignment_rows_for(inst, asg)
     tol = Fraction(0) if tolerance is None else tolerance
-    mass, positive = _accumulate_bins(inst.features, rows, asg.bin_count)
-    return _fair_from_parts(gs, asg.scores, mass, positive, tol)
+    return _fair_from_parts(gs, asg.scores, *_bin_table(inst, asg), tol)

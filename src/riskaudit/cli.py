@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .audit import audit_approx, audit_exact
-from .errors import ReductionInfeasibleError, RiskAuditError
+from .errors import DocumentError, ReductionInfeasibleError, RiskAuditError
 from .loss import fairness_difference, find_fair_nontrivial, interpolate, loss
 from .model import as_fraction, ingest_records, require_valid, validate_instance
 from .reduction import (
@@ -57,8 +57,11 @@ def _rational(text: str) -> Fraction:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"not UTF-8 text ({exc.reason} at byte {exc.start})", path) from None
 
 
 def _write(path: str, text: str) -> None:
@@ -273,7 +276,10 @@ def cmd_verify_reduction(args) -> int:
         f"agreement: {_bool(agree)}",
     ]
     if args.subset:
-        chosen = [int(x) for x in args.subset.split(",") if x.strip()]
+        try:
+            chosen = [int(x) for x in args.subset.split(",") if x.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError("subset must be comma-separated integers")
         part = encode_solution(ri, chosen)
         ok = check_reduction_equation(ri, part)
         doc["subset_check"] = {"subset": chosen, "equation_holds": ok}

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .audit import audit_exact, bin_statistics
+from .audit import _accumulate_bins, _bin_table, _calibrated, _class_scores, audit_exact
 from .errors import DegenerateGroupError, DomainError
 from .model import (
     Instance,
     RiskAssignment,
     as_fraction,
+    assignment_rows_for,
     derived_stats,
     require_valid,
 )
@@ -34,15 +35,13 @@ class LossReport:
 def loss(inst: Instance, asg: RiskAssignment) -> LossReport:
     """Exact expected loss per group and in total."""
     gs = derived_stats(inst)
-    stats = bin_statistics(inst, asg)
-    per = []
-    for i in range(2):
-        pos_score = sum(
-            (stats.positive[i][b] * asg.scores[b] for b in range(asg.bin_count)),
-            Fraction(0),
-        )
-        per.append(2 * (gs.positive_mass[i] - pos_score))
-    return LossReport(per_group=(per[0], per[1]), total=per[0] + per[1])
+    mass, positive = _bin_table(inst, asg)
+    return _loss_report(gs, _class_scores(asg.scores, mass, positive)[0])
+
+
+def _loss_report(gs, pos_score) -> LossReport:
+    per = (2 * (gs.positive_mass[0] - pos_score[0]), 2 * (gs.positive_mass[1] - pos_score[1]))
+    return LossReport(per_group=per, total=per[0] + per[1])
 
 
 def identity_assignment(inst: Instance) -> RiskAssignment:
@@ -90,27 +89,25 @@ def fairness_difference(inst: Instance, asg: RiskAssignment) -> FairnessDifferen
 
     Both positive classes must be nonempty.
     """
-    report = audit_exact(inst, asg)
-    a1, a2 = report.pos_class_avg
+    a1, a2 = audit_exact(inst, asg).pos_class_avg
     if a1 is None or a2 is None:
         raise DegenerateGroupError("both groups need a nonempty positive class")
     d = a1 - a2
     return FairnessDifference(difference=d, favors_group1=d >= 0, favors_group2=d <= 0)
 
 
-def _bin_people_mass(inst: Instance, asg: RiskAssignment) -> tuple[Fraction, ...]:
-    from .model import assignment_rows_for
+# A pooled score is a convex combination of probabilities, so rounding an
+# instance's numbers through doubles moves it by a few units of 2**-53 at
+# most. Scores further apart than this are distinct whatever the tolerance.
+_ROUNDING = Fraction(1, 1 << 40)
 
-    rows = assignment_rows_for(inst, asg)
-    masses = [Fraction(0)] * asg.bin_count
-    for f, row in zip(inst.features, rows):
-        n = f.total
-        if n == 0:
-            continue
-        for b, x in enumerate(row):
-            if x:
-                masses[b] += n * x
-    return tuple(masses)
+
+def _nontrivial(scores, mass, tolerance: Optional[Fraction] = None) -> bool:
+    """The populated scores spread by more than min(tolerance, _ROUNDING);
+    with no tolerance, that is two distinct populated scores."""
+    populated = [v for v, m1, m2 in zip(scores, mass[0], mass[1]) if m1 + m2 > 0]
+    tol = Fraction(0) if tolerance is None else min(tolerance, _ROUNDING)
+    return bool(populated) and max(populated) - min(populated) > tol
 
 
 def is_nontrivial(inst: Instance, asg: RiskAssignment) -> bool:
@@ -120,9 +117,8 @@ def is_nontrivial(inst: Instance, asg: RiskAssignment) -> bool:
     assignment that scores everyone identically is trivial however many
     bins it spreads them over.
     """
-    masses = _bin_people_mass(inst, asg)
-    scores = {asg.scores[b] for b in range(asg.bin_count) if masses[b] > 0}
-    return len(scores) >= 2
+    mass, _ = _bin_table(inst, asg)
+    return _nontrivial(asg.scores, mass)
 
 
 def normalize_assignment(inst: Instance, asg: RiskAssignment) -> RiskAssignment:
@@ -131,7 +127,9 @@ def normalize_assignment(inst: Instance, asg: RiskAssignment) -> RiskAssignment:
     Audit-equivalent to the input. Allocation that zero-mass features sent to
     dropped bins is moved to the first kept bin so rows still sum to 1.
     """
-    masses = _bin_people_mass(inst, asg)
+    rows_in = assignment_rows_for(inst, asg)
+    mass, _ = _accumulate_bins(inst.features, rows_in, asg.bin_count)
+    masses = [m1 + m2 for m1, m2 in zip(*mass)]
     kept = [b for b in range(asg.bin_count) if masses[b] > 0]
     if not kept:
         raise DomainError("assignment carries no people")
@@ -139,9 +137,6 @@ def normalize_assignment(inst: Instance, asg: RiskAssignment) -> RiskAssignment:
     groups = {v: [b for b in kept if asg.scores[b] == v] for v in scores}
     dropped = [b for b in range(asg.bin_count) if masses[b] == 0]
 
-    from .model import assignment_rows_for
-
-    rows_in = assignment_rows_for(inst, asg)
     rows_out = []
     for row in rows_in:
         new_row = [sum((row[b] for b in groups[v]), Fraction(0)) for v in scores]
@@ -166,8 +161,9 @@ def interpolate(inst: Instance, asg1: RiskAssignment, asg2: RiskAssignment, lam)
     w = as_fraction(lam)
     if not (0 <= w <= 1):
         raise DomainError(f"interpolation weight {w} outside [0, 1]")
+    require_valid(inst)
     for name, asg in (("first", asg1), ("second", asg2)):
-        if not audit_exact(inst, asg).calibration_ok:
+        if not _calibrated(asg.scores, *_bin_table(inst, asg)):
             raise DomainError(f"{name} assignment is not calibrated on this instance")
     order = tuple(f.id for f in inst.features)
     rows = []

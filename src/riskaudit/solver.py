@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .audit import passes_fairness
+from .audit import _accumulate_bins, _class_scores, _fair_from_parts
 from .errors import DomainError
-from .loss import LossReport, is_nontrivial, loss
-from .model import Instance, RiskAssignment, require_valid
+from .loss import LossReport, _loss_report, _nontrivial
+from .model import Instance, RiskAssignment, derived_stats, require_valid
 from .partitions import DEFAULT_MAX_ITEMS, Partition, enumerate_partitions
 
 OBJECTIVES = ("any_fair", "min_loss")
@@ -46,41 +46,54 @@ def assignment_from_partition(inst: Instance, part: Partition) -> RiskAssignment
     measure.
     """
     require_valid(inst)
-    ids = {f.id for f in inst.features}
-    if part.members() != ids:
+    ids = inst.ids
+    if part.members() != set(ids):
         raise DomainError("partition does not cover exactly the instance's features")
+    position = {fid: i for i, fid in enumerate(ids)}
+    scores, rows = _pooled_bins(
+        inst.features, [[position[fid] for fid in block] for block in part.blocks]
+    )
+    return RiskAssignment(feature_ids=ids, scores=scores, rows=rows)
 
-    scored: list[tuple[tuple, Fraction]] = []
-    empty_blocks: list[tuple] = []
-    for block in part.blocks:
-        mass = sum((inst.by_id(fid).total for fid in block), Fraction(0))
+
+_ONE = Fraction(1)
+_ZERO = Fraction(0)
+
+
+def _pooled_bins(features, blocks):
+    """Scores and allocation rows of the integral assignment whose bins are
+    `blocks` of feature positions, in block order (see
+    assignment_from_partition)."""
+    scores = []
+    bin_of = [0] * len(features)
+    for block in blocks:
+        mass = sum((features[i].total for i in block), Fraction(0))
         if mass == 0:
-            empty_blocks.append(block)
             continue
-        weighted = sum((inst.by_id(fid).total * inst.by_id(fid).p for fid in block), Fraction(0))
-        scored.append((block, weighted / mass))
-    if not scored:
+        weighted = sum((features[i].total * features[i].p for i in block), Fraction(0))
+        for i in block:
+            bin_of[i] = len(scores)
+        scores.append(weighted / mass)
+    if not scores:
         raise DomainError("no block carries any people")
-
-    bin_of: dict[str, int] = {}
-    for b, (block, _) in enumerate(scored):
-        for fid in block:
-            bin_of[fid] = b
-    for block in empty_blocks:
-        for fid in block:
-            bin_of[fid] = 0
-
-    nbins = len(scored)
-    order = tuple(f.id for f in inst.features)
+    nbins = len(scores)
     rows = tuple(
-        tuple(Fraction(1) if bin_of[fid] == b else Fraction(0) for b in range(nbins))
-        for fid in order
+        tuple(_ONE if b == hot else _ZERO for b in range(nbins)) for hot in bin_of
     )
-    return RiskAssignment(
-        feature_ids=order,
-        scores=tuple(v for _, v in scored),
-        rows=rows,
+    return tuple(scores), rows
+
+
+def _integral_candidates(inst: Instance, cap: Optional[int], max_items: int):
+    """(blocks, scores, rows) of each partition in canonical order, at most
+    cap + 1 of them. Blocks are ordered by smallest feature id, as in the id
+    partition, so each candidate equals assignment_from_partition's."""
+    ids = inst.ids
+    gen = enumerate_partitions(
+        len(ids), cap=None if cap is None else cap + 1, max_items=max_items
     )
+    for index_part in gen:
+        blocks = sorted(index_part.blocks, key=lambda block: min(ids[i] for i in block))
+        yield (blocks, *_pooled_bins(inst.features, blocks))
 
 
 def solve_integral(
@@ -97,43 +110,39 @@ def solve_integral(
     order; "min_loss" scans everything and keeps the minimum total loss,
     ties resolved in favor of the earlier canonical encoding. The trivial
     all-in-one structure can never qualify because non-triviality requires
-    two distinct scores with mass.
+    two distinct scores with mass. With a tolerance, two populated scores
+    count as one when they differ by at most min(tolerance, 2**-40); a wider
+    gap is more than float rounding of the instance can make.
     """
-    require_valid(inst)
+    gs = derived_stats(inst)
     if objective not in OBJECTIVES:
         raise DomainError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
-    order = tuple(f.id for f in inst.features)
-    k = len(order)
+    features = inst.features
+    tol = Fraction(0) if tolerance is None else tolerance
 
     explored = 0
     exhausted = True
-    best: Optional[tuple[Fraction, Partition, RiskAssignment, LossReport]] = None
-    gen = enumerate_partitions(
-        k, cap=None if cap is None else cap + 1, max_items=max_items
-    )
-    for index_part in gen:
+    best: Optional[tuple] = None
+    for blocks, scores, rows in _integral_candidates(inst, cap, max_items):
         if cap is not None and explored >= cap:
             exhausted = False
             break
         explored += 1
-        part = Partition.from_blocks(
-            tuple(order[i] for i in block) for block in index_part.blocks
-        )
-        asg = assignment_from_partition(inst, part)
-        if not passes_fairness(inst, asg, tolerance):
+        mass, positive = _accumulate_bins(features, rows, len(scores))
+        if not _fair_from_parts(gs, scores, mass, positive, tol):
             continue
-        if not is_nontrivial(inst, asg):
+        if not _nontrivial(scores, mass, tolerance):
             continue
-        report = loss(inst, asg)
+        report = _loss_report(gs, _class_scores(scores, mass, positive)[0])
+        if best is None or report.total < best[0].total:
+            best = (report, blocks, scores, rows)
         if objective == "any_fair":
-            return SolveResult("found", part, asg, report, explored)
-        if best is None or report.total < best[0]:
-            best = (report.total, part, asg, report)
+            break
 
-    if not exhausted:
-        if best is not None:
-            return SolveResult("budget_exceeded", best[1], best[2], best[3], explored)
-        return SolveResult("budget_exceeded", None, None, None, explored)
-    if best is not None:
-        return SolveResult("found", best[1], best[2], best[3], explored)
-    return SolveResult("none", None, None, None, explored)
+    if best is None:
+        return SolveResult("none" if exhausted else "budget_exceeded", None, None, None, explored)
+    report, blocks, scores, rows = best
+    ids = inst.ids
+    part = Partition.from_blocks(tuple(ids[i] for i in block) for block in blocks)
+    asg = RiskAssignment(feature_ids=ids, scores=scores, rows=rows)
+    return SolveResult("found" if exhausted else "budget_exceeded", part, asg, report, explored)

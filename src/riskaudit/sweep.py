@@ -15,7 +15,14 @@ from fractions import Fraction
 from random import Random
 from typing import Iterator, Optional
 
-from .audit import ApproxAuditReport, _accumulate_bins, _fair_from_parts, audit_approx
+from .audit import (
+    ApproxAuditReport,
+    _accumulate_bins,
+    _approx_report,
+    _fair_from_parts,
+    audit_approx,
+    consequence_slack,
+)
 from .errors import DomainError
 from .loss import trivial_assignment
 from .model import (
@@ -23,12 +30,11 @@ from .model import (
     Instance,
     RiskAssignment,
     as_fraction,
-    assignment_rows_for,
     derived_stats,
     require_valid,
 )
-from .partitions import DEFAULT_MAX_ITEMS, Partition, enumerate_partitions
-from .solver import assignment_from_partition
+from .partitions import DEFAULT_MAX_ITEMS
+from .solver import _integral_candidates
 
 
 def _rand_fraction(rng: Random, den: int = 12) -> Fraction:
@@ -203,18 +209,12 @@ def _pooled_exact(inst: Instance, weights, pooled_rate: Fraction):
     rows = tuple(
         tuple(_q(w, sum(wrow)) for w in wrow) for wrow in weights
     )
-    nbins = len(weights[0])
-    scores = []
-    for b in range(nbins):
-        mass = Fraction(0)
-        pos = Fraction(0)
-        for i, f in enumerate(inst.features):
-            x = rows[i][b]
-            if x and f.total:
-                mass += f.total * x
-                pos += f.total * f.p * x
-        scores.append(pos / mass if mass else pooled_rate)
-    return tuple(scores), rows
+    mass, positive = _accumulate_bins(inst.features, rows, len(weights[0]))
+    scores = tuple(
+        (g1 + g2) / (m1 + m2) if m1 + m2 else pooled_rate
+        for m1, m2, g1, g2 in zip(*mass, *positive)
+    )
+    return scores, rows
 
 
 def _raw_pooled(inst: Instance, pooled_rate: Fraction, rng: Random, max_bins=None):
@@ -223,8 +223,7 @@ def _raw_pooled(inst: Instance, pooled_rate: Fraction, rng: Random, max_bins=Non
     )
 
 
-def _pooled_rate(inst: Instance) -> Fraction:
-    gs = derived_stats(inst)
+def _pooled_rate(gs) -> Fraction:
     return (gs.positive_mass[0] + gs.positive_mass[1]) / (
         gs.population[0] + gs.population[1]
     )
@@ -235,7 +234,7 @@ def pooled_rounded_assignment(
 ) -> RiskAssignment:
     """Random row-stochastic allocation, scores rounded to each bin's pooled
     positive rate. Population-calibrated by construction, nothing more."""
-    scores, rows = _raw_pooled(inst, _pooled_rate(inst), rng, max_bins)
+    scores, rows = _raw_pooled(inst, _pooled_rate(derived_stats(inst)), rng, max_bins)
     return RiskAssignment(
         feature_ids=tuple(f.id for f in inst.features), scores=scores, rows=rows
     )
@@ -458,19 +457,17 @@ def theorem_sweep(
     With eps = 0 only the exact side runs. A budget too small to finish the
     integral side is reported through integral_complete, never raised.
     """
-    require_valid(inst)
+    gs = derived_stats(inst)
     e = as_fraction(eps)
     if e < 0:
         raise DomainError("eps must be nonnegative")
     if search_budget < 0:
         raise DomainError("search budget must be nonnegative")
-    gs = derived_stats(inst)
     gap = gs.base_rate[0] - gs.base_rate[1]
     perfect = is_perfect_prediction(inst)
     special = gap == 0 or perfect
 
-    order = tuple(f.id for f in inst.features)
-    k = len(order)
+    k = len(inst.features)
     integral_explored = 0
     integral_complete = True
     exact_fair_count = 0
@@ -479,49 +476,39 @@ def theorem_sweep(
     approx_pass = 0
     approx_ce: Optional[RiskAssignment] = None
 
-    order_ids = tuple(f.id for f in inst.features)
+    order_ids = inst.ids
+    slack = consequence_slack(e)
 
     def consider_raw(scores, rows, check_exact=True, check_approx=True) -> None:
+        # one bin table gives both verdicts; an assignment is built only for
+        # a candidate the report keeps
         nonlocal exact_fair_count, first_fair, exact_ce, approx_pass, approx_ce
-        if check_exact:
-            mass, positive = _accumulate_bins(inst.features, rows, len(scores))
-            if _fair_from_parts(gs, scores, mass, positive, Fraction(0)):
-                exact_fair_count += 1
-                asg = RiskAssignment(feature_ids=order_ids, scores=scores, rows=rows)
-                if first_fair is None:
-                    first_fair = asg
-                if not special and exact_ce is None:
-                    exact_ce = asg
-        if e > 0 and check_approx:
+        mass, positive = _accumulate_bins(inst.features, rows, len(scores))
+        if check_exact and _fair_from_parts(gs, scores, mass, positive, Fraction(0)):
+            exact_fair_count += 1
             asg = RiskAssignment(feature_ids=order_ids, scores=scores, rows=rows)
-            report = audit_approx(inst, asg, e)
+            if first_fair is None:
+                first_fair = asg
+            if not special and exact_ce is None:
+                exact_ce = asg
+        if e > 0 and check_approx:
+            report = _approx_report(gs, e, slack, scores, mass, positive)
             if report.passed:
                 approx_pass += 1
                 if not report.consequence.any and approx_ce is None:
-                    approx_ce = asg
+                    approx_ce = RiskAssignment(feature_ids=order_ids, scores=scores, rows=rows)
 
-    def consider(asg: RiskAssignment) -> None:
-        consider_raw(asg.scores, assignment_rows_for(inst, asg))
-
-    gen = enumerate_partitions(
-        k,
-        cap=None if integral_cap is None else integral_cap + 1,
-        max_items=max_items,
-    )
-    for index_part in gen:
+    for _, scores, rows in _integral_candidates(inst, integral_cap, max_items):
         if integral_cap is not None and integral_explored >= integral_cap:
             integral_complete = False
             break
         integral_explored += 1
-        part = Partition.from_blocks(
-            tuple(order[i] for i in block) for block in index_part.blocks
-        )
-        consider(assignment_from_partition(inst, part))
+        consider_raw(scores, rows)
 
     featsf = tuple((float(f.n1), float(f.n2), float(f.p)) for f in inst.features)
     muf = (float(gs.positive_mass[0]), float(gs.positive_mass[1]))
     popf = (float(gs.population[0]), float(gs.population[1]))
-    pooled = _pooled_rate(inst)
+    pooled = _pooled_rate(gs)
     pooledf = float(pooled)
     ef = float(e)
 

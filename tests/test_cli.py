@@ -4,7 +4,11 @@ Each command runs in process through run_cli so exit codes and streams are
 observable without spawning an interpreter.
 """
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -194,3 +198,33 @@ def test_mismatched_ids_exit_two(ws, capsys):
     # rigid has a third feature the two-feature instance lacks
     assert run_cli(["audit", "-i", ws["balanced"], "-a", ws["rigid_id"]]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_non_utf8_file_exit_two(tmp_path, capsys):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"kind": "instance", "note": "caf\xe9"}')
+    assert run_cli(["validate", "-i", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(p) in err and "UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_verify_bad_subset_exit_two(tmp_path, capsys):
+    red = tmp_path / "red.json"
+    run_cli(["reduce", "--weights", "1,2", "--target", "3", "-o", str(red)])
+    capsys.readouterr()
+    assert run_cli(["verify-reduction", "-r", str(red), "--subset", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "subset" in captured.err
+    assert captured.out == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "riskaudit", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "usage: riskaudit" in proc.stdout

@@ -6,10 +6,12 @@ from riskaudit import (
     DomainError,
     Instance,
     Partition,
+    SubsetSumInstance,
     assignment_from_partition,
     audit_exact,
     feature,
     is_nontrivial,
+    reduce_subset_sum,
     solve_integral,
 )
 
@@ -89,3 +91,15 @@ class TestSolveIntegral:
         # with a huge absolute tolerance the skewed identity counts as fair
         res = solve_integral(skewed, "any_fair", tolerance=F(1))
         assert res.status == "found"
+
+
+class TestToleranceNontriviality:
+    # the reduction's float-rounded rates make some splits fair at the
+    # tolerance with scores only 2**-55 apart: not two distinct scores
+    @pytest.mark.parametrize(
+        "target, status, explored", [(6, "none", 4140), (5, "found", 505), (10, "found", 479)]
+    )
+    def test_reduced_subset_sum(self, target, status, explored):
+        ri = reduce_subset_sum(SubsetSumInstance((2, 3, 5), target))
+        res = solve_integral(ri.instance, "any_fair", tolerance=F(1, 10**9))
+        assert (res.status, res.explored) == (status, explored)
