@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .audit import _accumulate_bins, _bin_table, _calibrated, _class_scores, audit_exact
+from .audit import _accumulate_bins, _bin_table, _calibrated, _class_scores, _exact_report
+from .audit import audit_exact
 from .errors import DegenerateGroupError, DomainError
 from .model import (
     Instance,
@@ -89,11 +90,15 @@ def fairness_difference(inst: Instance, asg: RiskAssignment) -> FairnessDifferen
 
     Both positive classes must be nonempty.
     """
-    a1, a2 = audit_exact(inst, asg).pos_class_avg
+    d = _difference(audit_exact(inst, asg))
+    return FairnessDifference(difference=d, favors_group1=d >= 0, favors_group2=d <= 0)
+
+
+def _difference(report) -> Fraction:
+    a1, a2 = report.pos_class_avg
     if a1 is None or a2 is None:
         raise DegenerateGroupError("both groups need a nonempty positive class")
-    d = a1 - a2
-    return FairnessDifference(difference=d, favors_group1=d >= 0, favors_group2=d <= 0)
+    return a1 - a2
 
 
 # A pooled score is a convex combination of probabilities, so rounding an
@@ -165,16 +170,15 @@ def interpolate(inst: Instance, asg1: RiskAssignment, asg2: RiskAssignment, lam)
     for name, asg in (("first", asg1), ("second", asg2)):
         if not _calibrated(asg.scores, *_bin_table(inst, asg)):
             raise DomainError(f"{name} assignment is not calibrated on this instance")
-    order = tuple(f.id for f in inst.features)
-    rows = []
-    for fid in order:
-        r1 = asg1.row(fid)
-        r2 = asg2.row(fid)
-        rows.append(tuple(w * x for x in r1) + tuple((1 - w) * x for x in r2))
+    return _mix(inst, asg1, asg2, w)
+
+
+def _mix(inst: Instance, asg1: RiskAssignment, asg2: RiskAssignment, w: Fraction) -> RiskAssignment:
+    pairs = zip(assignment_rows_for(inst, asg1), assignment_rows_for(inst, asg2))
     return RiskAssignment(
-        feature_ids=order,
+        feature_ids=inst.ids,
         scores=asg1.scores + asg2.scores,
-        rows=tuple(rows),
+        rows=tuple(tuple(w * x for x in r1) + tuple((1 - w) * x for x in r2) for r1, r2 in pairs),
     )
 
 
@@ -207,12 +211,13 @@ def find_fair_nontrivial(
         raise DomainError("equal base rates required")
     diffs = []
     for idx, asg in enumerate(candidates):
-        report = audit_exact(inst, asg)
+        mass, positive = _bin_table(inst, asg)
+        report = _exact_report(gs, asg.scores, mass, positive)
         if not report.calibration_ok:
             raise DomainError(f"candidate {idx} is not calibrated")
-        if not is_nontrivial(inst, asg):
+        if not _nontrivial(asg.scores, mass):
             raise DomainError(f"candidate {idx} is trivial")
-        diffs.append(fairness_difference(inst, asg).difference)
+        diffs.append(_difference(report))
 
     for asg, d in zip(candidates, diffs):
         if d == 0:
@@ -222,4 +227,4 @@ def find_fair_nontrivial(
     if pos is None or neg is None:
         return None
     w = target_lambda(diffs[pos], diffs[neg], 0)
-    return interpolate(inst, candidates[pos], candidates[neg], w)
+    return _mix(inst, candidates[pos], candidates[neg], w)

@@ -21,19 +21,22 @@ equation ``sum over blocks q of (1/|q|) * sum over pairs in q of
 (p_i - p_j)**2 == 1/m**4``; blocks that keep a pair together contribute
 exactly ``w_hat_i``, so subset choices map onto pairings.
 
-Probabilities other than the pair centers are quadratic irrationals, so the
-equation checker works symbolically (sympy) and the embedded Instance holds
-float approximations meant for tolerance-based search only.
+Every probability is a quadratic surd ``center + sign * sqrt(q)`` (`Surd`),
+so the equation checker works exactly on rational multiples of square roots,
+and the embedded Instance holds correctly rounded float images meant for
+tolerance-based search only.
 """
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .errors import DocumentError, DomainError, ReductionInfeasibleError
+from .audit import _SQRT_SCALE, _sqrt_upper
+from .errors import DomainError, ReductionInfeasibleError
 from .model import FeatureVector, Instance, require_valid
 from .partitions import Partition
 
@@ -70,15 +73,59 @@ def solve_subset_sum(ss: SubsetSumInstance) -> Optional[frozenset[int]]:
     return None
 
 
+@dataclass(frozen=True, eq=False)
+class Surd:
+    """The quadratic surd ``center + sign * sqrt(half_gap_squared)``.
+
+    Equal to a Fraction when the root is rational; otherwise equal only to a
+    surd with the same three fields. `float()` rounds correctly.
+    """
+
+    center: Fraction
+    half_gap_squared: Fraction
+    sign: int
+
+    def _key(self):
+        root, exact = _sqrt_upper(self.half_gap_squared)
+        if exact:
+            return self.center + self.sign * root
+        return self.center, self.half_gap_squared, self.sign
+
+    def __eq__(self, other):
+        if not isinstance(other, (Surd, int, Fraction)):
+            return NotImplemented
+        return self._key() == (other._key() if isinstance(other, Surd) else other)
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __float__(self) -> float:
+        # sqrt(q) lies in ((root - 2**-128) / scale, root / scale]: refine
+        # until both ends round to the same double
+        scale = 1
+        while True:
+            root, exact = _sqrt_upper(self.half_gap_squared * scale * scale)
+            hi = float(self.center + self.sign * root / scale)
+            if exact:
+                return hi
+            if hi == float(self.center + self.sign * (root - Fraction(1, _SQRT_SCALE)) / scale):
+                return hi
+            scale <<= 64
+
+    def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """(coefficient, radicand) pairs whose sum c * sqrt(r) is the surd."""
+        return (self.center, Fraction(1)), (Fraction(self.sign), self.half_gap_squared)
+
+
 @dataclass(frozen=True)
 class ReducedInstance:
     """Output of the construction.
 
     Exact rational side data lives in `scaled_weights` and
-    `required_pos_avg`; `rates_exact` holds the symbolic probabilities of all
-    2m + 2 features (pairs first, anchors last), `rates` their float images.
-    `instance` embeds the float-mode population: group 1 masses on the two
-    anchors, group 2 spread uniformly over the 2m pair features.
+    `required_pos_avg`; `rates_exact` holds the surds of all 2m + 2 features
+    (pairs first, anchors last), `rates` their float images. `instance`
+    embeds the float-mode population: group 1 masses on the two anchors,
+    group 2 spread uniformly over the 2m pair features.
     """
 
     input_weights: tuple[int, ...]
@@ -88,7 +135,7 @@ class ReducedInstance:
     m: int
     scaled_weights: tuple[Fraction, ...]
     required_pos_avg: Fraction
-    rates_exact: tuple
+    rates_exact: tuple[Surd, ...]
     rates: tuple[float, ...]
     group1_mass: tuple[Fraction, ...]
     group2_mass: tuple[Fraction, ...]
@@ -99,14 +146,6 @@ class ReducedInstance:
         return tuple(self.input_weights[i - 1] for i in self.kept_indices)
 
 
-def _pair_center(i: int, m: int) -> Fraction:
-    return Fraction(i, m + 1)
-
-
-def _half_gap_squared(w_hat: Fraction) -> Fraction:
-    return w_hat / 2
-
-
 def reduce_subset_sum(ss: SubsetSumInstance) -> ReducedInstance:
     """Run the construction.
 
@@ -115,8 +154,6 @@ def reduce_subset_sum(ss: SubsetSumInstance) -> ReducedInstance:
     the required positive-class average g violates 2g - 1 >= 0 or a derived
     probability would leave [0, 1] (both can only happen at m == 1).
     """
-    import sympy as sp
-
     kept = [i + 1 for i, w in enumerate(ss.weights) if w <= ss.target]
     dropped = [i + 1 for i, w in enumerate(ss.weights) if w > ss.target]
     if dropped:
@@ -129,10 +166,11 @@ def reduce_subset_sum(ss: SubsetSumInstance) -> ReducedInstance:
     T = ss.target
     scale = T * m**4
     w_hat = tuple(Fraction(ss.weights[i - 1], scale) for i in kept)
+    # (center, half-gap squared) of each pair
+    pairs = [(Fraction(i, m + 1), w_hat[i - 1] / 2) for i in range(1, m + 1)]
 
     g = (
-        Fraction(1, m)
-        * sum((2 * _pair_center(i, m) ** 2 + w_hat[i - 1] for i in range(1, m + 1)), Fraction(0))
+        Fraction(1, m) * sum((2 * c * c + w for (c, _), w in zip(pairs, w_hat)), Fraction(0))
         - Fraction(1, m**5)
     )
     disc = 2 * g - 1
@@ -141,9 +179,7 @@ def reduce_subset_sum(ss: SubsetSumInstance) -> ReducedInstance:
             f"required positive-class average {g} gives 2g - 1 = {disc} < 0",
             required_pos_avg=g,
         )
-    for i in range(1, m + 1):
-        c = _pair_center(i, m)
-        e = _half_gap_squared(w_hat[i - 1])
+    for i, (c, e) in enumerate(pairs, start=1):
         if e > c * c or e > (1 - c) * (1 - c):
             raise ReductionInfeasibleError(
                 f"pair {i} would leave [0, 1]", required_pos_avg=g
@@ -153,17 +189,9 @@ def reduce_subset_sum(ss: SubsetSumInstance) -> ReducedInstance:
             f"required positive-class average {g} exceeds 1", required_pos_avg=g
         )
 
-    rates_exact = []
-    for i in range(1, m + 1):
-        c = sp.Rational(_pair_center(i, m))
-        gap = sp.sqrt(sp.Rational(_half_gap_squared(w_hat[i - 1])))
-        rates_exact.append(c - gap)
-        rates_exact.append(c + gap)
-    root = sp.sqrt(sp.Rational(disc))
-    half = sp.Rational(1, 2)
-    rates_exact.append(half - root / 2)
-    rates_exact.append(half + root / 2)
-
+    rates_exact = tuple(
+        Surd(c, e, sign) for c, e in pairs + [(Fraction(1, 2), disc / 4)] for sign in (-1, 1)
+    )
     rates = tuple(float(r) for r in rates_exact)
     n_pairs = 2 * m
     group1 = tuple(
@@ -186,7 +214,7 @@ def reduce_subset_sum(ss: SubsetSumInstance) -> ReducedInstance:
         m=m,
         scaled_weights=w_hat,
         required_pos_avg=g,
-        rates_exact=tuple(rates_exact),
+        rates_exact=rates_exact,
         rates=rates,
         group1_mass=group1,
         group2_mass=group2,
@@ -219,32 +247,55 @@ def check_reduction_equation(ri: ReducedInstance, part: Partition) -> bool:
 
     Normal-form partitions reduce to a rational identity: kept-together pairs
     contribute their scaled weight, singletons contribute nothing. Any other
-    partition is expanded symbolically; the difference from the target is a
-    rational combination of distinct square-free radicals, which is zero only
-    when every coefficient is zero.
+    partition is expanded into rational multiples of square roots; the
+    difference from the target is zero only when its coefficient in every
+    radical class is zero.
     """
     _require_pair_cover(ri, part)
     target = Fraction(1, ri.m**4)
 
     if is_normal_form(ri, part):
-        total = Fraction(0)
-        for block in part.blocks:
-            if len(block) == 2:
-                pair_index = (block[0] + 1) // 2
-                total += ri.scaled_weights[pair_index - 1]
-        return total == target
+        kept = [block[1] // 2 for block in part.blocks if len(block) == 2]
+        return sum((ri.scaled_weights[i - 1] for i in kept), Fraction(0)) == target
 
-    import sympy as sp
-
-    lhs = sp.Integer(0)
+    # (1/|q|) * sum of squared pair gaps = sum p_i**2 - (sum p_i)**2 / |q|
+    terms = [(-target, Fraction(1))]
     for block in part.blocks:
-        inner = sp.Integer(0)
-        for a, b in combinations(block, 2):
-            diff = ri.rates_exact[a - 1] - ri.rates_exact[b - 1]
-            inner += diff * diff
-        lhs += sp.Rational(1, len(block)) * inner
-    residual = sp.expand(lhs - sp.Rational(target))
-    return all(c == 0 for c in residual.as_coefficients_dict().values())
+        total = _merge(t for j in block for t in ri.rates_exact[j - 1].terms())
+        terms += [t for j in block for t in _square(ri.rates_exact[j - 1].terms())]
+        terms += [(-c / len(block), r) for c, r in _square(total)]
+    return all(c == 0 for c in _class_coefficients(terms))
+
+
+def _square(x) -> list[tuple[Fraction, Fraction]]:
+    """Square of a sum of (coefficient, radicand) terms."""
+    return [(c1 * c2, r1 * r2) for c1, r1 in x for c2, r2 in x]
+
+
+def _merge(terms) -> list[tuple[Fraction, Fraction]]:
+    """Collect the coefficients of equal radicands, dropping zero terms."""
+    by_radicand: Counter = Counter()
+    for c, r in terms:
+        by_radicand[r] += c
+    return [(c, r) for r, c in by_radicand.items() if c and r]
+
+
+def _class_coefficients(terms) -> list[Fraction]:
+    """Coefficients of sum(c * sqrt(r)) over (c, r) terms, one per radical
+    class: sqrt(x) and sqrt(y) share a class iff x * y is a rational square,
+    and then sqrt(x) = (root(x * y) / y) * sqrt(y). Square roots of distinct
+    square-free integers are linearly independent over Q (Besicovitch 1940),
+    so the sum is zero iff every class coefficient is zero."""
+    classes: list[list[Fraction]] = []  # [representative radicand, coefficient]
+    for c, r in _merge(terms):
+        for cls in classes:
+            root, exact = _sqrt_upper(r * cls[0])
+            if exact:
+                cls[1] += c * root / cls[0]
+                break
+        else:
+            classes.append([r, c])
+    return [c for _, c in classes]
 
 
 def encode_solution(ri: ReducedInstance, chosen: Iterable[int]) -> Partition:

@@ -36,16 +36,37 @@ from .sweep import SweepReport
 SCHEMA_VERSION = "1"
 
 
-def _decimal_fraction(literal: str) -> Fraction:
+# Python converts ints of more digits than this to and from text only after
+# sys.set_int_max_str_digits, so a longer number can be neither read nor shown.
+_MAX_DIGITS = 4300
+_BOUND = 10**_MAX_DIGITS
+
+
+class _TooLong:
+    """Stands in for such a number, so that the field reading it names its path."""
+
+    def __repr__(self) -> str:
+        return f"<number with more than {_MAX_DIGITS} digits>"
+
+
+def _bounded(value: Fraction):
+    return value if abs(value.numerator) < _BOUND and value.denominator < _BOUND else _TooLong()
+
+
+def _int_literal(literal: str):
+    return int(literal) if len(literal.lstrip("-")) <= _MAX_DIGITS else _TooLong()
+
+
+def _decimal_fraction(literal: str):
     try:
-        return Fraction(Decimal(literal))
+        return _bounded(Fraction(Decimal(literal)))
     except InvalidOperation as exc:
         raise DocumentError(f"bad numeric literal {literal!r}") from exc
 
 
 def loads_json(text: str) -> Any:
     try:
-        return json.loads(text, parse_float=_decimal_fraction)
+        return json.loads(text, parse_float=_decimal_fraction, parse_int=_int_literal)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"malformed JSON: {exc}") from None
 
@@ -65,13 +86,15 @@ def _opt(x: Optional[Fraction]) -> Optional[str]:
 def parse_rational(node: Any, path: str) -> Fraction:
     if isinstance(node, bool):
         raise DocumentError("expected a rational, got a boolean", path)
-    if isinstance(node, (Fraction, int)):
-        return Fraction(node)
     if isinstance(node, str):
         try:
-            return as_fraction(node)
+            node = _bounded(as_fraction(node))
         except ValueError as exc:
             raise DocumentError(str(exc), path) from None
+    if isinstance(node, _TooLong):
+        raise DocumentError(f"number with more than {_MAX_DIGITS} digits", path)
+    if isinstance(node, (Fraction, int)):
+        return Fraction(node)
     raise DocumentError(f"expected a rational, got {type(node).__name__}", path)
 
 
@@ -189,40 +212,25 @@ def parse_assignment(text: str) -> RiskAssignment:
 # -- reduction documents ------------------------------------------------------
 
 def reduced_to_doc(ri: ReducedInstance) -> dict:
-    m = ri.m
-    disc = 2 * ri.required_pos_avg - 1
-    structure = []
-    for i in range(1, m + 1):
-        center = Fraction(i, m + 1)
-        half_gap_sq = ri.scaled_weights[i - 1] / 2
-        for sign in (-1, 1):
-            structure.append(
-                {
-                    "center": fmt_rational(center),
-                    "half_gap_squared": fmt_rational(half_gap_sq),
-                    "sign": sign,
-                }
-            )
-    for sign in (-1, 1):
-        structure.append(
-            {
-                "center": "1/2",
-                "half_gap_squared": fmt_rational(disc / 4),
-                "sign": sign,
-            }
-        )
     return {
         "version": SCHEMA_VERSION,
         "kind": "reduction",
         "weights": list(ri.input_weights),
         "target": ri.target,
-        "m": m,
+        "m": ri.m,
         "kept_indices": list(ri.kept_indices),
         "dropped_indices": list(ri.dropped_indices),
         "scaled_weights": [fmt_rational(w) for w in ri.scaled_weights],
         "required_pos_avg": fmt_rational(ri.required_pos_avg),
         "rates": [f"{r:.17g}" for r in ri.rates],
-        "rate_structure": structure,
+        "rate_structure": [
+            {
+                "center": fmt_rational(r.center),
+                "half_gap_squared": fmt_rational(r.half_gap_squared),
+                "sign": r.sign,
+            }
+            for r in ri.rates_exact
+        ],
         "group1_mass": [fmt_rational(x) for x in ri.group1_mass],
         "group2_mass": [fmt_rational(x) for x in ri.group2_mass],
     }

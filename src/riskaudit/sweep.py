@@ -209,18 +209,12 @@ def _pooled_exact(inst: Instance, weights, pooled_rate: Fraction):
     rows = tuple(
         tuple(_q(w, sum(wrow)) for w in wrow) for wrow in weights
     )
-    mass, positive = _accumulate_bins(inst.features, rows, len(weights[0]))
+    table = _accumulate_bins(inst.features, rows, len(weights[0]))
     scores = tuple(
         (g1 + g2) / (m1 + m2) if m1 + m2 else pooled_rate
-        for m1, m2, g1, g2 in zip(*mass, *positive)
+        for m1, m2, g1, g2 in zip(*table[0], *table[1])
     )
-    return scores, rows
-
-
-def _raw_pooled(inst: Instance, pooled_rate: Fraction, rng: Random, max_bins=None):
-    return _pooled_exact(
-        inst, _pooled_struct(len(inst.features), rng, max_bins), pooled_rate
-    )
+    return scores, rows, table
 
 
 def _pooled_rate(gs) -> Fraction:
@@ -234,7 +228,8 @@ def pooled_rounded_assignment(
 ) -> RiskAssignment:
     """Random row-stochastic allocation, scores rounded to each bin's pooled
     positive rate. Population-calibrated by construction, nothing more."""
-    scores, rows = _raw_pooled(inst, _pooled_rate(derived_stats(inst)), rng, max_bins)
+    weights = _pooled_struct(len(inst.features), rng, max_bins)
+    scores, rows, _ = _pooled_exact(inst, weights, _pooled_rate(derived_stats(inst)))
     return RiskAssignment(
         feature_ids=tuple(f.id for f in inst.features), scores=scores, rows=rows
     )
@@ -479,11 +474,13 @@ def theorem_sweep(
     order_ids = inst.ids
     slack = consequence_slack(e)
 
-    def consider_raw(scores, rows, check_exact=True, check_approx=True) -> None:
+    def consider_raw(scores, rows, check_exact=True, check_approx=True, table=None) -> None:
         # one bin table gives both verdicts; an assignment is built only for
         # a candidate the report keeps
         nonlocal exact_fair_count, first_fair, exact_ce, approx_pass, approx_ce
-        mass, positive = _accumulate_bins(inst.features, rows, len(scores))
+        if table is None:
+            table = _accumulate_bins(inst.features, rows, len(scores))
+        mass, positive = table
         if check_exact and _fair_from_parts(gs, scores, mass, positive, Fraction(0)):
             exact_fair_count += 1
             asg = RiskAssignment(feature_ids=order_ids, scores=scores, rows=rows)
@@ -532,11 +529,12 @@ def theorem_sweep(
         check_approx = e > 0 and not _certainly_not_approx(scoresf, massf, posf, ef)
         if not (check_exact or check_approx):
             continue
+        table = None
         if weights is not None:
-            scores, rows = _pooled_exact(inst, weights, pooled)
+            scores, rows, table = _pooled_exact(inst, weights, pooled)
         else:
             scores, rows = _raw_assemble(inst, bins)
-        consider_raw(scores, rows, check_exact, check_approx)
+        consider_raw(scores, rows, check_exact, check_approx, table)
 
     return SweepReport(
         seed=seed,

@@ -209,6 +209,27 @@ def test_non_utf8_file_exit_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "counts_1,p,path",
+    [
+        ("1" * 5000, '"1/2"', ".features[0].counts.1"),  # beyond int's 4,300 digits
+        ('"1"', "1e200000", ".features[0].p"),  # parses, but cannot be printed
+    ],
+    ids=["long-integer", "huge-exponent"],
+)
+def test_hostile_document_numbers_exit_two(tmp_path, capsys, counts_1, p, path):
+    doc = tmp_path / "hostile.json"
+    doc.write_text(
+        '{"version": "1", "features": ['
+        f'{{"id": "s1", "p": {p}, "counts": {{"1": {counts_1}, "2": "1"}}}}, '
+        '{"id": "s2", "p": "1/4", "counts": {"1": "1", "2": "1"}}]}'
+    )
+    assert run_cli(["validate", "-i", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "4300 digits" in err
+    assert "Traceback" not in err
+
+
 def test_verify_bad_subset_exit_two(tmp_path, capsys):
     red = tmp_path / "red.json"
     run_cli(["reduce", "--weights", "1,2", "--target", "3", "-o", str(red)])
@@ -228,3 +249,32 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0
     assert "usage: riskaudit" in proc.stdout
+
+
+def _run_without_sympy(*argv):
+    """`python -m riskaudit` in a fresh interpreter in which importing sympy
+    fails."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    prog = (
+        "import runpy, sys; sys.modules['sympy'] = None; sys.argv[0] = 'riskaudit'; "
+        "runpy.run_module('riskaudit', run_name='__main__')"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", prog, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def test_reduction_commands_need_no_sympy(tmp_path):
+    solvable, unsolvable = tmp_path / "solvable.json", tmp_path / "unsolvable.json"
+    runs = [
+        (["reduce", "--weights", "3,2,5", "--target", "10", "-o", str(solvable)], 0),
+        (["reduce", "--weights", "2,3,5", "--target", "6", "-o", str(unsolvable)], 0),
+        (["reduce", "--weights", "1", "--target", "1"], 1),
+        (["verify-reduction", "-r", str(solvable), "--subset", "1,2"], 0),
+        (["verify-reduction", "-r", str(unsolvable)], 1),
+    ]
+    for argv, code in runs:
+        proc = _run_without_sympy(*argv)
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.returncode == code, (argv, proc.stderr)

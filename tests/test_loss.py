@@ -180,6 +180,21 @@ class TestFindFair:
         assert rep.fair
         assert is_nontrivial(balanced, result)
 
+    def test_validates_once_and_builds_one_table_per_candidate(self, balanced, monkeypatch):
+        import riskaudit.audit as audit_module
+        import riskaudit.model as model_module
+
+        candidates = [identity_assignment(balanced), identity_assignment(balanced)]
+        calls = {"validate_instance": 0, "_accumulate_bins": 0}
+        for module, name in ((model_module, "validate_instance"), (audit_module, "_accumulate_bins")):
+            def counted(*args, _inner=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        assert find_fair_nontrivial(balanced, candidates) is candidates[0]
+        assert calls == {"validate_instance": 1, "_accumulate_bins": 2}
+
     def test_mixes_opposite_signs(self):
         # disjoint groups, equal base rates; the two candidates tilt the
         # positive-class averages in opposite directions, forcing the

@@ -3,10 +3,14 @@
 The small worked example (weights (1, 2), target 3) is fixed as a session
 fixture; its expected numbers were derived by hand and are treated as frozen.
 """
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from itertools import combinations
+
+import math
+import warnings
 
 import pytest
-import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,12 +24,35 @@ from riskaudit import (
     decode_partition,
     derived_stats,
     encode_solution,
+    enumerate_partitions,
     is_normal_form,
     reduce_subset_sum,
     search_normal_forms,
     solve_subset_sum,
     sum_of_squares_identity,
 )
+from riskaudit.reduction import Surd
+
+
+def _sympy_rate(sp, r):
+    # built from the surd's fields: sympify would turn the surd itself into
+    # a Float through __float__, making every check a float check
+    return sp.Rational(r.center) + r.sign * sp.sqrt(sp.Rational(r.half_gap_squared))
+
+
+def _sympy_equation(sp, ri, part):
+    """The reduction equation decided by sympy's expansion."""
+    rates = [_sympy_rate(sp, r) for r in ri.rates_exact]
+    lhs = sp.Integer(0)
+    for block in part.blocks:
+        inner = sum(((rates[a - 1] - rates[b - 1]) ** 2 for a, b in combinations(block, 2)), sp.Integer(0))
+        lhs += sp.Rational(1, len(block)) * inner
+    residual = sp.expand(lhs - sp.Rational(1, ri.m**4))
+    return all(c == 0 for c in residual.as_coefficients_dict().values())
+
+
+# m = 2 and m = 3, solvable and not, with one and two solving subsets
+ORACLE_INSTANCES = [((1, 2), 3), ((2, 3), 4), ((3, 2, 5), 10), ((2, 3, 5), 6), ((1, 1, 2), 2)]
 
 
 class TestSubsetSumOracle:
@@ -64,15 +91,16 @@ class TestConstruction:
         assert ri.rates_exact[5] == F(2, 3)
 
     def test_pair_rates_bracket_centers(self, embedded_pair):
-        import sympy as sp
+        sp = pytest.importorskip("sympy")
 
         ri = embedded_pair
         for i in range(ri.m):
             lo, hi = ri.rates_exact[2 * i], ri.rates_exact[2 * i + 1]
             center = F(i + 1, ri.m + 1)
-            assert sp.simplify(lo + hi - 2 * sp.Rational(center)) == 0
-            gap_sq = sp.expand((hi - lo) ** 2)
-            assert sp.Rational(gap_sq) == 2 * ri.scaled_weights[i]
+            assert (lo.sign, hi.sign) == (-1, 1)
+            assert sp.simplify(_sympy_rate(sp, lo) + _sympy_rate(sp, hi) - 2 * sp.Rational(center)) == 0
+            gap_sq = sp.expand((_sympy_rate(sp, hi) - _sympy_rate(sp, lo)) ** 2)
+            assert gap_sq.is_Rational and gap_sq == 2 * sp.Rational(ri.scaled_weights[i])
 
     def test_embedded_instance_base_rates(self, embedded_pair):
         gs = derived_stats(embedded_pair.instance)
@@ -81,11 +109,12 @@ class TestConstruction:
             assert abs(rate - F(1, 2)) < F(1, 10**12)
 
     def test_symbolic_base_rates_exact(self, embedded_pair):
-        import sympy as sp
+        sp = pytest.importorskip("sympy")
 
         ri = embedded_pair
-        g1 = sum(sp.Rational(a) * r for a, r in zip(ri.group1_mass, ri.rates_exact))
-        g2 = sum(sp.Rational(a) * r for a, r in zip(ri.group2_mass, ri.rates_exact))
+        rates = [_sympy_rate(sp, r) for r in ri.rates_exact]
+        g1 = sum(sp.Rational(a) * r for a, r in zip(ri.group1_mass, rates))
+        g2 = sum(sp.Rational(a) * r for a, r in zip(ri.group2_mass, rates))
         assert sp.expand(g1 - sp.Rational(1, 2)) == 0
         assert sp.expand(g2 - sp.Rational(1, 2)) == 0
 
@@ -137,6 +166,53 @@ class TestEquation:
             check_reduction_equation(
                 embedded_pair, Partition.from_blocks([[1, 2]])
             )
+
+
+class TestSurdOracles:
+    @pytest.mark.parametrize("weights,target", ORACLE_INSTANCES)
+    def test_equation_agrees_with_sympy_on_every_grouping(self, weights, target):
+        sp = pytest.importorskip("sympy")
+
+        ri = reduce_subset_sum(SubsetSumInstance(weights, target))
+        holding = []
+        for part in enumerate_partitions(2 * ri.m):
+            part = Partition.from_blocks([[i + 1 for i in block] for block in part.blocks])
+            got = check_reduction_equation(ri, part)
+            assert got == _sympy_equation(sp, ri, part), part
+            if got:
+                holding.append(decode_partition(ri, part))
+        hits = {
+            frozenset(i + 1 for i in range(len(weights)) if mask >> i & 1)
+            for mask in range(1 << len(weights))
+            if sum(w for i, w in enumerate(weights) if mask >> i & 1) == target
+        }
+        assert sorted(holding, key=sorted) == sorted(hits, key=sorted)
+
+    @pytest.mark.parametrize(
+        "weights,target",
+        ORACLE_INSTANCES + [((1, 2, 3, 4), 10), ((2, 3, 5, 7), 9)],
+    )
+    def test_rates_are_correctly_rounded(self, weights, target):
+        ri = reduce_subset_sum(SubsetSumInstance(weights, target))
+        with localcontext() as ctx:
+            ctx.prec = 120
+            for r, got in zip(ri.rates_exact, ri.rates):
+                c, q = r.center, r.half_gap_squared
+                ref = Decimal(c.numerator) / c.denominator + r.sign * (
+                    Decimal(q.numerator) / q.denominator
+                ).sqrt()
+                err = abs(Decimal(got) - ref)
+                # no neighbouring double is nearer the 120-digit value
+                for near in (got - math.ulp(got), got + math.ulp(got)):
+                    assert err <= abs(Decimal(near) - ref)
+
+    def test_surd_equality(self):
+        assert Surd(F(1, 2), F(1, 36), -1) == F(1, 3)
+        assert F(2, 3) == Surd(F(1, 2), F(1, 36), 1)
+        assert Surd(F(1, 2), F(0), 1) == Surd(F(1, 2), F(0), -1) == F(1, 2)
+        assert Surd(F(1, 3), F(1, 2), 1) != Surd(F(1, 3), F(1, 2), -1)
+        assert Surd(F(1, 3), F(1, 2), 1) != F(1, 3)
+        assert len({Surd(F(1, 2), F(1, 4), 1), F(1)}) == 1
 
 
 class TestEncodingRoundTrip:

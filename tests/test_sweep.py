@@ -23,7 +23,22 @@ from riskaudit import (
     two_bin_certain_assignment,
     validate_instance,
 )
-from riskaudit.sweep import is_perfect_prediction
+import riskaudit.audit as audit_module
+import riskaudit.sweep as sweep_module
+from riskaudit.audit import _approx_report, _fair_from_parts, consequence_slack
+from riskaudit.sweep import (
+    _banded_bins,
+    _bins_float_parts,
+    _certainly_not_approx,
+    _certainly_unfair,
+    _pooled_exact,
+    _pooled_float_parts,
+    _pooled_rate,
+    _pooled_struct,
+    _raw_assemble,
+    _split_structure,
+    is_perfect_prediction,
+)
 
 SEEDS = st.integers(0, 10**9)
 
@@ -142,6 +157,24 @@ class TestTheoremSweep:
         b = theorem_sweep(skewed, 40, F(1, 100), 4)
         assert a.seed != b.seed
 
+    def test_each_candidate_aggregated_once(self, monkeypatch):
+        # a pooled candidate's bin table is built to score it, then reused
+        # for its verdicts
+        inst = random_proportional_instance(random.Random(2))
+        tabled = []
+        original = audit_module._accumulate_bins
+
+        def recorded(features, rows, nbins):
+            tabled.append(rows)
+            return original(features, rows, nbins)
+
+        monkeypatch.setattr(audit_module, "_accumulate_bins", recorded)
+        monkeypatch.setattr(sweep_module, "_accumulate_bins", recorded)
+        rep = theorem_sweep(inst, 300, F(0), 2)
+        assert rep.integral_complete and rep.fractional_explored == 300
+        assert len(tabled) <= rep.integral_explored + rep.fractional_explored
+        assert all(a is not b for a, b in zip(tabled, tabled[1:]))
+
     def test_rejects_negative_budget(self, skewed):
         with pytest.raises(DomainError):
             theorem_sweep(skewed, -1, F(0), 1)
@@ -169,3 +202,58 @@ class TestCorpus:
         b = take(3, 7)
         assert [x[0] for x in a] == [x[0] for x in b]
         assert [x[1] for x in a] == [x[1] for x in b]
+
+
+SCREEN_FAMILIES = (
+    random_instance,
+    random_gapped_instance,
+    random_proportional_instance,
+    random_equal_rate_instance,
+    random_perfect_instance,
+)
+
+
+class TestFloatScreen:
+    """The float screen only discards: a candidate it rejects also fails the
+    exact verdict it stands in for."""
+
+    @pytest.mark.parametrize("eps", [F(0), F(1, 1000)])
+    def test_rejections_fail_the_exact_verdicts(self, eps):
+        rng = random.Random(f"screen/{eps}")
+        slack = consequence_slack(eps)
+        rejected = {"fair": 0, "approx": 0}
+        kept = {"fair": 0, "approx": 0}
+        for _ in range(150):
+            inst = rng.choice(SCREEN_FAMILIES)(rng)
+            gs = derived_stats(inst)
+            featsf = tuple((float(f.n1), float(f.n2), float(f.p)) for f in inst.features)
+            muf = (float(gs.positive_mass[0]), float(gs.positive_mass[1]))
+            popf = (float(gs.population[0]), float(gs.population[1]))
+            pooled = _pooled_rate(gs)
+            for family in ("pooled", "split", "banded") * 3:
+                if family == "pooled":
+                    weights = _pooled_struct(len(inst.features), rng)
+                    floats = _pooled_float_parts(featsf, weights, float(pooled))
+                    scores, _, (mass, positive) = _pooled_exact(inst, weights, pooled)
+                else:
+                    if family == "split":
+                        bins = _split_structure(inst, rng)
+                    else:
+                        bins = _banded_bins(inst, rng, eps)
+                    floats = _bins_float_parts(featsf, bins)
+                    scores, rows = _raw_assemble(inst, bins)
+                    mass, positive = audit_module._accumulate_bins(inst.features, rows, len(scores))
+                fair = _fair_from_parts(gs, scores, mass, positive, F(0))
+                passed = _approx_report(gs, eps, slack, scores, mass, positive).passed
+                if _certainly_unfair(*floats, muf, popf):
+                    rejected["fair"] += 1
+                    assert not fair
+                else:
+                    kept["fair"] += 1
+                if _certainly_not_approx(*floats, float(eps)):
+                    rejected["approx"] += 1
+                    assert not passed
+                else:
+                    kept["approx"] += 1
+        # the sample exercises both outcomes of both screens
+        assert min(rejected.values()) > 0 and min(kept.values()) > 0
