@@ -4,16 +4,20 @@ Three conditions are audited. Calibration within groups: in every bin, each
 group's expected positive mass equals score times mass. Balance for the
 negative class: the mass-weighted average score received by each group's
 negative class is the same in both groups. Balance for the positive class:
-likewise for the positive class. All checks run in exact rational arithmetic;
-the approximate audit relaxes each equality to a two-sided multiplicative
-band of width eps.
+likewise for the positive class. All checks run in exact arithmetic: the
+instance and the allocation are scaled to integers over common denominators,
+every verdict is an integer cross-multiplication, and report fields are
+`Fraction`s. The approximate audit relaxes each equality to a two-sided
+multiplicative band of width eps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from typing import Optional
+from itertools import compress
+from math import gcd, isqrt, lcm
+from operator import add, mul
+from typing import NamedTuple, Optional
 
 from .errors import DomainError
 from .model import (
@@ -22,6 +26,7 @@ from .model import (
     as_fraction,
     assignment_rows_for,
     derived_stats,
+    require_valid,
 )
 
 PerGroup = tuple[Fraction, Fraction]
@@ -43,12 +48,13 @@ class BinStats:
 
 def bin_statistics(inst: Instance, asg: RiskAssignment) -> BinStats:
     """Aggregate the allocation against the instance, bin by bin."""
-    mass, positive = _bin_table(inst, asg)
+    table, nums, dens = _bin_table(_scaled(inst), inst, asg)
+    s = table.scale
     return BinStats(
-        mass=(tuple(mass[0]), tuple(mass[1])),
-        positive=(tuple(positive[0]), tuple(positive[1])),
+        mass=tuple(tuple(Fraction(m, s) for m in mass) for mass in table.mass),  # type: ignore[arg-type]
+        positive=tuple(tuple(Fraction(g, s) for g in pos) for pos in table.positive),  # type: ignore[arg-type]
         score_mass=tuple(  # type: ignore[arg-type]
-            tuple(v * m for v, m in zip(asg.scores, mass[i])) for i in range(2)
+            tuple(Fraction(n * m, d * s) for n, d, m in zip(nums, dens, mass)) for mass in table.mass
         ),
     )
 
@@ -77,34 +83,32 @@ class AuditReport:
 
 def audit_exact(inst: Instance, asg: RiskAssignment) -> AuditReport:
     """Audit all three fairness conditions with exact arithmetic."""
-    gs = derived_stats(inst)
-    return _exact_report(gs, asg.scores, *_bin_table(inst, asg))
+    require_valid(inst)
+    return _exact_report(*_bin_table(_scaled(inst), inst, asg))
 
 
-def _exact_report(gs, scores, mass, positive) -> AuditReport:
+def _exact_report(table, nums, dens) -> AuditReport:
+    s = table.scale
     residuals = tuple(
-        tuple(g - v * m for v, m, g in zip(scores, mass[i], positive[i])) for i in range(2)
+        tuple(Fraction(g * d - n * m, d * s) for n, d, m, g in zip(nums, dens, mass, positive))
+        for mass, positive in zip(table.mass, table.positive)
     )
-    calibration_ok = all(r == 0 for per_group in residuals for r in per_group)
-    pos_score, total = _class_scores(scores, mass, positive)
-    pos_avg, neg_avg = _class_averages(gs, pos_score, total)
-
-    pos_vacuous = pos_avg[0] is None or pos_avg[1] is None
-    pos_ok = True if pos_vacuous else pos_avg[0] == pos_avg[1]
-    neg_vacuous = neg_avg[0] is None or neg_avg[1] is None
-    neg_ok = True if neg_vacuous else neg_avg[0] == neg_avg[1]
-
+    c, pos, neg = _classes(table, nums, dens)
+    calibration_ok = _calibrated(table, nums, dens)
+    pos_ok, neg_ok = _balanced(pos, c), _balanced(neg, c)
+    total = [a + b for (a, _), (b, _) in zip(pos, neg)]
+    population = [mu + nu for (_, mu), (_, nu) in zip(pos, neg)]
     return AuditReport(
         calibration_ok=calibration_ok,
-        calibration_residuals=residuals,
-        expected_score_total=total,
-        pos_class_avg=pos_avg,
-        neg_class_avg=neg_avg,
+        calibration_residuals=residuals,  # type: ignore[arg-type]
+        expected_score_total=(Fraction(total[0], c * s), Fraction(total[1], c * s)),
+        pos_class_avg=_averages(pos, c),
+        neg_class_avg=_averages(neg, c),
         balance_pos_ok=pos_ok,
-        balance_pos_vacuous=pos_vacuous,
+        balance_pos_vacuous=_vacuous(pos),
         balance_neg_ok=neg_ok,
-        balance_neg_vacuous=neg_vacuous,
-        parity_gap=total[0] / gs.population[0] - total[1] / gs.population[1],
+        balance_neg_vacuous=_vacuous(neg),
+        parity_gap=Fraction(total[0], c * population[0]) - Fraction(total[1], c * population[1]),
         fair=calibration_ok and pos_ok and neg_ok,
     )
 
@@ -176,12 +180,14 @@ def classify_consequence(inst: Instance, asg: RiskAssignment, eps) -> Consequenc
     """
     slack = consequence_slack(eps)
     gs = derived_stats(inst)
-    report = _exact_report(gs, asg.scores, *_bin_table(inst, asg))
-    return _consequence(gs, report, slack)
+    c, pos, _ = _classes(*_bin_table(_scaled(inst), inst, asg))
+    return _consequence(gs, c, pos, slack)
 
 
-def _consequence(gs, report: AuditReport, slack: Fraction) -> ConsequenceFlags:
-    near_perfect = all(avg is None or avg >= 1 - slack for avg in report.pos_class_avg)
+def _consequence(gs, c: int, pos, slack: Fraction) -> ConsequenceFlags:
+    sn, sd = slack.numerator, slack.denominator
+    # average a / (c * mu) >= 1 - slack, cross-multiplied
+    near_perfect = all(not mu or a * sd >= (sd - sn) * c * mu for a, mu in pos)
     near_equal = abs(gs.base_rate[0] - gs.base_rate[1]) <= slack
     return ConsequenceFlags(
         slack=slack,
@@ -204,15 +210,17 @@ class ApproxAuditReport:
     consequence: ConsequenceFlags
 
 
-def _ratio_band_ok(x: Fraction, y: Fraction, eps: Fraction) -> bool:
-    # two-sided multiplicative band, both orderings; zero cases follow the
-    # limit of the ratio form: 0 vs 0 passes, 0 vs positive needs eps >= 1
+def _ratio_band_ok(x, y, eps: Fraction) -> bool:
+    # two-sided multiplicative band, both orderings, on x and y given over
+    # any common positive scale; zero cases follow the limit of the ratio
+    # form: 0 vs 0 passes, 0 vs positive needs eps >= 1
     if x == 0 and y == 0:
         return True
     if x == 0 or y == 0:
         return eps >= 1
-    lo, hi = 1 - eps, 1 + eps
-    return (lo * y <= x <= hi * y) and (lo * x <= y <= hi * x)
+    en, ed = eps.numerator, eps.denominator
+    lo, hi = ed - en, ed + en
+    return lo * y <= ed * x <= hi * y and lo * x <= ed * y <= hi * x
 
 
 def audit_approx(inst: Instance, asg: RiskAssignment, eps) -> ApproxAuditReport:
@@ -226,109 +234,185 @@ def audit_approx(inst: Instance, asg: RiskAssignment, eps) -> ApproxAuditReport:
     if e < 0:
         raise DomainError("eps must be nonnegative")
     gs = derived_stats(inst)
-    return _approx_report(gs, e, consequence_slack(e), asg.scores, *_bin_table(inst, asg))
+    return _approx_report(gs, e, consequence_slack(e), *_bin_table(_scaled(inst), inst, asg))
 
 
-def _approx_report(gs, e: Fraction, slack: Fraction, scores, mass, positive) -> ApproxAuditReport:
-    exact = _exact_report(gs, scores, mass, positive)
-    lo, hi = 1 - e, 1 + e
-    calib_ok = all(
-        lo * (v * m) <= g <= hi * (v * m)
-        for i in range(2)
-        for v, m, g in zip(scores, mass[i], positive[i])
-    )
-
-    def balance(avgs) -> tuple[bool, bool]:
-        if avgs[0] is None or avgs[1] is None:
-            return True, True
-        return _ratio_band_ok(avgs[0], avgs[1], e), False
-
-    pos_ok, pos_vac = balance(exact.pos_class_avg)
-    neg_ok, neg_vac = balance(exact.neg_class_avg)
-
+def _approx_report(gs, e: Fraction, slack: Fraction, table, nums, dens) -> ApproxAuditReport:
+    calib_ok = _calibrated_within(table, nums, dens, e)
+    c, pos, neg = _classes(table, nums, dens)
+    pos_ok = _balanced_within(pos, e)
+    neg_ok = _balanced_within(neg, e)
     return ApproxAuditReport(
         epsilon=e,
         calibration_ok=calib_ok,
         balance_pos_ok=pos_ok,
-        balance_pos_vacuous=pos_vac,
+        balance_pos_vacuous=_vacuous(pos),
         balance_neg_ok=neg_ok,
-        balance_neg_vacuous=neg_vac,
+        balance_neg_vacuous=_vacuous(neg),
         passed=calib_ok and pos_ok and neg_ok,
-        consequence=_consequence(gs, exact, slack),
+        consequence=_consequence(gs, c, pos, slack),
     )
 
 
-def _accumulate_bins(features, rows, nbins):
-    """The bin table: group-major mass and expected positives per bin.
+# -- the integer bin table ----------------------------------------------------
+#
+# An instance is scaled once per public call or search: each feature becomes
+# (n1, n2, n1 * p, n2 * p) times one common denominator, all integers. An
+# allocation row is a tuple of nonnegative integers read as fractions of the
+# row's sum. Scores travel as numerator and denominator tuples.
+
+
+class _Scaled(NamedTuple):
+    weights: tuple[tuple[int, int, int, int], ...]
+    denominator: int
+
+
+class _Table(NamedTuple):
+    """Group-major mass and expected positives per bin, integers over `scale`.
 
     Every audit, loss and search verdict reads this one aggregation; the
-    people mass of bin b is mass[0][b] + mass[1][b].
+    people mass of bin b is mass[0][b] + mass[1][b]. Because rows sum to one,
+    a group's entries sum to its population (mass) or positive mass
+    (positive), over the same scale.
     """
-    mass = [[Fraction(0)] * nbins for _ in range(2)]
-    positive = [[Fraction(0)] * nbins for _ in range(2)]
-    for f, row in zip(features, rows):
-        n1, n2, p = f.n1, f.n2, f.p
-        for b, x in enumerate(row):
-            if x == 0:
-                continue
-            if n1:
-                mass[0][b] += n1 * x
-                positive[0][b] += n1 * p * x
-            if n2:
-                mass[1][b] += n2 * x
-                positive[1][b] += n2 * p * x
-    return mass, positive
+
+    mass: tuple[list[int], list[int]]
+    positive: tuple[list[int], list[int]]
+    scale: int
 
 
-def _bin_table(inst: Instance, asg: RiskAssignment):
-    return _accumulate_bins(inst.features, assignment_rows_for(inst, asg), asg.bin_count)
+def _scaled(inst: Instance) -> _Scaled:
+    parts = []
+    for f in inst.features:
+        for n in (f.n1, f.n2):
+            top, bottom = n.numerator * f.p.numerator, n.denominator * f.p.denominator
+            r = gcd(top, bottom)
+            parts += ((n.numerator, n.denominator), (top // r, bottom // r))
+    d = lcm(*(b for _, b in parts))
+    flat = [a * (d // b) for a, b in parts]
+    # per feature: n1, n1 * p, n2, n2 * p
+    weights = tuple(zip(flat[0::4], flat[2::4], flat[1::4], flat[3::4]))
+    return _Scaled(weights, d)
 
 
-def _class_scores(scores, mass, positive) -> tuple[PerGroup, PerGroup]:
-    """Per group: the score received by the positive class, and by everyone."""
-    pos_score = []
-    total = []
-    for i in range(2):
-        a = Fraction(0)
-        t = Fraction(0)
-        for v, m, g in zip(scores, mass[i], positive[i]):
-            if g:
-                a += g * v
-            if m:
-                t += m * v
-        pos_score.append(a)
-        total.append(t)
-    return (pos_score[0], pos_score[1]), (total[0], total[1])
+def _accumulate_bins(scaled: _Scaled, rows, nbins: int) -> _Table:
+    """The bin table of integer allocation rows (see _Table)."""
+    sums = [sum(row) for row in rows]
+    scale = lcm(*sums)
+    bins = range(nbins)
+    m0, m1, p0, p1 = ([0] * nbins for _ in range(4))
+    for (n1, n2, q1, q2), row, total in zip(scaled.weights, rows, sums):
+        f = scale // total
+        for b in compress(bins, row):  # the bins the row sends people to
+            x = row[b] * f
+            m0[b] += n1 * x
+            m1[b] += n2 * x
+            p0[b] += q1 * x
+            p1[b] += q2 * x
+    return _Table((m0, m1), (p0, p1), scale * scaled.denominator)
 
 
-def _class_averages(gs, pos_score, total):
-    """Per group: the positive and the negative class's average score, None
-    for an empty class."""
-    pos_avg = []
-    neg_avg = []
-    for i in range(2):
-        mu = gs.positive_mass[i]
-        neg_mass = gs.population[i] - mu
-        pos_avg.append(pos_score[i] / mu if mu > 0 else None)
-        neg_avg.append((total[i] - pos_score[i]) / neg_mass if neg_mass > 0 else None)
-    return (pos_avg[0], pos_avg[1]), (neg_avg[0], neg_avg[1])
+def _score_pairs(scores):
+    return [v.numerator for v in scores], [v.denominator for v in scores]
 
 
-def _calibrated(scores, mass, positive, tol: Fraction = Fraction(0)) -> bool:
+def _bin_table(scaled: _Scaled, inst: Instance, asg: RiskAssignment):
+    """(table, score numerators, score denominators) of an assignment. Each
+    allocation row is read over the common denominator of its entries."""
+    rows = []
+    for row in assignment_rows_for(inst, asg):
+        d = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+    return (_accumulate_bins(scaled, rows, asg.bin_count), *_score_pairs(asg.scores))
+
+
+def _pooled_scores(table: _Table, empty: Fraction):
+    """Each bin scored at its pooled positive rate, `empty` for a bin with no
+    people, as numerators and denominators."""
+    nums = list(map(add, *table.positive))
+    dens = list(map(add, *table.mass))
+    for b, d in enumerate(dens):
+        if not d:
+            nums[b], dens[b] = empty.numerator, empty.denominator
+    return nums, dens
+
+
+def _classes(table: _Table, nums, dens):
+    """Common score denominator c and, for the positive and the negative
+    class, each group's (score received, class mass). A class average is
+    score / (c * mass); both are integers over the table's scale."""
+    c = lcm(*dens)
+    scores = [n * (c // d) for n, d in zip(nums, dens)]
+    (m0, m1), (g0, g1) = table.mass, table.positive
+    x0 = sum(map(mul, g0, scores))
+    x1 = sum(map(mul, g1, scores))
+    mu0 = sum(g0)
+    mu1 = sum(g1)
+    pos = ((x0, mu0), (x1, mu1))
+    neg = ((sum(map(mul, m0, scores)) - x0, sum(m0) - mu0), (sum(map(mul, m1, scores)) - x1, sum(m1) - mu1))
+    return c, pos, neg
+
+
+def _vacuous(cls) -> bool:
+    return not (cls[0][1] and cls[1][1])
+
+
+def _averages(cls, c: int):
+    return tuple(Fraction(a, c * m) if m else None for a, m in cls)
+
+
+def _calibrated(table: _Table, nums, dens, tol: Optional[Fraction] = None) -> bool:
+    """Each bin's expected positives equal score times mass in both groups;
+    with a tolerance, to within it in absolute value."""
+    if not tol:
+        (m0, m1), (g0, g1) = table.mass, table.positive
+        return (
+            list(map(mul, g0, dens)) == list(map(mul, nums, m0))
+            and list(map(mul, g1, dens)) == list(map(mul, nums, m1))
+        )
+    tn, td, s = tol.numerator, tol.denominator, table.scale
     return all(
-        abs(g - v * m) <= tol
-        for i in range(2)
-        for v, m, g in zip(scores, mass[i], positive[i])
+        td * abs(g * d - n * m) <= tn * d * s
+        for mass, positive in zip(table.mass, table.positive)
+        for n, d, m, g in zip(nums, dens, mass, positive)
     )
 
 
-def _fair_from_parts(gs, scores, mass, positive, tol: Fraction) -> bool:
-    if not _calibrated(scores, mass, positive, tol):
+def _balanced(cls, c: int, tol: Optional[Fraction] = None) -> bool:
+    """The groups' class averages agree (to within tol), or a class is empty."""
+    (a0, m0), (a1, m1) = cls
+    if not (m0 and m1):
+        return True
+    if not tol:
+        return a0 * m1 == a1 * m0
+    return tol.denominator * abs(a0 * m1 - a1 * m0) <= tol.numerator * c * m0 * m1
+
+
+def _fair(table: _Table, nums, dens, tol: Optional[Fraction] = None) -> bool:
+    """All three conditions, exactly or to within an absolute tolerance."""
+    if not _calibrated(table, nums, dens, tol):
         return False
-    for avgs in _class_averages(gs, *_class_scores(scores, mass, positive)):
-        if avgs[0] is not None and avgs[1] is not None and abs(avgs[0] - avgs[1]) > tol:
-            return False
+    c, pos, neg = _classes(table, nums, dens)
+    return _balanced(pos, c, tol) and _balanced(neg, c, tol)
+
+
+def _calibrated_within(table: _Table, nums, dens, e: Fraction) -> bool:
+    """Each bin's expected positives lie in the band [1 - e, 1 + e] times
+    score times mass, in both groups."""
+    en, ed = e.numerator, e.denominator
+    lo, hi = ed - en, ed + en
+    for mass, positive in zip(table.mass, table.positive):
+        for n, d, m, g in zip(nums, dens, mass, positive):
+            target = n * m
+            g = g * d * ed
+            if g < lo * target or g > hi * target:
+                return False
     return True
+
+
+def _balanced_within(cls, e: Fraction) -> bool:
+    (a0, m0), (a1, m1) = cls
+    return not (m0 and m1) or _ratio_band_ok(a0 * m1, a1 * m0, e)
 
 
 def passes_fairness(inst: Instance, asg: RiskAssignment, tolerance: Optional[Fraction] = None) -> bool:
@@ -338,6 +422,5 @@ def passes_fairness(inst: Instance, asg: RiskAssignment, tolerance: Optional[Fra
     residual and each balance gap must be at most tolerance in absolute value.
     Agrees with audit_exact(...).fair when tolerance is None.
     """
-    gs = derived_stats(inst)
-    tol = Fraction(0) if tolerance is None else tolerance
-    return _fair_from_parts(gs, asg.scores, *_bin_table(inst, asg), tol)
+    require_valid(inst)
+    return _fair(*_bin_table(_scaled(inst), inst, asg), tolerance)

@@ -10,10 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .audit import _accumulate_bins, _bin_table, _calibrated, _class_scores, _exact_report
-from .audit import audit_exact
+from .audit import (
+    _bin_table,
+    _calibrated,
+    _classes,
+    _exact_report,
+    _scaled,
+    audit_exact,
+)
 from .errors import DegenerateGroupError, DomainError
 from .model import (
     Instance,
@@ -35,14 +42,15 @@ class LossReport:
 
 def loss(inst: Instance, asg: RiskAssignment) -> LossReport:
     """Exact expected loss per group and in total."""
-    gs = derived_stats(inst)
-    mass, positive = _bin_table(inst, asg)
-    return _loss_report(gs, _class_scores(asg.scores, mass, positive)[0])
+    require_valid(inst)
+    return _loss_report(*_bin_table(_scaled(inst), inst, asg))
 
 
-def _loss_report(gs, pos_score) -> LossReport:
-    per = (2 * (gs.positive_mass[0] - pos_score[0]), 2 * (gs.positive_mass[1] - pos_score[1]))
-    return LossReport(per_group=per, total=per[0] + per[1])
+def _loss_report(table, nums, dens) -> LossReport:
+    c, pos, _ = _classes(table, nums, dens)
+    # per group: 2 * (positive mass - score received by the positive class)
+    per = tuple(Fraction(2 * (c * mu - a), c * table.scale) for a, mu in pos)
+    return LossReport(per_group=per, total=per[0] + per[1])  # type: ignore[arg-type]
 
 
 def identity_assignment(inst: Instance) -> RiskAssignment:
@@ -107,12 +115,16 @@ def _difference(report) -> Fraction:
 _ROUNDING = Fraction(1, 1 << 40)
 
 
-def _nontrivial(scores, mass, tolerance: Optional[Fraction] = None) -> bool:
+def _nontrivial(table, nums, dens, tolerance: Optional[Fraction] = None) -> bool:
     """The populated scores spread by more than min(tolerance, _ROUNDING);
     with no tolerance, that is two distinct populated scores."""
-    populated = [v for v, m1, m2 in zip(scores, mass[0], mass[1]) if m1 + m2 > 0]
+    populated = [(n, d) for n, d, m1, m2 in zip(nums, dens, *table.mass) if m1 + m2 > 0]
+    if not populated:
+        return False
+    c = lcm(*(d for _, d in populated))
+    scores = [n * (c // d) for n, d in populated]
     tol = Fraction(0) if tolerance is None else min(tolerance, _ROUNDING)
-    return bool(populated) and max(populated) - min(populated) > tol
+    return (max(scores) - min(scores)) * tol.denominator > tol.numerator * c
 
 
 def is_nontrivial(inst: Instance, asg: RiskAssignment) -> bool:
@@ -122,8 +134,7 @@ def is_nontrivial(inst: Instance, asg: RiskAssignment) -> bool:
     assignment that scores everyone identically is trivial however many
     bins it spreads them over.
     """
-    mass, _ = _bin_table(inst, asg)
-    return _nontrivial(asg.scores, mass)
+    return _nontrivial(*_bin_table(_scaled(inst), inst, asg))
 
 
 def normalize_assignment(inst: Instance, asg: RiskAssignment) -> RiskAssignment:
@@ -133,8 +144,8 @@ def normalize_assignment(inst: Instance, asg: RiskAssignment) -> RiskAssignment:
     dropped bins is moved to the first kept bin so rows still sum to 1.
     """
     rows_in = assignment_rows_for(inst, asg)
-    mass, _ = _accumulate_bins(inst.features, rows_in, asg.bin_count)
-    masses = [m1 + m2 for m1, m2 in zip(*mass)]
+    table, _, _ = _bin_table(_scaled(inst), inst, asg)
+    masses = [m1 + m2 for m1, m2 in zip(*table.mass)]
     kept = [b for b in range(asg.bin_count) if masses[b] > 0]
     if not kept:
         raise DomainError("assignment carries no people")
@@ -167,8 +178,9 @@ def interpolate(inst: Instance, asg1: RiskAssignment, asg2: RiskAssignment, lam)
     if not (0 <= w <= 1):
         raise DomainError(f"interpolation weight {w} outside [0, 1]")
     require_valid(inst)
+    scaled = _scaled(inst)
     for name, asg in (("first", asg1), ("second", asg2)):
-        if not _calibrated(asg.scores, *_bin_table(inst, asg)):
+        if not _calibrated(*_bin_table(scaled, inst, asg)):
             raise DomainError(f"{name} assignment is not calibrated on this instance")
     return _mix(inst, asg1, asg2, w)
 
@@ -209,13 +221,14 @@ def find_fair_nontrivial(
     gs = derived_stats(inst)
     if gs.base_rate[0] != gs.base_rate[1]:
         raise DomainError("equal base rates required")
+    scaled = _scaled(inst)
     diffs = []
     for idx, asg in enumerate(candidates):
-        mass, positive = _bin_table(inst, asg)
-        report = _exact_report(gs, asg.scores, mass, positive)
+        parts = _bin_table(scaled, inst, asg)
+        report = _exact_report(*parts)
         if not report.calibration_ok:
             raise DomainError(f"candidate {idx} is not calibrated")
-        if not _nontrivial(asg.scores, mass):
+        if not _nontrivial(*parts):
             raise DomainError(f"candidate {idx} is trivial")
         diffs.append(_difference(report))
 

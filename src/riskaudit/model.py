@@ -8,6 +8,7 @@ not necessarily integers.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -24,6 +25,7 @@ def as_fraction(value: RationalLike) -> Fraction:
 
     Accepts Fractions, ints, floats (converted at their exact binary value),
     and strings in either "a/b" or decimal form ("0.25" becomes 1/4 exactly).
+    A string is read by `_parse_literal`, which bounds its size.
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a rational value")
@@ -32,11 +34,46 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational literal: {value!r}") from exc
+        return _parse_literal(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+# Python converts ints of more digits than this to and from text only after
+# sys.set_int_max_str_digits, so a longer number can be neither read nor shown.
+_MAX_DIGITS = 4300
+
+
+class _LiteralTooLong(ValueError):
+    def __init__(self) -> None:
+        super().__init__(f"number with more than {_MAX_DIGITS} digits")
+
+
+# the string forms `Fraction` reads: "[sign]a/b", or "[sign]i.f e[sign]x"
+_LITERAL = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(\d+(?:_\d+)*|)"
+    r"(?:/(\d+(?:_\d+)*)|(?:\.(\d+(?:_\d+)*|))?(?:[eE]([-+]?\d+(?:_\d+)*))?)\s*\Z"
+)
+
+
+def _parse_literal(text: str) -> Fraction:
+    """The exact value of a rational literal, as `Fraction(text)` reads it.
+
+    Its size is judged from its digits and exponent before any number is
+    built: a literal whose numerator or denominator as written (digits times
+    a power of ten) has more than _MAX_DIGITS digits raises _LiteralTooLong.
+    Other malformed text raises ValueError.
+    """
+    m = _LITERAL.match(text)
+    if m is not None:
+        whole, denominator, decimals, exponent = (g.replace("_", "") if g else "" for g in m.groups())
+        if len(exponent.lstrip("+-").lstrip("0")) > len(str(_MAX_DIGITS)):  # past any bound
+            raise _LiteralTooLong()
+        shift = int(exponent or 0) - len(decimals)
+        if max(len(whole + decimals) + max(shift, 0), len(denominator), 1 - shift) > _MAX_DIGITS:
+            raise _LiteralTooLong()
+        if "/" not in text or denominator.strip("0"):  # a zero denominator is no literal
+            return Fraction(text)
+    raise ValueError(f"not a rational literal: {text if len(text) <= 40 else text[:40] + '...'!r}")
 
 
 @dataclass(frozen=True)
@@ -331,4 +368,5 @@ def assignment_rows_for(inst: Instance, asg: RiskAssignment) -> tuple[tuple[Frac
         if extra:
             parts.append(f"unknown features {sorted(extra)}")
         raise InvalidAssignmentError("assignment does not match instance: " + ", ".join(parts))
-    return tuple(asg.row(f.id) for f in inst.features)
+    position = {fid: i for i, fid in enumerate(asg.feature_ids)}
+    return tuple(asg.rows[position[f.id]] for f in inst.features)

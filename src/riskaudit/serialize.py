@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import warnings
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -27,6 +26,8 @@ from .model import (
     RecordTable,
     RiskAssignment,
     ValidationReport,
+    _LiteralTooLong,
+    _MAX_DIGITS,
     as_fraction,
 )
 from .reduction import ReducedInstance, SubsetSumInstance, reduce_subset_sum
@@ -36,37 +37,24 @@ from .sweep import SweepReport
 SCHEMA_VERSION = "1"
 
 
-# Python converts ints of more digits than this to and from text only after
-# sys.set_int_max_str_digits, so a longer number can be neither read nor shown.
-_MAX_DIGITS = 4300
-_BOUND = 10**_MAX_DIGITS
-
-
 class _TooLong:
-    """Stands in for such a number, so that the field reading it names its path."""
+    """Stands in for a JSON number too long to hold (see model._parse_literal),
+    so that the field reading it names its path."""
 
     def __repr__(self) -> str:
         return f"<number with more than {_MAX_DIGITS} digits>"
 
 
-def _bounded(value: Fraction):
-    return value if abs(value.numerator) < _BOUND and value.denominator < _BOUND else _TooLong()
-
-
-def _int_literal(literal: str):
-    return int(literal) if len(literal.lstrip("-")) <= _MAX_DIGITS else _TooLong()
-
-
-def _decimal_fraction(literal: str):
+def _number(literal: str, kind=Fraction):
     try:
-        return _bounded(Fraction(Decimal(literal)))
-    except InvalidOperation as exc:
-        raise DocumentError(f"bad numeric literal {literal!r}") from exc
+        return kind(as_fraction(literal))
+    except _LiteralTooLong:
+        return _TooLong()
 
 
 def loads_json(text: str) -> Any:
     try:
-        return json.loads(text, parse_float=_decimal_fraction, parse_int=_int_literal)
+        return json.loads(text, parse_float=_number, parse_int=lambda literal: _number(literal, int))
     except json.JSONDecodeError as exc:
         raise DocumentError(f"malformed JSON: {exc}") from None
 
@@ -88,11 +76,11 @@ def parse_rational(node: Any, path: str) -> Fraction:
         raise DocumentError("expected a rational, got a boolean", path)
     if isinstance(node, str):
         try:
-            node = _bounded(as_fraction(node))
+            node = as_fraction(node)
         except ValueError as exc:
             raise DocumentError(str(exc), path) from None
     if isinstance(node, _TooLong):
-        raise DocumentError(f"number with more than {_MAX_DIGITS} digits", path)
+        raise DocumentError(str(_LiteralTooLong()), path)
     if isinstance(node, (Fraction, int)):
         return Fraction(node)
     raise DocumentError(f"expected a rational, got {type(node).__name__}", path)

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .audit import _accumulate_bins, _class_scores, _fair_from_parts
+from .audit import _Table, _fair, _pooled_scores, _scaled
 from .errors import DomainError
 from .loss import LossReport, _loss_report, _nontrivial
-from .model import Instance, RiskAssignment, derived_stats, require_valid
+from .model import Instance, RiskAssignment, require_valid
 from .partitions import DEFAULT_MAX_ITEMS, Partition, enumerate_partitions
 
 OBJECTIVES = ("any_fair", "min_loss")
@@ -50,50 +50,56 @@ def assignment_from_partition(inst: Instance, part: Partition) -> RiskAssignment
     if part.members() != set(ids):
         raise DomainError("partition does not cover exactly the instance's features")
     position = {fid: i for i, fid in enumerate(ids)}
-    scores, rows = _pooled_bins(
-        inst.features, [[position[fid] for fid in block] for block in part.blocks]
-    )
-    return RiskAssignment(feature_ids=ids, scores=scores, rows=rows)
+    blocks = [[position[fid] for fid in block] for block in part.blocks]
+    scaled = _scaled(inst)
+    _, nums, dens = _block_sums(scaled, blocks)
+    return _integral_assignment(scaled, ids, blocks, nums, dens)
 
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
 
 
-def _pooled_bins(features, blocks):
-    """Scores and allocation rows of the integral assignment whose bins are
-    `blocks` of feature positions, in block order (see
-    assignment_from_partition)."""
-    scores = []
-    bin_of = [0] * len(features)
-    for block in blocks:
-        mass = sum((features[i].total for i in block), Fraction(0))
-        if mass == 0:
-            continue
-        weighted = sum((features[i].total * features[i].p for i in block), Fraction(0))
-        for i in block:
-            bin_of[i] = len(scores)
-        scores.append(weighted / mass)
-    if not scores:
+def _block_sums(scaled, blocks):
+    """(table, score numerators, score denominators) of the integral
+    assignment whose bins are the populated ones of `blocks` (feature
+    positions), in block order, each scored at its pooled rate."""
+    weights = scaled.weights
+    sums = [tuple(map(sum, zip(*(weights[i] for i in block)))) for block in blocks]
+    populated = [column for column in sums if column[0] or column[1]]
+    if not populated:
         raise DomainError("no block carries any people")
-    nbins = len(scores)
-    rows = tuple(
-        tuple(_ONE if b == hot else _ZERO for b in range(nbins)) for hot in bin_of
-    )
-    return tuple(scores), rows
+    m0, m1, p0, p1 = map(list, zip(*populated))
+    table = _Table((m0, m1), (p0, p1), scaled.denominator)
+    return (table, *_pooled_scores(table, _ZERO))
 
 
-def _integral_candidates(inst: Instance, cap: Optional[int], max_items: int):
-    """(blocks, scores, rows) of each partition in canonical order, at most
-    cap + 1 of them. Blocks are ordered by smallest feature id, as in the id
-    partition, so each candidate equals assignment_from_partition's."""
+def _integral_assignment(scaled, ids, blocks, nums, dens) -> RiskAssignment:
+    """The assignment _block_sums scored; features of a block with no people
+    go to the first bin."""
+    weights = scaled.weights
+    bin_of = [0] * len(ids)
+    populated = [block for block in blocks if any(weights[i][0] or weights[i][1] for i in block)]
+    for b, block in enumerate(populated):
+        for i in block:
+            bin_of[i] = b
+    nbins = len(nums)
+    rows = tuple(tuple(_ONE if b == hot else _ZERO for b in range(nbins)) for hot in bin_of)
+    return RiskAssignment(feature_ids=ids, scores=tuple(map(Fraction, nums, dens)), rows=rows)
+
+
+def _integral_candidates(inst: Instance, scaled, cap: Optional[int], max_items: int):
+    """(blocks, table, score numerators, score denominators) of each
+    partition in canonical order, at most cap + 1 of them. Blocks are ordered
+    by smallest feature id, as in the id partition, so each candidate equals
+    assignment_from_partition's."""
     ids = inst.ids
     gen = enumerate_partitions(
         len(ids), cap=None if cap is None else cap + 1, max_items=max_items
     )
     for index_part in gen:
         blocks = sorted(index_part.blocks, key=lambda block: min(ids[i] for i in block))
-        yield (blocks, *_pooled_bins(inst.features, blocks))
+        yield (blocks, *_block_sums(scaled, blocks))
 
 
 def solve_integral(
@@ -114,35 +120,35 @@ def solve_integral(
     count as one when they differ by at most min(tolerance, 2**-40); a wider
     gap is more than float rounding of the instance can make.
     """
-    gs = derived_stats(inst)
+    require_valid(inst)
     if objective not in OBJECTIVES:
         raise DomainError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
-    features = inst.features
-    tol = Fraction(0) if tolerance is None else tolerance
+    if cap is not None and cap < 0:
+        raise DomainError("cap must be nonnegative")
+    scaled = _scaled(inst)
 
     explored = 0
     exhausted = True
     best: Optional[tuple] = None
-    for blocks, scores, rows in _integral_candidates(inst, cap, max_items):
+    for blocks, table, nums, dens in _integral_candidates(inst, scaled, cap, max_items):
         if cap is not None and explored >= cap:
             exhausted = False
             break
         explored += 1
-        mass, positive = _accumulate_bins(features, rows, len(scores))
-        if not _fair_from_parts(gs, scores, mass, positive, tol):
+        if not _fair(table, nums, dens, tolerance):
             continue
-        if not _nontrivial(scores, mass, tolerance):
+        if not _nontrivial(table, nums, dens, tolerance):
             continue
-        report = _loss_report(gs, _class_scores(scores, mass, positive)[0])
+        report = _loss_report(table, nums, dens)
         if best is None or report.total < best[0].total:
-            best = (report, blocks, scores, rows)
+            best = (report, blocks, nums, dens)
         if objective == "any_fair":
             break
 
     if best is None:
         return SolveResult("none" if exhausted else "budget_exceeded", None, None, None, explored)
-    report, blocks, scores, rows = best
+    report, blocks, nums, dens = best
     ids = inst.ids
     part = Partition.from_blocks(tuple(ids[i] for i in block) for block in blocks)
-    asg = RiskAssignment(feature_ids=ids, scores=scores, rows=rows)
+    asg = _integral_assignment(scaled, ids, blocks, nums, dens)
     return SolveResult("found" if exhausted else "budget_exceeded", part, asg, report, explored)

@@ -19,7 +19,10 @@ from .audit import (
     ApproxAuditReport,
     _accumulate_bins,
     _approx_report,
-    _fair_from_parts,
+    _fair,
+    _pooled_scores,
+    _scaled,
+    _score_pairs,
     audit_approx,
     consequence_slack,
 )
@@ -34,7 +37,7 @@ from .model import (
     require_valid,
 )
 from .partitions import DEFAULT_MAX_ITEMS
-from .solver import _integral_candidates
+from .solver import _integral_assignment, _integral_candidates
 
 
 def _rand_fraction(rng: Random, den: int = 12) -> Fraction:
@@ -177,21 +180,10 @@ def is_perfect_prediction(inst: Instance) -> bool:
     return all(f.p in (0, 1) for f in inst.features if f.total > 0)
 
 
-# Fractional candidates are drawn as small-integer structures so a cheap float
-# view exists before any exact arithmetic happens. Every verdict the sweep
-# reports still comes from exact rationals; floats only discard candidates
-# whose violation exceeds the rounding error by many orders of magnitude.
-
-_EIGHTHS = tuple(Fraction(j, 8) for j in range(9))
-_FRAC_CACHE: dict[tuple[int, int], Fraction] = {}
-
-
-def _q(num: int, den: int) -> Fraction:
-    key = (num, den)
-    got = _FRAC_CACHE.get(key)
-    if got is None:
-        got = _FRAC_CACHE[key] = Fraction(num, den)
-    return got
+# Fractional candidates are drawn as small-integer structures: pooled weight
+# rows, or eighths. Both are integer allocation rows as they stand, so the
+# bin table reads them directly and Fractions are built only for a candidate
+# the report keeps.
 
 
 def _pooled_struct(k: int, rng: Random, max_bins=None) -> tuple[tuple[int, ...], ...]:
@@ -203,18 +195,6 @@ def _pooled_struct(k: int, rng: Random, max_bins=None) -> tuple[tuple[int, ...],
             weights[rng.randrange(nbins)] = 1
         out.append(tuple(weights))
     return tuple(out)
-
-
-def _pooled_exact(inst: Instance, weights, pooled_rate: Fraction):
-    rows = tuple(
-        tuple(_q(w, sum(wrow)) for w in wrow) for wrow in weights
-    )
-    table = _accumulate_bins(inst.features, rows, len(weights[0]))
-    scores = tuple(
-        (g1 + g2) / (m1 + m2) if m1 + m2 else pooled_rate
-        for m1, m2, g1, g2 in zip(*table[0], *table[1])
-    )
-    return scores, rows, table
 
 
 def _pooled_rate(gs) -> Fraction:
@@ -229,10 +209,14 @@ def pooled_rounded_assignment(
     """Random row-stochastic allocation, scores rounded to each bin's pooled
     positive rate. Population-calibrated by construction, nothing more."""
     weights = _pooled_struct(len(inst.features), rng, max_bins)
-    scores, rows, _ = _pooled_exact(inst, weights, _pooled_rate(derived_stats(inst)))
-    return RiskAssignment(
-        feature_ids=tuple(f.id for f in inst.features), scores=scores, rows=rows
-    )
+    pooled = _pooled_rate(derived_stats(inst))
+    table = _accumulate_bins(_scaled(inst), weights, len(weights[0]))
+    return _pooled_assignment(inst, weights, *_pooled_scores(table, pooled))
+
+
+def _pooled_assignment(inst: Instance, weights, nums, dens) -> RiskAssignment:
+    rows = tuple(tuple(Fraction(w, sum(wrow)) for w in wrow) for wrow in weights)
+    return RiskAssignment(inst.ids, tuple(map(Fraction, nums, dens)), rows)
 
 
 def _split_structure(inst: Instance, rng: Random) -> list[tuple[Fraction, dict[int, int]]]:
@@ -258,20 +242,18 @@ def _split_structure(inst: Instance, rng: Random) -> list[tuple[Fraction, dict[i
     return bins
 
 
-def _raw_assemble(inst: Instance, bins: list[tuple[Fraction, dict[int, int]]]):
-    scores = tuple(v for v, _ in bins)
-    rows = tuple(
-        tuple(_EIGHTHS[alloc.get(i, 0)] for _, alloc in bins)
-        for i in range(len(inst.features))
-    )
-    return scores, rows
+def _eighths(inst: Instance, bins: list[tuple[Fraction, dict[int, int]]]):
+    """Integer allocation rows, in eighths, of a split structure."""
+    rows = [[0] * len(bins) for _ in inst.features]
+    for b, (_, alloc) in enumerate(bins):
+        for i, j in alloc.items():
+            rows[i][b] = j
+    return rows
 
 
 def _assemble(inst: Instance, bins: list[tuple[Fraction, dict[int, int]]]) -> RiskAssignment:
-    scores, rows = _raw_assemble(inst, bins)
-    return RiskAssignment(
-        feature_ids=tuple(f.id for f in inst.features), scores=scores, rows=rows
-    )
+    rows = tuple(tuple(Fraction(j, 8) for j in row) for row in _eighths(inst, bins))
+    return RiskAssignment(inst.ids, tuple(v for v, _ in bins), rows)
 
 
 def calibrated_split_assignment(inst: Instance, rng: Random) -> RiskAssignment:
@@ -302,106 +284,6 @@ def banded_split_assignment(inst: Instance, rng: Random, eps) -> RiskAssignment:
     if e < 0:
         raise DomainError("eps must be nonnegative")
     return _assemble(inst, _banded_bins(inst, rng, e))
-
-
-_SCREEN = 1e-9
-
-
-def _bins_float_parts(featsf, bins):
-    # eighths are exact in binary, so these sums carry only the error of the
-    # probability floats and the accumulation itself
-    nbins = len(bins)
-    scoresf = [float(v) for v, _ in bins]
-    mass = [[0.0] * nbins, [0.0] * nbins]
-    pos = [[0.0] * nbins, [0.0] * nbins]
-    for b, (_, alloc) in enumerate(bins):
-        for i, j in alloc.items():
-            x = j * 0.125
-            n1, n2, p = featsf[i]
-            if n1:
-                mass[0][b] += n1 * x
-                pos[0][b] += n1 * p * x
-            if n2:
-                mass[1][b] += n2 * x
-                pos[1][b] += n2 * p * x
-    return scoresf, mass, pos
-
-
-def _pooled_float_parts(featsf, weights, pooled_ratef):
-    nbins = len(weights[0])
-    mass = [[0.0] * nbins, [0.0] * nbins]
-    pos = [[0.0] * nbins, [0.0] * nbins]
-    for i, wrow in enumerate(weights):
-        inv = 1.0 / sum(wrow)
-        n1, n2, p = featsf[i]
-        for b, w in enumerate(wrow):
-            if not w:
-                continue
-            x = w * inv
-            if n1:
-                mass[0][b] += n1 * x
-                pos[0][b] += n1 * p * x
-            if n2:
-                mass[1][b] += n2 * x
-                pos[1][b] += n2 * p * x
-    scoresf = []
-    for b in range(nbins):
-        m = mass[0][b] + mass[1][b]
-        scoresf.append((pos[0][b] + pos[1][b]) / m if m else pooled_ratef)
-    return scoresf, mass, pos
-
-
-def _certainly_unfair(scoresf, mass, pos, muf, popf) -> bool:
-    """True only when a fairness equation is violated by far more than the
-    accumulated rounding error, so a True is a safe rejection. Margins scale
-    with the magnitudes involved; degenerate classes are left to the exact
-    path rather than judged here."""
-    for i in (0, 1):
-        mi, pi = mass[i], pos[i]
-        for b, s in enumerate(scoresf):
-            m = mi[b]
-            if abs(pi[b] - s * m) > _SCREEN * (m if m > 1.0 else 1.0):
-                return True
-    ps = [0.0, 0.0]
-    ts = [0.0, 0.0]
-    for i in (0, 1):
-        mi, pi = mass[i], pos[i]
-        a = 0.0
-        t = 0.0
-        for b, s in enumerate(scoresf):
-            if pi[b]:
-                a += pi[b] * s
-            if mi[b]:
-                t += mi[b] * s
-        ps[i] = a
-        ts[i] = t
-    mu0, mu1 = muf
-    if mu0 and mu1:
-        lim = _SCREEN * (mu0 * mu1 if mu0 * mu1 > 1.0 else 1.0)
-        if abs(ps[0] * mu1 - ps[1] * mu0) > lim:
-            return True
-    nu0, nu1 = popf[0] - mu0, popf[1] - mu1
-    if nu0 and nu1:
-        lim = _SCREEN * (nu0 * nu1 if nu0 * nu1 > 1.0 else 1.0)
-        if abs((ts[0] - ps[0]) * nu1 - (ts[1] - ps[1]) * nu0) > lim:
-            return True
-    return False
-
-
-def _certainly_not_approx(scoresf, mass, pos, ef) -> bool:
-    # relaxed per-bin calibration band, padded outward; balance bands are
-    # left to the exact audit since only band-calibrated candidates remain
-    lo = 1.0 - ef
-    hi = 1.0 + ef
-    for i in (0, 1):
-        mi, pi = mass[i], pos[i]
-        for b, s in enumerate(scoresf):
-            sm = s * mi[b]
-            pad = _SCREEN * (sm if sm > 1.0 else 1.0)
-            g = pi[b]
-            if g < lo * sm - pad or g > hi * sm + pad:
-                return True
-    return False
 
 
 def two_bin_certain_assignment(inst: Instance) -> RiskAssignment:
@@ -458,6 +340,8 @@ def theorem_sweep(
         raise DomainError("eps must be nonnegative")
     if search_budget < 0:
         raise DomainError("search budget must be nonnegative")
+    if integral_cap is not None and integral_cap < 0:
+        raise DomainError("integral cap must be nonnegative")
     gap = gs.base_rate[0] - gs.base_rate[1]
     perfect = is_perfect_prediction(inst)
     special = gap == 0 or perfect
@@ -471,70 +355,53 @@ def theorem_sweep(
     approx_pass = 0
     approx_ce: Optional[RiskAssignment] = None
 
-    order_ids = inst.ids
+    scaled = _scaled(inst)
     slack = consequence_slack(e)
 
-    def consider_raw(scores, rows, check_exact=True, check_approx=True, table=None) -> None:
-        # one bin table gives both verdicts; an assignment is built only for
-        # a candidate the report keeps
+    def consider(table, nums, dens, build) -> None:
+        # one bin table gives both verdicts; build() makes the assignment,
+        # called only for a candidate the report keeps
         nonlocal exact_fair_count, first_fair, exact_ce, approx_pass, approx_ce
-        if table is None:
-            table = _accumulate_bins(inst.features, rows, len(scores))
-        mass, positive = table
-        if check_exact and _fair_from_parts(gs, scores, mass, positive, Fraction(0)):
+        if _fair(table, nums, dens):
             exact_fair_count += 1
-            asg = RiskAssignment(feature_ids=order_ids, scores=scores, rows=rows)
             if first_fair is None:
-                first_fair = asg
-            if not special and exact_ce is None:
-                exact_ce = asg
-        if e > 0 and check_approx:
-            report = _approx_report(gs, e, slack, scores, mass, positive)
+                first_fair = build()
+                if not special:
+                    exact_ce = first_fair
+        if e > 0:
+            report = _approx_report(gs, e, slack, table, nums, dens)
             if report.passed:
                 approx_pass += 1
                 if not report.consequence.any and approx_ce is None:
-                    approx_ce = RiskAssignment(feature_ids=order_ids, scores=scores, rows=rows)
+                    approx_ce = build()
 
-    for _, scores, rows in _integral_candidates(inst, integral_cap, max_items):
+    ids = inst.ids
+    for blocks, table, nums, dens in _integral_candidates(inst, scaled, integral_cap, max_items):
         if integral_cap is not None and integral_explored >= integral_cap:
             integral_complete = False
             break
         integral_explored += 1
-        consider_raw(scores, rows)
+        consider(table, nums, dens,
+                 lambda: _integral_assignment(scaled, ids, blocks, nums, dens))
 
-    featsf = tuple((float(f.n1), float(f.n2), float(f.p)) for f in inst.features)
-    muf = (float(gs.positive_mass[0]), float(gs.positive_mass[1]))
-    popf = (float(gs.population[0]), float(gs.population[1]))
     pooled = _pooled_rate(gs)
-    pooledf = float(pooled)
-    ef = float(e)
-
     rng = Random(seed)
     fractional = 0
     for _ in range(search_budget):
         fractional += 1
         roll = rng.random()
-        weights = None
-        bins = None
         if roll < 0.6:
             weights = _pooled_struct(k, rng)
-            scoresf, massf, posf = _pooled_float_parts(featsf, weights, pooledf)
-        elif roll < 0.8 or e == 0:
+            table = _accumulate_bins(scaled, weights, len(weights[0]))
+            nums, dens = _pooled_scores(table, pooled)
+            consider(table, nums, dens, lambda: _pooled_assignment(inst, weights, nums, dens))
+            continue
+        if roll < 0.8 or e == 0:
             bins = _split_structure(inst, rng)
-            scoresf, massf, posf = _bins_float_parts(featsf, bins)
         else:
             bins = _banded_bins(inst, rng, e)
-            scoresf, massf, posf = _bins_float_parts(featsf, bins)
-        check_exact = not _certainly_unfair(scoresf, massf, posf, muf, popf)
-        check_approx = e > 0 and not _certainly_not_approx(scoresf, massf, posf, ef)
-        if not (check_exact or check_approx):
-            continue
-        table = None
-        if weights is not None:
-            scores, rows, table = _pooled_exact(inst, weights, pooled)
-        else:
-            scores, rows = _raw_assemble(inst, bins)
-        consider_raw(scores, rows, check_exact, check_approx, table)
+        table = _accumulate_bins(scaled, _eighths(inst, bins), len(bins))
+        consider(table, *_score_pairs([v for v, _ in bins]), lambda: _assemble(inst, bins))
 
     return SweepReport(
         seed=seed,

@@ -1,15 +1,20 @@
-"""The audit, loss and integral-search views as they were written before the
-bin table, kept as test oracles.
+"""The audit, loss and search views as they were written before the bin
+table, and `theorem_sweep` with its float screen as it was written before the
+integer bin table, kept as test oracles.
 
 Each function is copied unchanged from the package, apart from two
 function-local `from .model import assignment_rows_for` lines that moved to
 the imports below. Calls between them resolve inside this module, so
 `audit_approx` still recomputes `audit_exact` and `bin_statistics` the old
-way. `tests/test_oracle.py` compares the package against them.
+way, and `theorem_sweep` reads the `Fraction` bin table (`_accumulate_bins`,
+`_fair_from_parts`) below. The sweep's candidate draws are unchanged in the
+package and imported from it. `tests/test_oracle.py` and `tests/test_sweep.py`
+compare the package against them.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from random import Random
 from typing import Optional
 
 from riskaudit.audit import (
@@ -17,7 +22,6 @@ from riskaudit.audit import (
     AuditReport,
     BinStats,
     ConsequenceFlags,
-    _ratio_band_ok,
     consequence_slack,
 )
 from riskaudit.errors import DegenerateGroupError, DomainError
@@ -32,6 +36,14 @@ from riskaudit.model import (
 )
 from riskaudit.partitions import DEFAULT_MAX_ITEMS, Partition, enumerate_partitions
 from riskaudit.solver import OBJECTIVES, SolveResult
+from riskaudit.sweep import (
+    SweepReport,
+    _banded_bins,
+    _pooled_rate,
+    _pooled_struct,
+    _split_structure,
+    is_perfect_prediction,
+)
 
 
 # from riskaudit/audit.py
@@ -439,3 +451,424 @@ def solve_integral(
     if best is not None:
         return SolveResult("found", best[1], best[2], best[3], explored)
     return SolveResult("none", None, None, None, explored)
+
+
+# from riskaudit/audit.py
+def _ratio_band_ok(x: Fraction, y: Fraction, eps: Fraction) -> bool:
+    # two-sided multiplicative band, both orderings; zero cases follow the
+    # limit of the ratio form: 0 vs 0 passes, 0 vs positive needs eps >= 1
+    if x == 0 and y == 0:
+        return True
+    if x == 0 or y == 0:
+        return eps >= 1
+    lo, hi = 1 - eps, 1 + eps
+    return (lo * y <= x <= hi * y) and (lo * x <= y <= hi * x)
+
+
+# from riskaudit/audit.py, before the integer bin table
+def _exact_report(gs, scores, mass, positive) -> AuditReport:
+    residuals = tuple(
+        tuple(g - v * m for v, m, g in zip(scores, mass[i], positive[i])) for i in range(2)
+    )
+    calibration_ok = all(r == 0 for per_group in residuals for r in per_group)
+    pos_score, total = _class_scores(scores, mass, positive)
+    pos_avg, neg_avg = _class_averages(gs, pos_score, total)
+
+    pos_vacuous = pos_avg[0] is None or pos_avg[1] is None
+    pos_ok = True if pos_vacuous else pos_avg[0] == pos_avg[1]
+    neg_vacuous = neg_avg[0] is None or neg_avg[1] is None
+    neg_ok = True if neg_vacuous else neg_avg[0] == neg_avg[1]
+
+    return AuditReport(
+        calibration_ok=calibration_ok,
+        calibration_residuals=residuals,
+        expected_score_total=total,
+        pos_class_avg=pos_avg,
+        neg_class_avg=neg_avg,
+        balance_pos_ok=pos_ok,
+        balance_pos_vacuous=pos_vacuous,
+        balance_neg_ok=neg_ok,
+        balance_neg_vacuous=neg_vacuous,
+        parity_gap=total[0] / gs.population[0] - total[1] / gs.population[1],
+        fair=calibration_ok and pos_ok and neg_ok,
+    )
+
+
+# from riskaudit/audit.py, before the integer bin table
+def _consequence(gs, report: AuditReport, slack: Fraction) -> ConsequenceFlags:
+    near_perfect = all(avg is None or avg >= 1 - slack for avg in report.pos_class_avg)
+    near_equal = abs(gs.base_rate[0] - gs.base_rate[1]) <= slack
+    return ConsequenceFlags(
+        slack=slack,
+        near_perfect_prediction=near_perfect,
+        near_equal_base_rates=near_equal,
+    )
+
+
+# from riskaudit/audit.py, before the integer bin table
+def _approx_report(gs, e: Fraction, slack: Fraction, scores, mass, positive) -> ApproxAuditReport:
+    exact = _exact_report(gs, scores, mass, positive)
+    lo, hi = 1 - e, 1 + e
+    calib_ok = all(
+        lo * (v * m) <= g <= hi * (v * m)
+        for i in range(2)
+        for v, m, g in zip(scores, mass[i], positive[i])
+    )
+
+    def balance(avgs) -> tuple[bool, bool]:
+        if avgs[0] is None or avgs[1] is None:
+            return True, True
+        return _ratio_band_ok(avgs[0], avgs[1], e), False
+
+    pos_ok, pos_vac = balance(exact.pos_class_avg)
+    neg_ok, neg_vac = balance(exact.neg_class_avg)
+
+    return ApproxAuditReport(
+        epsilon=e,
+        calibration_ok=calib_ok,
+        balance_pos_ok=pos_ok,
+        balance_pos_vacuous=pos_vac,
+        balance_neg_ok=neg_ok,
+        balance_neg_vacuous=neg_vac,
+        passed=calib_ok and pos_ok and neg_ok,
+        consequence=_consequence(gs, exact, slack),
+    )
+
+
+# from riskaudit/audit.py, before the integer bin table
+def _class_scores(scores, mass, positive) -> tuple[PerGroup, PerGroup]:
+    """Per group: the score received by the positive class, and by everyone."""
+    pos_score = []
+    total = []
+    for i in range(2):
+        a = Fraction(0)
+        t = Fraction(0)
+        for v, m, g in zip(scores, mass[i], positive[i]):
+            if g:
+                a += g * v
+            if m:
+                t += m * v
+        pos_score.append(a)
+        total.append(t)
+    return (pos_score[0], pos_score[1]), (total[0], total[1])
+
+
+# from riskaudit/audit.py, before the integer bin table
+def _class_averages(gs, pos_score, total):
+    """Per group: the positive and the negative class's average score, None
+    for an empty class."""
+    pos_avg = []
+    neg_avg = []
+    for i in range(2):
+        mu = gs.positive_mass[i]
+        neg_mass = gs.population[i] - mu
+        pos_avg.append(pos_score[i] / mu if mu > 0 else None)
+        neg_avg.append((total[i] - pos_score[i]) / neg_mass if neg_mass > 0 else None)
+    return (pos_avg[0], pos_avg[1]), (neg_avg[0], neg_avg[1])
+
+
+# from riskaudit/solver.py, before the integer bin table
+_ONE = Fraction(1)
+
+
+# from riskaudit/solver.py, before the integer bin table
+_ZERO = Fraction(0)
+
+
+# from riskaudit/solver.py, before the integer bin table
+def _pooled_bins(features, blocks):
+    """Scores and allocation rows of the integral assignment whose bins are
+    `blocks` of feature positions, in block order (see
+    assignment_from_partition)."""
+    scores = []
+    bin_of = [0] * len(features)
+    for block in blocks:
+        mass = sum((features[i].total for i in block), Fraction(0))
+        if mass == 0:
+            continue
+        weighted = sum((features[i].total * features[i].p for i in block), Fraction(0))
+        for i in block:
+            bin_of[i] = len(scores)
+        scores.append(weighted / mass)
+    if not scores:
+        raise DomainError("no block carries any people")
+    nbins = len(scores)
+    rows = tuple(
+        tuple(_ONE if b == hot else _ZERO for b in range(nbins)) for hot in bin_of
+    )
+    return tuple(scores), rows
+
+
+# from riskaudit/solver.py, before the integer bin table
+def _integral_candidates(inst: Instance, cap: Optional[int], max_items: int):
+    """(blocks, scores, rows) of each partition in canonical order, at most
+    cap + 1 of them. Blocks are ordered by smallest feature id, as in the id
+    partition, so each candidate equals assignment_from_partition's."""
+    ids = inst.ids
+    gen = enumerate_partitions(
+        len(ids), cap=None if cap is None else cap + 1, max_items=max_items
+    )
+    for index_part in gen:
+        blocks = sorted(index_part.blocks, key=lambda block: min(ids[i] for i in block))
+        yield (blocks, *_pooled_bins(inst.features, blocks))
+
+
+# from riskaudit/sweep.py, before the integer bin table
+_EIGHTHS = tuple(Fraction(j, 8) for j in range(9))
+
+
+# from riskaudit/sweep.py, before the integer bin table
+_FRAC_CACHE: dict[tuple[int, int], Fraction] = {}
+
+
+# from riskaudit/sweep.py, before the integer bin table
+def _q(num: int, den: int) -> Fraction:
+    key = (num, den)
+    got = _FRAC_CACHE.get(key)
+    if got is None:
+        got = _FRAC_CACHE[key] = Fraction(num, den)
+    return got
+
+
+# from riskaudit/sweep.py, before the integer bin table
+def _pooled_exact(inst: Instance, weights, pooled_rate: Fraction):
+    rows = tuple(
+        tuple(_q(w, sum(wrow)) for w in wrow) for wrow in weights
+    )
+    table = _accumulate_bins(inst.features, rows, len(weights[0]))
+    scores = tuple(
+        (g1 + g2) / (m1 + m2) if m1 + m2 else pooled_rate
+        for m1, m2, g1, g2 in zip(*table[0], *table[1])
+    )
+    return scores, rows, table
+
+
+# from riskaudit/sweep.py, before the integer bin table
+def _raw_assemble(inst: Instance, bins: list[tuple[Fraction, dict[int, int]]]):
+    scores = tuple(v for v, _ in bins)
+    rows = tuple(
+        tuple(_EIGHTHS[alloc.get(i, 0)] for _, alloc in bins)
+        for i in range(len(inst.features))
+    )
+    return scores, rows
+
+
+# from riskaudit/sweep.py, before the integer bin table
+_SCREEN = 1e-9
+
+
+# from riskaudit/sweep.py, before the integer bin table
+def _bins_float_parts(featsf, bins):
+    # eighths are exact in binary, so these sums carry only the error of the
+    # probability floats and the accumulation itself
+    nbins = len(bins)
+    scoresf = [float(v) for v, _ in bins]
+    mass = [[0.0] * nbins, [0.0] * nbins]
+    pos = [[0.0] * nbins, [0.0] * nbins]
+    for b, (_, alloc) in enumerate(bins):
+        for i, j in alloc.items():
+            x = j * 0.125
+            n1, n2, p = featsf[i]
+            if n1:
+                mass[0][b] += n1 * x
+                pos[0][b] += n1 * p * x
+            if n2:
+                mass[1][b] += n2 * x
+                pos[1][b] += n2 * p * x
+    return scoresf, mass, pos
+
+
+# from riskaudit/sweep.py, before the integer bin table
+def _pooled_float_parts(featsf, weights, pooled_ratef):
+    nbins = len(weights[0])
+    mass = [[0.0] * nbins, [0.0] * nbins]
+    pos = [[0.0] * nbins, [0.0] * nbins]
+    for i, wrow in enumerate(weights):
+        inv = 1.0 / sum(wrow)
+        n1, n2, p = featsf[i]
+        for b, w in enumerate(wrow):
+            if not w:
+                continue
+            x = w * inv
+            if n1:
+                mass[0][b] += n1 * x
+                pos[0][b] += n1 * p * x
+            if n2:
+                mass[1][b] += n2 * x
+                pos[1][b] += n2 * p * x
+    scoresf = []
+    for b in range(nbins):
+        m = mass[0][b] + mass[1][b]
+        scoresf.append((pos[0][b] + pos[1][b]) / m if m else pooled_ratef)
+    return scoresf, mass, pos
+
+
+# from riskaudit/sweep.py, before the integer bin table
+def _certainly_unfair(scoresf, mass, pos, muf, popf) -> bool:
+    """True only when a fairness equation is violated by far more than the
+    accumulated rounding error, so a True is a safe rejection. Margins scale
+    with the magnitudes involved; degenerate classes are left to the exact
+    path rather than judged here."""
+    for i in (0, 1):
+        mi, pi = mass[i], pos[i]
+        for b, s in enumerate(scoresf):
+            m = mi[b]
+            if abs(pi[b] - s * m) > _SCREEN * (m if m > 1.0 else 1.0):
+                return True
+    ps = [0.0, 0.0]
+    ts = [0.0, 0.0]
+    for i in (0, 1):
+        mi, pi = mass[i], pos[i]
+        a = 0.0
+        t = 0.0
+        for b, s in enumerate(scoresf):
+            if pi[b]:
+                a += pi[b] * s
+            if mi[b]:
+                t += mi[b] * s
+        ps[i] = a
+        ts[i] = t
+    mu0, mu1 = muf
+    if mu0 and mu1:
+        lim = _SCREEN * (mu0 * mu1 if mu0 * mu1 > 1.0 else 1.0)
+        if abs(ps[0] * mu1 - ps[1] * mu0) > lim:
+            return True
+    nu0, nu1 = popf[0] - mu0, popf[1] - mu1
+    if nu0 and nu1:
+        lim = _SCREEN * (nu0 * nu1 if nu0 * nu1 > 1.0 else 1.0)
+        if abs((ts[0] - ps[0]) * nu1 - (ts[1] - ps[1]) * nu0) > lim:
+            return True
+    return False
+
+
+# from riskaudit/sweep.py, before the integer bin table
+def _certainly_not_approx(scoresf, mass, pos, ef) -> bool:
+    # relaxed per-bin calibration band, padded outward; balance bands are
+    # left to the exact audit since only band-calibrated candidates remain
+    lo = 1.0 - ef
+    hi = 1.0 + ef
+    for i in (0, 1):
+        mi, pi = mass[i], pos[i]
+        for b, s in enumerate(scoresf):
+            sm = s * mi[b]
+            pad = _SCREEN * (sm if sm > 1.0 else 1.0)
+            g = pi[b]
+            if g < lo * sm - pad or g > hi * sm + pad:
+                return True
+    return False
+
+
+# from riskaudit/sweep.py, before the integer bin table
+def theorem_sweep(
+    inst: Instance,
+    search_budget: int,
+    eps,
+    seed: int,
+    *,
+    integral_cap: Optional[int] = None,
+    max_items: int = DEFAULT_MAX_ITEMS,
+) -> SweepReport:
+    """Exhaust integral candidates, then stream seeded fractional ones.
+
+    With eps = 0 only the exact side runs. A budget too small to finish the
+    integral side is reported through integral_complete, never raised.
+    """
+    gs = derived_stats(inst)
+    e = as_fraction(eps)
+    if e < 0:
+        raise DomainError("eps must be nonnegative")
+    if search_budget < 0:
+        raise DomainError("search budget must be nonnegative")
+    gap = gs.base_rate[0] - gs.base_rate[1]
+    perfect = is_perfect_prediction(inst)
+    special = gap == 0 or perfect
+
+    k = len(inst.features)
+    integral_explored = 0
+    integral_complete = True
+    exact_fair_count = 0
+    first_fair: Optional[RiskAssignment] = None
+    exact_ce: Optional[RiskAssignment] = None
+    approx_pass = 0
+    approx_ce: Optional[RiskAssignment] = None
+
+    order_ids = inst.ids
+    slack = consequence_slack(e)
+
+    def consider_raw(scores, rows, check_exact=True, check_approx=True, table=None) -> None:
+        # one bin table gives both verdicts; an assignment is built only for
+        # a candidate the report keeps
+        nonlocal exact_fair_count, first_fair, exact_ce, approx_pass, approx_ce
+        if table is None:
+            table = _accumulate_bins(inst.features, rows, len(scores))
+        mass, positive = table
+        if check_exact and _fair_from_parts(gs, scores, mass, positive, Fraction(0)):
+            exact_fair_count += 1
+            asg = RiskAssignment(feature_ids=order_ids, scores=scores, rows=rows)
+            if first_fair is None:
+                first_fair = asg
+            if not special and exact_ce is None:
+                exact_ce = asg
+        if e > 0 and check_approx:
+            report = _approx_report(gs, e, slack, scores, mass, positive)
+            if report.passed:
+                approx_pass += 1
+                if not report.consequence.any and approx_ce is None:
+                    approx_ce = RiskAssignment(feature_ids=order_ids, scores=scores, rows=rows)
+
+    for _, scores, rows in _integral_candidates(inst, integral_cap, max_items):
+        if integral_cap is not None and integral_explored >= integral_cap:
+            integral_complete = False
+            break
+        integral_explored += 1
+        consider_raw(scores, rows)
+
+    featsf = tuple((float(f.n1), float(f.n2), float(f.p)) for f in inst.features)
+    muf = (float(gs.positive_mass[0]), float(gs.positive_mass[1]))
+    popf = (float(gs.population[0]), float(gs.population[1]))
+    pooled = _pooled_rate(gs)
+    pooledf = float(pooled)
+    ef = float(e)
+
+    rng = Random(seed)
+    fractional = 0
+    for _ in range(search_budget):
+        fractional += 1
+        roll = rng.random()
+        weights = None
+        bins = None
+        if roll < 0.6:
+            weights = _pooled_struct(k, rng)
+            scoresf, massf, posf = _pooled_float_parts(featsf, weights, pooledf)
+        elif roll < 0.8 or e == 0:
+            bins = _split_structure(inst, rng)
+            scoresf, massf, posf = _bins_float_parts(featsf, bins)
+        else:
+            bins = _banded_bins(inst, rng, e)
+            scoresf, massf, posf = _bins_float_parts(featsf, bins)
+        check_exact = not _certainly_unfair(scoresf, massf, posf, muf, popf)
+        check_approx = e > 0 and not _certainly_not_approx(scoresf, massf, posf, ef)
+        if not (check_exact or check_approx):
+            continue
+        table = None
+        if weights is not None:
+            scores, rows, table = _pooled_exact(inst, weights, pooled)
+        else:
+            scores, rows = _raw_assemble(inst, bins)
+        consider_raw(scores, rows, check_exact, check_approx, table)
+
+    return SweepReport(
+        seed=seed,
+        epsilon=e,
+        budget=search_budget,
+        base_rate_gap=gap,
+        perfect_prediction=perfect,
+        integral_explored=integral_explored,
+        integral_complete=integral_complete,
+        fractional_explored=fractional,
+        exact_fair_count=exact_fair_count,
+        first_exact_fair=first_fair,
+        exact_counterexample=exact_ce,
+        approx_pass_count=approx_pass,
+        approx_counterexample=approx_ce,
+    )

@@ -184,3 +184,19 @@ class TestDegenerate:
         inst = Instance((feature("a", F(0), 2, 3),))
         with pytest.raises(DegenerateGroupError):
             fairness_difference(inst, identity_assignment(inst))
+
+
+def test_floats_only_in_the_reduction():
+    # every verdict is exact: only reduction.py, for the float images of its
+    # irrational rates, may call float()
+    import ast
+    from pathlib import Path
+
+    import riskaudit
+
+    callers = []
+    for path in sorted(Path(riskaudit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+                callers.append(path.name)
+    assert set(callers) == {"reduction.py"}

@@ -214,8 +214,10 @@ def test_non_utf8_file_exit_two(tmp_path, capsys):
     [
         ("1" * 5000, '"1/2"', ".features[0].counts.1"),  # beyond int's 4,300 digits
         ('"1"', "1e200000", ".features[0].p"),  # parses, but cannot be printed
+        ('"1"', '"' + "1" * 5000 + '"', ".features[0].p"),  # a valid literal, too long
+        ('"1"', "1e1000000", ".features[0].p"),  # refused before 10**1000000 is built
     ],
-    ids=["long-integer", "huge-exponent"],
+    ids=["long-integer", "huge-exponent", "long-string", "huger-exponent"],
 )
 def test_hostile_document_numbers_exit_two(tmp_path, capsys, counts_1, p, path):
     doc = tmp_path / "hostile.json"
@@ -227,7 +229,23 @@ def test_hostile_document_numbers_exit_two(tmp_path, capsys, counts_1, p, path):
     assert run_cli(["validate", "-i", str(doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and "4300 digits" in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and len(err.encode()) < 200
+
+
+def test_hostile_argument_numbers_exit_two(ws, capsys):
+    for eps in ("1e1000000", "1" * 5000):
+        assert run_cli(["audit", "-i", ws["skewed"], "-a", ws["skewed_id"], "--eps", eps]) == 2
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert "argument --eps: number with more than 4300 digits" in line and len(line.encode()) < 200
+
+
+def test_negative_cap_exit_two(ws, capsys):
+    for argv in (["solve-integral", "-i", ws["rigid"]],
+                 ["theorem-sweep", "-i", ws["skewed"], "--seed", "1"]):
+        assert run_cli([*argv, "--cap", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "cap" in captured.err
+        assert captured.out == ""
 
 
 def test_verify_bad_subset_exit_two(tmp_path, capsys):

@@ -111,6 +111,9 @@ def test_views_match_old_implementation(case, eps, tolerance):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(instances(), st.sampled_from(OBJECTIVES), st.sampled_from((None, 1, 7, 30)))
-def test_solver_matches_old_implementation(inst, objective, cap):
-    assert solve_integral(inst, objective, cap) == old.solve_integral(inst, objective, cap)
+@given(instances(), st.sampled_from(OBJECTIVES), st.sampled_from((None, 1, 7, 30)),
+       st.sampled_from((None, F(1, 1000), F(1, 10))))
+def test_solver_matches_old_implementation(inst, objective, cap, tolerance):
+    assert solve_integral(inst, objective, cap, tolerance) == old.solve_integral(
+        inst, objective, cap, tolerance
+    )

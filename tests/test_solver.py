@@ -67,6 +67,9 @@ class TestSolveIntegral:
         res = solve_integral(rigid, "any_fair", cap=2)
         assert res.status == "budget_exceeded"
         assert res.explored == 2
+        # a negative cap is bad input, not an exhausted search
+        with pytest.raises(DomainError):
+            solve_integral(rigid, "any_fair", cap=-3)
 
     def test_cap_exactly_enough(self, balanced):
         # the hit arrives within the cap, so the budget never shows

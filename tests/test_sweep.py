@@ -23,19 +23,25 @@ from riskaudit import (
     two_bin_certain_assignment,
     validate_instance,
 )
+import audit_oracle as old
 import riskaudit.audit as audit_module
 import riskaudit.sweep as sweep_module
-from riskaudit.audit import _approx_report, _fair_from_parts, consequence_slack
+from riskaudit.audit import (
+    _accumulate_bins,
+    _approx_report,
+    _fair,
+    _pooled_scores,
+    _scaled,
+    _score_pairs,
+    consequence_slack,
+)
 from riskaudit.sweep import (
+    _assemble,
     _banded_bins,
-    _bins_float_parts,
-    _certainly_not_approx,
-    _certainly_unfair,
-    _pooled_exact,
-    _pooled_float_parts,
+    _eighths,
+    _pooled_assignment,
     _pooled_rate,
     _pooled_struct,
-    _raw_assemble,
     _split_structure,
     is_perfect_prediction,
 )
@@ -164,9 +170,9 @@ class TestTheoremSweep:
         tabled = []
         original = audit_module._accumulate_bins
 
-        def recorded(features, rows, nbins):
+        def recorded(scaled, rows, nbins):
             tabled.append(rows)
-            return original(features, rows, nbins)
+            return original(scaled, rows, nbins)
 
         monkeypatch.setattr(audit_module, "_accumulate_bins", recorded)
         monkeypatch.setattr(sweep_module, "_accumulate_bins", recorded)
@@ -180,6 +186,8 @@ class TestTheoremSweep:
             theorem_sweep(skewed, -1, F(0), 1)
         with pytest.raises(DomainError):
             theorem_sweep(skewed, 5, F(-1), 1)
+        with pytest.raises(DomainError):
+            theorem_sweep(skewed, 5, F(0), 1, integral_cap=-3)
 
 
 class TestCorpus:
@@ -204,7 +212,7 @@ class TestCorpus:
         assert [x[1] for x in a] == [x[1] for x in b]
 
 
-SCREEN_FAMILIES = (
+INSTANCE_FAMILIES = (
     random_instance,
     random_gapped_instance,
     random_proportional_instance,
@@ -213,47 +221,49 @@ SCREEN_FAMILIES = (
 )
 
 
-class TestFloatScreen:
-    """The float screen only discards: a candidate it rejects also fails the
-    exact verdict it stands in for."""
+class TestIntegerVerdicts:
+    """The integer bin table decides every sweep verdict as the `Fraction`
+    audit of the built candidate does."""
 
     @pytest.mark.parametrize("eps", [F(0), F(1, 1000)])
-    def test_rejections_fail_the_exact_verdicts(self, eps):
+    def test_verdicts_match_the_fraction_oracle(self, eps):
         rng = random.Random(f"screen/{eps}")
         slack = consequence_slack(eps)
-        rejected = {"fair": 0, "approx": 0}
-        kept = {"fair": 0, "approx": 0}
+        seen = {"fair": set(), "approx": set()}
         for _ in range(150):
-            inst = rng.choice(SCREEN_FAMILIES)(rng)
+            inst = rng.choice(INSTANCE_FAMILIES)(rng)
             gs = derived_stats(inst)
-            featsf = tuple((float(f.n1), float(f.n2), float(f.p)) for f in inst.features)
-            muf = (float(gs.positive_mass[0]), float(gs.positive_mass[1]))
-            popf = (float(gs.population[0]), float(gs.population[1]))
+            scaled = _scaled(inst)
             pooled = _pooled_rate(gs)
             for family in ("pooled", "split", "banded") * 3:
                 if family == "pooled":
                     weights = _pooled_struct(len(inst.features), rng)
-                    floats = _pooled_float_parts(featsf, weights, float(pooled))
-                    scores, _, (mass, positive) = _pooled_exact(inst, weights, pooled)
+                    table = _accumulate_bins(scaled, weights, len(weights[0]))
+                    nums, dens = _pooled_scores(table, pooled)
+                    asg = _pooled_assignment(inst, weights, nums, dens)
                 else:
                     if family == "split":
                         bins = _split_structure(inst, rng)
                     else:
                         bins = _banded_bins(inst, rng, eps)
-                    floats = _bins_float_parts(featsf, bins)
-                    scores, rows = _raw_assemble(inst, bins)
-                    mass, positive = audit_module._accumulate_bins(inst.features, rows, len(scores))
-                fair = _fair_from_parts(gs, scores, mass, positive, F(0))
-                passed = _approx_report(gs, eps, slack, scores, mass, positive).passed
-                if _certainly_unfair(*floats, muf, popf):
-                    rejected["fair"] += 1
-                    assert not fair
-                else:
-                    kept["fair"] += 1
-                if _certainly_not_approx(*floats, float(eps)):
-                    rejected["approx"] += 1
-                    assert not passed
-                else:
-                    kept["approx"] += 1
-        # the sample exercises both outcomes of both screens
-        assert min(rejected.values()) > 0 and min(kept.values()) > 0
+                    table = _accumulate_bins(scaled, _eighths(inst, bins), len(bins))
+                    nums, dens = _score_pairs([v for v, _ in bins])
+                    asg = _assemble(inst, bins)
+                fair = _fair(table, nums, dens)
+                passed = _approx_report(gs, eps, slack, table, nums, dens).passed
+                assert fair == old.passes_fairness(inst, asg)
+                assert passed == old.audit_approx(inst, asg, eps).passed
+                seen["fair"].add(fair)
+                seen["approx"].add(passed)
+        # the sample holds both verdicts of both kinds
+        assert seen == {"fair": {False, True}, "approx": {False, True}}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(INSTANCE_FAMILIES), st.integers(0, 10**6),
+       st.sampled_from((F(0), F(1, 1000), F(1, 10))), st.sampled_from((None, 3)))
+def test_sweep_matches_old_implementation(family, seed, eps, integral_cap):
+    inst = family(random.Random(seed))
+    assert theorem_sweep(inst, 200, eps, seed, integral_cap=integral_cap) == old.theorem_sweep(
+        inst, 200, eps, seed, integral_cap=integral_cap
+    )
