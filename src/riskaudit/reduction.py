@@ -21,24 +21,25 @@ equation ``sum over blocks q of (1/|q|) * sum over pairs in q of
 (p_i - p_j)**2 == 1/m**4``; blocks that keep a pair together contribute
 exactly ``w_hat_i``, so subset choices map onto pairings.
 
-Every probability is a quadratic surd ``center + sign * sqrt(q)`` (`Surd`),
-so the equation checker works exactly on rational multiples of square roots,
-and the embedded Instance holds correctly rounded float images meant for
+Every probability is a quadratic surd ``center + sign * sqrt(q)`` (`Surd`).
+The construction also writes the pair features over an integer radical basis,
+on which the equation checker decides any grouping with integer arithmetic.
+The embedded Instance holds correctly rounded float images meant for
 tolerance-based search only.
 """
 from __future__ import annotations
 
 import warnings
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
 from .audit import _SQRT_SCALE, _sqrt_upper
 from .errors import DomainError, ReductionInfeasibleError
 from .model import FeatureVector, Instance, require_valid
-from .partitions import Partition
+from .partitions import DEFAULT_MAX_ITEMS, Partition
 
 
 @dataclass(frozen=True)
@@ -59,10 +60,19 @@ class SubsetSumInstance:
             raise DomainError(f"target must be a positive integer, got {self.target!r}")
 
 
+def _require_searchable(count: int) -> None:
+    if count > DEFAULT_MAX_ITEMS:
+        raise DomainError(
+            f"{count} weights: at most {DEFAULT_MAX_ITEMS} are searched or checked"
+        )
+
+
 def solve_subset_sum(ss: SubsetSumInstance) -> Optional[frozenset[int]]:
     """Independent exhaustive oracle. Returns 1-based indices of a solving
-    subset (smallest bitmask first), or None. Exponential in len(weights)."""
+    subset (smallest bitmask first), or None. Exponential in len(weights),
+    so more than DEFAULT_MAX_ITEMS weights are refused."""
     n = len(ss.weights)
+    _require_searchable(n)
     for mask in range(1, 1 << n):
         total = 0
         for i in range(n):
@@ -112,10 +122,6 @@ class Surd:
                 return hi
             scale <<= 64
 
-    def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """(coefficient, radicand) pairs whose sum c * sqrt(r) is the surd."""
-        return (self.center, Fraction(1)), (Fraction(self.sign), self.half_gap_squared)
-
 
 @dataclass(frozen=True)
 class ReducedInstance:
@@ -140,6 +146,7 @@ class ReducedInstance:
     group1_mass: tuple[Fraction, ...]
     group2_mass: tuple[Fraction, ...]
     instance: Instance
+    _basis: Optional[_RadicalBasis] = field(compare=False, repr=False)
 
     @property
     def weights(self) -> tuple[int, ...]:
@@ -205,6 +212,10 @@ def reduce_subset_sum(ss: SubsetSumInstance) -> ReducedInstance:
         for j in range(n_pairs + 2)
     )
     instance = require_valid(Instance(features))
+    # quadratic in m, so built only where the equation may be checked
+    basis = None
+    if m <= DEFAULT_MAX_ITEMS:
+        basis = _radical_basis(rates_exact[:n_pairs], Fraction(1, m**4))
 
     return ReducedInstance(
         input_weights=tuple(ss.weights),
@@ -219,6 +230,7 @@ def reduce_subset_sum(ss: SubsetSumInstance) -> ReducedInstance:
         group1_mass=group1,
         group2_mass=group2,
         instance=instance,
+        _basis=basis,
     )
 
 
@@ -245,57 +257,147 @@ def is_normal_form(ri: ReducedInstance, part: Partition) -> bool:
 def check_reduction_equation(ri: ReducedInstance, part: Partition) -> bool:
     """Decide, exactly, whether a grouping of the pair features is fair.
 
-    Normal-form partitions reduce to a rational identity: kept-together pairs
-    contribute their scaled weight, singletons contribute nothing. Any other
-    partition is expanded into rational multiples of square roots; the
-    difference from the target is zero only when its coefficient in every
-    radical class is zero.
+    The difference between the grouping's side of the equation and the
+    target is a sum of rational multiples of square roots; it is zero only
+    when its coefficient in every radical class is zero. The instance's
+    radical basis yields those coefficients, scaled to integers. More than
+    DEFAULT_MAX_ITEMS kept weights are refused.
     """
     _require_pair_cover(ri, part)
-    target = Fraction(1, ri.m**4)
-
-    if is_normal_form(ri, part):
-        kept = [block[1] // 2 for block in part.blocks if len(block) == 2]
-        return sum((ri.scaled_weights[i - 1] for i in kept), Fraction(0)) == target
-
-    # (1/|q|) * sum of squared pair gaps = sum p_i**2 - (sum p_i)**2 / |q|
-    terms = [(-target, Fraction(1))]
-    for block in part.blocks:
-        total = _merge(t for j in block for t in ri.rates_exact[j - 1].terms())
-        terms += [t for j in block for t in _square(ri.rates_exact[j - 1].terms())]
-        terms += [(-c / len(block), r) for c, r in _square(total)]
-    return all(c == 0 for c in _class_coefficients(terms))
+    _require_searchable(ri.m)
+    return ri._basis.holds(part.blocks)
 
 
-def _square(x) -> list[tuple[Fraction, Fraction]]:
-    """Square of a sum of (coefficient, radicand) terms."""
-    return [(c1 * c2, r1 * r2) for c1, r1 in x for c2, r2 in x]
+@dataclass(frozen=True)
+class _RadicalBasis:
+    """The reduction equation over the integers, built once per instance.
+
+    Pair feature j is ``(center + root * sqrt(n_u)) / D`` for one integer
+    radicand n_u of the basis (n_0 = 1). The product of two basis roots is
+    ``factor * sqrt(core_c)`` for an integer factor and a radical class c:
+    sqrt(x) and sqrt(y) share a class iff x * y is a square. Square roots of
+    distinct square-free integers are linearly independent over Q
+    (Besicovitch 1940), so a sum of them is zero iff every class coefficient
+    is zero.
+
+    A block q contributes ``sum p_j**2 - (sum p_j)**2 / |q|`` (its pair gaps
+    squared over |q|), which is 0 for a singleton. Every coefficient is an
+    integer once scaled by ``N' * D**2``, where N' is a common multiple of
+    every block size times the target's denominator.
+    """
+
+    features: tuple[tuple[int, int, int], ...]  # (center, basis index u, root) per pair feature
+    products: tuple[tuple[tuple[int, int], ...], ...]  # [u][v]: (class, factor) of sqrt(n_u * n_v)
+    own: tuple[tuple[tuple[int, int], ...], ...]  # per pair feature: N' * p_j**2 as (class, coefficient)
+    weights: tuple[int, ...]  # N' / |q| by block size |q|
+    offset: tuple[int, ...]  # per class: minus the target
+
+    def holds(self, blocks) -> bool:
+        """True when every class coefficient of the grouping's residual is 0."""
+        z = list(self.offset)
+        features, own = self.features, self.own
+        for block in blocks:
+            if len(block) == 1:
+                continue
+            s = {0: 0}
+            for j in block:
+                center, u, root = features[j - 1]
+                s[0] += center
+                s[u] = s.get(u, 0) + root
+                for c, x in own[j - 1]:
+                    z[c] += x
+            _subtract_square(z, s, self.weights[len(block)], self.products)
+        return not any(z)
 
 
-def _merge(terms) -> list[tuple[Fraction, Fraction]]:
-    """Collect the coefficients of equal radicands, dropping zero terms."""
-    by_radicand: Counter = Counter()
-    for c, r in terms:
-        by_radicand[r] += c
-    return [(c, r) for r, c in by_radicand.items() if c and r]
+def _subtract_square(z: list[int], s: dict[int, int], weight: int, products) -> None:
+    """z -= weight * (sum of s[u] * sqrt(n_u))**2, class by class."""
+    items = [(u, x) for u, x in s.items() if x]
+    for a, (u, x) in enumerate(items):
+        row = products[u]
+        c, f = row[u]
+        z[c] -= weight * x * x * f
+        for v, y in items[a + 1:]:
+            c, f = row[v]
+            z[c] -= 2 * weight * x * y * f
 
 
-def _class_coefficients(terms) -> list[Fraction]:
-    """Coefficients of sum(c * sqrt(r)) over (c, r) terms, one per radical
-    class: sqrt(x) and sqrt(y) share a class iff x * y is a rational square,
-    and then sqrt(x) = (root(x * y) / y) * sqrt(y). Square roots of distinct
-    square-free integers are linearly independent over Q (Besicovitch 1940),
-    so the sum is zero iff every class coefficient is zero."""
-    classes: list[list[Fraction]] = []  # [representative radicand, coefficient]
-    for c, r in _merge(terms):
-        for cls in classes:
-            root, exact = _sqrt_upper(r * cls[0])
-            if exact:
-                cls[1] += c * root / cls[0]
+def _radical_basis(pair_rates: Sequence[Surd], target: Fraction) -> _RadicalBasis:
+    radicands = [1]
+    parts = []
+    for r in pair_rates:
+        q = r.half_gap_squared
+        n = q.numerator * q.denominator  # sqrt(a / b) = sqrt(a * b) / b
+        if n not in radicands:
+            radicands.append(n)
+        parts.append((r.center, radicands.index(n), Fraction(r.sign, q.denominator)))
+    d = lcm(*(x.denominator for center, _, root in parts for x in (center, root)))
+    features = tuple((int(center * d), u, int(root * d)) for center, u, root in parts)
+
+    # sqrt(n) = root * sqrt(core), core a product of distinct elements of a
+    # coprime base of non-squares, so core names n's radical class
+    base = [b for b in _coprime_base(radicands) if isqrt(b) ** 2 != b]
+    split = [_split_root(n, base) for n in radicands]
+    classes = {1: 0}  # class 0 holds the rationals
+    products = []
+    for root_u, core_u in split:
+        row = []
+        for root_v, core_v in split:
+            g = gcd(core_u, core_v)
+            c = classes.setdefault(core_u // g * (core_v // g), len(classes))
+            row.append((c, root_u * root_v * g))
+        products.append(tuple(row))
+
+    scale = lcm(*range(1, len(pair_rates) + 1)) * target.denominator
+    own = []
+    for center, u, root in features:
+        z = [0] * len(classes)
+        s = {0: center}
+        s[u] = s.get(u, 0) + root
+        _subtract_square(z, s, -scale, products)
+        own.append(tuple((c, x) for c, x in enumerate(z) if x))
+    offset = [0] * len(classes)
+    offset[0] = -target.numerator * (scale // target.denominator) * d * d
+    weights = (0,) + tuple(scale // size for size in range(1, len(pair_rates) + 1))
+    return _RadicalBasis(features, tuple(products), tuple(own), weights, tuple(offset))
+
+
+def _coprime_base(numbers: Sequence[int]) -> list[int]:
+    """Pairwise coprime integers above 1 such that every positive number
+    given is a product of their powers. Each split divides the product of
+    all pending and base numbers by a gcd above 1, so the loop ends."""
+    base: list[int] = []
+    pending = [n for n in numbers if n > 1]
+    while pending:
+        x = pending.pop()
+        for i, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                del base[i]
+                pending += [y for y in (g, b // g, x // g) if y > 1]
                 break
         else:
-            classes.append([r, c])
-    return [c for _, c in classes]
+            base.append(x)
+    return base
+
+
+def _split_root(n: int, base: list[int]) -> tuple[int, int]:
+    """(root, core) with sqrt(n) = root * sqrt(core), where core is the
+    product of the base elements whose power in n is odd. The base elements
+    are pairwise coprime non-squares, so a product of distinct ones is a
+    square only when it is empty: sqrt(x) and sqrt(y) share a class iff
+    their cores are equal."""
+    if n == 0:
+        return 0, 1
+    core = 1
+    for b in base:
+        rest, odd = n, False
+        while rest % b == 0:
+            rest //= b
+            odd = not odd
+        if odd:
+            core *= b
+    return isqrt(n // core), core
 
 
 def encode_solution(ri: ReducedInstance, chosen: Iterable[int]) -> Partition:
@@ -342,9 +444,11 @@ def decode_partition(ri: ReducedInstance, part: Partition) -> frozenset[int]:
 def search_normal_forms(ri: ReducedInstance) -> Optional[Partition]:
     """First normal-form partition satisfying the reduction equation, if any.
 
-    Scans subset choices in increasing bitmask order; deterministic.
+    Scans subset choices in increasing bitmask order; deterministic. More
+    than DEFAULT_MAX_ITEMS kept weights are refused.
     """
     m = ri.m
+    _require_searchable(m)
     for mask in range(1 << m):
         chosen = [ri.kept_indices[i] for i in range(m) if mask >> i & 1]
         part = encode_solution(ri, chosen)

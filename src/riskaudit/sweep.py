@@ -186,13 +186,28 @@ def is_perfect_prediction(inst: Instance) -> bool:
 # the report keeps.
 
 
+def _below(bits, n: int) -> int:
+    """Draw from range(n) with `bits = rng.getrandbits`, consuming the stream
+    exactly as `rng.randrange(n)` does: n.bit_length() bits, redrawn while
+    they are n or more. Much cheaper than `randrange` or `randint`."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def _pooled_struct(k: int, rng: Random, max_bins=None) -> tuple[tuple[int, ...], ...]:
-    nbins = rng.randint(1, max_bins or k + 2)
+    most = max_bins or k + 2
+    if most < 1:
+        raise DomainError("max_bins must be positive")
+    bits = rng.getrandbits
+    nbins = 1 + _below(bits, most)
     out = []
     for _ in range(k):
-        weights = [rng.randint(0, 3) for _ in range(nbins)]
+        weights = [_below(bits, 4) for _ in range(nbins)]
         if not any(weights):
-            weights[rng.randrange(nbins)] = 1
+            weights[_below(bits, nbins)] = 1
         out.append(tuple(weights))
     return tuple(out)
 
@@ -223,13 +238,13 @@ def _split_structure(inst: Instance, rng: Random) -> list[tuple[Fraction, dict[i
     """Bins whose members all share one probability: split each feature's mass
     over one or two copies, then sometimes pool equal-probability bins.
     Allocations are eighths held as integers keyed by feature position."""
+    bits = rng.getrandbits
     bins: list[tuple[Fraction, dict[int, int]]] = []
     for i, f in enumerate(inst.features):
-        parts = rng.randint(1, 2)
-        if parts == 1:
+        if _below(bits, 2) == 0:
             bins.append((f.p, {i: 8}))
         else:
-            j = rng.randint(1, 7)
+            j = 1 + _below(bits, 7)
             bins.append((f.p, {i: j}))
             bins.append((f.p, {i: 8 - j}))
     if rng.random() < 0.5:
@@ -271,7 +286,7 @@ def _banded_bins(inst: Instance, rng: Random, e: Fraction):
             out.append((p, alloc))
             continue
         hi = min(cap, (1 - p) / p)
-        delta = lo + (hi - lo) * Fraction(rng.randint(0, 16), 16)
+        delta = lo + (hi - lo) * Fraction(_below(rng.getrandbits, 17), 16)
         out.append((p * (1 + delta), alloc))
     return out
 

@@ -7,9 +7,10 @@ function-local `from .model import assignment_rows_for` lines that moved to
 the imports below. Calls between them resolve inside this module, so
 `audit_approx` still recomputes `audit_exact` and `bin_statistics` the old
 way, and `theorem_sweep` reads the `Fraction` bin table (`_accumulate_bins`,
-`_fair_from_parts`) below. The sweep's candidate draws are unchanged in the
-package and imported from it. `tests/test_oracle.py` and `tests/test_sweep.py`
-compare the package against them.
+`_fair_from_parts`) below, and draws its candidates through the `randint`-based
+`_pooled_struct`, `_split_structure` and `_banded_bins` that the package had
+before its draws read `rng.getrandbits` directly. `tests/test_oracle.py` and
+`tests/test_sweep.py` compare the package against them.
 """
 from __future__ import annotations
 
@@ -36,14 +37,7 @@ from riskaudit.model import (
 )
 from riskaudit.partitions import DEFAULT_MAX_ITEMS, Partition, enumerate_partitions
 from riskaudit.solver import OBJECTIVES, SolveResult
-from riskaudit.sweep import (
-    SweepReport,
-    _banded_bins,
-    _pooled_rate,
-    _pooled_struct,
-    _split_structure,
-    is_perfect_prediction,
-)
+from riskaudit.sweep import SweepReport, _pooled_rate, is_perfect_prediction
 
 
 # from riskaudit/audit.py
@@ -756,6 +750,55 @@ def _certainly_not_approx(scoresf, mass, pos, ef) -> bool:
             if g < lo * sm - pad or g > hi * sm + pad:
                 return True
     return False
+
+
+# from riskaudit/sweep.py, the candidate draws before they read rng.getrandbits
+def _pooled_struct(k: int, rng: Random, max_bins=None) -> tuple[tuple[int, ...], ...]:
+    nbins = rng.randint(1, max_bins or k + 2)
+    out = []
+    for _ in range(k):
+        weights = [rng.randint(0, 3) for _ in range(nbins)]
+        if not any(weights):
+            weights[rng.randrange(nbins)] = 1
+        out.append(tuple(weights))
+    return tuple(out)
+
+
+def _split_structure(inst: Instance, rng: Random) -> list[tuple[Fraction, dict[int, int]]]:
+    """Bins whose members all share one probability: split each feature's mass
+    over one or two copies, then sometimes pool equal-probability bins.
+    Allocations are eighths held as integers keyed by feature position."""
+    bins: list[tuple[Fraction, dict[int, int]]] = []
+    for i, f in enumerate(inst.features):
+        parts = rng.randint(1, 2)
+        if parts == 1:
+            bins.append((f.p, {i: 8}))
+        else:
+            j = rng.randint(1, 7)
+            bins.append((f.p, {i: j}))
+            bins.append((f.p, {i: 8 - j}))
+    if rng.random() < 0.5:
+        merged: dict[Fraction, dict[int, int]] = {}
+        for p, alloc in bins:
+            slot = merged.setdefault(p, {})
+            for i, j in alloc.items():
+                slot[i] = slot.get(i, 0) + j
+        bins = [(p, alloc) for p, alloc in merged.items()]
+    return bins
+
+
+def _banded_bins(inst: Instance, rng: Random, e: Fraction):
+    lo = -e / (1 + e)
+    cap = e / (1 - e) if e < 1 else Fraction(1)
+    out = []
+    for p, alloc in _split_structure(inst, rng):
+        if p == 0:
+            out.append((p, alloc))
+            continue
+        hi = min(cap, (1 - p) / p)
+        delta = lo + (hi - lo) * Fraction(rng.randint(0, 16), 16)
+        out.append((p * (1 + delta), alloc))
+    return out
 
 
 # from riskaudit/sweep.py, before the integer bin table

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -256,6 +257,20 @@ def test_verify_bad_subset_exit_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "subset" in captured.err
     assert captured.out == ""
+
+
+def test_verify_too_many_weights_exit_two(tmp_path, capsys):
+    # 2**24 subsets to scan: refused by the search limit, not attempted
+    red = tmp_path / "red.json"
+    weights = ",".join(str(w) for w in range(1, 25))
+    assert run_cli(["reduce", "--weights", weights, "--target", "1000", "-o", str(red)]) == 0
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert run_cli(["verify-reduction", "-r", str(red)]) == 2
+    assert time.perf_counter() - t0 < 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "24 weights" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_python_dash_m_runs_the_cli():

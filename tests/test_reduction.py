@@ -12,7 +12,7 @@ import warnings
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from riskaudit import (
@@ -31,7 +31,9 @@ from riskaudit import (
     solve_subset_sum,
     sum_of_squares_identity,
 )
-from riskaudit.reduction import Surd
+import reduction_oracle as old
+import riskaudit.reduction as reduction_module
+from riskaudit.reduction import Surd, _radical_basis
 
 
 def _sympy_rate(sp, r):
@@ -213,6 +215,116 @@ class TestSurdOracles:
         assert Surd(F(1, 3), F(1, 2), 1) != Surd(F(1, 3), F(1, 2), -1)
         assert Surd(F(1, 3), F(1, 2), 1) != F(1, 3)
         assert len({Surd(F(1, 2), F(1, 4), 1), F(1)}) == 1
+
+
+def _groupings(m):
+    for part in enumerate_partitions(2 * m):
+        yield Partition.from_blocks([[i + 1 for i in block] for block in part.blocks])
+
+
+def _reduced(weights, target):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return reduce_subset_sum(SubsetSumInstance(weights, target))
+
+
+# the instances of every grouping compared with sympy when sympy was dropped
+SYMPY_CHECKED = [
+    ((1, 2), 3), ((2, 3), 4), ((3, 2, 5), 10), ((1, 2, 3), 3), ((2, 3, 5), 6),
+    ((1, 1, 2), 2), ((1, 2, 3, 4), 10), ((2, 3, 5, 7), 9), ((1, 2, 3, 4), 7),
+]
+
+
+class TestRadicalBasis:
+    """The per-instance integer basis decides every grouping as the
+    `Fraction` checker it replaced does."""
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=2, max_size=4), st.integers(1, 12))
+    @example([1, 1, 2], 2)  # repeated weights share a radical
+    @example([5, 1, 2], 3)  # a dropped weight
+    @example([1, 4], 8)  # both half-gaps squared are rational squares
+    @example([1, 2, 7], 2)  # one rational root beside an irrational one, one dropped
+    def test_matches_the_fraction_checker(self, weights, target):
+        try:
+            ri = _reduced(tuple(weights), target)
+        except (DomainError, ReductionInfeasibleError):
+            assume(False)
+        assume(ri.m <= 3)
+        for part in _groupings(ri.m):
+            assert check_reduction_equation(ri, part) == old.check_reduction_equation(ri, part), part
+
+    @pytest.mark.parametrize("weights,target", SYMPY_CHECKED)
+    def test_matches_the_fraction_checker_on_the_sympy_instances(self, weights, target):
+        ri = _reduced(weights, target)
+        for part in _groupings(ri.m):
+            assert check_reduction_equation(ri, part) == old.check_reduction_equation(ri, part), part
+
+    @pytest.mark.parametrize("weights,target", [((1, 1, 2), 2), ((1, 4, 9), 10)])
+    def test_rational_sides_cancel_every_radical(self, weights, target):
+        # repeated weights, and weights whose roots are rational multiples of
+        # one another, make groupings outside normal form whose side of the
+        # equation is rational; a basis built with that value as its target
+        # accepts them only if every radical class cancels exactly
+        sp = pytest.importorskip("sympy")
+        ri = _reduced(weights, target)
+        rates = [_sympy_rate(sp, r) for r in ri.rates_exact]
+        crossed = 0
+        for part in _groupings(ri.m):
+            side = sp.expand(sum(
+                (sp.Rational(1, len(block)) * (rates[a - 1] - rates[b - 1]) ** 2
+                 for block in part.blocks for a, b in combinations(block, 2)),
+                sp.Integer(0),
+            ))
+            if side.is_Rational:
+                crossed += not is_normal_form(ri, part)
+                basis = _radical_basis(ri.rates_exact[:2 * ri.m], F(side.p, side.q))
+                assert basis.holds(part.blocks), part
+        assert crossed > 40
+
+    @pytest.mark.parametrize(
+        "weights,target,classes",
+        [
+            # half-gaps squared w / 1134: roots of 7, 42, 70; products 6, 10, 15
+            ((2, 3, 5), 7, 7),
+            # w / 486: the equal weights share the root of 6, weight 2 gives 3
+            ((1, 1, 2), 3, 4),
+            ((1, 4, 9), 10, 2),  # w / 1620: every root a rational multiple of sqrt(5)
+            ((1, 4), 8, 1),  # w / 256: every root rational
+            ((1, 2, 7), 2, 2),  # w / 64: 1/8 and the root of 2; 7 is dropped
+        ],
+    )
+    def test_one_class_per_radical(self, weights, target, classes):
+        assert len(_reduced(weights, target)._basis.offset) == classes
+
+    def test_groupings_need_no_roots_or_fractions(self, monkeypatch):
+        ri = _reduced((3, 2, 5), 10)
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+            return wrapper
+
+        for name in ("_sqrt_upper", "isqrt", "Fraction"):
+            monkeypatch.setattr(reduction_module, name, counted(name, getattr(reduction_module, name)))
+        parts = list(_groupings(ri.m))
+        assert len(parts) == 203
+        holding = [part for part in parts if check_reduction_equation(ri, part)]
+        assert calls == []
+        assert [decode_partition(ri, part) for part in holding] == [frozenset({1, 2, 3})]
+
+    def test_more_weights_than_the_search_limit_are_refused(self):
+        ri = _reduced(tuple(range(1, 14)), 1000)
+        assert ri.m == 13
+        singles = Partition.from_blocks([[j] for j in range(1, 27)])
+        for call in (lambda: check_reduction_equation(ri, singles), lambda: search_normal_forms(ri),
+                     lambda: solve_subset_sum(SubsetSumInstance(tuple(range(1, 14)), 1000))):
+            with pytest.raises(DomainError, match="13 weights"):
+                call()
+        # twelve is still searched
+        assert search_normal_forms(_reduced(tuple(range(1, 13)), 1000)) is None
 
 
 class TestEncodingRoundTrip:

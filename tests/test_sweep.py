@@ -38,6 +38,7 @@ from riskaudit.audit import (
 from riskaudit.sweep import (
     _assemble,
     _banded_bins,
+    _below,
     _eighths,
     _pooled_assignment,
     _pooled_rate,
@@ -257,6 +258,38 @@ class TestIntegerVerdicts:
                 seen["approx"].add(passed)
         # the sample holds both verdicts of both kinds
         assert seen == {"fair": {False, True}, "approx": {False, True}}
+
+
+class TestDraws:
+    """The candidate draws read `getrandbits` directly but consume the stream
+    as `randrange` and `randint` do, so seeded sweeps are unchanged."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 17, 100, 2**40 + 3])
+    def test_below_follows_randrange(self, n):
+        for seed in range(200):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert [_below(ours.getrandbits, n) for _ in range(20)] == [
+                theirs.randrange(n) for _ in range(20)
+            ]
+            assert ours.random() == theirs.random()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.sampled_from(INSTANCE_FAMILIES), st.integers(0, 10**6),
+           st.sampled_from((F(0), F(1, 1000), F(1, 10), F(2))))
+    def test_structures_match_the_randint_draws(self, family, seed, eps):
+        inst = family(random.Random(seed))
+        k = len(inst.features)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for max_bins in (None, 1, 3):
+            assert _pooled_struct(k, ours, max_bins) == old._pooled_struct(k, theirs, max_bins)
+        assert _split_structure(inst, ours) == old._split_structure(inst, theirs)
+        assert _banded_bins(inst, ours, eps) == old._banded_bins(inst, theirs, eps)
+        assert ours.random() == theirs.random()
+
+    def test_nonpositive_max_bins_rejected(self, skewed):
+        for max_bins in (-1, -5):
+            with pytest.raises(DomainError):
+                pooled_rounded_assignment(skewed, random.Random(1), max_bins)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
