@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from operator import add, mul
 from typing import NamedTuple, Optional
 
@@ -23,10 +23,10 @@ from .errors import DomainError
 from .model import (
     Instance,
     RiskAssignment,
+    _row_order,
+    _scaled,
+    _Scaled,
     as_fraction,
-    assignment_rows_for,
-    derived_stats,
-    require_valid,
 )
 
 PerGroup = tuple[Fraction, Fraction]
@@ -48,7 +48,7 @@ class BinStats:
 
 def bin_statistics(inst: Instance, asg: RiskAssignment) -> BinStats:
     """Aggregate the allocation against the instance, bin by bin."""
-    table, nums, dens = _bin_table(_scaled(inst), inst, asg)
+    table, nums, dens = _bin_table(inst, asg)
     s = table.scale
     return BinStats(
         mass=tuple(tuple(Fraction(m, s) for m in mass) for mass in table.mass),  # type: ignore[arg-type]
@@ -83,8 +83,7 @@ class AuditReport:
 
 def audit_exact(inst: Instance, asg: RiskAssignment) -> AuditReport:
     """Audit all three fairness conditions with exact arithmetic."""
-    require_valid(inst)
-    return _exact_report(*_bin_table(_scaled(inst), inst, asg))
+    return _exact_report(*_bin_table(inst, asg))
 
 
 def _exact_report(table, nums, dens) -> AuditReport:
@@ -179,16 +178,16 @@ def classify_consequence(inst: Instance, asg: RiskAssignment, eps) -> Consequenc
     whole population is certain-negative, so the near-perfect flag ignores it.
     """
     slack = consequence_slack(eps)
-    gs = derived_stats(inst)
-    c, pos, _ = _classes(*_bin_table(_scaled(inst), inst, asg))
-    return _consequence(gs, c, pos, slack)
+    c, pos, _ = _classes(*_bin_table(inst, asg))
+    return _consequence(_scaled(inst), c, pos, slack)
 
 
-def _consequence(gs, c: int, pos, slack: Fraction) -> ConsequenceFlags:
+def _consequence(scaled: _Scaled, c: int, pos, slack: Fraction) -> ConsequenceFlags:
     sn, sd = slack.numerator, slack.denominator
-    # average a / (c * mu) >= 1 - slack, cross-multiplied
+    n1, n2, mu1, mu2 = scaled.totals
+    # a / (c * mu) >= 1 - slack and |mu1 / n1 - mu2 / n2| <= slack, cross-multiplied
     near_perfect = all(not mu or a * sd >= (sd - sn) * c * mu for a, mu in pos)
-    near_equal = abs(gs.base_rate[0] - gs.base_rate[1]) <= slack
+    near_equal = sd * abs(mu1 * n2 - mu2 * n1) <= sn * n1 * n2
     return ConsequenceFlags(
         slack=slack,
         near_perfect_prediction=near_perfect,
@@ -233,11 +232,10 @@ def audit_approx(inst: Instance, asg: RiskAssignment, eps) -> ApproxAuditReport:
     e = as_fraction(eps)
     if e < 0:
         raise DomainError("eps must be nonnegative")
-    gs = derived_stats(inst)
-    return _approx_report(gs, e, consequence_slack(e), *_bin_table(_scaled(inst), inst, asg))
+    return _approx_report(_scaled(inst), e, consequence_slack(e), *_bin_table(inst, asg))
 
 
-def _approx_report(gs, e: Fraction, slack: Fraction, table, nums, dens) -> ApproxAuditReport:
+def _approx_report(scaled: _Scaled, e: Fraction, slack: Fraction, table, nums, dens) -> ApproxAuditReport:
     calib_ok = _calibrated_within(table, nums, dens, e)
     c, pos, neg = _classes(table, nums, dens)
     pos_ok = _balanced_within(pos, e)
@@ -250,21 +248,16 @@ def _approx_report(gs, e: Fraction, slack: Fraction, table, nums, dens) -> Appro
         balance_neg_ok=neg_ok,
         balance_neg_vacuous=_vacuous(neg),
         passed=calib_ok and pos_ok and neg_ok,
-        consequence=_consequence(gs, c, pos, slack),
+        consequence=_consequence(scaled, c, pos, slack),
     )
 
 
 # -- the integer bin table ----------------------------------------------------
 #
-# An instance is scaled once per public call or search: each feature becomes
-# (n1, n2, n1 * p, n2 * p) times one common denominator, all integers. An
-# allocation row is a tuple of nonnegative integers read as fractions of the
-# row's sum. Scores travel as numerator and denominator tuples.
-
-
-class _Scaled(NamedTuple):
-    weights: tuple[tuple[int, int, int, int], ...]
-    denominator: int
+# A table reads an instance's integer form (`model._scaled`, built once per
+# instance) and integer allocation rows, each read as fractions of the row's
+# sum (kept by a `RiskAssignment` from construction). Scores travel as
+# numerator and denominator tuples.
 
 
 class _Table(NamedTuple):
@@ -279,20 +272,6 @@ class _Table(NamedTuple):
     mass: tuple[list[int], list[int]]
     positive: tuple[list[int], list[int]]
     scale: int
-
-
-def _scaled(inst: Instance) -> _Scaled:
-    parts = []
-    for f in inst.features:
-        for n in (f.n1, f.n2):
-            top, bottom = n.numerator * f.p.numerator, n.denominator * f.p.denominator
-            r = gcd(top, bottom)
-            parts += ((n.numerator, n.denominator), (top // r, bottom // r))
-    d = lcm(*(b for _, b in parts))
-    flat = [a * (d // b) for a, b in parts]
-    # per feature: n1, n1 * p, n2, n2 * p
-    weights = tuple(zip(flat[0::4], flat[2::4], flat[1::4], flat[3::4]))
-    return _Scaled(weights, d)
 
 
 def _accumulate_bins(scaled: _Scaled, rows, nbins: int) -> _Table:
@@ -316,13 +295,11 @@ def _score_pairs(scores):
     return [v.numerator for v in scores], [v.denominator for v in scores]
 
 
-def _bin_table(scaled: _Scaled, inst: Instance, asg: RiskAssignment):
-    """(table, score numerators, score denominators) of an assignment. Each
-    allocation row is read over the common denominator of its entries."""
-    rows = []
-    for row in assignment_rows_for(inst, asg):
-        d = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (d // x.denominator) for x in row])
+def _bin_table(inst: Instance, asg: RiskAssignment):
+    """(table, score numerators, score denominators) of an assignment on a
+    valid instance; raises InvalidInstanceError on an invalid one."""
+    scaled = _scaled(inst)
+    rows = [asg._int_rows[i] for i in _row_order(inst, asg)]
     return (_accumulate_bins(scaled, rows, asg.bin_count), *_score_pairs(asg.scores))
 
 
@@ -422,5 +399,4 @@ def passes_fairness(inst: Instance, asg: RiskAssignment, tolerance: Optional[Fra
     residual and each balance gap must be at most tolerance in absolute value.
     Agrees with audit_exact(...).fair when tolerance is None.
     """
-    require_valid(inst)
-    return _fair(*_bin_table(_scaled(inst), inst, asg), tolerance)
+    return _fair(*_bin_table(inst, asg), tolerance)

@@ -15,7 +15,7 @@ from typing import Optional
 from .audit import audit_approx, audit_exact
 from .errors import DocumentError, ReductionInfeasibleError, RiskAuditError
 from .loss import fairness_difference, find_fair_nontrivial, interpolate, loss
-from .model import as_fraction, ingest_records, require_valid, validate_instance
+from .model import as_fraction, derived_stats, ingest_records, require_valid, validate_instance
 from .reduction import (
     SubsetSumInstance,
     check_reduction_equation,
@@ -246,14 +246,13 @@ def cmd_verify_reduction(args) -> int:
     ri = parse_reduced(_read(args.reduction))
     tol = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
 
-    from .model import derived_stats
-
     gs = derived_stats(ri.instance)
     half_gap = max(abs(r - Fraction(1, 2)) for r in gs.base_rate)
     rates_ok = half_gap <= tol
 
     witness = search_normal_forms(ri)
-    oracle = solve_subset_sum(SubsetSumInstance(ri.input_weights, ri.target))
+    # weights above the target are in no solution, so the oracle scans the kept ones
+    oracle = solve_subset_sum(SubsetSumInstance(ri.weights, ri.target))
     agree = (witness is None) == (oracle is None)
 
     decoded = None
@@ -265,7 +264,7 @@ def cmd_verify_reduction(args) -> int:
         "witness_found": witness is not None,
         "decoded_subset": decoded,
         "oracle_solvable": oracle is not None,
-        "oracle_subset": None if oracle is None else sorted(oracle),
+        "oracle_subset": None if oracle is None else sorted(ri.kept_indices[i - 1] for i in oracle),
         "agreement": agree,
     }
     lines = [

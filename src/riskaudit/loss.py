@@ -18,13 +18,13 @@ from .audit import (
     _calibrated,
     _classes,
     _exact_report,
-    _scaled,
     audit_exact,
 )
 from .errors import DegenerateGroupError, DomainError
 from .model import (
     Instance,
     RiskAssignment,
+    _pooled_rate,
     as_fraction,
     assignment_rows_for,
     derived_stats,
@@ -42,8 +42,7 @@ class LossReport:
 
 def loss(inst: Instance, asg: RiskAssignment) -> LossReport:
     """Exact expected loss per group and in total."""
-    require_valid(inst)
-    return _loss_report(*_bin_table(_scaled(inst), inst, asg))
+    return _loss_report(*_bin_table(inst, asg))
 
 
 def _loss_report(table, nums, dens) -> LossReport:
@@ -69,13 +68,9 @@ def identity_assignment(inst: Instance) -> RiskAssignment:
 
 def trivial_assignment(inst: Instance) -> RiskAssignment:
     """A single bin scored at the pooled base rate of the whole population."""
-    gs = derived_stats(inst)
-    pooled = (gs.positive_mass[0] + gs.positive_mass[1]) / (
-        gs.population[0] + gs.population[1]
-    )
     return RiskAssignment(
         feature_ids=tuple(f.id for f in inst.features),
-        scores=(pooled,),
+        scores=(_pooled_rate(inst),),
         rows=tuple((Fraction(1),) for _ in inst.features),
     )
 
@@ -134,7 +129,7 @@ def is_nontrivial(inst: Instance, asg: RiskAssignment) -> bool:
     assignment that scores everyone identically is trivial however many
     bins it spreads them over.
     """
-    return _nontrivial(*_bin_table(_scaled(inst), inst, asg))
+    return _nontrivial(*_bin_table(inst, asg))
 
 
 def normalize_assignment(inst: Instance, asg: RiskAssignment) -> RiskAssignment:
@@ -143,8 +138,8 @@ def normalize_assignment(inst: Instance, asg: RiskAssignment) -> RiskAssignment:
     Audit-equivalent to the input. Allocation that zero-mass features sent to
     dropped bins is moved to the first kept bin so rows still sum to 1.
     """
+    table, _, _ = _bin_table(inst, asg)
     rows_in = assignment_rows_for(inst, asg)
-    table, _, _ = _bin_table(_scaled(inst), inst, asg)
     masses = [m1 + m2 for m1, m2 in zip(*table.mass)]
     kept = [b for b in range(asg.bin_count) if masses[b] > 0]
     if not kept:
@@ -177,10 +172,8 @@ def interpolate(inst: Instance, asg1: RiskAssignment, asg2: RiskAssignment, lam)
     w = as_fraction(lam)
     if not (0 <= w <= 1):
         raise DomainError(f"interpolation weight {w} outside [0, 1]")
-    require_valid(inst)
-    scaled = _scaled(inst)
     for name, asg in (("first", asg1), ("second", asg2)):
-        if not _calibrated(*_bin_table(scaled, inst, asg)):
+        if not _calibrated(*_bin_table(inst, asg)):
             raise DomainError(f"{name} assignment is not calibrated on this instance")
     return _mix(inst, asg1, asg2, w)
 
@@ -221,10 +214,9 @@ def find_fair_nontrivial(
     gs = derived_stats(inst)
     if gs.base_rate[0] != gs.base_rate[1]:
         raise DomainError("equal base rates required")
-    scaled = _scaled(inst)
     diffs = []
     for idx, asg in enumerate(candidates):
-        parts = _bin_table(scaled, inst, asg)
+        parts = _bin_table(inst, asg)
         report = _exact_report(*parts)
         if not report.calibration_ok:
             raise DomainError(f"candidate {idx} is not calibrated")

@@ -9,9 +9,10 @@ not necessarily integers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from math import gcd, lcm
+from typing import NamedTuple, Optional, Union
 
 from .errors import DomainError, InvalidAssignmentError, InvalidInstanceError
 
@@ -102,16 +103,27 @@ def feature(fid: str, p: RationalLike, n1: RationalLike, n2: RationalLike) -> Fe
     return FeatureVector(str(fid), as_fraction(p), as_fraction(n1), as_fraction(n2))
 
 
+class _Scaled(NamedTuple):
+    """A valid instance as integers over one denominator: (n1, n2, n1 * p,
+    n2 * p) per feature, and their column sums as `totals`."""
+
+    weights: tuple[tuple[int, int, int, int], ...]
+    denominator: int
+    totals: tuple[int, int, int, int]
+
+
 @dataclass(frozen=True)
 class Instance:
     """An ordered collection of features describing both groups at once.
 
     Construction does not enforce semantic validity; `validate_instance`
     reports violations and operations that need a valid instance call
-    `require_valid`.
+    `require_valid`, which validates an instance once and keeps its integer
+    form on it; a frozen instance cannot change under that form.
     """
 
     features: tuple[FeatureVector, ...]
+    _form: Optional[_Scaled] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "features", tuple(self.features))
@@ -125,9 +137,6 @@ class Instance:
             if f.id == fid:
                 return f
         raise KeyError(fid)
-
-    def group_total(self, group: int) -> Fraction:
-        return sum((f.count(group) for f in self.features), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -157,16 +166,36 @@ def validate_instance(inst: Instance) -> ValidationReport:
         if f.n2 < 0:
             violations.append(f"feature {f.id!r}: negative group-2 mass {f.n2}")
     for t in GROUPS:
-        if inst.group_total(t) <= 0:
+        if sum((f.count(t) for f in inst.features), Fraction(0)) <= 0:
             violations.append(f"group {t} has no mass")
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
 def require_valid(inst: Instance) -> Instance:
-    report = validate_instance(inst)
-    if not report.ok:
-        raise InvalidInstanceError(report.violations)
+    """The instance itself when it is valid; raises InvalidInstanceError
+    otherwise. Only the first call on an instance validates it."""
+    _scaled(inst)
     return inst
+
+
+def _scaled(inst: Instance) -> _Scaled:
+    """A valid instance's integer form, built on the first call and kept on the instance."""
+    if inst._form is None:
+        report = validate_instance(inst)
+        if not report.ok:
+            raise InvalidInstanceError(report.violations)
+        parts = []
+        for f in inst.features:
+            for n in (f.n1, f.n2):
+                top, bottom = n.numerator * f.p.numerator, n.denominator * f.p.denominator
+                r = gcd(top, bottom)
+                parts += ((n.numerator, n.denominator), (top // r, bottom // r))
+        d = lcm(*(b for _, b in parts))
+        flat = [a * (d // b) for a, b in parts]
+        # flat holds n1, n1 * p, n2, n2 * p per feature
+        weights = tuple(zip(flat[0::4], flat[2::4], flat[1::4], flat[3::4]))
+        object.__setattr__(inst, "_form", _Scaled(weights, d, tuple(map(sum, zip(*weights)))))
+    return inst._form
 
 
 @dataclass(frozen=True)
@@ -190,20 +219,18 @@ def _group_index(group: int) -> int:
 
 def derived_stats(inst: Instance) -> GroupStats:
     """Population size, expected positive mass, and base rate per group."""
-    require_valid(inst)
-    pop = []
-    pos = []
-    for t in GROUPS:
-        n = sum((f.count(t) for f in inst.features), Fraction(0))
-        mu = sum((f.count(t) * f.p for f in inst.features), Fraction(0))
-        pop.append(n)
-        pos.append(mu)
-    rate = tuple(pos[i] / pop[i] for i in range(2))
+    _, d, (n1, n2, mu1, mu2) = _scaled(inst)
     return GroupStats(
-        population=(pop[0], pop[1]),
-        positive_mass=(pos[0], pos[1]),
-        base_rate=rate,  # type: ignore[arg-type]
+        population=(Fraction(n1, d), Fraction(n2, d)),
+        positive_mass=(Fraction(mu1, d), Fraction(mu2, d)),
+        base_rate=(Fraction(mu1, n1), Fraction(mu2, n2)),
     )
+
+
+def _pooled_rate(inst: Instance) -> Fraction:
+    """The positive rate of both groups taken together."""
+    n1, n2, mu1, mu2 = _scaled(inst).totals
+    return Fraction(mu1 + mu2, n1 + n2)
 
 
 @dataclass(frozen=True)
@@ -310,12 +337,14 @@ class RiskAssignment:
 
     `rows[i][b]` is the fraction of feature `feature_ids[i]` sent to bin `b`.
     Rows must sum to exactly 1 (no tolerance); scores and allocation entries
-    must lie in [0, 1]. A bin may receive zero mass.
+    must lie in [0, 1]. A bin may receive zero mass. Construction checks and
+    keeps each row as integers over the lcm of its denominators.
     """
 
     feature_ids: tuple[str, ...]
     scores: tuple[Fraction, ...]
     rows: tuple[tuple[Fraction, ...], ...]
+    _int_rows: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "feature_ids", tuple(self.feature_ids))
@@ -330,18 +359,23 @@ class RiskAssignment:
         for v in self.scores:
             if not (0 <= v <= 1):
                 raise InvalidAssignmentError(f"score {v} outside [0, 1]")
+        int_rows = []
         for fid, row in zip(self.feature_ids, self.rows):
             if len(row) != len(self.scores):
                 raise InvalidAssignmentError(
                     f"allocation row for {fid!r} has {len(row)} entries, expected {len(self.scores)}"
                 )
-            for x in row:
-                if not (0 <= x <= 1):
+            d = lcm(*(x.denominator for x in row))
+            ints = tuple(x.numerator * (d // x.denominator) for x in row)
+            for x, n in zip(row, ints):
+                if not (0 <= n <= d):
                     raise InvalidAssignmentError(f"allocation entry {x} for {fid!r} outside [0, 1]")
-            if sum(row, Fraction(0)) != 1:
+            if sum(ints) != d:
                 raise InvalidAssignmentError(
-                    f"allocation row for {fid!r} sums to {sum(row, Fraction(0))}, expected exactly 1"
+                    f"allocation row for {fid!r} sums to {Fraction(sum(ints), d)}, expected exactly 1"
                 )
+            int_rows.append(ints)
+        object.__setattr__(self, "_int_rows", tuple(int_rows))
 
     @property
     def bin_count(self) -> int:
@@ -359,6 +393,10 @@ def assignment_rows_for(inst: Instance, asg: RiskAssignment) -> tuple[tuple[Frac
 
     Raises when the feature id sets differ.
     """
+    return tuple(asg.rows[i] for i in _row_order(inst, asg))
+
+
+def _row_order(inst: Instance, asg: RiskAssignment) -> list[int]:
     if set(asg.feature_ids) != {f.id for f in inst.features}:
         missing = {f.id for f in inst.features} - set(asg.feature_ids)
         extra = set(asg.feature_ids) - {f.id for f in inst.features}
@@ -369,4 +407,4 @@ def assignment_rows_for(inst: Instance, asg: RiskAssignment) -> tuple[tuple[Frac
             parts.append(f"unknown features {sorted(extra)}")
         raise InvalidAssignmentError("assignment does not match instance: " + ", ".join(parts))
     position = {fid: i for i, fid in enumerate(asg.feature_ids)}
-    return tuple(asg.rows[position[f.id]] for f in inst.features)
+    return [position[f.id] for f in inst.features]

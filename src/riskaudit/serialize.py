@@ -57,6 +57,8 @@ def loads_json(text: str) -> Any:
         return json.loads(text, parse_float=_number, parse_int=lambda literal: _number(literal, int))
     except json.JSONDecodeError as exc:
         raise DocumentError(f"malformed JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("JSON nested too deeply") from None
 
 
 def dumps_doc(doc: dict) -> str:

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .audit import _Table, _fair, _pooled_scores, _scaled
+from .audit import _Table, _fair, _pooled_scores
 from .errors import DomainError
 from .loss import LossReport, _loss_report, _nontrivial
-from .model import Instance, RiskAssignment, require_valid
+from .model import Instance, RiskAssignment, _scaled
 from .partitions import DEFAULT_MAX_ITEMS, Partition, enumerate_partitions
 
 OBJECTIVES = ("any_fair", "min_loss")
@@ -45,13 +45,12 @@ def assignment_from_partition(inst: Instance, part: Partition) -> RiskAssignment
     folded into the first populated bin, which changes nothing anyone can
     measure.
     """
-    require_valid(inst)
+    scaled = _scaled(inst)
     ids = inst.ids
     if part.members() != set(ids):
         raise DomainError("partition does not cover exactly the instance's features")
     position = {fid: i for i, fid in enumerate(ids)}
     blocks = [[position[fid] for fid in block] for block in part.blocks]
-    scaled = _scaled(inst)
     _, nums, dens = _block_sums(scaled, blocks)
     return _integral_assignment(scaled, ids, blocks, nums, dens)
 
@@ -120,12 +119,11 @@ def solve_integral(
     count as one when they differ by at most min(tolerance, 2**-40); a wider
     gap is more than float rounding of the instance can make.
     """
-    require_valid(inst)
+    scaled = _scaled(inst)
     if objective not in OBJECTIVES:
         raise DomainError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
     if cap is not None and cap < 0:
         raise DomainError("cap must be nonnegative")
-    scaled = _scaled(inst)
 
     explored = 0
     exhausted = True

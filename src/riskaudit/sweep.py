@@ -21,7 +21,6 @@ from .audit import (
     _approx_report,
     _fair,
     _pooled_scores,
-    _scaled,
     _score_pairs,
     audit_approx,
     consequence_slack,
@@ -32,6 +31,8 @@ from .model import (
     FeatureVector,
     Instance,
     RiskAssignment,
+    _pooled_rate,
+    _scaled,
     as_fraction,
     derived_stats,
     require_valid,
@@ -212,21 +213,14 @@ def _pooled_struct(k: int, rng: Random, max_bins=None) -> tuple[tuple[int, ...],
     return tuple(out)
 
 
-def _pooled_rate(gs) -> Fraction:
-    return (gs.positive_mass[0] + gs.positive_mass[1]) / (
-        gs.population[0] + gs.population[1]
-    )
-
-
 def pooled_rounded_assignment(
     inst: Instance, rng: Random, max_bins: Optional[int] = None
 ) -> RiskAssignment:
     """Random row-stochastic allocation, scores rounded to each bin's pooled
     positive rate. Population-calibrated by construction, nothing more."""
     weights = _pooled_struct(len(inst.features), rng, max_bins)
-    pooled = _pooled_rate(derived_stats(inst))
     table = _accumulate_bins(_scaled(inst), weights, len(weights[0]))
-    return _pooled_assignment(inst, weights, *_pooled_scores(table, pooled))
+    return _pooled_assignment(inst, weights, *_pooled_scores(table, _pooled_rate(inst)))
 
 
 def _pooled_assignment(inst: Instance, weights, nums, dens) -> RiskAssignment:
@@ -384,7 +378,7 @@ def theorem_sweep(
                 if not special:
                     exact_ce = first_fair
         if e > 0:
-            report = _approx_report(gs, e, slack, table, nums, dens)
+            report = _approx_report(scaled, e, slack, table, nums, dens)
             if report.passed:
                 approx_pass += 1
                 if not report.consequence.any and approx_ce is None:
@@ -399,7 +393,7 @@ def theorem_sweep(
         consider(table, nums, dens,
                  lambda: _integral_assignment(scaled, ids, blocks, nums, dens))
 
-    pooled = _pooled_rate(gs)
+    pooled = _pooled_rate(inst)
     rng = Random(seed)
     fractional = 0
     for _ in range(search_budget):

@@ -11,6 +11,13 @@ way, and `theorem_sweep` reads the `Fraction` bin table (`_accumulate_bins`,
 `_pooled_struct`, `_split_structure` and `_banded_bins` that the package had
 before its draws read `rng.getrandbits` directly. `tests/test_oracle.py` and
 `tests/test_sweep.py` compare the package against them.
+
+`derived_stats`, `_pooled_rate` and `assignment_checks` are the `Fraction`
+forms from before instances and assignments kept their integer form:
+`derived_stats` and the sweep's `_pooled_rate` summed `Fraction`s on every
+call, and `assignment_checks` is the body of `RiskAssignment.__post_init__`,
+which checked entries and row sums as `Fraction`s. The views above call this
+`derived_stats`, not the package's.
 """
 from __future__ import annotations
 
@@ -25,19 +32,74 @@ from riskaudit.audit import (
     ConsequenceFlags,
     consequence_slack,
 )
-from riskaudit.errors import DegenerateGroupError, DomainError
+from riskaudit.errors import DegenerateGroupError, DomainError, InvalidAssignmentError
 from riskaudit.loss import FairnessDifference, LossReport
 from riskaudit.model import (
+    GROUPS,
+    GroupStats,
     Instance,
     RiskAssignment,
     as_fraction,
     assignment_rows_for,
-    derived_stats,
     require_valid,
 )
 from riskaudit.partitions import DEFAULT_MAX_ITEMS, Partition, enumerate_partitions
 from riskaudit.solver import OBJECTIVES, SolveResult
-from riskaudit.sweep import SweepReport, _pooled_rate, is_perfect_prediction
+from riskaudit.sweep import SweepReport, is_perfect_prediction
+
+
+# from riskaudit/model.py
+def derived_stats(inst: Instance) -> GroupStats:
+    """Population size, expected positive mass, and base rate per group."""
+    require_valid(inst)
+    pop = []
+    pos = []
+    for t in GROUPS:
+        n = sum((f.count(t) for f in inst.features), Fraction(0))
+        mu = sum((f.count(t) * f.p for f in inst.features), Fraction(0))
+        pop.append(n)
+        pos.append(mu)
+    rate = tuple(pos[i] / pop[i] for i in range(2))
+    return GroupStats(
+        population=(pop[0], pop[1]),
+        positive_mass=(pos[0], pos[1]),
+        base_rate=rate,  # type: ignore[arg-type]
+    )
+
+
+# from riskaudit/model.py, the body of RiskAssignment.__post_init__ with
+# `self.` fields as arguments, after the same tuple normalisation
+def assignment_checks(feature_ids, scores, rows) -> None:
+    feature_ids, scores = tuple(feature_ids), tuple(scores)
+    rows = tuple(tuple(r) for r in rows)
+    if not scores:
+        raise InvalidAssignmentError("assignment has no bins")
+    if len(set(feature_ids)) != len(feature_ids):
+        raise InvalidAssignmentError("duplicate feature id in assignment")
+    if len(rows) != len(feature_ids):
+        raise InvalidAssignmentError("one allocation row per feature required")
+    for v in scores:
+        if not (0 <= v <= 1):
+            raise InvalidAssignmentError(f"score {v} outside [0, 1]")
+    for fid, row in zip(feature_ids, rows):
+        if len(row) != len(scores):
+            raise InvalidAssignmentError(
+                f"allocation row for {fid!r} has {len(row)} entries, expected {len(scores)}"
+            )
+        for x in row:
+            if not (0 <= x <= 1):
+                raise InvalidAssignmentError(f"allocation entry {x} for {fid!r} outside [0, 1]")
+        if sum(row, Fraction(0)) != 1:
+            raise InvalidAssignmentError(
+                f"allocation row for {fid!r} sums to {sum(row, Fraction(0))}, expected exactly 1"
+            )
+
+
+# from riskaudit/sweep.py
+def _pooled_rate(gs) -> Fraction:
+    return (gs.positive_mass[0] + gs.positive_mass[1]) / (
+        gs.population[0] + gs.population[1]
+    )
 
 
 # from riskaudit/audit.py

@@ -7,13 +7,21 @@ from hypothesis import strategies as st
 from riskaudit import (
     DegenerateGroupError,
     Instance,
+    InvalidInstanceError,
+    RiskAssignment,
     audit_approx,
     audit_exact,
     bin_statistics,
     classify_consequence,
     consequence_slack,
+    fairness_difference,
     feature,
+    find_fair_nontrivial,
     identity_assignment,
+    interpolate,
+    is_nontrivial,
+    loss,
+    normalize_assignment,
     passes_fairness,
     statistical_parity_gap,
     trivial_assignment,
@@ -200,3 +208,61 @@ def test_floats_only_in_the_reduction():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
                 callers.append(path.name)
     assert set(callers) == {"reduction.py"}
+
+
+# (p, n1, n2) of feature "a"; feature "b" is (1/4, 1, 0)
+INVALID = {
+    "negative-mass": (F(1, 2), -1, 1),
+    "p-above-one": (F(3, 2), 1, 1),
+    "empty-group": (F(1, 2), 1, 0),
+}
+VIEWS = {
+    "bin_statistics": bin_statistics,
+    "audit_exact": audit_exact,
+    "statistical_parity_gap": statistical_parity_gap,
+    "classify_consequence": lambda inst, asg: classify_consequence(inst, asg, F(1, 10)),
+    "audit_approx": lambda inst, asg: audit_approx(inst, asg, F(1, 10)),
+    "passes_fairness": passes_fairness,
+    "loss": loss,
+    "fairness_difference": fairness_difference,
+    "is_nontrivial": is_nontrivial,
+    "normalize_assignment": normalize_assignment,
+    "interpolate": lambda inst, asg: interpolate(inst, asg, asg, F(1, 2)),
+    "find_fair_nontrivial": lambda inst, asg: find_fair_nontrivial(inst, [asg]),
+    "identity_assignment": lambda inst, asg: identity_assignment(inst),
+    "trivial_assignment": lambda inst, asg: trivial_assignment(inst),
+}
+
+
+@pytest.mark.parametrize("view", VIEWS.values(), ids=VIEWS.keys())
+@pytest.mark.parametrize("spec", INVALID.values(), ids=INVALID.keys())
+def test_every_view_refuses_an_invalid_instance(view, spec):
+    inst = Instance((feature("a", *spec), feature("b", F(1, 4), 1, 0)))
+    asg = RiskAssignment(("a", "b"), (F(1, 2), F(1, 4)), ((F(1), F(0)), (F(0), F(1))))
+    with pytest.raises(InvalidInstanceError):
+        view(inst, asg)
+
+
+def test_an_instance_is_validated_once(monkeypatch):
+    import riskaudit.model as model_module
+
+    validated = []
+    original = model_module.validate_instance
+
+    def counted(inst):
+        validated.append(inst)
+        return original(inst)
+
+    monkeypatch.setattr(model_module, "validate_instance", counted)
+    inst = Instance((feature("a", F(1, 4), 1, 1), feature("b", F(3, 4), 1, 2)))
+    asg = RiskAssignment(("b", "a"), (F(3, 4), F(1, 4)), ((F(1), F(0)), (F(0), F(1))))
+    audit_exact(inst, asg)
+    audit_approx(inst, asg, F(1, 10))
+    loss(inst, asg)
+    passes_fairness(inst, asg)
+    assert validated == [inst]
+    # the form belongs to the object: an equal new instance is validated anew
+    again = Instance(inst.features)
+    assert again == inst and hash(again) == hash(inst)
+    assert audit_exact(again, asg) == audit_exact(inst, asg)
+    assert len(validated) == 2

@@ -273,6 +273,35 @@ def test_verify_too_many_weights_exit_two(tmp_path, capsys):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "weights,subset",
+    [
+        ("1,2,3,4,5,6,100,100,100,100,100,100,100", [1, 2, 3, 4]),
+        ("100,100,100,100,100,100,100,1,2,3,4,5,6", [8, 9, 10, 11]),
+    ],
+    ids=["dropped-last", "dropped-first"],
+)
+def test_verify_scans_kept_weights_only(tmp_path, capsys, weights, subset):
+    # 13 weights, 7 above the target: the oracle scans the 6 kept ones and
+    # reports positions in the input
+    red = tmp_path / "red.json"
+    assert run_cli(["reduce", "--weights", weights, "--target", "10", "-o", str(red)]) == 0
+    capsys.readouterr()
+    assert run_cli(["verify-reduction", "-r", str(red), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["agreement"] and doc["oracle_subset"] == doc["decoded_subset"] == subset
+
+
+@pytest.mark.parametrize("command,flag", [("validate", "-i"), ("solve-integral", "-i"), ("verify-reduction", "-r")])
+def test_deep_nesting_exit_two(tmp_path, capsys, command, flag):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert run_cli([command, flag, str(deep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: JSON nested too deeply"]
+    assert captured.out == ""
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

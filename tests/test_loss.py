@@ -184,7 +184,6 @@ class TestFindFair:
         import riskaudit.audit as audit_module
         import riskaudit.model as model_module
 
-        candidates = [identity_assignment(balanced), identity_assignment(balanced)]
         calls = {"validate_instance": 0, "_accumulate_bins": 0}
         for module, name in ((model_module, "validate_instance"), (audit_module, "_accumulate_bins")):
             def counted(*args, _inner=getattr(module, name), _name=name):
@@ -192,6 +191,7 @@ class TestFindFair:
                 return _inner(*args)
 
             monkeypatch.setattr(module, name, counted)
+        candidates = [identity_assignment(balanced), identity_assignment(balanced)]
         assert find_fair_nontrivial(balanced, candidates) is candidates[0]
         assert calls == {"validate_instance": 1, "_accumulate_bins": 2}
 

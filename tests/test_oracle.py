@@ -10,7 +10,7 @@ so fair and relaxed-passing cases occur as well as failing ones.
 from dataclasses import replace
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import audit_oracle as old
@@ -24,6 +24,7 @@ from riskaudit import (
     audit_exact,
     bin_statistics,
     classify_consequence,
+    derived_stats,
     fairness_difference,
     is_nontrivial,
     loss,
@@ -117,3 +118,91 @@ def test_solver_matches_old_implementation(inst, objective, cap, tolerance):
     assert solve_integral(inst, objective, cap, tolerance) == old.solve_integral(
         inst, objective, cap, tolerance
     )
+
+
+# nonnegative rationals with large denominators, and plain ints
+MASS_VALUES = st.one_of(st.integers(0, 5), st.fractions(0, 10**6, max_denominator=10**9))
+
+
+@st.composite
+def wide_instances(draw):
+    k = draw(st.integers(1, 6))
+    feats = [
+        FeatureVector(f"x{i}", draw(st.fractions(0, 1, max_denominator=10**12)),
+                      draw(MASS_VALUES), draw(MASS_VALUES))
+        for i in range(k)
+    ]
+    if not any(f.n1 for f in feats):
+        feats[0] = replace(feats[0], n1=F(1, 3))
+    if not any(f.n2 for f in feats):
+        feats[-1] = replace(feats[-1], n2=7)
+    return Instance(tuple(feats))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(instances(), wide_instances()))
+def test_derived_stats_match_the_fraction_sums(inst):
+    # repr compares field types as well as values
+    assert repr(derived_stats(inst)) == repr(old.derived_stats(inst))
+
+
+@st.composite
+def allocation_rows(draw, nbins):
+    kind = draw(st.sampled_from(("stochastic", "near-miss", "one-hot-int", "free", "empty")))
+    if kind == "empty":
+        return ()
+    if kind == "free":
+        return tuple(draw(st.lists(
+            st.one_of(st.integers(-1, 2), st.fractions(-1, 2, max_denominator=50)),
+            min_size=nbins, max_size=nbins)))
+    if kind == "one-hot-int":
+        hot = draw(st.integers(0, nbins - 1))
+        return tuple(int(b == hot) for b in range(nbins))
+    w = draw(st.lists(st.integers(0, 5), min_size=nbins, max_size=nbins))
+    if not any(w):
+        w[0] = 1
+    row = [F(x, sum(w)) for x in w]
+    if kind == "near-miss":
+        b = draw(st.integers(0, nbins - 1))
+        row[b] += draw(st.sampled_from((1, -1))) * F(1, 10 ** draw(st.integers(1, 40)))
+    return tuple(row)
+
+
+@st.composite
+def assignment_parts(draw):
+    nbins = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4))
+    ids = [f"x{i}" for i in range(k)]
+    if draw(st.integers(0, 9)) == 0:
+        ids[-1] = ids[0]
+    scores = draw(st.lists(st.fractions(-F(1, 4), F(5, 4), max_denominator=12),
+                           min_size=nbins, max_size=nbins))
+    rows = [draw(allocation_rows(nbins)) for _ in ids]
+    return ids, scores, rows
+
+
+def construction(build, *parts):
+    try:
+        build(*parts)
+    except Exception as exc:  # any refusal, compared by type and message
+        return type(exc), str(exc)
+    return None
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(assignment_parts())
+@example((["a"], [F(1, 2)], [(F(-1, 2), F(3, 2))]))  # negative entry
+@example((["a"], [F(1, 2)], [(F(3, 2), F(-1, 2))]))  # entry above 1
+@example((["a"], [F(1, 2)], [(F(1, 2), F(1, 2) - F(1, 10**30))]))  # misses 1 by a hair
+@example((["a"], [F(1, 2)], [(F(1, 2), F(1, 2) + F(1, 10**30))]))
+@example((["a", "b"], [F(0), F(1)], [(1, 0), (0, 1)]))  # int entries
+@example((["a", "b"], [F(0), F(1)], [(1, 0), ()]))  # an empty row
+@example((["a"], [], [()]))  # no bins
+def test_construction_matches_the_fraction_checks(parts):
+    got = construction(RiskAssignment, *parts)
+    assert got == construction(old.assignment_checks, *parts)
+    if got is None:
+        asg = RiskAssignment(*parts)
+        assert asg.rows == tuple(tuple(r) for r in parts[2])
+        assert all(F(n, sum(ints)) == x for ints, row in zip(asg._int_rows, asg.rows)
+                   for n, x in zip(ints, row))

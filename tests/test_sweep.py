@@ -31,17 +31,16 @@ from riskaudit.audit import (
     _approx_report,
     _fair,
     _pooled_scores,
-    _scaled,
     _score_pairs,
     consequence_slack,
 )
+from riskaudit.model import _pooled_rate, _scaled
 from riskaudit.sweep import (
     _assemble,
     _banded_bins,
     _below,
     _eighths,
     _pooled_assignment,
-    _pooled_rate,
     _pooled_struct,
     _split_structure,
     is_perfect_prediction,
@@ -233,9 +232,8 @@ class TestIntegerVerdicts:
         seen = {"fair": set(), "approx": set()}
         for _ in range(150):
             inst = rng.choice(INSTANCE_FAMILIES)(rng)
-            gs = derived_stats(inst)
             scaled = _scaled(inst)
-            pooled = _pooled_rate(gs)
+            pooled = _pooled_rate(inst)
             for family in ("pooled", "split", "banded") * 3:
                 if family == "pooled":
                     weights = _pooled_struct(len(inst.features), rng)
@@ -251,7 +249,7 @@ class TestIntegerVerdicts:
                     nums, dens = _score_pairs([v for v, _ in bins])
                     asg = _assemble(inst, bins)
                 fair = _fair(table, nums, dens)
-                passed = _approx_report(gs, eps, slack, table, nums, dens).passed
+                passed = _approx_report(scaled, eps, slack, table, nums, dens).passed
                 assert fair == old.passes_fairness(inst, asg)
                 assert passed == old.audit_approx(inst, asg, eps).passed
                 seen["fair"].add(fair)
