@@ -42,6 +42,7 @@ from .serialize import (
     reduced_to_doc,
     solve_doc,
     sweep_doc,
+    validation_doc,
 )
 from .solver import solve_integral
 from .sweep import theorem_sweep
@@ -290,9 +291,6 @@ def cmd_verify_reduction(args) -> int:
 
 
 def cmd_theorem_sweep(args) -> int:
-    if args.seed is None:
-        print("error: --seed is required for randomized commands", file=sys.stderr)
-        return 2
     inst = require_valid(parse_instance(_read(args.instance)))
     report = theorem_sweep(
         inst, args.budget, args.eps, args.seed, integral_cap=args.cap
@@ -318,7 +316,7 @@ def cmd_theorem_sweep(args) -> int:
 def cmd_validate(args) -> int:
     inst = parse_instance(_read(args.instance))
     report = validate_instance(inst)
-    doc = {"ok": report.ok, "violations": list(report.violations)}
+    doc = validation_doc(report)
     lines = [f"ok: {_bool(report.ok)}"] + [f"  {v}" for v in report.violations]
     _emit(args, doc, lines)
     return 0 if report.ok else 1
@@ -332,11 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized commands")
-    common.add_argument("--cap", type=int, default=None, help="search budget cap")
-    common.add_argument(
-        "--tolerance", type=_rational, default=None, help="absolute residual tolerance"
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -384,6 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--objective", choices=("any-fair", "min-loss"), default="any-fair"
     )
+    p.add_argument("--cap", type=int, default=None, help="most partitions to search")
+    p.add_argument("--tolerance", type=_rational, default=None, help="absolute residual tolerance")
     p.set_defaults(func=cmd_solve_integral)
 
     p = sub.add_parser("reduce", parents=[common], help="embed a subset-sum instance")
@@ -397,6 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("-r", "--reduction", required=True)
     p.add_argument("--subset", default=None, help="comma-separated weight positions to test")
+    p.add_argument("--tolerance", type=_rational, default=None, help="absolute residual tolerance")
     p.set_defaults(func=cmd_verify_reduction)
 
     p = sub.add_parser(
@@ -405,6 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--instance", required=True)
     p.add_argument("--eps", type=_rational, default=Fraction(0))
     p.add_argument("--budget", type=int, default=1000)
+    p.add_argument("--seed", type=int, required=True, help="seed of the fractional stream")
+    p.add_argument("--cap", type=int, default=None, help="most partitions to search")
     p.set_defaults(func=cmd_theorem_sweep)
 
     return parser

@@ -337,8 +337,9 @@ class RiskAssignment:
 
     `rows[i][b]` is the fraction of feature `feature_ids[i]` sent to bin `b`.
     Rows must sum to exactly 1 (no tolerance); scores and allocation entries
-    must lie in [0, 1]. A bin may receive zero mass. Construction checks and
-    keeps each row as integers over the lcm of its denominators.
+    must be ints or Fractions in [0, 1]. A bin may receive zero mass.
+    Construction checks and keeps each row as integers over the lcm of its
+    denominators.
     """
 
     feature_ids: tuple[str, ...]
@@ -356,7 +357,9 @@ class RiskAssignment:
             raise InvalidAssignmentError("duplicate feature id in assignment")
         if len(self.rows) != len(self.feature_ids):
             raise InvalidAssignmentError("one allocation row per feature required")
-        for v in self.scores:
+        for b, v in enumerate(self.scores):
+            if not isinstance(v, (int, Fraction)):
+                raise InvalidAssignmentError(f"score {v!r} of bin {b} is not an int or Fraction")
             if not (0 <= v <= 1):
                 raise InvalidAssignmentError(f"score {v} outside [0, 1]")
         int_rows = []
@@ -365,6 +368,11 @@ class RiskAssignment:
                 raise InvalidAssignmentError(
                     f"allocation row for {fid!r} has {len(row)} entries, expected {len(self.scores)}"
                 )
+            for b, x in enumerate(row):
+                if not isinstance(x, (int, Fraction)):
+                    raise InvalidAssignmentError(
+                        f"allocation entry {x!r} for {fid!r}, bin {b}, is not an int or Fraction"
+                    )
             d = lcm(*(x.denominator for x in row))
             ints = tuple(x.numerator * (d // x.denominator) for x in row)
             for x, n in zip(row, ints):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .errors import DomainError
@@ -76,33 +77,35 @@ def _growth_strings(k: int) -> Iterator[tuple[int, ...]]:
             m[i] = m[j]
 
 
-def enumerate_partitions(
-    k: int, cap: Optional[int] = None, *, max_items: int = DEFAULT_MAX_ITEMS
-) -> Iterator[Partition]:
-    """Yield every partition of {0, ..., k-1} in canonical order.
+def _label_vectors(k: int, cap: Optional[int]) -> Iterator[tuple[int, ...]]:
+    """Every partition of {0, ..., k-1} as a label vector, in canonical order.
 
-    Blocks come out sorted by smallest member. Item counts above `max_items`
-    are rejected eagerly unless an explicit cap bounds the enumeration.
+    A label vector gives each item its block number; blocks are numbered by
+    smallest member, so the vectors are the restricted growth strings, in
+    lexicographic order. More than DEFAULT_MAX_ITEMS items are refused
+    eagerly unless a cap bounds whatever the caller takes.
     """
     if k < 0:
         raise DomainError("k must be nonnegative")
-    if k > max_items and cap is None:
+    if k > DEFAULT_MAX_ITEMS and cap is None:
         raise DomainError(
             f"{k} items would enumerate {bell_number(k)} partitions; pass a cap to proceed"
         )
-    return _partition_stream(k, cap)
+    return _growth_strings(k)
 
 
-def _partition_stream(k: int, cap: Optional[int]) -> Iterator[Partition]:
-    emitted = 0
-    for rgs in _growth_strings(k):
-        if cap is not None and emitted >= cap:
-            return
-        nblocks = max(rgs, default=-1) + 1
-        blocks: list[list[int]] = [[] for _ in range(nblocks)]
-        for item, label in enumerate(rgs):
-            blocks[label].append(item)
-        # labels appear in order of first occurrence, so block order is by
-        # smallest member already
-        yield Partition(tuple(tuple(b) for b in blocks))
-        emitted += 1
+def enumerate_partitions(k: int, cap: Optional[int] = None) -> Iterator[Partition]:
+    """Yield every partition of {0, ..., k-1} in canonical order, at most
+    `cap` of them. Blocks come out sorted by smallest member. More than
+    DEFAULT_MAX_ITEMS items are refused eagerly unless a cap is given."""
+    stream = islice(_label_vectors(k, cap), None if cap is None else max(cap, 0))
+    return (Partition(tuple(map(tuple, _blocks(labels, range(k))))) for labels in stream)
+
+
+def _blocks(labels, items) -> list[list]:
+    """`items` grouped by their labels, blocks in label order; a label vector
+    numbers its blocks by first occurrence, so by smallest member."""
+    blocks: list[list] = [[] for _ in range(max(labels, default=-1) + 1)]
+    for item, label in zip(items, labels):
+        blocks[label].append(item)
+    return blocks

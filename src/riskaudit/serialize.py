@@ -241,7 +241,10 @@ def reduced_from_doc(doc: Any) -> ReducedInstance:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         ri = reduce_subset_sum(SubsetSumInstance(tuple(weights), target))
-    stored = [parse_rational(w, ".scaled_weights") for w in doc.get("scaled_weights", [])]
+    stored = doc.get("scaled_weights", [])
+    if not isinstance(stored, list):
+        raise DocumentError("expected a list", ".scaled_weights")
+    stored = [parse_rational(w, ".scaled_weights") for w in stored]
     if stored != list(ri.scaled_weights):
         raise DocumentError("scaled weights disagree with the construction", ".scaled_weights")
     if parse_rational(doc.get("required_pos_avg"), ".required_pos_avg") != ri.required_pos_avg:

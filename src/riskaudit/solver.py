@@ -15,8 +15,8 @@ from typing import Optional
 from .audit import _Table, _fair, _pooled_scores
 from .errors import DomainError
 from .loss import LossReport, _loss_report, _nontrivial
-from .model import Instance, RiskAssignment, _scaled
-from .partitions import DEFAULT_MAX_ITEMS, Partition, enumerate_partitions
+from .model import Instance, RiskAssignment, _scaled, require_valid
+from .partitions import Partition, _blocks, _label_vectors
 
 OBJECTIVES = ("any_fair", "min_loss")
 
@@ -47,58 +47,63 @@ def assignment_from_partition(inst: Instance, part: Partition) -> RiskAssignment
     """
     scaled = _scaled(inst)
     ids = inst.ids
-    if part.members() != set(ids):
+    if part.members() != set(ids) or sum(map(len, part.blocks)) != len(ids):
         raise DomainError("partition does not cover exactly the instance's features")
-    position = {fid: i for i, fid in enumerate(ids)}
-    blocks = [[position[fid] for fid in block] for block in part.blocks]
-    _, nums, dens = _block_sums(scaled, blocks)
-    return _integral_assignment(scaled, ids, blocks, nums, dens)
+    block_of = {fid: b for b, block in enumerate(part.blocks) for fid in block}
+    labels = [block_of[fid] for fid in ids]
+    table, kept = _block_table(scaled, labels, len(part.blocks))
+    nums, dens = _pooled_scores(table, _ZERO)
+    hot = [b if b in kept else kept[0] for b in labels]
+    rows = tuple(tuple(_ONE if b == h else _ZERO for b in kept) for h in hot)
+    return RiskAssignment(feature_ids=ids, scores=tuple(map(Fraction, nums, dens)), rows=rows)
 
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
 
 
-def _block_sums(scaled, blocks):
-    """(table, score numerators, score denominators) of the integral
-    assignment whose bins are the populated ones of `blocks` (feature
-    positions), in block order, each scored at its pooled rate."""
-    weights = scaled.weights
-    sums = [tuple(map(sum, zip(*(weights[i] for i in block)))) for block in blocks]
-    populated = [column for column in sums if column[0] or column[1]]
-    if not populated:
-        raise DomainError("no block carries any people")
-    m0, m1, p0, p1 = map(list, zip(*populated))
-    table = _Table((m0, m1), (p0, p1), scaled.denominator)
-    return (table, *_pooled_scores(table, _ZERO))
+def _block_table(scaled, labels, nblocks: int):
+    """Bin table of the integral assignment whose bins are the populated
+    blocks among 0..nblocks-1, where labels[i] is the block of feature
+    position i, in block order; and the numbers of those blocks."""
+    m0, m1, g0, g1 = [0] * nblocks, [0] * nblocks, [0] * nblocks, [0] * nblocks
+    for b, (n1, n2, q1, q2) in zip(labels, scaled.weights):
+        m0[b] += n1
+        m1[b] += n2
+        g0[b] += q1
+        g1[b] += q2
+    kept = [b for b in range(nblocks) if m0[b] or m1[b]]
+    if len(kept) < nblocks:
+        m0, m1, g0, g1 = ([column[b] for b in kept] for column in (m0, m1, g0, g1))
+    return _Table((m0, m1), (g0, g1), scaled.denominator), kept
 
 
-def _integral_assignment(scaled, ids, blocks, nums, dens) -> RiskAssignment:
-    """The assignment _block_sums scored; features of a block with no people
-    go to the first bin."""
-    weights = scaled.weights
-    bin_of = [0] * len(ids)
-    populated = [block for block in blocks if any(weights[i][0] or weights[i][1] for i in block)]
-    for b, block in enumerate(populated):
-        for i in block:
-            bin_of[i] = b
-    nbins = len(nums)
-    rows = tuple(tuple(_ONE if b == hot else _ZERO for b in range(nbins)) for hot in bin_of)
-    return RiskAssignment(feature_ids=ids, scores=tuple(map(Fraction, nums, dens)), rows=rows)
+def _integral_search(inst: Instance, cap: Optional[int], visit) -> tuple[int, bool]:
+    """Walk the integral assignments of `inst`, one per partition of its
+    features, in canonical order: the label vectors of _label_vectors.
+
+    For each, `visit(labels, table, nums, dens)` gets the bin table and the
+    pooled scores of the populated blocks, in label order; the walk stops
+    when it returns true. Returns (explored, complete): complete is false
+    when the cap, not `visit` or the last partition, ended the walk.
+    """
+    scaled = _scaled(inst)
+    explored = 0
+    for labels in _label_vectors(len(inst.features), cap):
+        if explored == cap:
+            return explored, False
+        explored += 1
+        table, _ = _block_table(scaled, labels, max(labels) + 1)
+        if visit(labels, table, *_pooled_scores(table, _ZERO)):
+            break
+    return explored, True
 
 
-def _integral_candidates(inst: Instance, scaled, cap: Optional[int], max_items: int):
-    """(blocks, table, score numerators, score denominators) of each
-    partition in canonical order, at most cap + 1 of them. Blocks are ordered
-    by smallest feature id, as in the id partition, so each candidate equals
-    assignment_from_partition's."""
-    ids = inst.ids
-    gen = enumerate_partitions(
-        len(ids), cap=None if cap is None else cap + 1, max_items=max_items
-    )
-    for index_part in gen:
-        blocks = sorted(index_part.blocks, key=lambda block: min(ids[i] for i in block))
-        yield (blocks, *_block_sums(scaled, blocks))
+def _witness(inst: Instance, labels) -> tuple[Partition, RiskAssignment]:
+    """The partition of feature ids a label vector encodes, and its integral
+    assignment."""
+    part = Partition.from_blocks(_blocks(labels, inst.ids))
+    return part, assignment_from_partition(inst, part)
 
 
 def solve_integral(
@@ -106,8 +111,6 @@ def solve_integral(
     objective: str = "any_fair",
     cap: Optional[int] = None,
     tolerance: Optional[Fraction] = None,
-    *,
-    max_items: int = DEFAULT_MAX_ITEMS,
 ) -> SolveResult:
     """Search every partition for a fair non-trivial integral assignment.
 
@@ -119,34 +122,25 @@ def solve_integral(
     count as one when they differ by at most min(tolerance, 2**-40); a wider
     gap is more than float rounding of the instance can make.
     """
-    scaled = _scaled(inst)
+    require_valid(inst)
     if objective not in OBJECTIVES:
         raise DomainError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
     if cap is not None and cap < 0:
         raise DomainError("cap must be nonnegative")
 
-    explored = 0
-    exhausted = True
     best: Optional[tuple] = None
-    for blocks, table, nums, dens in _integral_candidates(inst, scaled, cap, max_items):
-        if cap is not None and explored >= cap:
-            exhausted = False
-            break
-        explored += 1
-        if not _fair(table, nums, dens, tolerance):
-            continue
-        if not _nontrivial(table, nums, dens, tolerance):
-            continue
+
+    def visit(labels, table, nums, dens) -> bool:
+        nonlocal best
+        if not (_fair(table, nums, dens, tolerance) and _nontrivial(table, nums, dens, tolerance)):
+            return False
         report = _loss_report(table, nums, dens)
         if best is None or report.total < best[0].total:
-            best = (report, blocks, nums, dens)
-        if objective == "any_fair":
-            break
+            best = (report, labels)
+        return objective == "any_fair"
 
+    explored, complete = _integral_search(inst, cap, visit)
     if best is None:
-        return SolveResult("none" if exhausted else "budget_exceeded", None, None, None, explored)
-    report, blocks, nums, dens = best
-    ids = inst.ids
-    part = Partition.from_blocks(tuple(ids[i] for i in block) for block in blocks)
-    asg = _integral_assignment(scaled, ids, blocks, nums, dens)
-    return SolveResult("found" if exhausted else "budget_exceeded", part, asg, report, explored)
+        return SolveResult("none" if complete else "budget_exceeded", None, None, None, explored)
+    report, labels = best
+    return SolveResult("found" if complete else "budget_exceeded", *_witness(inst, labels), report, explored)

@@ -37,8 +37,7 @@ from .model import (
     derived_stats,
     require_valid,
 )
-from .partitions import DEFAULT_MAX_ITEMS
-from .solver import _integral_assignment, _integral_candidates
+from .solver import _integral_search, _witness
 
 
 def _rand_fraction(rng: Random, den: int = 12) -> Fraction:
@@ -336,7 +335,6 @@ def theorem_sweep(
     seed: int,
     *,
     integral_cap: Optional[int] = None,
-    max_items: int = DEFAULT_MAX_ITEMS,
 ) -> SweepReport:
     """Exhaust integral candidates, then stream seeded fractional ones.
 
@@ -356,8 +354,6 @@ def theorem_sweep(
     special = gap == 0 or perfect
 
     k = len(inst.features)
-    integral_explored = 0
-    integral_complete = True
     exact_fair_count = 0
     first_fair: Optional[RiskAssignment] = None
     exact_ce: Optional[RiskAssignment] = None
@@ -384,14 +380,11 @@ def theorem_sweep(
                 if not report.consequence.any and approx_ce is None:
                     approx_ce = build()
 
-    ids = inst.ids
-    for blocks, table, nums, dens in _integral_candidates(inst, scaled, integral_cap, max_items):
-        if integral_cap is not None and integral_explored >= integral_cap:
-            integral_complete = False
-            break
-        integral_explored += 1
-        consider(table, nums, dens,
-                 lambda: _integral_assignment(scaled, ids, blocks, nums, dens))
+    def visit(labels, table, nums, dens) -> bool:
+        consider(table, nums, dens, lambda: _witness(inst, labels)[1])
+        return False
+
+    integral_explored, integral_complete = _integral_search(inst, integral_cap, visit)
 
     pooled = _pooled_rate(inst)
     rng = Random(seed)

@@ -43,7 +43,7 @@ from riskaudit.model import (
     assignment_rows_for,
     require_valid,
 )
-from riskaudit.partitions import DEFAULT_MAX_ITEMS, Partition, enumerate_partitions
+from riskaudit.partitions import Partition, enumerate_partitions
 from riskaudit.solver import OBJECTIVES, SolveResult
 from riskaudit.sweep import SweepReport, is_perfect_prediction
 
@@ -458,8 +458,6 @@ def solve_integral(
     objective: str = "any_fair",
     cap: Optional[int] = None,
     tolerance: Optional[Fraction] = None,
-    *,
-    max_items: int = DEFAULT_MAX_ITEMS,
 ) -> SolveResult:
     """Search every partition for a fair non-trivial integral assignment.
 
@@ -478,9 +476,7 @@ def solve_integral(
     explored = 0
     exhausted = True
     best: Optional[tuple[Fraction, Partition, RiskAssignment, LossReport]] = None
-    gen = enumerate_partitions(
-        k, cap=None if cap is None else cap + 1, max_items=max_items
-    )
+    gen = enumerate_partitions(k, cap=None if cap is None else cap + 1)
     for index_part in gen:
         if cap is not None and explored >= cap:
             exhausted = False
@@ -656,14 +652,12 @@ def _pooled_bins(features, blocks):
 
 
 # from riskaudit/solver.py, before the integer bin table
-def _integral_candidates(inst: Instance, cap: Optional[int], max_items: int):
+def _integral_candidates(inst: Instance, cap: Optional[int]):
     """(blocks, scores, rows) of each partition in canonical order, at most
     cap + 1 of them. Blocks are ordered by smallest feature id, as in the id
     partition, so each candidate equals assignment_from_partition's."""
     ids = inst.ids
-    gen = enumerate_partitions(
-        len(ids), cap=None if cap is None else cap + 1, max_items=max_items
-    )
+    gen = enumerate_partitions(len(ids), cap=None if cap is None else cap + 1)
     for index_part in gen:
         blocks = sorted(index_part.blocks, key=lambda block: min(ids[i] for i in block))
         yield (blocks, *_pooled_bins(inst.features, blocks))
@@ -871,7 +865,6 @@ def theorem_sweep(
     seed: int,
     *,
     integral_cap: Optional[int] = None,
-    max_items: int = DEFAULT_MAX_ITEMS,
 ) -> SweepReport:
     """Exhaust integral candidates, then stream seeded fractional ones.
 
@@ -921,7 +914,7 @@ def theorem_sweep(
                 if not report.consequence.any and approx_ce is None:
                     approx_ce = RiskAssignment(feature_ids=order_ids, scores=scores, rows=rows)
 
-    for _, scores, rows in _integral_candidates(inst, integral_cap, max_items):
+    for _, scores, rows in _integral_candidates(inst, integral_cap):
         if integral_cap is not None and integral_explored >= integral_cap:
             integral_complete = False
             break

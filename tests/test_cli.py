@@ -3,21 +3,31 @@
 Each command runs in process through run_cli so exit codes and streams are
 observable without spawning an interpreter.
 """
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskaudit import (
+    RiskAuditError,
+    SubsetSumInstance,
     assignment_to_doc,
     dumps_doc,
     identity_assignment,
     instance_to_doc,
+    reduce_subset_sum,
+    reduced_to_doc,
     trivial_assignment,
 )
 from riskaudit.cli import run_cli
@@ -162,6 +172,17 @@ def test_reduce_infeasible_exit_one(capsys):
 def test_theorem_sweep_requires_seed(ws, capsys):
     assert run_cli(["theorem-sweep", "-i", ws["balanced"]]) == 2
     assert "--seed" in capsys.readouterr().err
+
+
+def test_options_only_where_read(ws, capsys):
+    # each command takes only the options it reads
+    audit = ["audit", "-i", ws["balanced"], "-a", ws["balanced_id"]]
+    assert run_cli(audit) == 0
+    for extra in (["--seed", "1"], ["--cap", "3"], ["--tolerance", "1/2"]):
+        assert run_cli([*audit, *extra]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert run_cli(["solve-integral", "-i", ws["balanced"], "--seed", "1"]) == 2
+    assert run_cli(["theorem-sweep", "-i", ws["balanced"], "--seed", "1", "--tolerance", "1/2"]) == 2
 
 
 def test_theorem_sweep_deterministic_bytes(ws, capsys):
@@ -340,3 +361,106 @@ def test_reduction_commands_need_no_sympy(tmp_path):
         proc = _run_without_sympy(*argv)
         assert "Traceback" not in proc.stderr, proc.stderr
         assert proc.returncode == code, (argv, proc.stderr)
+
+
+# -- the exit-code contract under arbitrary input ------------------------------
+
+_BIG = "<big>"  # stands for a number past 4,300 digits, spliced in as text
+_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(("1/2", "0", "1", "-1", "3/0", "1e-3", "1" * 50, _BIG))
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=12,
+)
+_RATIONAL = st.sampled_from(("1/2", "1", "1/3", "3/4", "2", 1, "0"))
+
+
+def _perhaps_replace(draw, node: dict) -> None:
+    # one draw in three replaces one field of `node` by an arbitrary leaf
+    if draw(st.sampled_from((False, False, True))):
+        node[draw(st.sampled_from(sorted(node)))] = draw(_LEAVES)
+
+
+@st.composite
+def _instances(draw):
+    # features a, b, c with valid fields, then perhaps one field replaced
+    features = [{"id": fid, "p": draw(_RATIONAL), "counts": {"1": draw(_RATIONAL), "2": draw(_RATIONAL)}}
+                for fid in "abc"]
+    _perhaps_replace(draw, features[draw(st.integers(0, 2))])
+    return {"version": "1", "features": features}
+
+
+@st.composite
+def _assignments(draw):
+    # each of a, b, c wholly in one bin, then perhaps one entry replaced
+    nbins = draw(st.integers(1, 3))
+    bins = [{"score": draw(_RATIONAL), "allocation": {}} for _ in range(nbins)]
+    for fid in "abc":
+        bins[draw(st.integers(0, nbins - 1))]["allocation"][fid] = "1"
+    _perhaps_replace(draw, bins[0]["allocation"] or bins[0])
+    return {"version": "1", "bins": bins}
+
+
+@st.composite
+def _reductions(draw):
+    # a faithful reduction document, then perhaps one field replaced
+    weights, target = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4)), draw(st.integers(1, 20))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # weights above the target are dropped
+            doc = reduced_to_doc(reduce_subset_sum(SubsetSumInstance(tuple(weights), target)))
+    except RiskAuditError:
+        doc = {"version": "1", "kind": "reduction", "weights": weights, "target": target}
+    _perhaps_replace(draw, doc)
+    return doc
+
+
+def _document(tree) -> bytes:
+    return json.dumps(tree).replace(json.dumps(_BIG), "1" * 5000).encode()
+
+
+def _file(schema):
+    return st.one_of(
+        schema.map(_document),
+        schema.map(_document),
+        _TREES.map(_document),
+        st.binary(max_size=40),
+        st.integers(1, 50_000).map(lambda depth: b"[" * depth + b"]" * depth),
+    )
+
+
+_COMMANDS = {
+    "validate": {"-i": _instances()},
+    "audit": {"-i": _instances(), "-a": _assignments()},
+    "solve-integral": {"-i": _instances()},
+    "verify-reduction": {"-r": _reductions()},
+}
+# no option in two draws of three, so the documents are read
+_OPTIONS = st.sampled_from((st.just([]), st.just([]), st.lists(st.tuples(
+    st.sampled_from(("--format", "--cap", "--tolerance", "--seed", "--eps", "--subset", "--objective",
+                     "-i", "-a", "-r")),
+    st.sampled_from(("json", "text", "min-loss", "0", "3", "-1", "1/2", "1/10", "1,2", "x", "1e99999")),
+), max_size=2))).flatmap(lambda options: options)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_cli_fuzz_keeps_the_exit_contract(data):
+    command = data.draw(st.sampled_from(sorted(_COMMANDS)))
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command]
+        for flag, schema in _COMMANDS[command].items():
+            path = os.path.join(tmp, flag.strip("-") + ".json")
+            with open(path, "wb") as fh:
+                fh.write(data.draw(_file(schema)))
+            argv += [flag, path]
+        argv += [word for option in data.draw(_OPTIONS) for word in option]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

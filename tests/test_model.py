@@ -140,6 +140,11 @@ class TestRiskAssignment:
             RiskAssignment(("a", "a"), (F(1, 2),), ((F(1),), (F(1),)))
         with pytest.raises(InvalidAssignmentError):
             RiskAssignment((), (), ())
+        # floats are refused at construction, naming the bin or the feature
+        with pytest.raises(InvalidAssignmentError, match="bin 0"):
+            RiskAssignment(("a",), (0.5,), ((F(1),),))
+        with pytest.raises(InvalidAssignmentError, match="'a', bin 1"):
+            RiskAssignment(("a",), (F(0), F(1)), ((F(1, 2), 0.5),))
 
     def test_row_lookup(self):
         asg = RiskAssignment(

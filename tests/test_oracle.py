@@ -112,7 +112,8 @@ def test_views_match_old_implementation(case, eps, tolerance):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(instances(), st.sampled_from(OBJECTIVES), st.sampled_from((None, 1, 7, 30)),
+@given(instances(), st.sampled_from(OBJECTIVES),
+       st.sampled_from((None, 0, 1, 2, 5, 7, 15, 30, 52, 53)),
        st.sampled_from((None, F(1, 1000), F(1, 10))))
 def test_solver_matches_old_implementation(inst, objective, cap, tolerance):
     assert solve_integral(inst, objective, cap, tolerance) == old.solve_integral(

@@ -1,8 +1,19 @@
+from fractions import Fraction as F
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskaudit import DomainError, Partition, bell_number, enumerate_partitions
+from riskaudit import (
+    DomainError,
+    Instance,
+    Partition,
+    bell_number,
+    enumerate_partitions,
+    feature,
+    solve_integral,
+    theorem_sweep,
+)
 
 # k -> number of set partitions, computed by the triangle recurrence by hand
 BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140, 9: 21147, 10: 115975}
@@ -50,7 +61,16 @@ def test_large_k_needs_cap():
     with pytest.raises(DomainError):
         enumerate_partitions(13)
     assert len(list(enumerate_partitions(13, cap=3))) == 3
-    assert len(list(enumerate_partitions(13, cap=2, max_items=20))) == 2
+    assert len(list(enumerate_partitions(13, cap=2))) == 2
+    # the searches share the guard
+    inst = Instance(tuple(feature(f"f{i}", F(i % 3, 2), 1, i % 2) for i in range(13)))
+    with pytest.raises(DomainError):
+        solve_integral(inst)
+    with pytest.raises(DomainError):
+        theorem_sweep(inst, 0, 0, 1)
+    assert solve_integral(inst, cap=3).explored == 3
+    rep = theorem_sweep(inst, 0, 0, 1, integral_cap=3)
+    assert (rep.integral_explored, rep.integral_complete) == (3, False)
 
 
 def test_negative_k_rejected():

@@ -34,6 +34,8 @@ class TestAssignmentFromPartition:
             assignment_from_partition(
                 balanced, Partition.from_blocks([["s1"], ["s2"], ["zz"]])
             )
+        with pytest.raises(DomainError):  # built directly, with s1 in two blocks
+            assignment_from_partition(balanced, Partition((("s1",), ("s1", "s2"))))
 
     def test_zero_mass_block_folded(self):
         inst = Instance(

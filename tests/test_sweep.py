@@ -292,7 +292,7 @@ class TestDraws:
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.sampled_from(INSTANCE_FAMILIES), st.integers(0, 10**6),
-       st.sampled_from((F(0), F(1, 1000), F(1, 10))), st.sampled_from((None, 3)))
+       st.sampled_from((F(0), F(1, 1000), F(1, 10))), st.sampled_from((None, 0, 3, 52, 203)))
 def test_sweep_matches_old_implementation(family, seed, eps, integral_cap):
     inst = family(random.Random(seed))
     assert theorem_sweep(inst, 200, eps, seed, integral_cap=integral_cap) == old.theorem_sweep(
