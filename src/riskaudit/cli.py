@@ -199,7 +199,7 @@ def cmd_solve_integral(args) -> int:
     objective = args.objective.replace("-", "_")
     result = solve_integral(inst, objective, cap=args.cap, tolerance=args.tolerance)
     doc = solve_doc(result)
-    lines = [f"status: {doc['status']}", f"explored: {doc['explored']}"]
+    lines = [f"status: {doc['status']}", f"explored: {doc['explored']}", f"pruned: {doc['pruned']}"]
     if doc["partition"] is not None:
         rendered = " | ".join(",".join(block) for block in doc["partition"])
         lines.append(f"partition: {rendered}")

@@ -132,12 +132,6 @@ class Instance:
     def ids(self) -> tuple[str, ...]:
         return tuple(f.id for f in self.features)
 
-    def by_id(self, fid: str) -> FeatureVector:
-        for f in self.features:
-            if f.id == fid:
-                return f
-        raise KeyError(fid)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -388,12 +382,6 @@ class RiskAssignment:
     @property
     def bin_count(self) -> int:
         return len(self.scores)
-
-    def row(self, fid: str) -> tuple[Fraction, ...]:
-        try:
-            return self.rows[self.feature_ids.index(fid)]
-        except ValueError:
-            raise KeyError(fid) from None
 
 
 def assignment_rows_for(inst: Instance, asg: RiskAssignment) -> tuple[tuple[Fraction, ...], ...]:

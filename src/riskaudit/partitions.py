@@ -57,7 +57,11 @@ def bell_number(k: int) -> int:
 
 
 def _growth_strings(k: int) -> Iterator[tuple[int, ...]]:
-    # restricted growth strings in lexicographic order; a[i] <= 1 + max(a[:i])
+    """Every partition of {0, ..., k-1} as a label vector, in canonical order.
+
+    A label vector gives each item its block number; blocks are numbered by
+    smallest member, so the vectors are the restricted growth strings
+    (a[i] <= 1 + max(a[:i])), in lexicographic order."""
     if k == 0:
         yield ()
         return
@@ -77,28 +81,25 @@ def _growth_strings(k: int) -> Iterator[tuple[int, ...]]:
             m[i] = m[j]
 
 
-def _label_vectors(k: int, cap: Optional[int]) -> Iterator[tuple[int, ...]]:
-    """Every partition of {0, ..., k-1} as a label vector, in canonical order.
-
-    A label vector gives each item its block number; blocks are numbered by
-    smallest member, so the vectors are the restricted growth strings, in
-    lexicographic order. More than DEFAULT_MAX_ITEMS items are refused
-    eagerly unless a cap bounds whatever the caller takes.
-    """
+def _check_enumerable(k: int, cap: Optional[int]) -> None:
+    """Refuse a negative item count or cap, and more than DEFAULT_MAX_ITEMS
+    items unless a cap bounds whatever the caller takes."""
     if k < 0:
         raise DomainError("k must be nonnegative")
+    if cap is not None and cap < 0:
+        raise DomainError("cap must be nonnegative")
     if k > DEFAULT_MAX_ITEMS and cap is None:
         raise DomainError(
             f"{k} items would enumerate {bell_number(k)} partitions; pass a cap to proceed"
         )
-    return _growth_strings(k)
 
 
 def enumerate_partitions(k: int, cap: Optional[int] = None) -> Iterator[Partition]:
     """Yield every partition of {0, ..., k-1} in canonical order, at most
     `cap` of them. Blocks come out sorted by smallest member. More than
-    DEFAULT_MAX_ITEMS items are refused eagerly unless a cap is given."""
-    stream = islice(_label_vectors(k, cap), None if cap is None else max(cap, 0))
+    DEFAULT_MAX_ITEMS items, and a negative cap, are refused eagerly."""
+    _check_enumerable(k, cap)
+    stream = islice(_growth_strings(k), cap)
     return (Partition(tuple(map(tuple, _blocks(labels, range(k))))) for labels in stream)
 
 

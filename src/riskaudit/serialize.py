@@ -376,6 +376,7 @@ def solve_doc(result: SolveResult) -> dict:
     return {
         "status": result.status,
         "explored": result.explored,
+        "pruned": result.pruned,
         "partition": None
         if result.partition is None
         else [list(block) for block in result.partition.blocks],

@@ -1,22 +1,25 @@
-"""Brute-force search for fair assignments over integral bin structures.
+"""Exhaustive search for fair assignments over integral bin structures.
 
 An integral assignment sends each feature wholly into one bin, so candidates
-are exactly the set partitions of the feature list. Rational instances are
-searched in exact arithmetic; a tolerance turns every equality in the
-fairness check into an absolute residual bound, which is meant for instances
-whose probabilities were rounded through floats.
+are exactly the set partitions of the feature list; the search skips only
+partitions it can prove unfit. Rational instances are searched in exact
+arithmetic; a tolerance turns every equality in the fairness check into an
+absolute residual bound, which is meant for instances whose probabilities
+were rounded through floats.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from operator import or_
 from typing import Optional
 
-from .audit import _Table, _fair, _pooled_scores
+from .audit import _Table, _calibrated, _fair, _pooled_scores
 from .errors import DomainError
 from .loss import LossReport, _loss_report, _nontrivial
 from .model import Instance, RiskAssignment, _scaled, require_valid
-from .partitions import Partition, _blocks, _label_vectors
+from .partitions import Partition, _blocks, _check_enumerable
 
 OBJECTIVES = ("any_fair", "min_loss")
 
@@ -28,6 +31,8 @@ class SolveResult:
     status "found" carries a fair non-trivial witness; "none" means the
     search space was exhausted without one; "budget_exceeded" means the cap
     stopped the enumeration first (best-so-far attached when one was seen).
+    `explored` counts partitions in canonical order, `pruned` those of them
+    the search proved unfit without visiting them.
     """
 
     status: str
@@ -35,6 +40,7 @@ class SolveResult:
     assignment: Optional[RiskAssignment]
     loss_report: Optional[LossReport]
     explored: int
+    pruned: int
 
 
 def assignment_from_partition(inst: Instance, part: Partition) -> RiskAssignment:
@@ -78,25 +84,139 @@ def _block_table(scaled, labels, nblocks: int):
     return _Table((m0, m1), (g0, g1), scaled.denominator), kept
 
 
-def _integral_search(inst: Instance, cap: Optional[int], visit) -> tuple[int, bool]:
-    """Walk the integral assignments of `inst`, one per partition of its
-    features, in canonical order: the label vectors of _label_vectors.
+# More features than this are refused even with a cap: the search's tables
+# have an entry for every subset of the features.
+MAX_SEARCH_ITEMS = 16
 
-    For each, `visit(labels, table, nums, dens)` gets the bin table and the
-    pooled scores of the populated blocks, in label order; the walk stops
-    when it returns true. Returns (explored, complete): complete is false
-    when the cap, not `visit` or the last partition, ended the walk.
+
+def _integral_search(inst: Instance, cap: Optional[int], calibrated, visit, bound: bool = False):
+    """Walk the integral assignments of `inst`, one per partition of its
+    features, depth first in canonical order: label vectors (each feature
+    position's block number, blocks numbered by smallest member) in
+    lexicographic order.
+
+    A pooled block's calibration depends on that block alone.
+    `calibrated(table, nums, dens)`, the caller's calibration verdict, is
+    applied once to the one-bin table of every subset of the features, and a
+    subtree is skipped as soon as one of its open blocks can no longer be
+    completed into a passing block; its partitions are counted, not visited.
+    `visit(labels, table, nums, dens)` gets the bin table and the pooled
+    scores of the populated blocks in label order, and returns whether the
+    partition is a hit.
+
+    Without `bound` the walk stops at the first hit. With it, each hit
+    becomes the incumbent, and a subtree is skipped unless it may beat it:
+    pooled loss falls as sum(G**2 / M) over blocks (G positive mass, M
+    mass) rises, and merging blocks never raises that sum, so the open
+    blocks plus each remaining feature alone bound every completion. So
+    every visited hit beats the one before, and ties keep the earlier.
+
+    Returns (explored, pruned, complete): the partitions counted in
+    canonical order up to where the walk ended, those of them never
+    visited, and whether the cap did not end the walk.
     """
+    k = len(inst.features)
+    if cap == 0:
+        return 0, 0, False
+    _check_enumerable(k, cap)
+    if k > MAX_SEARCH_ITEMS:
+        raise DomainError(f"{k} features: the integral search takes at most {MAX_SEARCH_ITEMS}, even with a cap")
     scaled = _scaled(inst)
-    explored = 0
-    for labels in _label_vectors(len(inst.features), cap):
-        if explored == cap:
-            return explored, False
-        explored += 1
-        table, _ = _block_table(scaled, labels, max(labels) + 1)
-        if visit(labels, table, *_pooled_scores(table, _ZERO)):
-            break
-    return explored, True
+    scale = scaled.denominator
+    # block sums of every subset, by bit mask over feature positions
+    m0, m1, g0, g1 = [0], [0], [0], [0]
+    for n1, n2, q1, q2 in scaled.weights:
+        m0 += [x + n1 for x in m0]
+        m1 += [x + n2 for x in m1]
+        g0 += [x + q1 for x in g0]
+        g1 += [x + q2 for x in g1]
+    # reach[i][mask], for a mask over positions < i: some subset of the
+    # positions >= i completes it into a calibrated block
+    reach = [[calibrated(_Table(([a], [b]), ([c], [d]), scale), [c + d], [a + b])
+              for a, b, c, d in zip(m0, m1, g0, g1)]]
+    for i in reversed(range(k)):
+        h = 1 << i
+        reach.append(list(map(or_, reach[-1][:h], reach[-1][h:])))
+    reach.reverse()
+    # rest[i][n]: label vectors completing a prefix of i positions in n blocks
+    rest = [[1] * (k + 2)]
+    for _ in range(k):
+        row = rest[-1]
+        rest.append([n * row[n] + row[n + 1] for n in range(k + 1)] + [0])
+    rest.reverse()
+
+    def worth(blocks, num=0, den=1):
+        # num / den plus the sum of G**2 / M over the blocks, unreduced
+        for mask in blocks:
+            m = m0[mask] + m1[mask]
+            if m:
+                g = g0[mask] + g1[mask]
+                num, den = num * m + g * g * den, den * m
+        return num, den
+
+    # tail[i]: the sum over the features at positions >= i, each alone
+    tail = [worth([1 << j for j in range(i, k)]) for i in range(k + 1)] if bound else None
+
+    labels = [0] * k
+    masks: list[int] = []  # the open blocks
+    explored = visited = 0
+    complete = True
+    incumbent = None
+
+    def walk(i: int) -> bool:
+        # place position i and everything after it; true ends the walk
+        nonlocal explored, visited, complete, incumbent
+        if i == k:
+            if explored == cap:
+                complete = False
+                return True
+            explored += 1
+            visited += 1
+            kept = [m for m in masks if m0[m] or m1[m]]
+            table = _Table(
+                ([m0[m] for m in kept], [m1[m] for m in kept]),
+                ([g0[m] for m in kept], [g1[m] for m in kept]),
+                scale,
+            )
+            if not visit(tuple(labels), table, *_pooled_scores(table, _ZERO)):
+                return False
+            if not bound:
+                return True
+            incumbent = worth(masks)
+            return False
+        bit = 1 << i
+        completable = reach[i + 1].__getitem__
+        for b in range(len(masks) + 1):
+            opened = b == len(masks)
+            if opened:
+                masks.append(bit)
+            else:
+                masks[b] |= bit
+            labels[i] = b
+            if all(map(completable, masks)) and (
+                incumbent is None or _exceeds(worth(masks, *tail[i + 1]), incumbent)
+            ):
+                if walk(i + 1):
+                    return True
+            else:
+                skipped = rest[i + 1][len(masks)]
+                if cap is not None and explored + skipped > cap:
+                    explored, complete = cap, False
+                    return True
+                explored += skipped
+            if opened:
+                masks.pop()
+            else:
+                masks[b] ^= bit
+        return False
+
+    walk(0)
+    return explored, explored - visited, complete
+
+
+def _exceeds(x, y) -> bool:
+    """x > y, for fractions given as (numerator, positive denominator)."""
+    return x[0] * y[1] > y[0] * x[1]
 
 
 def _witness(inst: Instance, labels) -> tuple[Partition, RiskAssignment]:
@@ -125,22 +245,21 @@ def solve_integral(
     require_valid(inst)
     if objective not in OBJECTIVES:
         raise DomainError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
-    if cap is not None and cap < 0:
-        raise DomainError("cap must be nonnegative")
 
-    best: Optional[tuple] = None
+    hit: Optional[tuple] = None
 
     def visit(labels, table, nums, dens) -> bool:
-        nonlocal best
+        nonlocal hit
         if not (_fair(table, nums, dens, tolerance) and _nontrivial(table, nums, dens, tolerance)):
             return False
-        report = _loss_report(table, nums, dens)
-        if best is None or report.total < best[0].total:
-            best = (report, labels)
-        return objective == "any_fair"
+        hit = labels, table, nums, dens
+        return True
 
-    explored, complete = _integral_search(inst, cap, visit)
-    if best is None:
-        return SolveResult("none" if complete else "budget_exceeded", None, None, None, explored)
-    report, labels = best
-    return SolveResult("found" if complete else "budget_exceeded", *_witness(inst, labels), report, explored)
+    explored, pruned, complete = _integral_search(
+        inst, cap, partial(_calibrated, tol=tolerance), visit, bound=objective == "min_loss"
+    )
+    if hit is None:
+        return SolveResult("none" if complete else "budget_exceeded", None, None, None, explored, pruned)
+    labels, *parts = hit
+    status = "found" if complete else "budget_exceeded"
+    return SolveResult(status, *_witness(inst, labels), _loss_report(*parts), explored, pruned)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from random import Random
 from typing import Iterator, Optional
 
@@ -19,6 +20,8 @@ from .audit import (
     ApproxAuditReport,
     _accumulate_bins,
     _approx_report,
+    _calibrated,
+    _calibrated_within,
     _fair,
     _pooled_scores,
     _score_pairs,
@@ -384,7 +387,9 @@ def theorem_sweep(
         consider(table, nums, dens, lambda: _witness(inst, labels)[1])
         return False
 
-    integral_explored, integral_complete = _integral_search(inst, integral_cap, visit)
+    # a candidate outside the calibration band can pass neither check
+    calibrated = partial(_calibrated_within, e=e) if e else _calibrated
+    integral_explored, _, integral_complete = _integral_search(inst, integral_cap, calibrated, visit)
 
     pooled = _pooled_rate(inst)
     rng = Random(seed)

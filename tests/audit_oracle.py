@@ -4,7 +4,8 @@ integer bin table, kept as test oracles.
 
 Each function is copied unchanged from the package, apart from two
 function-local `from .model import assignment_rows_for` lines that moved to
-the imports below. Calls between them resolve inside this module, so
+the imports below, and `assignment_from_partition`, which looks features up
+in a dict where it called the since deleted `Instance.by_id`. Calls between them resolve inside this module, so
 `audit_approx` still recomputes `audit_exact` and `bin_statistics` the old
 way, and `theorem_sweep` reads the `Fraction` bin table (`_accumulate_bins`,
 `_fair_from_parts`) below, and draws its candidates through the `randint`-based
@@ -18,6 +19,13 @@ forms from before instances and assignments kept their integer form:
 call, and `assignment_checks` is the body of `RiskAssignment.__post_init__`,
 which checked entries and row sums as `Fraction`s. The views above call this
 `derived_stats`, not the package's.
+
+`unpruned_solve_integral` and `unpruned_integral_sweep` are `solve_integral`
+and the integral half of `theorem_sweep` (a budget of 0) as they were on the
+integer bin table, before the search skipped partitions: they visit every
+partition, and they read the package's integer kernel, which the tests
+compare with the `Fraction` forms above. They check the pruned search up to
+8 features, where each `Fraction` scan takes seconds.
 """
 from __future__ import annotations
 
@@ -30,21 +38,25 @@ from riskaudit.audit import (
     AuditReport,
     BinStats,
     ConsequenceFlags,
+    _fair,
+    _pooled_scores,
     consequence_slack,
 )
+from riskaudit.audit import _approx_report as _table_approx_report
 from riskaudit.errors import DegenerateGroupError, DomainError, InvalidAssignmentError
-from riskaudit.loss import FairnessDifference, LossReport
+from riskaudit.loss import FairnessDifference, LossReport, _loss_report, _nontrivial
 from riskaudit.model import (
     GROUPS,
     GroupStats,
     Instance,
     RiskAssignment,
+    _scaled,
     as_fraction,
     assignment_rows_for,
     require_valid,
 )
-from riskaudit.partitions import Partition, enumerate_partitions
-from riskaudit.solver import OBJECTIVES, SolveResult
+from riskaudit.partitions import Partition, _growth_strings, enumerate_partitions
+from riskaudit.solver import OBJECTIVES, SolveResult, _block_table, _witness
 from riskaudit.sweep import SweepReport, is_perfect_prediction
 
 
@@ -419,14 +431,15 @@ def assignment_from_partition(inst: Instance, part: Partition) -> RiskAssignment
     if part.members() != ids:
         raise DomainError("partition does not cover exactly the instance's features")
 
+    by_id = {f.id: f for f in inst.features}
     scored: list[tuple[tuple, Fraction]] = []
     empty_blocks: list[tuple] = []
     for block in part.blocks:
-        mass = sum((inst.by_id(fid).total for fid in block), Fraction(0))
+        mass = sum((by_id[fid].total for fid in block), Fraction(0))
         if mass == 0:
             empty_blocks.append(block)
             continue
-        weighted = sum((inst.by_id(fid).total * inst.by_id(fid).p for fid in block), Fraction(0))
+        weighted = sum((by_id[fid].total * by_id[fid].p for fid in block), Fraction(0))
         scored.append((block, weighted / mass))
     if not scored:
         raise DomainError("no block carries any people")
@@ -492,17 +505,17 @@ def solve_integral(
             continue
         report = loss(inst, asg)
         if objective == "any_fair":
-            return SolveResult("found", part, asg, report, explored)
+            return SolveResult("found", part, asg, report, explored, 0)
         if best is None or report.total < best[0]:
             best = (report.total, part, asg, report)
 
     if not exhausted:
         if best is not None:
-            return SolveResult("budget_exceeded", best[1], best[2], best[3], explored)
-        return SolveResult("budget_exceeded", None, None, None, explored)
+            return SolveResult("budget_exceeded", best[1], best[2], best[3], explored, 0)
+        return SolveResult("budget_exceeded", None, None, None, explored, 0)
     if best is not None:
-        return SolveResult("found", best[1], best[2], best[3], explored)
-    return SolveResult("none", None, None, None, explored)
+        return SolveResult("found", best[1], best[2], best[3], explored, 0)
+    return SolveResult("none", None, None, None, explored, 0)
 
 
 # from riskaudit/audit.py
@@ -964,6 +977,93 @@ def theorem_sweep(
         integral_explored=integral_explored,
         integral_complete=integral_complete,
         fractional_explored=fractional,
+        exact_fair_count=exact_fair_count,
+        first_exact_fair=first_fair,
+        exact_counterexample=exact_ce,
+        approx_pass_count=approx_pass,
+        approx_counterexample=approx_ce,
+    )
+
+
+# from riskaudit/solver.py, before the search pruned
+def unpruned_integral_search(inst: Instance, cap: Optional[int], visit) -> tuple[int, bool]:
+    scaled = _scaled(inst)
+    explored = 0
+    for labels in _growth_strings(len(inst.features)):
+        if explored == cap:
+            return explored, False
+        explored += 1
+        table, _ = _block_table(scaled, labels, max(labels) + 1)
+        if visit(labels, table, *_pooled_scores(table, _ZERO)):
+            break
+    return explored, True
+
+
+# from riskaudit/solver.py, before the search pruned
+def unpruned_solve_integral(
+    inst: Instance,
+    objective: str = "any_fair",
+    cap: Optional[int] = None,
+    tolerance: Optional[Fraction] = None,
+) -> SolveResult:
+    require_valid(inst)
+    best: Optional[tuple] = None
+
+    def visit(labels, table, nums, dens) -> bool:
+        nonlocal best
+        if not (_fair(table, nums, dens, tolerance) and _nontrivial(table, nums, dens, tolerance)):
+            return False
+        report = _loss_report(table, nums, dens)
+        if best is None or report.total < best[0].total:
+            best = (report, labels)
+        return objective == "any_fair"
+
+    explored, complete = unpruned_integral_search(inst, cap, visit)
+    if best is None:
+        return SolveResult("none" if complete else "budget_exceeded", None, None, None, explored, 0)
+    report, labels = best
+    return SolveResult("found" if complete else "budget_exceeded", *_witness(inst, labels), report, explored, 0)
+
+
+# from riskaudit/sweep.py, before the search pruned: theorem_sweep with a
+# budget of 0, so only its integral half
+def unpruned_integral_sweep(inst: Instance, eps, seed: int, integral_cap: Optional[int] = None) -> SweepReport:
+    gs = derived_stats(inst)
+    e = as_fraction(eps)
+    gap = gs.base_rate[0] - gs.base_rate[1]
+    perfect = is_perfect_prediction(inst)
+    special = gap == 0 or perfect
+    exact_fair_count = approx_pass = 0
+    first_fair = exact_ce = approx_ce = None
+    scaled = _scaled(inst)
+    slack = consequence_slack(e)
+
+    def visit(labels, table, nums, dens) -> bool:
+        nonlocal exact_fair_count, first_fair, exact_ce, approx_pass, approx_ce
+        if _fair(table, nums, dens):
+            exact_fair_count += 1
+            if first_fair is None:
+                first_fair = _witness(inst, labels)[1]
+                if not special:
+                    exact_ce = first_fair
+        if e > 0:
+            report = _table_approx_report(scaled, e, slack, table, nums, dens)
+            if report.passed:
+                approx_pass += 1
+                if not report.consequence.any and approx_ce is None:
+                    approx_ce = _witness(inst, labels)[1]
+        return False
+
+    integral_explored, integral_complete = unpruned_integral_search(inst, integral_cap, visit)
+    return SweepReport(
+        seed=seed,
+        epsilon=e,
+        budget=0,
+        base_rate_gap=gap,
+        perfect_prediction=perfect,
+        integral_explored=integral_explored,
+        integral_complete=integral_complete,
+        fractional_explored=0,
         exact_fair_count=exact_fair_count,
         first_exact_fair=first_fair,
         exact_counterexample=exact_ce,

@@ -103,8 +103,8 @@ class TestNontrivial:
         )
         norm = normalize_assignment(balanced, asg)
         assert norm.scores == (F(1, 4), F(3, 4))
-        assert norm.row("s1") == (F(1), F(0))
-        assert norm.row("s2") == (F(0), F(1))
+        assert norm.feature_ids == ("s1", "s2")
+        assert norm.rows == ((F(1), F(0)), (F(0), F(1)))
 
 
 class TestInterpolate:

@@ -92,9 +92,8 @@ class TestIngest:
         ]
         inst, div = ingest_records(RecordTable(tuple(rows)))
         assert inst.ids == ("a", "b")
-        a = inst.by_id("a")
+        a, b = inst.features
         assert (a.n1, a.n2, a.p) == (2, 1, F(2, 3))
-        b = inst.by_id("b")
         assert (b.n1, b.n2, b.p) == (1, 1, F(1, 2))
         assert div.max_deviation == F(1, 2)
         devs = {(e.feature_id, e.group): e.deviation for e in div.entries}
@@ -153,7 +152,7 @@ class TestRiskAssignment:
             ((F(1, 2), F(1, 2)), (F(0), F(1))),
         )
         assert asg.bin_count == 2
-        assert asg.row("b") == (F(0), F(1))
+        assert asg.rows[1] == (F(0), F(1))
 
     def test_rows_for_requires_same_ids(self, balanced):
         asg = RiskAssignment(("s1", "zz"), (F(1, 2),), ((F(1),), (F(1),)))

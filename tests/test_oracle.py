@@ -6,9 +6,17 @@ bins, groups whose positive or negative class is empty, and feature ids whose
 string order differs from their position. Assignments list their features in
 a shuffled order and score bins either at random or at the bin's pooled rate,
 so fair and relaxed-passing cases occur as well as failing ones.
+
+The pruned integral search is checked up to 8 features against the search
+that visited every partition (`old.unpruned_*`), and its walk against the
+definition of a calibrated block: it visits exactly the partitions whose
+every block passes, in canonical order, with the tables the unpruned walk
+built.
 """
 from dataclasses import replace
 from fractions import Fraction as F
+from functools import cache, partial
+from itertools import islice
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,6 +30,7 @@ from riskaudit import (
     RiskAuditError,
     audit_approx,
     audit_exact,
+    bell_number,
     bin_statistics,
     classify_consequence,
     derived_stats,
@@ -32,7 +41,12 @@ from riskaudit import (
     passes_fairness,
     solve_integral,
     statistical_parity_gap,
+    theorem_sweep,
 )
+from riskaudit.audit import _calibrated, _calibrated_within, _pooled_scores
+from riskaudit.model import _scaled
+from riskaudit.partitions import enumerate_partitions
+from riskaudit.solver import _block_table, _integral_search
 
 PROBS = (F(0), F(1), F(1, 2), F(1, 3), F(3, 4), F(2, 5))
 MASSES = (F(0), F(1), F(2), F(3), F(1, 2))
@@ -116,9 +130,118 @@ def test_views_match_old_implementation(case, eps, tolerance):
        st.sampled_from((None, 0, 1, 2, 5, 7, 15, 30, 52, 53)),
        st.sampled_from((None, F(1, 1000), F(1, 10))))
 def test_solver_matches_old_implementation(inst, objective, cap, tolerance):
-    assert solve_integral(inst, objective, cap, tolerance) == old.solve_integral(
-        inst, objective, cap, tolerance
+    res = solve_integral(inst, objective, cap, tolerance)
+    # the old search visits every partition it counts
+    assert 0 <= res.pruned <= res.explored
+    assert replace(res, pruned=0) == old.solve_integral(inst, objective, cap, tolerance)
+
+
+# a few repeated probabilities, so that blocks of several features can be
+# calibrated, and features with mass in one group only or in none
+SEARCH_PROBS = (F(0), F(1), F(1, 2), F(1, 3))
+SEARCH_MASSES = ((1, 1), (2, 1), (1, 3), (1, 0), (0, 2), (0, 0))
+SEARCH_IDS = ("x1", "x10", "x2", "x11", "x3", "x12", "x4", "x13")
+# symbolic caps around the Bell number of the instance's feature count
+SEARCH_CAPS = (None, 0, 1, 2, 15, "bell-1", "bell", "bell+1")
+
+
+@st.composite
+def search_cases(draw):
+    k = draw(st.integers(1, 8))
+    feats = []
+    for fid in SEARCH_IDS[:k]:
+        n1, n2 = draw(st.sampled_from(SEARCH_MASSES))
+        feats.append(FeatureVector(fid, draw(st.sampled_from(SEARCH_PROBS)), F(n1), F(n2)))
+    if not any(f.n1 for f in feats):
+        feats[0] = replace(feats[0], n1=F(1))
+    if not any(f.n2 for f in feats):
+        feats[-1] = replace(feats[-1], n2=F(1))
+    cap = draw(st.sampled_from(SEARCH_CAPS))
+    if isinstance(cap, str):
+        cap = bell_number(k) + {"bell-1": -1, "bell": 0, "bell+1": 1}[cap]
+    return Instance(tuple(feats)), cap
+
+
+# eight features, every kind of mass, probabilities repeated
+EIGHT = Instance(tuple(
+    FeatureVector(fid, p, F(n1), F(n2))
+    for fid, p, (n1, n2) in zip(SEARCH_IDS, SEARCH_PROBS[2:] * 3 + SEARCH_PROBS[:2], SEARCH_MASSES * 2)
+))
+# group 2 a scaled copy of group 1: every block is calibrated, every
+# non-trivial partition fair, and min_loss leans on its bound alone
+PROPORTIONAL = Instance(tuple(replace(f, n2=2 * f.n1) for f in EIGHT.features))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(search_cases(), st.sampled_from(OBJECTIVES), st.sampled_from((None, F(1, 1000), F(1, 10))))
+@example((EIGHT, None), "min_loss", F(1, 10))
+@example((EIGHT, 4139), "min_loss", F(1, 10))
+@example((EIGHT, None), "any_fair", None)
+@example((PROPORTIONAL, None), "min_loss", None)
+@example((PROPORTIONAL, 100), "min_loss", F(1, 1000))
+def test_pruned_search_matches_unpruned(case, objective, tolerance):
+    inst, cap = case
+    res = solve_integral(inst, objective, cap, tolerance)
+    assert 0 <= res.pruned <= res.explored
+    assert replace(res, pruned=0) == old.unpruned_solve_integral(inst, objective, cap, tolerance)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(search_cases(), st.sampled_from((0, F(1, 1000), F(1, 10), 1)))
+def test_pruned_sweep_matches_unpruned(case, eps):
+    inst, cap = case
+    assert theorem_sweep(inst, 0, eps, 1, integral_cap=cap) == old.unpruned_integral_sweep(
+        inst, eps, 1, integral_cap=cap
     )
+
+
+def _passes(features, kind, x) -> bool:
+    # a pooled block's calibration, from the definition: each group's expected
+    # positives within x of (tolerance), or within the factor band 1 +- x of
+    # (band), the block's pooled rate times the group's mass
+    mass = [sum((f.count(t) for f in features), F(0)) for t in (1, 2)]
+    pos = [sum((f.count(t) * f.p for f in features), F(0)) for t in (1, 2)]
+    if not sum(mass):
+        return True
+    rate = sum(pos) / sum(mass)
+    if kind == "tolerance":
+        return all(abs(g - rate * m) <= x for g, m in zip(pos, mass))
+    return all((1 - x) * rate * m <= g <= (1 + x) * rate * m for g, m in zip(pos, mass))
+
+
+BLOCK_TESTS = (("tolerance", F(0)), ("tolerance", F(1, 1000)), ("tolerance", F(1, 10)),
+               ("band", F(1, 1000)), ("band", F(1, 10)), ("band", F(1)))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(search_cases(), st.sampled_from(BLOCK_TESTS))
+@example((EIGHT, None), ("band", F(1, 10)))
+@example((EIGHT, None), ("band", F(1)))
+@example((EIGHT, 2000), ("tolerance", F(1, 10)))
+def test_search_visits_exactly_the_calibrated_partitions(case, block_test):
+    inst, cap = case
+    kind, x = block_test
+    calibrated = partial(_calibrated_within, e=x) if kind == "band" else partial(_calibrated, tol=x)
+    seen = []
+
+    def visit(labels, table, nums, dens):
+        seen.append(labels)
+        assert table == _block_table(_scaled(inst), labels, max(labels) + 1)[0]
+        assert (nums, dens) == _pooled_scores(table, F(0))
+        return False
+
+    explored, pruned, complete = _integral_search(inst, cap, calibrated, visit)
+    k = len(inst.features)
+    bell = bell_number(k)
+    counted = bell if cap is None else min(cap, bell)
+    passes = cache(lambda block: _passes([inst.features[i] for i in block], kind, x))
+    expected = [
+        tuple(b for i in range(k) for b, block in enumerate(part) if i in block)
+        for part in islice(enumerate_partitions(k), counted)
+        if all(map(passes, part))
+    ]
+    assert seen == expected
+    assert (explored, pruned, complete) == (counted, counted - len(seen), counted == bell)
 
 
 # nonnegative rationals with large denominators, and plain ints

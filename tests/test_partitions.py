@@ -55,6 +55,9 @@ def test_partitions_are_exact_covers():
 def test_cap_truncates():
     got = list(enumerate_partitions(5, cap=10))
     assert len(got) == 10
+    # a negative cap is bad input, as in the searches
+    with pytest.raises(DomainError):
+        enumerate_partitions(3, cap=-1)
 
 
 def test_large_k_needs_cap():

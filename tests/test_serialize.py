@@ -82,7 +82,7 @@ class TestInstanceDocs:
             "features": [{"id": "a", "p": "1/2", "counts": {"1": "2"}}],
         }
         inst = instance_from_doc(doc)
-        assert inst.by_id("a").n2 == 0
+        assert inst.features[0].n2 == 0
 
 
 class TestAssignmentDocs:
@@ -113,8 +113,8 @@ class TestAssignmentDocs:
             ],
         }
         asg = assignment_from_doc(doc)
-        assert asg.row("a") == (1, 0)
-        assert asg.row("b") == (0, 1)
+        assert asg.feature_ids == ("a", "b")
+        assert asg.rows == ((1, 0), (0, 1))
 
 
 class TestReducedDocs:

@@ -3,17 +3,23 @@ from fractions import Fraction as F
 import pytest
 
 from riskaudit import (
+    OBJECTIVES,
     DomainError,
     Instance,
     Partition,
     SubsetSumInstance,
     assignment_from_partition,
     audit_exact,
+    bell_number,
+    dumps_doc,
     feature,
+    instance_to_doc,
     is_nontrivial,
     reduce_subset_sum,
     solve_integral,
+    theorem_sweep,
 )
+from riskaudit.cli import run_cli
 
 
 class TestAssignmentFromPartition:
@@ -108,3 +114,32 @@ class TestToleranceNontriviality:
         ri = reduce_subset_sum(SubsetSumInstance((2, 3, 5), target))
         res = solve_integral(ri.instance, "any_fair", tolerance=F(1, 10**9))
         assert (res.status, res.explored) == (status, explored)
+
+
+def _spread(k):
+    # probabilities 0, 1/2 and 1, and every other feature in group 1 only
+    return Instance(tuple(feature(f"f{i}", F(i % 3, 2), 1, i % 2) for i in range(k)))
+
+
+class TestSearchSize:
+    def test_full_scan_at_twelve_features(self):
+        # unequal base rates and uncertain features: nothing is fair, and the
+        # search proves it visiting few of the 4,213,597 partitions
+        inst = Instance(tuple(feature(f"f{i}", F(i + 1, 13), 1, 1 + i % 3) for i in range(12)))
+        for objective in OBJECTIVES:
+            res = solve_integral(inst, objective)
+            assert (res.status, res.explored) == ("none", bell_number(12))
+            assert res.explored - res.pruned < 10_000
+
+    def test_cap_reaches_sixteen_features(self, tmp_path):
+        res = solve_integral(_spread(16), cap=3)
+        assert (res.status, res.explored) == ("budget_exceeded", 3)
+        with pytest.raises(DomainError):
+            solve_integral(_spread(17), cap=3)
+        path = tmp_path / "inst17.json"
+        path.write_text(dumps_doc(instance_to_doc(_spread(17))))
+        assert run_cli(["solve-integral", "-i", str(path), "--cap", "3"]) == 2
+
+    def test_fractional_sweep_needs_no_integral_search(self):
+        rep = theorem_sweep(_spread(20), 50, F(1, 10), 1, integral_cap=0)
+        assert (rep.integral_explored, rep.integral_complete, rep.fractional_explored) == (0, False, 50)
