@@ -48,8 +48,8 @@ class BinStats:
 
 def bin_statistics(inst: Instance, asg: RiskAssignment) -> BinStats:
     """Aggregate the allocation against the instance, bin by bin."""
-    table, nums, dens = _bin_table(inst, asg)
-    s = table.scale
+    table = _bin_table(inst, asg)
+    s, nums, dens = table.scale, table.nums, table.dens
     return BinStats(
         mass=tuple(tuple(Fraction(m, s) for m in mass) for mass in table.mass),  # type: ignore[arg-type]
         positive=tuple(tuple(Fraction(g, s) for g in pos) for pos in table.positive),  # type: ignore[arg-type]
@@ -83,17 +83,17 @@ class AuditReport:
 
 def audit_exact(inst: Instance, asg: RiskAssignment) -> AuditReport:
     """Audit all three fairness conditions with exact arithmetic."""
-    return _exact_report(*_bin_table(inst, asg))
+    return _exact_report(_bin_table(inst, asg))
 
 
-def _exact_report(table, nums, dens) -> AuditReport:
+def _exact_report(table: _Table) -> AuditReport:
     s = table.scale
     residuals = tuple(
-        tuple(Fraction(g * d - n * m, d * s) for n, d, m, g in zip(nums, dens, mass, positive))
+        tuple(Fraction(g * d - n * m, d * s) for n, d, m, g in zip(table.nums, table.dens, mass, positive))
         for mass, positive in zip(table.mass, table.positive)
     )
-    c, pos, neg = _classes(table, nums, dens)
-    calibration_ok = _calibrated(table, nums, dens)
+    c, pos, neg = _classes(table)
+    calibration_ok = _calibrated(table)
     pos_ok, neg_ok = _balanced(pos, c), _balanced(neg, c)
     total = [a + b for (a, _), (b, _) in zip(pos, neg)]
     population = [mu + nu for (_, mu), (_, nu) in zip(pos, neg)]
@@ -178,7 +178,7 @@ def classify_consequence(inst: Instance, asg: RiskAssignment, eps) -> Consequenc
     whole population is certain-negative, so the near-perfect flag ignores it.
     """
     slack = consequence_slack(eps)
-    c, pos, _ = _classes(*_bin_table(inst, asg))
+    c, pos, _ = _classes(_bin_table(inst, asg))
     return _consequence(_scaled(inst), c, pos, slack)
 
 
@@ -232,12 +232,12 @@ def audit_approx(inst: Instance, asg: RiskAssignment, eps) -> ApproxAuditReport:
     e = as_fraction(eps)
     if e < 0:
         raise DomainError("eps must be nonnegative")
-    return _approx_report(_scaled(inst), e, consequence_slack(e), *_bin_table(inst, asg))
+    return _approx_report(_scaled(inst), e, consequence_slack(e), _bin_table(inst, asg))
 
 
-def _approx_report(scaled: _Scaled, e: Fraction, slack: Fraction, table, nums, dens) -> ApproxAuditReport:
-    calib_ok = _calibrated_within(table, nums, dens, e)
-    c, pos, neg = _classes(table, nums, dens)
+def _approx_report(scaled: _Scaled, e: Fraction, slack: Fraction, table: _Table) -> ApproxAuditReport:
+    calib_ok = _calibrated_within(table, e)
+    c, pos, neg = _classes(table)
     pos_ok = _balanced_within(pos, e)
     neg_ok = _balanced_within(neg, e)
     return ApproxAuditReport(
@@ -256,26 +256,30 @@ def _approx_report(scaled: _Scaled, e: Fraction, slack: Fraction, table, nums, d
 #
 # A table reads an instance's integer form (`model._scaled`, built once per
 # instance) and integer allocation rows, each read as fractions of the row's
-# sum (kept by a `RiskAssignment` from construction). Scores travel as
-# numerator and denominator tuples.
+# sum (kept by a `RiskAssignment` from construction). Scores travel in the
+# table as numerator and denominator lists.
 
 
 class _Table(NamedTuple):
-    """Group-major mass and expected positives per bin, integers over `scale`.
+    """Group-major mass and expected positives per bin, integers over
+    `scale`, and the bin scores nums[b] / dens[b].
 
-    Every audit, loss and search verdict reads this one aggregation; the
-    people mass of bin b is mass[0][b] + mass[1][b]. Because rows sum to one,
-    a group's entries sum to its population (mass) or positive mass
+    Every audit, loss and search verdict reads this one value; the people
+    mass of bin b is mass[0][b] + mass[1][b]. Because rows sum to one, a
+    group's entries sum to its population (mass) or positive mass
     (positive), over the same scale.
     """
 
     mass: tuple[list[int], list[int]]
     positive: tuple[list[int], list[int]]
     scale: int
+    nums: list[int]
+    dens: list[int]
 
 
-def _accumulate_bins(scaled: _Scaled, rows, nbins: int) -> _Table:
-    """The bin table of integer allocation rows (see _Table)."""
+def _accumulate_bins(scaled: _Scaled, rows, nbins: int):
+    """The mass, positive and scale columns of a table (see _Table) of
+    integer allocation rows."""
     sums = [sum(row) for row in rows]
     scale = lcm(*sums)
     bins = range(nbins)
@@ -288,38 +292,39 @@ def _accumulate_bins(scaled: _Scaled, rows, nbins: int) -> _Table:
             m1[b] += n2 * x
             p0[b] += q1 * x
             p1[b] += q2 * x
-    return _Table((m0, m1), (p0, p1), scale * scaled.denominator)
+    return (m0, m1), (p0, p1), scale * scaled.denominator
 
 
-def _score_pairs(scores):
-    return [v.numerator for v in scores], [v.denominator for v in scores]
+def _scored(scaled: _Scaled, rows, scores) -> _Table:
+    """The table of integer allocation rows whose bins carry `scores`."""
+    nums, dens = [v.numerator for v in scores], [v.denominator for v in scores]
+    return _Table(*_accumulate_bins(scaled, rows, len(scores)), nums, dens)
 
 
-def _bin_table(inst: Instance, asg: RiskAssignment):
-    """(table, score numerators, score denominators) of an assignment on a
-    valid instance; raises InvalidInstanceError on an invalid one."""
-    scaled = _scaled(inst)
+def _bin_table(inst: Instance, asg: RiskAssignment) -> _Table:
+    """The table of an assignment on a valid instance; raises
+    InvalidInstanceError on an invalid one."""
     rows = [asg._int_rows[i] for i in _row_order(inst, asg)]
-    return (_accumulate_bins(scaled, rows, asg.bin_count), *_score_pairs(asg.scores))
+    return _scored(_scaled(inst), rows, asg.scores)
 
 
-def _pooled_scores(table: _Table, empty: Fraction):
-    """Each bin scored at its pooled positive rate, `empty` for a bin with no
-    people, as numerators and denominators."""
-    nums = list(map(add, *table.positive))
-    dens = list(map(add, *table.mass))
+def _pooled(mass, positive, scale: int, empty: Fraction) -> _Table:
+    """The table of these columns with each bin scored at its pooled
+    positive rate, `empty` for a bin with no people."""
+    nums = list(map(add, *positive))
+    dens = list(map(add, *mass))
     for b, d in enumerate(dens):
         if not d:
             nums[b], dens[b] = empty.numerator, empty.denominator
-    return nums, dens
+    return _Table(mass, positive, scale, nums, dens)
 
 
-def _classes(table: _Table, nums, dens):
+def _classes(table: _Table):
     """Common score denominator c and, for the positive and the negative
     class, each group's (score received, class mass). A class average is
     score / (c * mass); both are integers over the table's scale."""
-    c = lcm(*dens)
-    scores = [n * (c // d) for n, d in zip(nums, dens)]
+    c = lcm(*table.dens)
+    scores = [n * (c // d) for n, d in zip(table.nums, table.dens)]
     (m0, m1), (g0, g1) = table.mass, table.positive
     x0 = sum(map(mul, g0, scores))
     x1 = sum(map(mul, g1, scores))
@@ -338,9 +343,10 @@ def _averages(cls, c: int):
     return tuple(Fraction(a, c * m) if m else None for a, m in cls)
 
 
-def _calibrated(table: _Table, nums, dens, tol: Optional[Fraction] = None) -> bool:
+def _calibrated(table: _Table, tol: Optional[Fraction] = None) -> bool:
     """Each bin's expected positives equal score times mass in both groups;
     with a tolerance, to within it in absolute value."""
+    nums, dens = table.nums, table.dens
     if not tol:
         (m0, m1), (g0, g1) = table.mass, table.positive
         return (
@@ -365,21 +371,24 @@ def _balanced(cls, c: int, tol: Optional[Fraction] = None) -> bool:
     return tol.denominator * abs(a0 * m1 - a1 * m0) <= tol.numerator * c * m0 * m1
 
 
-def _fair(table: _Table, nums, dens, tol: Optional[Fraction] = None) -> bool:
-    """All three conditions, exactly or to within an absolute tolerance."""
-    if not _calibrated(table, nums, dens, tol):
-        return False
-    c, pos, neg = _classes(table, nums, dens)
+def _balances(table: _Table, tol: Optional[Fraction] = None) -> bool:
+    """Both balance conditions, exactly or to within an absolute tolerance."""
+    c, pos, neg = _classes(table)
     return _balanced(pos, c, tol) and _balanced(neg, c, tol)
 
 
-def _calibrated_within(table: _Table, nums, dens, e: Fraction) -> bool:
+def _fair(table: _Table, tol: Optional[Fraction] = None) -> bool:
+    """All three conditions, exactly or to within an absolute tolerance."""
+    return _calibrated(table, tol) and _balances(table, tol)
+
+
+def _calibrated_within(table: _Table, e: Fraction) -> bool:
     """Each bin's expected positives lie in the band [1 - e, 1 + e] times
     score times mass, in both groups."""
     en, ed = e.numerator, e.denominator
     lo, hi = ed - en, ed + en
     for mass, positive in zip(table.mass, table.positive):
-        for n, d, m, g in zip(nums, dens, mass, positive):
+        for n, d, m, g in zip(table.nums, table.dens, mass, positive):
             target = n * m
             g = g * d * ed
             if g < lo * target or g > hi * target:
@@ -399,4 +408,4 @@ def passes_fairness(inst: Instance, asg: RiskAssignment, tolerance: Optional[Fra
     residual and each balance gap must be at most tolerance in absolute value.
     Agrees with audit_exact(...).fair when tolerance is None.
     """
-    return _fair(*_bin_table(inst, asg), tolerance)
+    return _fair(_bin_table(inst, asg), tolerance)

@@ -10,7 +10,6 @@ import argparse
 import sys
 import warnings
 from fractions import Fraction
-from typing import Optional
 
 from .audit import audit_approx, audit_exact
 from .errors import DocumentError, ReductionInfeasibleError, RiskAuditError
@@ -82,18 +81,17 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _audit_lines(doc: dict, prefix: str = "") -> list[str]:
-    lines = [
-        f"{prefix}calibration_ok: {_bool(doc['calibration_ok'])}",
-        f"{prefix}expected_score_total: {doc['expected_score_total'][0]}, {doc['expected_score_total'][1]}",
-        f"{prefix}pos_class_avg: {doc['pos_class_avg'][0]}, {doc['pos_class_avg'][1]}",
-        f"{prefix}neg_class_avg: {doc['neg_class_avg'][0]}, {doc['neg_class_avg'][1]}",
-        f"{prefix}balance_pos: ok={_bool(doc['balance_pos']['ok'])} vacuous={_bool(doc['balance_pos']['vacuous'])}",
-        f"{prefix}balance_neg: ok={_bool(doc['balance_neg']['ok'])} vacuous={_bool(doc['balance_neg']['vacuous'])}",
-        f"{prefix}parity_gap: {doc['parity_gap']}",
-        f"{prefix}fair: {_bool(doc['fair'])}",
+def _audit_lines(doc: dict) -> list[str]:
+    return [
+        f"calibration_ok: {_bool(doc['calibration_ok'])}",
+        f"expected_score_total: {doc['expected_score_total'][0]}, {doc['expected_score_total'][1]}",
+        f"pos_class_avg: {doc['pos_class_avg'][0]}, {doc['pos_class_avg'][1]}",
+        f"neg_class_avg: {doc['neg_class_avg'][0]}, {doc['neg_class_avg'][1]}",
+        f"balance_pos: ok={_bool(doc['balance_pos']['ok'])} vacuous={_bool(doc['balance_pos']['vacuous'])}",
+        f"balance_neg: ok={_bool(doc['balance_neg']['ok'])} vacuous={_bool(doc['balance_neg']['vacuous'])}",
+        f"parity_gap: {doc['parity_gap']}",
+        f"fair: {_bool(doc['fair'])}",
     ]
-    return lines
 
 
 def cmd_ingest(args) -> int:

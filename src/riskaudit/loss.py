@@ -11,15 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .audit import (
-    _bin_table,
-    _calibrated,
-    _classes,
-    _exact_report,
-    audit_exact,
-)
+from .audit import _bin_table, _calibrated, _classes, _exact_report, _Table, audit_exact
 from .errors import DegenerateGroupError, DomainError
 from .model import (
     Instance,
@@ -42,11 +36,11 @@ class LossReport:
 
 def loss(inst: Instance, asg: RiskAssignment) -> LossReport:
     """Exact expected loss per group and in total."""
-    return _loss_report(*_bin_table(inst, asg))
+    return _loss_report(_bin_table(inst, asg))
 
 
-def _loss_report(table, nums, dens) -> LossReport:
-    c, pos, _ = _classes(table, nums, dens)
+def _loss_report(table: _Table) -> LossReport:
+    c, pos, _ = _classes(table)
     # per group: 2 * (positive mass - score received by the positive class)
     per = tuple(Fraction(2 * (c * mu - a), c * table.scale) for a, mu in pos)
     return LossReport(per_group=per, total=per[0] + per[1])  # type: ignore[arg-type]
@@ -110,10 +104,10 @@ def _difference(report) -> Fraction:
 _ROUNDING = Fraction(1, 1 << 40)
 
 
-def _nontrivial(table, nums, dens, tolerance: Optional[Fraction] = None) -> bool:
+def _nontrivial(table: _Table, tolerance: Optional[Fraction] = None) -> bool:
     """The populated scores spread by more than min(tolerance, _ROUNDING);
     with no tolerance, that is two distinct populated scores."""
-    populated = [(n, d) for n, d, m1, m2 in zip(nums, dens, *table.mass) if m1 + m2 > 0]
+    populated = [(n, d) for n, d, m1, m2 in zip(table.nums, table.dens, *table.mass) if m1 + m2 > 0]
     if not populated:
         return False
     c = lcm(*(d for _, d in populated))
@@ -129,7 +123,7 @@ def is_nontrivial(inst: Instance, asg: RiskAssignment) -> bool:
     assignment that scores everyone identically is trivial however many
     bins it spreads them over.
     """
-    return _nontrivial(*_bin_table(inst, asg))
+    return _nontrivial(_bin_table(inst, asg))
 
 
 def normalize_assignment(inst: Instance, asg: RiskAssignment) -> RiskAssignment:
@@ -138,7 +132,7 @@ def normalize_assignment(inst: Instance, asg: RiskAssignment) -> RiskAssignment:
     Audit-equivalent to the input. Allocation that zero-mass features sent to
     dropped bins is moved to the first kept bin so rows still sum to 1.
     """
-    table, _, _ = _bin_table(inst, asg)
+    table = _bin_table(inst, asg)
     rows_in = assignment_rows_for(inst, asg)
     masses = [m1 + m2 for m1, m2 in zip(*table.mass)]
     kept = [b for b in range(asg.bin_count) if masses[b] > 0]
@@ -173,7 +167,7 @@ def interpolate(inst: Instance, asg1: RiskAssignment, asg2: RiskAssignment, lam)
     if not (0 <= w <= 1):
         raise DomainError(f"interpolation weight {w} outside [0, 1]")
     for name, asg in (("first", asg1), ("second", asg2)):
-        if not _calibrated(*_bin_table(inst, asg)):
+        if not _calibrated(_bin_table(inst, asg)):
             raise DomainError(f"{name} assignment is not calibrated on this instance")
     return _mix(inst, asg1, asg2, w)
 
@@ -216,11 +210,11 @@ def find_fair_nontrivial(
         raise DomainError("equal base rates required")
     diffs = []
     for idx, asg in enumerate(candidates):
-        parts = _bin_table(inst, asg)
-        report = _exact_report(*parts)
+        table = _bin_table(inst, asg)
+        report = _exact_report(table)
         if not report.calibration_ok:
             raise DomainError(f"candidate {idx} is not calibrated")
-        if not _nontrivial(*parts):
+        if not _nontrivial(table):
             raise DomainError(f"candidate {idx} is trivial")
         diffs.append(_difference(report))
 

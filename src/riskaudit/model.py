@@ -282,12 +282,11 @@ def ingest_records(table: RecordTable) -> tuple[Instance, DivergenceReport]:
     the divergence report records how far each group's own empirical rate
     sits from that pooled value.
     """
-    order: list[str] = []
+    order: dict[str, None] = {}  # feature ids, first seen first
     pos: dict[tuple[str, int], int] = {}
     tot: dict[tuple[str, int], int] = {}
     for r in table.rows:
-        if r.feature_id not in order:
-            order.append(r.feature_id)
+        order[r.feature_id] = None
         key = (r.feature_id, r.group)
         tot[key] = tot.get(key, 0) + 1
         pos[key] = pos.get(key, 0) + (1 if r.positive else 0)

@@ -169,7 +169,7 @@ def assignment_from_doc(doc: Any) -> RiskAssignment:
         raise DocumentError("expected a nonempty list", ".bins")
     scores = []
     allocations = []
-    order: list[str] = []
+    order: dict[str, None] = {}  # feature ids, first seen first
     for b, node in enumerate(raw):
         path = f".bins[{b}]"
         if not isinstance(node, dict):
@@ -181,8 +181,7 @@ def assignment_from_doc(doc: Any) -> RiskAssignment:
         parsed = {}
         for fid, value in alloc.items():
             parsed[fid] = parse_rational(value, path + f".allocation.{fid}")
-            if fid not in order:
-                order.append(fid)
+            order[fid] = None
         allocations.append(parsed)
     rows = tuple(
         tuple(alloc.get(fid, Fraction(0)) for alloc in allocations) for fid in order
@@ -241,20 +240,23 @@ def reduced_from_doc(doc: Any) -> ReducedInstance:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         ri = reduce_subset_sum(SubsetSumInstance(tuple(weights), target))
-    stored = doc.get("scaled_weights", [])
-    if not isinstance(stored, list):
-        raise DocumentError("expected a list", ".scaled_weights")
-    stored = [parse_rational(w, ".scaled_weights") for w in stored]
-    if stored != list(ri.scaled_weights):
-        raise DocumentError("scaled weights disagree with the construction", ".scaled_weights")
-    if parse_rational(doc.get("required_pos_avg"), ".required_pos_avg") != ri.required_pos_avg:
-        raise DocumentError(
-            "required positive-class average disagrees with the construction",
-            ".required_pos_avg",
-        )
-    if doc.get("m") != ri.m:
-        raise DocumentError("pair count disagrees with the construction", ".m")
+    for key, value in reduced_to_doc(ri).items():
+        if not _same_value(doc.get(key), value, "." + key):
+            raise DocumentError("disagrees with the construction", "." + key)
     return ri
+
+
+def _same_value(node: Any, value: Any, path: str) -> bool:
+    """Whether a document node holds `value`, a node as `reduced_to_doc`
+    writes it: rationals compare by value, so "2/96" holds "1/48"."""
+    if isinstance(value, list):
+        same = isinstance(node, list) and len(node) == len(value)
+        return same and all(_same_value(n, v, path) for n, v in zip(node, value))
+    if isinstance(value, dict):
+        return isinstance(node, dict) and all(_same_value(node.get(k), v, path) for k, v in value.items())
+    if node == value:
+        return True
+    return isinstance(value, str) and parse_rational(node, path) == parse_rational(value, path)
 
 
 def parse_reduced(text: str) -> ReducedInstance:

@@ -15,11 +15,11 @@ from functools import partial
 from operator import or_
 from typing import Optional
 
-from .audit import _Table, _calibrated, _fair, _pooled_scores
+from .audit import _accumulate_bins, _balances, _calibrated, _pooled, _Table
 from .errors import DomainError
 from .loss import LossReport, _loss_report, _nontrivial
 from .model import Instance, RiskAssignment, _scaled, require_valid
-from .partitions import Partition, _blocks, _check_enumerable
+from .partitions import Partition, _check_enumerable
 
 OBJECTIVES = ("any_fair", "min_loss")
 
@@ -57,31 +57,21 @@ def assignment_from_partition(inst: Instance, part: Partition) -> RiskAssignment
         raise DomainError("partition does not cover exactly the instance's features")
     block_of = {fid: b for b, block in enumerate(part.blocks) for fid in block}
     labels = [block_of[fid] for fid in ids]
-    table, kept = _block_table(scaled, labels, len(part.blocks))
-    nums, dens = _pooled_scores(table, _ZERO)
-    hot = [b if b in kept else kept[0] for b in labels]
-    rows = tuple(tuple(_ONE if b == h else _ZERO for b in kept) for h in hot)
-    return RiskAssignment(feature_ids=ids, scores=tuple(map(Fraction, nums, dens)), rows=rows)
+    populated = sorted({b for b, (n1, n2, _, _) in zip(labels, scaled.weights) if n1 or n2})
+    bin_of = dict.fromkeys(labels, 0)  # a block without people joins the first bin
+    bin_of.update((b, j) for j, b in enumerate(populated))
+    nbins = len(populated)
+    rows = [[int(bin_of[b] == j) for j in range(nbins)] for b in labels]
+    table = _pooled(*_accumulate_bins(scaled, rows, nbins), _ZERO)
+    return RiskAssignment(
+        feature_ids=ids,
+        scores=tuple(map(Fraction, table.nums, table.dens)),
+        rows=tuple(tuple(_ONE if x else _ZERO for x in row) for row in rows),
+    )
 
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
-
-
-def _block_table(scaled, labels, nblocks: int):
-    """Bin table of the integral assignment whose bins are the populated
-    blocks among 0..nblocks-1, where labels[i] is the block of feature
-    position i, in block order; and the numbers of those blocks."""
-    m0, m1, g0, g1 = [0] * nblocks, [0] * nblocks, [0] * nblocks, [0] * nblocks
-    for b, (n1, n2, q1, q2) in zip(labels, scaled.weights):
-        m0[b] += n1
-        m1[b] += n2
-        g0[b] += q1
-        g1[b] += q2
-    kept = [b for b in range(nblocks) if m0[b] or m1[b]]
-    if len(kept) < nblocks:
-        m0, m1, g0, g1 = ([column[b] for b in kept] for column in (m0, m1, g0, g1))
-    return _Table((m0, m1), (g0, g1), scaled.denominator), kept
 
 
 # More features than this are refused even with a cap: the search's tables
@@ -91,18 +81,20 @@ MAX_SEARCH_ITEMS = 16
 
 def _integral_search(inst: Instance, cap: Optional[int], calibrated, visit, bound: bool = False):
     """Walk the integral assignments of `inst`, one per partition of its
-    features, depth first in canonical order: label vectors (each feature
-    position's block number, blocks numbered by smallest member) in
-    lexicographic order.
+    features, depth first in canonical order: blocks numbered by smallest
+    member, each feature position placed in turn into an open block, then
+    into a new one.
 
     A pooled block's calibration depends on that block alone.
-    `calibrated(table, nums, dens)`, the caller's calibration verdict, is
-    applied once to the one-bin table of every subset of the features, and a
-    subtree is skipped as soon as one of its open blocks can no longer be
-    completed into a passing block; its partitions are counted, not visited.
-    `visit(labels, table, nums, dens)` gets the bin table and the pooled
-    scores of the populated blocks in label order, and returns whether the
-    partition is a hit.
+    `calibrated(table)`, the caller's calibration verdict, is applied once
+    to the one-bin table of every subset of the features, and a subtree is
+    skipped as soon as one of its open blocks can no longer be completed into
+    a passing block; its partitions are counted, not visited. So every block
+    of a visited partition passes. `visit(blocks, table)` gets the blocks as
+    bit masks over feature positions, in block order, and the table of the
+    populated blocks scored at their pooled rates; it returns whether the
+    partition is a hit. The mask list is the walk's own and changes after
+    the call.
 
     Without `bound` the walk stops at the first hit. With it, each hit
     becomes the incumbent, and a subtree is skipped unless it may beat it:
@@ -132,13 +124,13 @@ def _integral_search(inst: Instance, cap: Optional[int], calibrated, visit, boun
         g1 += [x + q2 for x in g1]
     # reach[i][mask], for a mask over positions < i: some subset of the
     # positions >= i completes it into a calibrated block
-    reach = [[calibrated(_Table(([a], [b]), ([c], [d]), scale), [c + d], [a + b])
+    reach = [[calibrated(_Table(([a], [b]), ([c], [d]), scale, [c + d], [a + b]))
               for a, b, c, d in zip(m0, m1, g0, g1)]]
     for i in reversed(range(k)):
         h = 1 << i
         reach.append(list(map(or_, reach[-1][:h], reach[-1][h:])))
     reach.reverse()
-    # rest[i][n]: label vectors completing a prefix of i positions in n blocks
+    # rest[i][n]: the ways to complete a prefix of i positions in n blocks
     rest = [[1] * (k + 2)]
     for _ in range(k):
         row = rest[-1]
@@ -157,7 +149,6 @@ def _integral_search(inst: Instance, cap: Optional[int], calibrated, visit, boun
     # tail[i]: the sum over the features at positions >= i, each alone
     tail = [worth([1 << j for j in range(i, k)]) for i in range(k + 1)] if bound else None
 
-    labels = [0] * k
     masks: list[int] = []  # the open blocks
     explored = visited = 0
     complete = True
@@ -173,12 +164,9 @@ def _integral_search(inst: Instance, cap: Optional[int], calibrated, visit, boun
             explored += 1
             visited += 1
             kept = [m for m in masks if m0[m] or m1[m]]
-            table = _Table(
-                ([m0[m] for m in kept], [m1[m] for m in kept]),
-                ([g0[m] for m in kept], [g1[m] for m in kept]),
-                scale,
-            )
-            if not visit(tuple(labels), table, *_pooled_scores(table, _ZERO)):
+            mass = [m0[m] for m in kept], [m1[m] for m in kept]
+            table = _pooled(mass, ([g0[m] for m in kept], [g1[m] for m in kept]), scale, _ZERO)
+            if not visit(masks, table):
                 return False
             if not bound:
                 return True
@@ -192,7 +180,6 @@ def _integral_search(inst: Instance, cap: Optional[int], calibrated, visit, boun
                 masks.append(bit)
             else:
                 masks[b] |= bit
-            labels[i] = b
             if all(map(completable, masks)) and (
                 incumbent is None or _exceeds(worth(masks, *tail[i + 1]), incumbent)
             ):
@@ -219,10 +206,11 @@ def _exceeds(x, y) -> bool:
     return x[0] * y[1] > y[0] * x[1]
 
 
-def _witness(inst: Instance, labels) -> tuple[Partition, RiskAssignment]:
-    """The partition of feature ids a label vector encodes, and its integral
-    assignment."""
-    part = Partition.from_blocks(_blocks(labels, inst.ids))
+def _witness(inst: Instance, blocks) -> tuple[Partition, RiskAssignment]:
+    """The partition of feature ids whose blocks are these bit masks over
+    feature positions, and its integral assignment."""
+    ids = inst.ids
+    part = Partition.from_blocks([fid for i, fid in enumerate(ids) if mask >> i & 1] for mask in blocks)
     return part, assignment_from_partition(inst, part)
 
 
@@ -248,11 +236,12 @@ def solve_integral(
 
     hit: Optional[tuple] = None
 
-    def visit(labels, table, nums, dens) -> bool:
+    def visit(blocks, table) -> bool:
+        # the walk visits only partitions whose every block is calibrated
         nonlocal hit
-        if not (_fair(table, nums, dens, tolerance) and _nontrivial(table, nums, dens, tolerance)):
+        if not (_balances(table, tolerance) and _nontrivial(table, tolerance)):
             return False
-        hit = labels, table, nums, dens
+        hit = tuple(blocks), table
         return True
 
     explored, pruned, complete = _integral_search(
@@ -260,6 +249,6 @@ def solve_integral(
     )
     if hit is None:
         return SolveResult("none" if complete else "budget_exceeded", None, None, None, explored, pruned)
-    labels, *parts = hit
+    blocks, table = hit
     status = "found" if complete else "budget_exceeded"
-    return SolveResult(status, *_witness(inst, labels), _loss_report(*parts), explored, pruned)
+    return SolveResult(status, *_witness(inst, blocks), _loss_report(table), explored, pruned)

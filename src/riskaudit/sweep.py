@@ -23,8 +23,8 @@ from .audit import (
     _calibrated,
     _calibrated_within,
     _fair,
-    _pooled_scores,
-    _score_pairs,
+    _pooled,
+    _scored,
     audit_approx,
     consequence_slack,
 )
@@ -221,13 +221,15 @@ def pooled_rounded_assignment(
     """Random row-stochastic allocation, scores rounded to each bin's pooled
     positive rate. Population-calibrated by construction, nothing more."""
     weights = _pooled_struct(len(inst.features), rng, max_bins)
-    table = _accumulate_bins(_scaled(inst), weights, len(weights[0]))
-    return _pooled_assignment(inst, weights, *_pooled_scores(table, _pooled_rate(inst)))
+    table = _pooled(*_accumulate_bins(_scaled(inst), weights, len(weights[0])), _pooled_rate(inst))
+    return _assignment(inst, weights, map(Fraction, table.nums, table.dens))
 
 
-def _pooled_assignment(inst: Instance, weights, nums, dens) -> RiskAssignment:
-    rows = tuple(tuple(Fraction(w, sum(wrow)) for w in wrow) for wrow in weights)
-    return RiskAssignment(inst.ids, tuple(map(Fraction, nums, dens)), rows)
+def _assignment(inst: Instance, rows, scores) -> RiskAssignment:
+    """The assignment of integer allocation rows, each read over its own
+    sum, with these bin scores."""
+    fractions = tuple(tuple(Fraction(x, sum(row)) for x in row) for row in rows)
+    return RiskAssignment(inst.ids, tuple(scores), fractions)
 
 
 def _split_structure(inst: Instance, rng: Random) -> list[tuple[Fraction, dict[int, int]]]:
@@ -262,15 +264,11 @@ def _eighths(inst: Instance, bins: list[tuple[Fraction, dict[int, int]]]):
     return rows
 
 
-def _assemble(inst: Instance, bins: list[tuple[Fraction, dict[int, int]]]) -> RiskAssignment:
-    rows = tuple(tuple(Fraction(j, 8) for j in row) for row in _eighths(inst, bins))
-    return RiskAssignment(inst.ids, tuple(v for v, _ in bins), rows)
-
-
 def calibrated_split_assignment(inst: Instance, rng: Random) -> RiskAssignment:
     """Exactly calibrated within both groups: every bin is scored at the one
     probability its members share."""
-    return _assemble(inst, _split_structure(inst, rng))
+    bins = _split_structure(inst, rng)
+    return _assignment(inst, _eighths(inst, bins), [v for v, _ in bins])
 
 
 def _banded_bins(inst: Instance, rng: Random, e: Fraction):
@@ -294,7 +292,8 @@ def banded_split_assignment(inst: Instance, rng: Random, eps) -> RiskAssignment:
     e = as_fraction(eps)
     if e < 0:
         raise DomainError("eps must be nonnegative")
-    return _assemble(inst, _banded_bins(inst, rng, e))
+    bins = _banded_bins(inst, rng, e)
+    return _assignment(inst, _eighths(inst, bins), [v for v, _ in bins])
 
 
 def two_bin_certain_assignment(inst: Instance) -> RiskAssignment:
@@ -366,25 +365,25 @@ def theorem_sweep(
     scaled = _scaled(inst)
     slack = consequence_slack(e)
 
-    def consider(table, nums, dens, build) -> None:
+    def consider(table, build) -> None:
         # one bin table gives both verdicts; build() makes the assignment,
         # called only for a candidate the report keeps
         nonlocal exact_fair_count, first_fair, exact_ce, approx_pass, approx_ce
-        if _fair(table, nums, dens):
+        if _fair(table):
             exact_fair_count += 1
             if first_fair is None:
                 first_fair = build()
                 if not special:
                     exact_ce = first_fair
         if e > 0:
-            report = _approx_report(scaled, e, slack, table, nums, dens)
+            report = _approx_report(scaled, e, slack, table)
             if report.passed:
                 approx_pass += 1
                 if not report.consequence.any and approx_ce is None:
                     approx_ce = build()
 
-    def visit(labels, table, nums, dens) -> bool:
-        consider(table, nums, dens, lambda: _witness(inst, labels)[1])
+    def visit(blocks, table) -> bool:
+        consider(table, lambda: _witness(inst, blocks)[1])
         return False
 
     # a candidate outside the calibration band can pass neither check
@@ -398,17 +397,17 @@ def theorem_sweep(
         fractional += 1
         roll = rng.random()
         if roll < 0.6:
-            weights = _pooled_struct(k, rng)
-            table = _accumulate_bins(scaled, weights, len(weights[0]))
-            nums, dens = _pooled_scores(table, pooled)
-            consider(table, nums, dens, lambda: _pooled_assignment(inst, weights, nums, dens))
+            rows = _pooled_struct(k, rng)
+            table = _pooled(*_accumulate_bins(scaled, rows, len(rows[0])), pooled)
+            consider(table, lambda: _assignment(inst, rows, map(Fraction, table.nums, table.dens)))
             continue
         if roll < 0.8 or e == 0:
             bins = _split_structure(inst, rng)
         else:
             bins = _banded_bins(inst, rng, e)
-        table = _accumulate_bins(scaled, _eighths(inst, bins), len(bins))
-        consider(table, *_score_pairs([v for v, _ in bins]), lambda: _assemble(inst, bins))
+        rows = _eighths(inst, bins)
+        scores = [v for v, _ in bins]
+        consider(_scored(scaled, rows, scores), lambda: _assignment(inst, rows, scores))
 
     return SweepReport(
         seed=seed,

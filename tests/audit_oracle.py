@@ -25,13 +25,21 @@ and the integral half of `theorem_sweep` (a budget of 0) as they were on the
 integer bin table, before the search skipped partitions: they visit every
 partition, and they read the package's integer kernel, which the tests
 compare with the `Fraction` forms above. They check the pruned search up to
-8 features, where each `Fraction` scan takes seconds.
+8 features, where each `Fraction` scan takes seconds. They walk label
+vectors, and build each candidate's table and witness as the package did
+before its search walked block masks and its tables carried their scores:
+`_block_table`, `_pooled_scores` and `_witness` are copied unchanged, with
+`_Table` the three-field table of that time, and `scored_block_table` puts
+the scores into the package's table. `_witness` builds its assignment with
+the `assignment_from_partition` above, so the reference shares no code with
+the package's witness path.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from random import Random
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from riskaudit.audit import (
     ApproxAuditReport,
@@ -39,9 +47,9 @@ from riskaudit.audit import (
     BinStats,
     ConsequenceFlags,
     _fair,
-    _pooled_scores,
     consequence_slack,
 )
+from riskaudit.audit import _Table as _ScoredTable
 from riskaudit.audit import _approx_report as _table_approx_report
 from riskaudit.errors import DegenerateGroupError, DomainError, InvalidAssignmentError
 from riskaudit.loss import FairnessDifference, LossReport, _loss_report, _nontrivial
@@ -55,8 +63,8 @@ from riskaudit.model import (
     assignment_rows_for,
     require_valid,
 )
-from riskaudit.partitions import Partition, _growth_strings, enumerate_partitions
-from riskaudit.solver import OBJECTIVES, SolveResult, _block_table, _witness
+from riskaudit.partitions import Partition, _blocks, _growth_strings, enumerate_partitions
+from riskaudit.solver import OBJECTIVES, SolveResult
 from riskaudit.sweep import SweepReport, is_perfect_prediction
 
 
@@ -985,6 +993,65 @@ def theorem_sweep(
     )
 
 
+# from riskaudit/audit.py, before the table carried its scores
+class _Table(NamedTuple):
+    """Group-major mass and expected positives per bin, integers over `scale`.
+
+    Every audit, loss and search verdict reads this one aggregation; the
+    people mass of bin b is mass[0][b] + mass[1][b]. Because rows sum to one,
+    a group's entries sum to its population (mass) or positive mass
+    (positive), over the same scale.
+    """
+
+    mass: tuple[list[int], list[int]]
+    positive: tuple[list[int], list[int]]
+    scale: int
+
+
+# from riskaudit/audit.py, before the table carried its scores
+def _pooled_scores(table: _Table, empty: Fraction):
+    """Each bin scored at its pooled positive rate, `empty` for a bin with no
+    people, as numerators and denominators."""
+    nums = list(map(add, *table.positive))
+    dens = list(map(add, *table.mass))
+    for b, d in enumerate(dens):
+        if not d:
+            nums[b], dens[b] = empty.numerator, empty.denominator
+    return nums, dens
+
+
+# from riskaudit/solver.py, before the search walked block masks
+def _block_table(scaled, labels, nblocks: int):
+    """Bin table of the integral assignment whose bins are the populated
+    blocks among 0..nblocks-1, where labels[i] is the block of feature
+    position i, in block order; and the numbers of those blocks."""
+    m0, m1, g0, g1 = [0] * nblocks, [0] * nblocks, [0] * nblocks, [0] * nblocks
+    for b, (n1, n2, q1, q2) in zip(labels, scaled.weights):
+        m0[b] += n1
+        m1[b] += n2
+        g0[b] += q1
+        g1[b] += q2
+    kept = [b for b in range(nblocks) if m0[b] or m1[b]]
+    if len(kept) < nblocks:
+        m0, m1, g0, g1 = ([column[b] for b in kept] for column in (m0, m1, g0, g1))
+    return _Table((m0, m1), (g0, g1), scaled.denominator), kept
+
+
+# from riskaudit/solver.py, before the search walked block masks
+def _witness(inst: Instance, labels) -> tuple[Partition, RiskAssignment]:
+    """The partition of feature ids a label vector encodes, and its integral
+    assignment."""
+    part = Partition.from_blocks(_blocks(labels, inst.ids))
+    return part, assignment_from_partition(inst, part)
+
+
+def scored_block_table(scaled, labels) -> _ScoredTable:
+    """The package's table of the integral assignment a label vector
+    encodes: `_block_table`'s columns, scored by `_pooled_scores`."""
+    table, _ = _block_table(scaled, labels, max(labels) + 1)
+    return _ScoredTable(*table, *_pooled_scores(table, _ZERO))
+
+
 # from riskaudit/solver.py, before the search pruned
 def unpruned_integral_search(inst: Instance, cap: Optional[int], visit) -> tuple[int, bool]:
     scaled = _scaled(inst)
@@ -993,8 +1060,7 @@ def unpruned_integral_search(inst: Instance, cap: Optional[int], visit) -> tuple
         if explored == cap:
             return explored, False
         explored += 1
-        table, _ = _block_table(scaled, labels, max(labels) + 1)
-        if visit(labels, table, *_pooled_scores(table, _ZERO)):
+        if visit(labels, scored_block_table(scaled, labels)):
             break
     return explored, True
 
@@ -1009,11 +1075,11 @@ def unpruned_solve_integral(
     require_valid(inst)
     best: Optional[tuple] = None
 
-    def visit(labels, table, nums, dens) -> bool:
+    def visit(labels, table) -> bool:
         nonlocal best
-        if not (_fair(table, nums, dens, tolerance) and _nontrivial(table, nums, dens, tolerance)):
+        if not (_fair(table, tolerance) and _nontrivial(table, tolerance)):
             return False
-        report = _loss_report(table, nums, dens)
+        report = _loss_report(table)
         if best is None or report.total < best[0].total:
             best = (report, labels)
         return objective == "any_fair"
@@ -1038,16 +1104,16 @@ def unpruned_integral_sweep(inst: Instance, eps, seed: int, integral_cap: Option
     scaled = _scaled(inst)
     slack = consequence_slack(e)
 
-    def visit(labels, table, nums, dens) -> bool:
+    def visit(labels, table) -> bool:
         nonlocal exact_fair_count, first_fair, exact_ce, approx_pass, approx_ce
-        if _fair(table, nums, dens):
+        if _fair(table):
             exact_fair_count += 1
             if first_fair is None:
                 first_fair = _witness(inst, labels)[1]
                 if not special:
                     exact_ce = first_fair
         if e > 0:
-            report = _table_approx_report(scaled, e, slack, table, nums, dens)
+            report = _table_approx_report(scaled, e, slack, table)
             if report.passed:
                 approx_pass += 1
                 if not report.consequence.any and approx_ce is None:

@@ -210,6 +210,30 @@ def test_floats_only_in_the_reduction():
     assert set(callers) == {"reduction.py"}
 
 
+def test_no_unused_imports():
+    # every module but the package's export list uses each name it imports
+    import ast
+    from pathlib import Path
+
+    import riskaudit
+
+    unused = []
+    for path in sorted(Path(riskaudit.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).partition(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
+
+
 # (p, n1, n2) of feature "a"; feature "b" is (1/4, 1, 0)
 INVALID = {
     "negative-mass": (F(1, 2), -1, 1),

@@ -148,6 +148,16 @@ def test_reduce_and_verify(tmp_path, capsys):
     assert "decoded_subset: [1, 2]" in out
 
 
+def test_verify_tampered_rates_exit_two(tmp_path, capsys):
+    red = tmp_path / "red.json"
+    doc = reduced_to_doc(reduce_subset_sum(SubsetSumInstance((1, 2), 3)))
+    doc["rates"] = ["0.5"] * len(doc["rates"])
+    red.write_text(dumps_doc(doc))
+    assert run_cli(["verify-reduction", "-r", str(red)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: .rates: ") and captured.out == ""
+
+
 def test_verify_unsolvable_exit_one(tmp_path, capsys):
     red = tmp_path / "red.json"
     assert run_cli(["reduce", "--weights", "2,3", "--target", "4", "-o", str(red)]) == 0

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -99,6 +100,16 @@ class TestIngest:
         devs = {(e.feature_id, e.group): e.deviation for e in div.entries}
         assert devs[("a", 1)] == F(1, 6)
         assert devs[("b", 2)] == F(1, 2)
+
+    def test_linear_time(self):
+        # 20,000 features, 4 records each; a membership test against a list
+        # of the ids seen so far makes this quadratic, over 20 s on a 2-CPU
+        # machine
+        rows = [Record(f"f{i}", g, pos) for i in range(20_000) for g in (1, 2) for pos in (True, False)]
+        t0 = time.process_time()
+        inst, _ = ingest_records(RecordTable(tuple(rows)))
+        assert time.process_time() - t0 < 5
+        assert inst.ids[:2] == ("f0", "f1") and len(inst.features) == 20_000
 
     def test_empty_table_rejected(self):
         with pytest.raises(DomainError):

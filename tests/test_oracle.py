@@ -11,7 +11,8 @@ The pruned integral search is checked up to 8 features against the search
 that visited every partition (`old.unpruned_*`), and its walk against the
 definition of a calibrated block: it visits exactly the partitions whose
 every block passes, in canonical order, with the tables the unpruned walk
-built.
+built. The integral assignment of a partition is checked against the
+`Fraction` construction on the same instances.
 """
 from dataclasses import replace
 from fractions import Fraction as F
@@ -43,10 +44,10 @@ from riskaudit import (
     statistical_parity_gap,
     theorem_sweep,
 )
-from riskaudit.audit import _calibrated, _calibrated_within, _pooled_scores
+from riskaudit.audit import _calibrated, _calibrated_within
 from riskaudit.model import _scaled
-from riskaudit.partitions import enumerate_partitions
-from riskaudit.solver import _block_table, _integral_search
+from riskaudit.partitions import Partition, enumerate_partitions
+from riskaudit.solver import _integral_search, assignment_from_partition
 
 PROBS = (F(0), F(1), F(1, 2), F(1, 3), F(3, 4), F(2, 5))
 MASSES = (F(0), F(1), F(2), F(3), F(1, 2))
@@ -222,26 +223,40 @@ def test_search_visits_exactly_the_calibrated_partitions(case, block_test):
     inst, cap = case
     kind, x = block_test
     calibrated = partial(_calibrated_within, e=x) if kind == "band" else partial(_calibrated, tol=x)
+    k = len(inst.features)
     seen = []
 
-    def visit(labels, table, nums, dens):
-        seen.append(labels)
-        assert table == _block_table(_scaled(inst), labels, max(labels) + 1)[0]
-        assert (nums, dens) == _pooled_scores(table, F(0))
+    def visit(blocks, table):
+        seen.append(tuple(blocks))
+        labels = [b for i in range(k) for b, mask in enumerate(blocks) if mask >> i & 1]
+        assert table == old.scored_block_table(_scaled(inst), labels)
         return False
 
     explored, pruned, complete = _integral_search(inst, cap, calibrated, visit)
-    k = len(inst.features)
     bell = bell_number(k)
     counted = bell if cap is None else min(cap, bell)
     passes = cache(lambda block: _passes([inst.features[i] for i in block], kind, x))
     expected = [
-        tuple(b for i in range(k) for b, block in enumerate(part) if i in block)
+        tuple(sum(1 << i for i in block) for block in part)
         for part in islice(enumerate_partitions(k), counted)
         if all(map(passes, part))
     ]
     assert seen == expected
     assert (explored, pruned, complete) == (counted, counted - len(seen), counted == bell)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(search_cases(), st.data())
+def test_partition_assignments_match_old_implementation(case, data):
+    # zero-mass blocks, features with mass in one group only, and ids whose
+    # string order differs from their position
+    inst, _ = case
+    ids = inst.ids
+    labels = []
+    for _ in ids:
+        labels.append(data.draw(st.integers(0, max(labels, default=-1) + 1)))
+    part = Partition.from_blocks([fid for fid, b in zip(ids, labels) if b == block] for block in range(max(labels) + 1))
+    assert repr(assignment_from_partition(inst, part)) == repr(old.assignment_from_partition(inst, part))
 
 
 # nonnegative rationals with large denominators, and plain ints

@@ -1,3 +1,5 @@
+import json
+import time
 import warnings
 from fractions import Fraction as F
 
@@ -117,6 +119,17 @@ class TestAssignmentDocs:
         assert asg.rows == ((1, 0), (0, 1))
 
 
+def test_assignment_document_parses_in_linear_time():
+    # 40,000 features in one bin; a membership test against a list of the
+    # ids seen so far makes this quadratic, over 20 s on a 2-CPU machine
+    doc = {"version": "1", "bins": [{"score": "1/2", "allocation": {f"f{i}": "1" for i in range(40_000)}}]}
+    text = json.dumps(doc)
+    t0 = time.process_time()
+    asg = parse_assignment(text)
+    assert time.process_time() - t0 < 5
+    assert asg.feature_ids[:2] == ("f0", "f1") and len(asg.feature_ids) == 40_000
+
+
 class TestReducedDocs:
     def test_round_trip(self, embedded_pair):
         doc = reduced_to_doc(embedded_pair)
@@ -136,6 +149,31 @@ class TestReducedDocs:
         doc["scaled_weights"][0] = "1/7"
         with pytest.raises(DocumentError):
             reduced_from_doc(doc)
+
+    @pytest.mark.parametrize("field,tamper", [
+        ("m", lambda doc: doc.update(m=5)),
+        ("kept_indices", lambda doc: doc.update(kept_indices=[1])),
+        ("dropped_indices", lambda doc: doc.update(dropped_indices=[2])),
+        ("scaled_weights", lambda doc: doc["scaled_weights"].__setitem__(0, "1/7")),
+        ("required_pos_avg", lambda doc: doc.update(required_pos_avg="1/2")),
+        ("rates", lambda doc: doc.update(rates=["0.5"] * len(doc["rates"]))),
+        ("rate_structure", lambda doc: doc["rate_structure"][0].update(sign=1)),
+        ("group1_mass", lambda doc: doc["group1_mass"].__setitem__(0, "7")),
+        ("group2_mass", lambda doc: doc["group2_mass"].__setitem__(0, "7")),
+    ])
+    def test_every_derived_field_is_checked(self, embedded_pair, field, tamper):
+        doc = reduced_to_doc(embedded_pair)
+        tamper(doc)
+        with pytest.raises(DocumentError) as info:
+            reduced_from_doc(doc)
+        assert info.value.path == "." + field
+
+    def test_derived_fields_compare_by_value(self, embedded_pair):
+        doc = reduced_to_doc(embedded_pair)
+        assert doc["scaled_weights"][0] == "1/48"
+        doc["scaled_weights"][0] = "2/96"
+        doc["group1_mass"][0] = 0
+        assert reduced_from_doc(doc) == embedded_pair
 
     def test_dropped_weights_survive(self):
         with warnings.catch_warnings():

@@ -30,17 +30,16 @@ from riskaudit.audit import (
     _accumulate_bins,
     _approx_report,
     _fair,
-    _pooled_scores,
-    _score_pairs,
+    _pooled,
+    _scored,
     consequence_slack,
 )
 from riskaudit.model import _pooled_rate, _scaled
 from riskaudit.sweep import (
-    _assemble,
+    _assignment,
     _banded_bins,
     _below,
     _eighths,
-    _pooled_assignment,
     _pooled_struct,
     _split_structure,
     is_perfect_prediction,
@@ -222,8 +221,8 @@ INSTANCE_FAMILIES = (
 
 
 class TestIntegerVerdicts:
-    """The integer bin table decides every sweep verdict as the `Fraction`
-    audit of the built candidate does."""
+    """The scored integer bin table decides every sweep verdict as the
+    `Fraction` audit of the built candidate does."""
 
     @pytest.mark.parametrize("eps", [F(0), F(1, 1000)])
     def test_verdicts_match_the_fraction_oracle(self, eps):
@@ -236,20 +235,20 @@ class TestIntegerVerdicts:
             pooled = _pooled_rate(inst)
             for family in ("pooled", "split", "banded") * 3:
                 if family == "pooled":
-                    weights = _pooled_struct(len(inst.features), rng)
-                    table = _accumulate_bins(scaled, weights, len(weights[0]))
-                    nums, dens = _pooled_scores(table, pooled)
-                    asg = _pooled_assignment(inst, weights, nums, dens)
+                    rows = _pooled_struct(len(inst.features), rng)
+                    table = _pooled(*_accumulate_bins(scaled, rows, len(rows[0])), pooled)
+                    scores = list(map(F, table.nums, table.dens))
                 else:
                     if family == "split":
                         bins = _split_structure(inst, rng)
                     else:
                         bins = _banded_bins(inst, rng, eps)
-                    table = _accumulate_bins(scaled, _eighths(inst, bins), len(bins))
-                    nums, dens = _score_pairs([v for v, _ in bins])
-                    asg = _assemble(inst, bins)
-                fair = _fair(table, nums, dens)
-                passed = _approx_report(scaled, eps, slack, table, nums, dens).passed
+                    rows = _eighths(inst, bins)
+                    scores = [v for v, _ in bins]
+                    table = _scored(scaled, rows, scores)
+                asg = _assignment(inst, rows, scores)
+                fair = _fair(table)
+                passed = _approx_report(scaled, eps, slack, table).passed
                 assert fair == old.passes_fairness(inst, asg)
                 assert passed == old.audit_approx(inst, asg, eps).passed
                 seen["fair"].add(fair)
