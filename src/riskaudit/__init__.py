@@ -3,204 +3,70 @@
 The package works over two demographic groups and a finite set of feature
 vectors. Everything numeric is an exact rational unless a function says
 otherwise, so audit verdicts are decisions, not approximations.
+
+Each exported name is imported from its module on first use, so a program
+that audits loads neither the searches nor the reduction.
 """
-from .audit import (
-    ApproxAuditReport,
-    AuditReport,
-    BinStats,
-    ConsequenceFlags,
-    audit_approx,
-    audit_exact,
-    bin_statistics,
-    classify_consequence,
-    consequence_slack,
-    passes_fairness,
-    statistical_parity_gap,
-)
-from .errors import (
-    DegenerateGroupError,
-    DocumentError,
-    DomainError,
-    InvalidAssignmentError,
-    InvalidInstanceError,
-    ReductionInfeasibleError,
-    RiskAuditError,
-)
-from .loss import (
-    FairnessDifference,
-    LossReport,
-    fairness_difference,
-    find_fair_nontrivial,
-    identity_assignment,
-    interpolate,
-    is_nontrivial,
-    loss,
-    normalize_assignment,
-    target_lambda,
-    trivial_assignment,
-)
-from .model import (
-    GROUPS,
-    DivergenceEntry,
-    DivergenceReport,
-    FeatureVector,
-    GroupStats,
-    Instance,
-    Record,
-    RecordTable,
-    RiskAssignment,
-    ValidationReport,
-    as_fraction,
-    assignment_rows_for,
-    derived_stats,
-    feature,
-    ingest_records,
-    require_valid,
-    split_by_group,
-    validate_instance,
-)
-from .partitions import (
-    DEFAULT_MAX_ITEMS,
-    Partition,
-    bell_number,
-    enumerate_partitions,
-)
-from .reduction import (
-    ReducedInstance,
-    SubsetSumInstance,
-    check_reduction_equation,
-    decode_partition,
-    encode_solution,
-    is_normal_form,
-    reduce_subset_sum,
-    search_normal_forms,
-    solve_subset_sum,
-    sum_of_squares_identity,
-)
-from .serialize import (
-    SCHEMA_VERSION,
-    assignment_from_doc,
-    assignment_to_doc,
-    dumps_doc,
-    instance_from_doc,
-    instance_to_doc,
-    loads_json,
-    parse_assignment,
-    parse_instance,
-    parse_rational,
-    parse_reduced,
-    records_from_csv,
-    reduced_from_doc,
-    reduced_to_doc,
-)
-from .solver import OBJECTIVES, SolveResult, assignment_from_partition, solve_integral
-from .sweep import (
-    SweepReport,
-    approx_audit_corpus,
-    banded_split_assignment,
-    calibrated_split_assignment,
-    pooled_rounded_assignment,
-    random_equal_rate_instance,
-    random_gapped_instance,
-    random_instance,
-    random_perfect_instance,
-    random_proportional_instance,
-    theorem_sweep,
-    two_bin_certain_assignment,
-)
+from importlib import import_module
+
+# `loss` names both a submodule and its function. Importing the submodule binds
+# the module to `riskaudit.loss`, which `__getattr__` would never replace, so
+# the function is bound here, after that import
+from .loss import loss
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApproxAuditReport",
-    "AuditReport",
-    "BinStats",
-    "ConsequenceFlags",
-    "DEFAULT_MAX_ITEMS",
-    "DegenerateGroupError",
-    "DivergenceEntry",
-    "DivergenceReport",
-    "DocumentError",
-    "DomainError",
-    "FairnessDifference",
-    "FeatureVector",
-    "GROUPS",
-    "GroupStats",
-    "Instance",
-    "InvalidAssignmentError",
-    "InvalidInstanceError",
-    "LossReport",
-    "OBJECTIVES",
-    "Partition",
-    "Record",
-    "RecordTable",
-    "ReducedInstance",
-    "ReductionInfeasibleError",
-    "RiskAssignment",
-    "RiskAuditError",
-    "SCHEMA_VERSION",
-    "SolveResult",
-    "SubsetSumInstance",
-    "SweepReport",
-    "ValidationReport",
-    "approx_audit_corpus",
-    "as_fraction",
-    "assignment_from_doc",
-    "assignment_from_partition",
-    "assignment_rows_for",
-    "assignment_to_doc",
-    "audit_approx",
-    "audit_exact",
-    "banded_split_assignment",
-    "bell_number",
-    "bin_statistics",
-    "calibrated_split_assignment",
-    "check_reduction_equation",
-    "classify_consequence",
-    "consequence_slack",
-    "decode_partition",
-    "derived_stats",
-    "dumps_doc",
-    "encode_solution",
-    "enumerate_partitions",
-    "fairness_difference",
-    "feature",
-    "find_fair_nontrivial",
-    "identity_assignment",
-    "ingest_records",
-    "instance_from_doc",
-    "instance_to_doc",
-    "interpolate",
-    "is_nontrivial",
-    "is_normal_form",
-    "loads_json",
-    "loss",
-    "normalize_assignment",
-    "parse_assignment",
-    "parse_instance",
-    "parse_rational",
-    "parse_reduced",
-    "passes_fairness",
-    "pooled_rounded_assignment",
-    "random_equal_rate_instance",
-    "random_gapped_instance",
-    "random_instance",
-    "random_perfect_instance",
-    "random_proportional_instance",
-    "records_from_csv",
-    "reduce_subset_sum",
-    "reduced_from_doc",
-    "reduced_to_doc",
-    "require_valid",
-    "search_normal_forms",
-    "solve_integral",
-    "solve_subset_sum",
-    "split_by_group",
-    "statistical_parity_gap",
-    "sum_of_squares_identity",
-    "target_lambda",
-    "theorem_sweep",
-    "trivial_assignment",
-    "two_bin_certain_assignment",
-    "validate_instance",
-]
+_EXPORTS = {
+    "audit": (
+        "ApproxAuditReport", "AuditReport", "BinStats", "ConsequenceFlags", "audit_approx",
+        "audit_exact", "bin_statistics", "classify_consequence", "consequence_slack",
+        "passes_fairness", "statistical_parity_gap",
+    ),
+    "errors": (
+        "DegenerateGroupError", "DocumentError", "DomainError", "InvalidAssignmentError",
+        "InvalidInstanceError", "ReductionInfeasibleError", "RiskAuditError",
+    ),
+    "loss": (
+        "FairnessDifference", "LossReport", "fairness_difference", "find_fair_nontrivial",
+        "identity_assignment", "interpolate", "is_nontrivial", "loss", "normalize_assignment",
+        "target_lambda", "trivial_assignment",
+    ),
+    "model": (
+        "GROUPS", "DivergenceEntry", "DivergenceReport", "FeatureVector", "GroupStats", "Instance",
+        "Record", "RecordTable", "RiskAssignment", "ValidationReport", "as_fraction",
+        "assignment_rows_for", "derived_stats", "feature", "ingest_records", "require_valid",
+        "split_by_group", "validate_instance",
+    ),
+    "partitions": ("DEFAULT_MAX_ITEMS", "Partition", "bell_number", "enumerate_partitions"),
+    "reduction": (
+        "ReducedInstance", "SubsetSumInstance", "check_reduction_equation", "decode_partition",
+        "encode_solution", "is_normal_form", "reduce_subset_sum", "search_normal_forms",
+        "solve_subset_sum", "sum_of_squares_identity",
+    ),
+    "serialize": (
+        "SCHEMA_VERSION", "assignment_from_doc", "assignment_to_doc", "dumps_doc",
+        "instance_from_doc", "instance_to_doc", "loads_json", "parse_assignment", "parse_instance",
+        "parse_rational", "parse_reduced", "records_from_csv", "reduced_from_doc", "reduced_to_doc",
+    ),
+    "solver": ("OBJECTIVES", "SolveResult", "assignment_from_partition", "solve_integral"),
+    "sweep": (
+        "SweepReport", "approx_audit_corpus", "banded_split_assignment",
+        "calibrated_split_assignment", "pooled_rounded_assignment", "random_equal_rate_instance",
+        "random_gapped_instance", "random_instance", "random_perfect_instance",
+        "random_proportional_instance", "theorem_sweep", "two_bin_certain_assignment",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOME))

@@ -3,6 +3,9 @@
 Exit codes: 0 for success (and for "yes" answers), 1 for domain-negative
 outcomes (not fair, nothing found, counterexample found, construction
 infeasible), 2 for usage, parse, and validation errors.
+
+Each command imports the audit, search or reduction code it calls, so a
+process loads only the modules of the command it runs.
 """
 from __future__ import annotations
 
@@ -11,19 +14,8 @@ import sys
 import warnings
 from fractions import Fraction
 
-from .audit import audit_approx, audit_exact
 from .errors import DocumentError, ReductionInfeasibleError, RiskAuditError
-from .loss import fairness_difference, find_fair_nontrivial, interpolate, loss
 from .model import as_fraction, derived_stats, ingest_records, require_valid, validate_instance
-from .reduction import (
-    SubsetSumInstance,
-    check_reduction_equation,
-    decode_partition,
-    encode_solution,
-    reduce_subset_sum,
-    search_normal_forms,
-    solve_subset_sum,
-)
 from .serialize import (
     approx_doc,
     assignment_to_doc,
@@ -43,8 +35,6 @@ from .serialize import (
     sweep_doc,
     validation_doc,
 )
-from .solver import solve_integral
-from .sweep import theorem_sweep
 
 DEFAULT_TOLERANCE = Fraction(1, 10**9)
 
@@ -109,6 +99,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .audit import audit_approx, audit_exact
+
     inst = require_valid(parse_instance(_read(args.instance)))
     asg = parse_assignment(_read(args.assignment))
     report = audit_exact(inst, asg)
@@ -135,6 +127,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_loss(args) -> int:
+    from .loss import loss
+
     inst = require_valid(parse_instance(_read(args.instance)))
     asg = parse_assignment(_read(args.assignment))
     report = loss(inst, asg)
@@ -152,6 +146,8 @@ def cmd_loss(args) -> int:
 
 
 def cmd_interpolate(args) -> int:
+    from .loss import fairness_difference, interpolate
+
     inst = require_valid(parse_instance(_read(args.instance)))
     first = parse_assignment(_read(args.first))
     second = parse_assignment(_read(args.second))
@@ -174,6 +170,8 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_find_fair(args) -> int:
+    from .loss import find_fair_nontrivial
+
     inst = require_valid(parse_instance(_read(args.instance)))
     candidates = [parse_assignment(_read(path)) for path in args.candidate]
     result = find_fair_nontrivial(inst, candidates)
@@ -193,6 +191,8 @@ def cmd_find_fair(args) -> int:
 
 
 def cmd_solve_integral(args) -> int:
+    from .solver import solve_integral
+
     inst = require_valid(parse_instance(_read(args.instance)))
     objective = args.objective.replace("-", "_")
     result = solve_integral(inst, objective, cap=args.cap, tolerance=args.tolerance)
@@ -212,6 +212,8 @@ def cmd_solve_integral(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from .reduction import SubsetSumInstance, reduce_subset_sum
+
     try:
         weights = tuple(int(w) for w in args.weights.split(","))
     except ValueError:
@@ -242,6 +244,15 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify_reduction(args) -> int:
+    from .reduction import (
+        SubsetSumInstance,
+        check_reduction_equation,
+        decode_partition,
+        encode_solution,
+        search_normal_forms,
+        solve_subset_sum,
+    )
+
     ri = parse_reduced(_read(args.reduction))
     tol = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
 
@@ -289,6 +300,8 @@ def cmd_verify_reduction(args) -> int:
 
 
 def cmd_theorem_sweep(args) -> int:
+    from .sweep import theorem_sweep
+
     inst = require_valid(parse_instance(_read(args.instance)))
     report = theorem_sweep(
         inst, args.budget, args.eps, args.seed, integral_cap=args.cap

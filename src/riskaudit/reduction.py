@@ -38,7 +38,7 @@ from typing import Iterable, Optional, Sequence
 
 from .audit import _SQRT_SCALE, _sqrt_upper
 from .errors import DomainError, ReductionInfeasibleError
-from .model import FeatureVector, Instance, require_valid
+from .model import FeatureVector, Instance, as_fraction, require_valid
 from .partitions import DEFAULT_MAX_ITEMS, Partition
 
 
@@ -463,8 +463,6 @@ def sum_of_squares_identity(values: Sequence) -> tuple[Fraction, Fraction]:
     of pairwise squared differences. The two returned values are always
     equal; callers use the pair as a self-check.
     """
-    from .model import as_fraction
-
     z = [as_fraction(v) for v in values]
     if not z:
         raise DomainError("empty vector")

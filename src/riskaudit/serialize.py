@@ -13,11 +13,9 @@ import io
 import json
 import warnings
 from fractions import Fraction
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from .audit import ApproxAuditReport, AuditReport, ConsequenceFlags
 from .errors import DocumentError, InvalidAssignmentError
-from .loss import FairnessDifference, LossReport
 from .model import (
     DivergenceReport,
     FeatureVector,
@@ -30,9 +28,13 @@ from .model import (
     _MAX_DIGITS,
     as_fraction,
 )
-from .reduction import ReducedInstance, SubsetSumInstance, reduce_subset_sum
-from .solver import SolveResult
-from .sweep import SweepReport
+
+if TYPE_CHECKING:
+    from .audit import ApproxAuditReport, AuditReport, ConsequenceFlags
+    from .loss import FairnessDifference, LossReport
+    from .reduction import ReducedInstance
+    from .solver import SolveResult
+    from .sweep import SweepReport
 
 SCHEMA_VERSION = "1"
 
@@ -226,6 +228,8 @@ def reduced_to_doc(ri: ReducedInstance) -> dict:
 
 
 def reduced_from_doc(doc: Any) -> ReducedInstance:
+    from .reduction import SubsetSumInstance, reduce_subset_sum
+
     doc = _require_version(doc)
     if doc.get("kind") != "reduction":
         raise DocumentError("expected kind \"reduction\"", ".kind")

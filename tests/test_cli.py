@@ -333,13 +333,15 @@ def test_deep_nesting_exit_two(tmp_path, capsys, command, flag):
     assert captured.out == ""
 
 
-def test_python_dash_m_runs_the_cli():
+def _python(*args):
+    """A fresh interpreter that imports riskaudit from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "riskaudit", "--help"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _python("-m", "riskaudit", "--help")
     assert proc.returncode == 0
     assert "usage: riskaudit" in proc.stdout
 
@@ -347,15 +349,11 @@ def test_python_dash_m_runs_the_cli():
 def _run_without_sympy(*argv):
     """`python -m riskaudit` in a fresh interpreter in which importing sympy
     fails."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     prog = (
         "import runpy, sys; sys.modules['sympy'] = None; sys.argv[0] = 'riskaudit'; "
         "runpy.run_module('riskaudit', run_name='__main__')"
     )
-    return subprocess.run(
-        [sys.executable, "-c", prog, *argv], capture_output=True, text=True, env=env, timeout=60
-    )
+    return _python("-c", prog, *argv)
 
 
 def test_reduction_commands_need_no_sympy(tmp_path):
@@ -371,6 +369,80 @@ def test_reduction_commands_need_no_sympy(tmp_path):
         proc = _run_without_sympy(*argv)
         assert "Traceback" not in proc.stderr, proc.stderr
         assert proc.returncode == code, (argv, proc.stderr)
+
+
+# -- what a process imports ----------------------------------------------------
+
+_SEARCHES = {"solver", "sweep", "partitions", "reduction"}
+
+
+@pytest.mark.parametrize(
+    "argv, code, unloaded",
+    [
+        pytest.param(["validate", "-i", "{balanced}"], 0, _SEARCHES, id="validate"),
+        pytest.param(["ingest", "-i", "{csv}", "-o", "{dir}/ingested.json"], 0, _SEARCHES, id="ingest"),
+        pytest.param(["audit", "-i", "{balanced}", "-a", "{balanced_id}"], 0, _SEARCHES, id="audit"),
+        pytest.param(["loss", "-i", "{balanced}", "-a", "{balanced_id}"], 0, _SEARCHES, id="loss"),
+        pytest.param(["reduce", "--weights", "1,2", "--target", "3"], 0, {"solver", "sweep"}, id="reduce"),
+        pytest.param(["verify-reduction", "-r", "{reduction}"], 0, {"solver", "sweep"}, id="verify-reduction"),
+        pytest.param(["solve-integral", "-i", "{balanced}"], 0, {"sweep", "reduction"}, id="solve-integral"),
+    ],
+)
+def test_a_command_loads_only_the_modules_it_runs(ws, argv, code, unloaded):
+    paths = dict(ws, csv=os.path.join(ws["dir"], "records.csv"), reduction=os.path.join(ws["dir"], "red.json"))
+    Path(paths["csv"]).write_text("feature_id,group,outcome\na,1,1\na,2,0\n")
+    Path(paths["reduction"]).write_text(dumps_doc(reduced_to_doc(reduce_subset_sum(SubsetSumInstance((1, 2), 3)))))
+    prog = (
+        "import sys; from riskaudit.cli import run_cli; code = run_cli(sys.argv[1:]); "
+        "print(*sorted(m for m in sys.modules if m.startswith('riskaudit.')), file=sys.stderr); sys.exit(code)"
+    )
+    proc = _python("-c", prog, *(arg.format(**paths) for arg in argv))
+    assert proc.returncode == code, proc.stderr
+    loaded = {m.removeprefix("riskaudit.") for m in proc.stderr.splitlines()[-1].split()}
+    assert {"cli", "errors", "model", "serialize"} <= loaded
+    assert not loaded & unloaded
+
+
+# the package's exports, as they stood when every module was imported eagerly
+_EXPORTS = """
+    ApproxAuditReport AuditReport BinStats ConsequenceFlags DEFAULT_MAX_ITEMS DegenerateGroupError
+    DivergenceEntry DivergenceReport DocumentError DomainError FairnessDifference FeatureVector GROUPS
+    GroupStats Instance InvalidAssignmentError InvalidInstanceError LossReport OBJECTIVES Partition
+    Record RecordTable ReducedInstance ReductionInfeasibleError RiskAssignment RiskAuditError
+    SCHEMA_VERSION SolveResult SubsetSumInstance SweepReport ValidationReport approx_audit_corpus
+    as_fraction assignment_from_doc assignment_from_partition assignment_rows_for assignment_to_doc
+    audit_approx audit_exact banded_split_assignment bell_number bin_statistics
+    calibrated_split_assignment check_reduction_equation classify_consequence consequence_slack
+    decode_partition derived_stats dumps_doc encode_solution enumerate_partitions fairness_difference
+    feature find_fair_nontrivial identity_assignment ingest_records instance_from_doc instance_to_doc
+    interpolate is_nontrivial is_normal_form loads_json loss normalize_assignment parse_assignment
+    parse_instance parse_rational parse_reduced passes_fairness pooled_rounded_assignment
+    random_equal_rate_instance random_gapped_instance random_instance random_perfect_instance
+    random_proportional_instance records_from_csv reduce_subset_sum reduced_from_doc reduced_to_doc
+    require_valid search_normal_forms solve_integral solve_subset_sum split_by_group
+    statistical_parity_gap sum_of_squares_identity target_lambda theorem_sweep trivial_assignment
+    two_bin_certain_assignment validate_instance
+""".split()
+
+
+def test_package_exports_resolve_on_first_use():
+    import importlib
+
+    import riskaudit
+
+    assert len(_EXPORTS) == 91 and riskaudit.__all__ == _EXPORTS
+    for module, names in riskaudit._EXPORTS.items():
+        home = importlib.import_module(f"riskaudit.{module}")
+        assert all(getattr(riskaudit, name) is getattr(home, name) for name in names), module
+    assert set(_EXPORTS) <= set(dir(riskaudit))
+    star: dict = {}
+    exec("from riskaudit import *", star)
+    assert star.keys() - {"__builtins__"} == set(_EXPORTS)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        riskaudit.no_such_name
+    # importing the submodule `riskaudit.loss` first leaves the name bound to the function
+    proc = _python("-c", "import riskaudit.solver, riskaudit; print(riskaudit.loss.__module__, riskaudit.loss.__name__)")
+    assert proc.stdout.split() == ["riskaudit.loss", "loss"], proc.stderr
 
 
 # -- the exit-code contract under arbitrary input ------------------------------
