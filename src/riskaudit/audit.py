@@ -408,4 +408,6 @@ def passes_fairness(inst: Instance, asg: RiskAssignment, tolerance: Optional[Fra
     residual and each balance gap must be at most tolerance in absolute value.
     Agrees with audit_exact(...).fair when tolerance is None.
     """
+    if tolerance is not None and tolerance < 0:
+        raise DomainError("tolerance must be nonnegative")
     return _fair(_bin_table(inst, asg), tolerance)

@@ -233,6 +233,8 @@ def solve_integral(
     require_valid(inst)
     if objective not in OBJECTIVES:
         raise DomainError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
+    if tolerance is not None and tolerance < 0:
+        raise DomainError("tolerance must be nonnegative")
 
     hit: Optional[tuple] = None
 

@@ -70,7 +70,7 @@ def random_instance(rng: Random, max_features: int = 6) -> Instance:
                 Fraction(rng.randint(0, 4)),
             )
         )
-    for gi, attr in ((0, "n1"), (1, "n2")):
+    for gi in range(2):
         if sum((f.n1 if gi == 0 else f.n2 for f in feats), Fraction(0)) == 0:
             j = rng.randrange(k)
             f = feats[j]
@@ -201,7 +201,7 @@ def _below(bits, n: int) -> int:
 
 
 def _pooled_struct(k: int, rng: Random, max_bins=None) -> tuple[tuple[int, ...], ...]:
-    most = max_bins or k + 2
+    most = k + 2 if max_bins is None else max_bins
     if most < 1:
         raise DomainError("max_bins must be positive")
     bits = rng.getrandbits

@@ -210,15 +210,21 @@ def test_floats_only_in_the_reduction():
     assert set(callers) == {"reduction.py"}
 
 
+ORACLES = ("audit_oracle", "reduction_oracle")
+
+
 def test_no_unused_imports():
-    # every module but the package's export list uses each name it imports
+    # every module but the package's export list uses each name it imports,
+    # and so does each test oracle
     import ast
     from pathlib import Path
 
     import riskaudit
 
+    package = sorted(Path(riskaudit.__file__).parent.glob("*.py"))
+    oracles = [Path(__file__).parent / f"{module}.py" for module in ORACLES]
     unused = []
-    for path in sorted(Path(riskaudit.__file__).parent.glob("*.py")):
+    for path in package + oracles:
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -231,6 +237,36 @@ def test_no_unused_imports():
                     imported[(alias.asname or alias.name).partition(".")[0]] = node.lineno
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
+
+
+def test_every_oracle_definition_is_used():
+    # a test refers to each top-level function or class of an oracle as
+    # old.<name>, or a used function of the same oracle refers to it
+    import ast
+    from pathlib import Path
+
+    tests = Path(__file__).parent
+    used = {module: set() for module in ORACLES}
+    for path in sorted(tests.glob("test_*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        alias = {a.asname or a.name: a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for a in node.names if a.name in used}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in alias:
+                used[alias[node.value.id]].add(node.attr)
+    unused = []
+    for module, names in used.items():
+        tree = ast.parse((tests / f"{module}.py").read_text(encoding="utf-8"))
+        defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        todo = [name for name in names if name in defs]
+        names = set(todo)
+        while todo:
+            for node in ast.walk(defs[todo.pop()]):
+                if isinstance(node, ast.Name) and node.id in defs and node.id not in names:
+                    names.add(node.id)
+                    todo.append(node.id)
+        unused += [f"{module}.py:{node.lineno} {name}" for name, node in defs.items() if name not in names]
     assert unused == []
 
 

@@ -138,6 +138,12 @@ def test_solve_integral_found_and_none(ws, capsys):
     assert "status: none" in capsys.readouterr().out
 
 
+def test_solve_integral_negative_tolerance_exit_two(ws, capsys):
+    assert run_cli(["solve-integral", "-i", ws["rigid"], "--tolerance", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: tolerance must be nonnegative\n" and captured.out == ""
+
+
 def test_reduce_and_verify(tmp_path, capsys):
     red = tmp_path / "red.json"
     assert run_cli(["reduce", "--weights", "1,2", "--target", "3", "-o", str(red)]) == 0

@@ -1,5 +1,5 @@
-"""Differential tests: every audit, loss and search view against its old
-implementation in `audit_oracle`, field for field.
+"""Differential tests: every audit, loss and search view against its plain
+reference in `audit_oracle`, field for field.
 
 Instances are small and valid but otherwise free: zero-mass features and
 bins, groups whose positive or negative class is empty, and feature ids whose
@@ -7,17 +7,21 @@ string order differs from their position. Assignments list their features in
 a shuffled order and score bins either at random or at the bin's pooled rate,
 so fair and relaxed-passing cases occur as well as failing ones.
 
-The pruned integral search is checked up to 8 features against the search
-that visited every partition (`old.unpruned_*`), and its walk against the
-definition of a calibrated block: it visits exactly the partitions whose
-every block passes, in canonical order, with the tables the unpruned walk
-built. The integral assignment of a partition is checked against the
-`Fraction` construction on the same instances.
+The search's walk is checked against the definition of a calibrated block:
+it visits exactly the partitions whose every block passes, in canonical
+order (`enumerate_partitions`), each with its populated blocks' column sums
+scored at their pooled rates; with a verdict that passes every block, it
+visits every partition. That unpruned walk is the reference for the pruned
+search up to 8 features: `old.exhaustive_solve` for `solve_integral`, and
+`old.plain_sweep` at a budget of 0 for the integral half of
+`theorem_sweep`. The integral assignment of a partition is checked against
+the `Fraction` construction on the same instances.
 """
 from dataclasses import replace
 from fractions import Fraction as F
 from functools import cache, partial
 from itertools import islice
+from operator import add
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -44,7 +48,7 @@ from riskaudit import (
     statistical_parity_gap,
     theorem_sweep,
 )
-from riskaudit.audit import _calibrated, _calibrated_within
+from riskaudit.audit import _calibrated, _calibrated_within, _Table
 from riskaudit.model import _scaled
 from riskaudit.partitions import Partition, enumerate_partitions
 from riskaudit.solver import _integral_search, assignment_from_partition
@@ -184,22 +188,23 @@ def test_pruned_search_matches_unpruned(case, objective, tolerance):
     inst, cap = case
     res = solve_integral(inst, objective, cap, tolerance)
     assert 0 <= res.pruned <= res.explored
-    assert replace(res, pruned=0) == old.unpruned_solve_integral(inst, objective, cap, tolerance)
+    assert replace(res, pruned=0) == old.exhaustive_solve(inst, objective, cap, tolerance)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(search_cases(), st.sampled_from((0, F(1, 1000), F(1, 10), 1)))
 def test_pruned_sweep_matches_unpruned(case, eps):
     inst, cap = case
-    assert theorem_sweep(inst, 0, eps, 1, integral_cap=cap) == old.unpruned_integral_sweep(
-        inst, eps, 1, integral_cap=cap
-    )
+    assert theorem_sweep(inst, 0, eps, 1, integral_cap=cap) == old.plain_sweep(inst, 0, eps, 1, integral_cap=cap)
 
 
 def _passes(features, kind, x) -> bool:
     # a pooled block's calibration, from the definition: each group's expected
     # positives within x of (tolerance), or within the factor band 1 +- x of
-    # (band), the block's pooled rate times the group's mass
+    # (band), the block's pooled rate times the group's mass; "all" passes
+    # every block
+    if kind == "all":
+        return True
     mass = [sum((f.count(t) for f in features), F(0)) for t in (1, 2)]
     pos = [sum((f.count(t) * f.p for f in features), F(0)) for t in (1, 2)]
     if not sum(mass):
@@ -211,7 +216,7 @@ def _passes(features, kind, x) -> bool:
 
 
 BLOCK_TESTS = (("tolerance", F(0)), ("tolerance", F(1, 1000)), ("tolerance", F(1, 10)),
-               ("band", F(1, 1000)), ("band", F(1, 10)), ("band", F(1)))
+               ("band", F(1, 1000)), ("band", F(1, 10)), ("band", F(1)), ("all", None))
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -219,17 +224,24 @@ BLOCK_TESTS = (("tolerance", F(0)), ("tolerance", F(1, 1000)), ("tolerance", F(1
 @example((EIGHT, None), ("band", F(1, 10)))
 @example((EIGHT, None), ("band", F(1)))
 @example((EIGHT, 2000), ("tolerance", F(1, 10)))
+@example((EIGHT, None), ("all", None))
 def test_search_visits_exactly_the_calibrated_partitions(case, block_test):
     inst, cap = case
     kind, x = block_test
-    calibrated = partial(_calibrated_within, e=x) if kind == "band" else partial(_calibrated, tol=x)
+    calibrated = {"tolerance": partial(_calibrated, tol=x), "band": partial(_calibrated_within, e=x),
+                  "all": lambda table: True}[kind]
     k = len(inst.features)
+    scaled = _scaled(inst)
+    # a block's column sums of the scaled weights (n1, n2, q1, q2)
+    sums = cache(lambda mask: [sum(w[c] for i, w in enumerate(scaled.weights) if mask >> i & 1) for c in range(4)])
     seen = []
 
     def visit(blocks, table):
         seen.append(tuple(blocks))
-        labels = [b for i in range(k) for b, mask in enumerate(blocks) if mask >> i & 1]
-        assert table == old.scored_block_table(_scaled(inst), labels)
+        # the populated blocks' sums, each scored at its pooled rate
+        m1, m2, g1, g2 = map(list, zip(*(s for s in map(sums, blocks) if s[0] or s[1])))
+        assert table == _Table((m1, m2), (g1, g2), scaled.denominator,
+                               list(map(add, g1, g2)), list(map(add, m1, m2)))
         return False
 
     explored, pruned, complete = _integral_search(inst, cap, calibrated, visit)

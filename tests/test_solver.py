@@ -15,6 +15,7 @@ from riskaudit import (
     feature,
     instance_to_doc,
     is_nontrivial,
+    passes_fairness,
     reduce_subset_sum,
     solve_integral,
     theorem_sweep,
@@ -102,6 +103,15 @@ class TestSolveIntegral:
         # with a huge absolute tolerance the skewed identity counts as fair
         res = solve_integral(skewed, "any_fair", tolerance=F(1))
         assert res.status == "found"
+
+    def test_negative_tolerance_rejected(self, skewed):
+        # bad input, not a computed "no"
+        asg = assignment_from_partition(skewed, Partition.from_blocks([["s1"], ["s2"]]))
+        for tolerance in (F(-1), F(-1, 10**9)):
+            with pytest.raises(DomainError, match="tolerance must be nonnegative"):
+                solve_integral(skewed, "any_fair", tolerance=tolerance)
+            with pytest.raises(DomainError, match="tolerance must be nonnegative"):
+                passes_fairness(skewed, asg, tolerance)
 
 
 class TestToleranceNontriviality:
