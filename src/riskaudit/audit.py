@@ -23,10 +23,10 @@ from .errors import DomainError
 from .model import (
     Instance,
     RiskAssignment,
+    _nonnegative,
     _row_order,
     _scaled,
     _Scaled,
-    as_fraction,
 )
 
 PerGroup = tuple[Fraction, Fraction]
@@ -146,9 +146,7 @@ def consequence_slack(eps) -> Fraction:
     upper bound at granularity 2**-128, which keeps the result an upper
     bound because the formula is nondecreasing in sqrt(eps).
     """
-    e = as_fraction(eps)
-    if e < 0:
-        raise DomainError("eps must be nonnegative")
+    e = _nonnegative(eps, "eps")
     s, _ = _sqrt_upper(e)
     return s * max(Fraction(1), 3 * s + Fraction(3, 4))
 
@@ -229,9 +227,7 @@ def audit_approx(inst: Instance, asg: RiskAssignment, eps) -> ApproxAuditReport:
     score times mass. Each balance condition relaxes to the band between the
     two group averages, required in both orderings.
     """
-    e = as_fraction(eps)
-    if e < 0:
-        raise DomainError("eps must be nonnegative")
+    e = _nonnegative(eps, "eps")
     return _approx_report(_scaled(inst), e, consequence_slack(e), _bin_table(inst, asg))
 
 
@@ -406,8 +402,8 @@ def passes_fairness(inst: Instance, asg: RiskAssignment, tolerance: Optional[Fra
 
     tolerance None checks the exact conditions; otherwise every calibration
     residual and each balance gap must be at most tolerance in absolute value.
-    Agrees with audit_exact(...).fair when tolerance is None.
+    A tolerance is read as eps is, by `as_fraction`. Agrees with
+    audit_exact(...).fair when tolerance is None.
     """
-    if tolerance is not None and tolerance < 0:
-        raise DomainError("tolerance must be nonnegative")
-    return _fair(_bin_table(inst, asg), tolerance)
+    tol = None if tolerance is None else _nonnegative(tolerance, "tolerance")
+    return _fair(_bin_table(inst, asg), tol)

@@ -39,6 +39,14 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
+def _nonnegative(value: RationalLike, name: str) -> Fraction:
+    """`as_fraction(value)`, refused with DomainError when negative."""
+    v = as_fraction(value)
+    if v < 0:
+        raise DomainError(f"{name} must be nonnegative")
+    return v
+
+
 # Python converts ints of more digits than this to and from text only after
 # sys.set_int_max_str_digits, so a longer number can be neither read nor shown.
 _MAX_DIGITS = 4300

@@ -18,7 +18,7 @@ from typing import Optional
 from .audit import _accumulate_bins, _balances, _calibrated, _pooled, _Table
 from .errors import DomainError
 from .loss import LossReport, _loss_report, _nontrivial
-from .model import Instance, RiskAssignment, _scaled, require_valid
+from .model import Instance, RiskAssignment, _nonnegative, _scaled, require_valid
 from .partitions import Partition, _check_enumerable
 
 OBJECTIVES = ("any_fair", "min_loss")
@@ -226,15 +226,16 @@ def solve_integral(
     order; "min_loss" scans everything and keeps the minimum total loss,
     ties resolved in favor of the earlier canonical encoding. The trivial
     all-in-one structure can never qualify because non-triviality requires
-    two distinct scores with mass. With a tolerance, two populated scores
-    count as one when they differ by at most min(tolerance, 2**-40); a wider
-    gap is more than float rounding of the instance can make.
+    two distinct scores with mass. With a tolerance, read as eps is by
+    `as_fraction`, two populated scores count as one when they differ by at
+    most min(tolerance, 2**-40); a wider gap is more than float rounding of
+    the instance can make.
     """
     require_valid(inst)
     if objective not in OBJECTIVES:
         raise DomainError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
-    if tolerance is not None and tolerance < 0:
-        raise DomainError("tolerance must be nonnegative")
+    if tolerance is not None:
+        tolerance = _nonnegative(tolerance, "tolerance")
 
     hit: Optional[tuple] = None
 

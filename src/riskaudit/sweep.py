@@ -34,6 +34,7 @@ from .model import (
     FeatureVector,
     Instance,
     RiskAssignment,
+    _nonnegative,
     _pooled_rate,
     _scaled,
     as_fraction,
@@ -232,20 +233,26 @@ def _assignment(inst: Instance, rows, scores) -> RiskAssignment:
     return RiskAssignment(inst.ids, tuple(scores), fractions)
 
 
-def _split_structure(inst: Instance, rng: Random) -> list[tuple[Fraction, dict[int, int]]]:
-    """Bins whose members all share one probability: split each feature's mass
-    over one or two copies, then sometimes pool equal-probability bins.
-    Allocations are eighths held as integers keyed by feature position."""
+def _split_draw(k: int, rng: Random) -> tuple[list[int], bool]:
+    """The draws of a split structure over k features: each feature's first
+    copy in eighths (8 keeps the feature whole), then whether
+    equal-probability bins merge."""
     bits = rng.getrandbits
+    cuts = [8 if _below(bits, 2) == 0 else 1 + _below(bits, 7) for _ in range(k)]
+    return cuts, rng.random() < 0.5
+
+
+def _split_bins(inst: Instance, cuts: list[int], merge: bool) -> list[tuple[Fraction, dict[int, int]]]:
+    """Bins whose members all share one probability: each feature's mass
+    over one or two copies, then, when merging, equal-probability bins
+    pooled. Allocations are eighths held as integers keyed by feature
+    position."""
     bins: list[tuple[Fraction, dict[int, int]]] = []
-    for i, f in enumerate(inst.features):
-        if _below(bits, 2) == 0:
-            bins.append((f.p, {i: 8}))
-        else:
-            j = 1 + _below(bits, 7)
-            bins.append((f.p, {i: j}))
+    for i, (f, j) in enumerate(zip(inst.features, cuts)):
+        bins.append((f.p, {i: j}))
+        if j < 8:
             bins.append((f.p, {i: 8 - j}))
-    if rng.random() < 0.5:
+    if merge:
         merged: dict[Fraction, dict[int, int]] = {}
         for p, alloc in bins:
             slot = merged.setdefault(p, {})
@@ -255,20 +262,25 @@ def _split_structure(inst: Instance, rng: Random) -> list[tuple[Fraction, dict[i
     return bins
 
 
+def _split_structure(inst: Instance, rng: Random) -> list[tuple[Fraction, dict[int, int]]]:
+    """A drawn split structure (see _split_bins)."""
+    return _split_bins(inst, *_split_draw(len(inst.features), rng))
+
+
 def _eighths(inst: Instance, bins: list[tuple[Fraction, dict[int, int]]]):
-    """Integer allocation rows, in eighths, of a split structure."""
+    """Integer allocation rows, in eighths, and bin scores of a split
+    structure."""
     rows = [[0] * len(bins) for _ in inst.features]
     for b, (_, alloc) in enumerate(bins):
         for i, j in alloc.items():
             rows[i][b] = j
-    return rows
+    return rows, [v for v, _ in bins]
 
 
 def calibrated_split_assignment(inst: Instance, rng: Random) -> RiskAssignment:
     """Exactly calibrated within both groups: every bin is scored at the one
     probability its members share."""
-    bins = _split_structure(inst, rng)
-    return _assignment(inst, _eighths(inst, bins), [v for v, _ in bins])
+    return _assignment(inst, *_eighths(inst, _split_structure(inst, rng)))
 
 
 def _banded_bins(inst: Instance, rng: Random, e: Fraction):
@@ -289,11 +301,8 @@ def banded_split_assignment(inst: Instance, rng: Random, eps) -> RiskAssignment:
     """Calibrated up to the multiplicative band of width eps: bin scores are
     nudged off the members' shared probability by a factor kept inside the
     band (and inside [0, 1])."""
-    e = as_fraction(eps)
-    if e < 0:
-        raise DomainError("eps must be nonnegative")
-    bins = _banded_bins(inst, rng, e)
-    return _assignment(inst, _eighths(inst, bins), [v for v, _ in bins])
+    bins = _banded_bins(inst, rng, _nonnegative(eps, "eps"))
+    return _assignment(inst, *_eighths(inst, bins))
 
 
 def two_bin_certain_assignment(inst: Instance) -> RiskAssignment:
@@ -340,13 +349,15 @@ def theorem_sweep(
 ) -> SweepReport:
     """Exhaust integral candidates, then stream seeded fractional ones.
 
-    With eps = 0 only the exact side runs. A budget too small to finish the
-    integral side is reported through integral_complete, never raised.
+    The stream draws pooled, split and (at eps > 0) banded candidates.
+    Every split candidate has the identity assignment's class averages, so
+    all of them share the verdicts of the first one's table; pooled and
+    banded candidates are audited one by one. With eps = 0 only the exact
+    side runs. A budget too small to finish the integral side is reported
+    through integral_complete, never raised.
     """
     gs = derived_stats(inst)
-    e = as_fraction(eps)
-    if e < 0:
-        raise DomainError("eps must be nonnegative")
+    e = _nonnegative(eps, "eps")
     if search_budget < 0:
         raise DomainError("search budget must be nonnegative")
     if integral_cap is not None and integral_cap < 0:
@@ -365,49 +376,61 @@ def theorem_sweep(
     scaled = _scaled(inst)
     slack = consequence_slack(e)
 
-    def consider(table, build) -> None:
-        # one bin table gives both verdicts; build() makes the assignment,
-        # called only for a candidate the report keeps
+    def verdicts(table):
+        # a candidate's exact verdict, and its relaxed report at eps > 0
+        return _fair(table), (_approx_report(scaled, e, slack, table) if e else None)
+
+    def consider(verdict, build) -> None:
+        # build() makes the assignment, called only for a candidate the
+        # report keeps
         nonlocal exact_fair_count, first_fair, exact_ce, approx_pass, approx_ce
-        if _fair(table):
+        fair, report = verdict
+        if fair:
             exact_fair_count += 1
             if first_fair is None:
                 first_fair = build()
                 if not special:
                     exact_ce = first_fair
-        if e > 0:
-            report = _approx_report(scaled, e, slack, table)
-            if report.passed:
-                approx_pass += 1
-                if not report.consequence.any and approx_ce is None:
-                    approx_ce = build()
+        if report is not None and report.passed:
+            approx_pass += 1
+            if not report.consequence.any and approx_ce is None:
+                approx_ce = build()
 
     def visit(blocks, table) -> bool:
-        consider(table, lambda: _witness(inst, blocks)[1])
+        consider(verdicts(table), lambda: _witness(inst, blocks)[1])
         return False
 
     # a candidate outside the calibration band can pass neither check
     calibrated = partial(_calibrated_within, e=e) if e else _calibrated
     integral_explored, _, integral_complete = _integral_search(inst, integral_cap, calibrated, visit)
 
+    # Every split candidate shares the verdicts of the first one. Each of its
+    # bins b holds features of one probability v_b and is scored at v_b, so
+    # it is exactly calibrated, hence inside any band. Group t's expected
+    # positives in b are P_bt = sum_i v_b * x_ib * n_it over its members, so
+    # with rows x_i summing to 1 its positive class receives score
+    # sum_b v_b * P_bt = sum_i p_i**2 * n_it, and its negative class
+    # sum_i p_i * (1 - p_i) * n_it, whatever the split and the merge. The
+    # class masses and the base rates are the instance's, so the class
+    # averages, both balance verdicts and every field of the relaxed report
+    # are those of the identity assignment.
+    split = None
     pooled = _pooled_rate(inst)
     rng = Random(seed)
-    fractional = 0
     for _ in range(search_budget):
-        fractional += 1
         roll = rng.random()
         if roll < 0.6:
             rows = _pooled_struct(k, rng)
             table = _pooled(*_accumulate_bins(scaled, rows, len(rows[0])), pooled)
-            consider(table, lambda: _assignment(inst, rows, map(Fraction, table.nums, table.dens)))
-            continue
-        if roll < 0.8 or e == 0:
-            bins = _split_structure(inst, rng)
+            consider(verdicts(table), lambda: _assignment(inst, rows, map(Fraction, table.nums, table.dens)))
+        elif roll < 0.8 or e == 0:
+            draw = _split_draw(k, rng)
+            if split is None:
+                split = verdicts(_scored(scaled, *_eighths(inst, _split_bins(inst, *draw))))
+            consider(split, lambda: _assignment(inst, *_eighths(inst, _split_bins(inst, *draw))))
         else:
-            bins = _banded_bins(inst, rng, e)
-        rows = _eighths(inst, bins)
-        scores = [v for v, _ in bins]
-        consider(_scored(scaled, rows, scores), lambda: _assignment(inst, rows, scores))
+            rows, scores = _eighths(inst, _banded_bins(inst, rng, e))
+            consider(verdicts(_scored(scaled, rows, scores)), lambda: _assignment(inst, rows, scores))
 
     return SweepReport(
         seed=seed,
@@ -417,7 +440,7 @@ def theorem_sweep(
         perfect_prediction=perfect,
         integral_explored=integral_explored,
         integral_complete=integral_complete,
-        fractional_explored=fractional,
+        fractional_explored=search_budget,
         exact_fair_count=exact_fair_count,
         first_exact_fair=first_fair,
         exact_counterexample=exact_ce,

@@ -107,11 +107,21 @@ class TestSolveIntegral:
     def test_negative_tolerance_rejected(self, skewed):
         # bad input, not a computed "no"
         asg = assignment_from_partition(skewed, Partition.from_blocks([["s1"], ["s2"]]))
-        for tolerance in (F(-1), F(-1, 10**9)):
+        for tolerance in (F(-1), F(-1, 10**9), -0.1, "-1/10"):
             with pytest.raises(DomainError, match="tolerance must be nonnegative"):
                 solve_integral(skewed, "any_fair", tolerance=tolerance)
             with pytest.raises(DomainError, match="tolerance must be nonnegative"):
                 passes_fairness(skewed, asg, tolerance)
+
+    @pytest.mark.parametrize("tolerance, fair", [
+        (0.1, False), ("1/10", False), (F(1, 10), False), (0.5, True), ("1/2", True), (F(1, 2), True),
+    ])
+    def test_tolerance_read_as_a_rational(self, skewed, tolerance, fair):
+        # a float or a rational string is read as eps is; both class
+        # averages differ by 1/4 across the groups
+        asg = assignment_from_partition(skewed, Partition.from_blocks([["s1"], ["s2"]]))
+        assert passes_fairness(skewed, asg, tolerance) is fair
+        assert (solve_integral(skewed, "any_fair", tolerance=tolerance).status == "found") is fair
 
 
 class TestToleranceNontriviality:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskaudit import (
@@ -13,6 +13,7 @@ from riskaudit import (
     banded_split_assignment,
     calibrated_split_assignment,
     derived_stats,
+    identity_assignment,
     pooled_rounded_assignment,
     random_equal_rate_instance,
     random_gapped_instance,
@@ -180,6 +181,24 @@ class TestTheoremSweep:
         assert len(tabled) <= rep.integral_explored + rep.fractional_explored
         assert all(a is not b for a, b in zip(tabled, tabled[1:]))
 
+    @pytest.mark.parametrize("family", [random_gapped_instance, random_equal_rate_instance])
+    def test_split_candidates_share_one_table(self, monkeypatch, family):
+        # at eps = 0 every fractional candidate is pooled or split, and every
+        # split candidate takes the verdicts of the first one's table
+        scored = []
+        original = sweep_module._scored
+
+        def counted(scaled, rows, scores):
+            scored.append(rows)
+            return original(scaled, rows, scores)
+
+        monkeypatch.setattr(sweep_module, "_scored", counted)
+        for seed in range(4):
+            scored.clear()
+            rep = theorem_sweep(family(random.Random(seed)), 300, F(0), seed)
+            assert rep.fractional_explored == 300
+            assert len(scored) <= 1
+
     def test_rejects_negative_budget(self, skewed):
         with pytest.raises(DomainError):
             theorem_sweep(skewed, -1, F(0), 1)
@@ -243,8 +262,7 @@ class TestIntegerVerdicts:
                         bins = _split_structure(inst, rng)
                     else:
                         bins = _banded_bins(inst, rng, eps)
-                    rows = _eighths(inst, bins)
-                    scores = [v for v, _ in bins]
+                    rows, scores = _eighths(inst, bins)
                     table = _scored(scaled, rows, scores)
                 asg = _assignment(inst, rows, scores)
                 fair = _fair(table)
@@ -255,6 +273,26 @@ class TestIntegerVerdicts:
                 seen["approx"].add(passed)
         # the sample holds both verdicts of both kinds
         assert seen == {"fair": {False, True}, "approx": {False, True}}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(INSTANCE_FAMILIES), st.integers(0, 10**6))
+def test_split_candidates_audit_as_the_identity(family, seed):
+    # the identity the sweep's shared split verdicts rest on: a calibrated
+    # split gives each class the identity assignment's average score
+    rng = random.Random(seed)
+    inst = family(rng)
+    identity = identity_assignment(inst)
+    exact = old.audit_exact(inst, identity)
+    relaxed = {eps: old.audit_approx(inst, identity, eps) for eps in (F(1, 1000), F(1, 10))}
+    for _ in range(3):
+        asg = calibrated_split_assignment(inst, rng)
+        report = old.audit_exact(inst, asg)
+        assert report.fair == exact.fair
+        assert report.pos_class_avg == exact.pos_class_avg
+        assert report.neg_class_avg == exact.neg_class_avg
+        for eps, approx in relaxed.items():
+            assert old.audit_approx(inst, asg, eps) == approx
 
 
 class TestDraws:
@@ -292,6 +330,10 @@ class TestDraws:
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.sampled_from(INSTANCE_FAMILIES), st.integers(0, 10**6),
        st.sampled_from((F(0), F(1, 1000), F(1, 10))), st.sampled_from((None, 0, 3, 52, 203)))
+# the split candidates' shared verdict passes: it is exactly fair, or it
+# passes the relaxed audit
+@example(random_equal_rate_instance, 30, F(0), None)
+@example(random_perfect_instance, 0, F(1, 10), None)
 def test_sweep_matches_old_implementation(family, seed, eps, integral_cap):
     inst = family(random.Random(seed))
     assert theorem_sweep(inst, 200, eps, seed, integral_cap=integral_cap) == old.plain_sweep(
