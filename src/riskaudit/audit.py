@@ -304,14 +304,16 @@ def _bin_table(inst: Instance, asg: RiskAssignment) -> _Table:
     return _scored(_scaled(inst), rows, asg.scores)
 
 
-def _pooled(mass, positive, scale: int, empty: Fraction) -> _Table:
+def _pooled(mass, positive, scale: int) -> _Table:
     """The table of these columns with each bin scored at its pooled
-    positive rate, `empty` for a bin with no people."""
+    positive rate. A bin with no people gets the whole table's pooled rate,
+    which is the population's, since allocation rows sum to one."""
     nums = list(map(add, *positive))
     dens = list(map(add, *mass))
-    for b, d in enumerate(dens):
-        if not d:
-            nums[b], dens[b] = empty.numerator, empty.denominator
+    if not all(dens):
+        g, m = sum(nums), sum(dens)
+        nums = [n if d else g for n, d in zip(nums, dens)]
+        dens = [d or m for d in dens]
     return _Table(mass, positive, scale, nums, dens)
 
 

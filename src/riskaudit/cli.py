@@ -428,13 +428,7 @@ def run_cli(argv=None) -> int:
         return code if isinstance(code, int) else 0
     try:
         return args.func(args)
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RiskAuditError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (argparse.ArgumentTypeError, RiskAuditError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,12 +13,22 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .audit import _bin_table, _calibrated, _classes, _exact_report, _Table, audit_exact
+from .audit import (
+    _accumulate_bins,
+    _bin_table,
+    _calibrated,
+    _classes,
+    _exact_report,
+    _pooled,
+    _Table,
+    audit_exact,
+)
 from .errors import DegenerateGroupError, DomainError
 from .model import (
     Instance,
     RiskAssignment,
-    _pooled_rate,
+    _assignment,
+    _scaled,
     as_fraction,
     assignment_rows_for,
     derived_stats,
@@ -50,23 +60,16 @@ def identity_assignment(inst: Instance) -> RiskAssignment:
     """One bin per feature, scored at the feature's own probability."""
     require_valid(inst)
     k = len(inst.features)
-    rows = tuple(
-        tuple(Fraction(1) if b == i else Fraction(0) for b in range(k)) for i in range(k)
-    )
-    return RiskAssignment(
-        feature_ids=tuple(f.id for f in inst.features),
-        scores=tuple(f.p for f in inst.features),
-        rows=rows,
-    )
+    rows = [[int(b == i) for b in range(k)] for i in range(k)]
+    return _assignment(inst, rows, [f.p for f in inst.features])
 
 
 def trivial_assignment(inst: Instance) -> RiskAssignment:
-    """A single bin scored at the pooled base rate of the whole population."""
-    return RiskAssignment(
-        feature_ids=tuple(f.id for f in inst.features),
-        scores=(_pooled_rate(inst),),
-        rows=tuple((Fraction(1),) for _ in inst.features),
-    )
+    """The one-bin pooled table's assignment: everyone in a single bin,
+    scored at the pooled positive rate of the whole population."""
+    rows = [(1,)] * len(inst.features)
+    table = _pooled(*_accumulate_bins(_scaled(inst), rows, 1))
+    return _assignment(inst, rows, map(Fraction, table.nums, table.dens))
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,11 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
+def _rational(value) -> bool:
+    """Whether a value is an int or a Fraction, and not a bool."""
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
 def _nonnegative(value: RationalLike, name: str) -> Fraction:
     """`as_fraction(value)`, refused with DomainError when negative."""
     v = as_fraction(value)
@@ -152,8 +157,9 @@ class ValidationReport:
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check instance invariants and report every violation found.
 
-    Checks: unique feature ids, probabilities in [0, 1], nonnegative masses,
-    and strictly positive total mass in each group.
+    Checks: unique feature ids, probabilities and masses that are ints or
+    Fractions (not bools), probabilities in [0, 1], nonnegative masses, and
+    strictly positive total mass in each group.
     """
     violations: list[str] = []
     seen: set[str] = set()
@@ -161,14 +167,19 @@ def validate_instance(inst: Instance) -> ValidationReport:
         if f.id in seen:
             violations.append(f"duplicate feature id {f.id!r}")
         seen.add(f.id)
-        if not (0 <= f.p <= 1):
-            violations.append(f"feature {f.id!r}: probability {f.p} outside [0, 1]")
-        if f.n1 < 0:
-            violations.append(f"feature {f.id!r}: negative group-1 mass {f.n1}")
-        if f.n2 < 0:
-            violations.append(f"feature {f.id!r}: negative group-2 mass {f.n2}")
+        # signs and ranges are read in integers (a denominator is positive),
+        # which costs far less than comparing Fractions
+        for name, v in (("probability", f.p), ("group-1 mass", f.n1), ("group-2 mass", f.n2)):
+            if not _rational(v):
+                violations.append(f"feature {f.id!r}: {name} {v!r} is not an int or Fraction")
+            elif name == "probability" and not (0 <= v.numerator <= v.denominator):
+                violations.append(f"feature {f.id!r}: probability {v} outside [0, 1]")
+            elif name != "probability" and v.numerator < 0:
+                violations.append(f"feature {f.id!r}: negative {name} {v}")
     for t in GROUPS:
-        if sum((f.count(t) for f in inst.features), Fraction(0)) <= 0:
+        masses = [n for n in (f.count(t) for f in inst.features) if _rational(n)]
+        d = lcm(*(n.denominator for n in masses))
+        if sum(n.numerator * (d // n.denominator) for n in masses) <= 0:
             violations.append(f"group {t} has no mass")
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
@@ -227,12 +238,6 @@ def derived_stats(inst: Instance) -> GroupStats:
         positive_mass=(Fraction(mu1, d), Fraction(mu2, d)),
         base_rate=(Fraction(mu1, n1), Fraction(mu2, n2)),
     )
-
-
-def _pooled_rate(inst: Instance) -> Fraction:
-    """The positive rate of both groups taken together."""
-    n1, n2, mu1, mu2 = _scaled(inst).totals
-    return Fraction(mu1 + mu2, n1 + n2)
 
 
 @dataclass(frozen=True)
@@ -338,7 +343,7 @@ class RiskAssignment:
 
     `rows[i][b]` is the fraction of feature `feature_ids[i]` sent to bin `b`.
     Rows must sum to exactly 1 (no tolerance); scores and allocation entries
-    must be ints or Fractions in [0, 1]. A bin may receive zero mass.
+    must be ints or Fractions (not bools) in [0, 1]. A bin may receive zero mass.
     Construction checks and keeps each row as integers over the lcm of its
     denominators.
     """
@@ -359,7 +364,7 @@ class RiskAssignment:
         if len(self.rows) != len(self.feature_ids):
             raise InvalidAssignmentError("one allocation row per feature required")
         for b, v in enumerate(self.scores):
-            if not isinstance(v, (int, Fraction)):
+            if not _rational(v):
                 raise InvalidAssignmentError(f"score {v!r} of bin {b} is not an int or Fraction")
             if not (0 <= v <= 1):
                 raise InvalidAssignmentError(f"score {v} outside [0, 1]")
@@ -370,7 +375,7 @@ class RiskAssignment:
                     f"allocation row for {fid!r} has {len(row)} entries, expected {len(self.scores)}"
                 )
             for b, x in enumerate(row):
-                if not isinstance(x, (int, Fraction)):
+                if not _rational(x):
                     raise InvalidAssignmentError(
                         f"allocation entry {x!r} for {fid!r}, bin {b}, is not an int or Fraction"
                     )
@@ -389,6 +394,14 @@ class RiskAssignment:
     @property
     def bin_count(self) -> int:
         return len(self.scores)
+
+
+def _assignment(inst: Instance, rows, scores) -> RiskAssignment:
+    """The assignment of `inst` whose allocation rows are these integer
+    rows, each read over its own sum, and whose bins carry these scores.
+    Every candidate the package builds is built here."""
+    fractions = tuple(tuple(Fraction(x, sum(row)) for x in row) for row in rows)
+    return RiskAssignment(inst.ids, tuple(scores), fractions)
 
 
 def assignment_rows_for(inst: Instance, asg: RiskAssignment) -> tuple[tuple[Fraction, ...], ...]:

@@ -18,7 +18,7 @@ from typing import Optional
 from .audit import _accumulate_bins, _balances, _calibrated, _pooled, _Table
 from .errors import DomainError
 from .loss import LossReport, _loss_report, _nontrivial
-from .model import Instance, RiskAssignment, _nonnegative, _scaled, require_valid
+from .model import Instance, RiskAssignment, _assignment, _nonnegative, _scaled, require_valid
 from .partitions import Partition, _check_enumerable
 
 OBJECTIVES = ("any_fair", "min_loss")
@@ -62,16 +62,8 @@ def assignment_from_partition(inst: Instance, part: Partition) -> RiskAssignment
     bin_of.update((b, j) for j, b in enumerate(populated))
     nbins = len(populated)
     rows = [[int(bin_of[b] == j) for j in range(nbins)] for b in labels]
-    table = _pooled(*_accumulate_bins(scaled, rows, nbins), _ZERO)
-    return RiskAssignment(
-        feature_ids=ids,
-        scores=tuple(map(Fraction, table.nums, table.dens)),
-        rows=tuple(tuple(_ONE if x else _ZERO for x in row) for row in rows),
-    )
-
-
-_ONE = Fraction(1)
-_ZERO = Fraction(0)
+    table = _pooled(*_accumulate_bins(scaled, rows, nbins))
+    return _assignment(inst, rows, map(Fraction, table.nums, table.dens))
 
 
 # More features than this are refused even with a cap: the search's tables
@@ -165,7 +157,7 @@ def _integral_search(inst: Instance, cap: Optional[int], calibrated, visit, boun
             visited += 1
             kept = [m for m in masks if m0[m] or m1[m]]
             mass = [m0[m] for m in kept], [m1[m] for m in kept]
-            table = _pooled(mass, ([g0[m] for m in kept], [g1[m] for m in kept]), scale, _ZERO)
+            table = _pooled(mass, ([g0[m] for m in kept], [g1[m] for m in kept]), scale)
             if not visit(masks, table):
                 return False
             if not bound:

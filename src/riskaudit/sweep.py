@@ -20,7 +20,6 @@ from .audit import (
     ApproxAuditReport,
     _accumulate_bins,
     _approx_report,
-    _calibrated,
     _calibrated_within,
     _fair,
     _pooled,
@@ -34,8 +33,8 @@ from .model import (
     FeatureVector,
     Instance,
     RiskAssignment,
+    _assignment,
     _nonnegative,
-    _pooled_rate,
     _scaled,
     as_fraction,
     derived_stats,
@@ -184,10 +183,10 @@ def is_perfect_prediction(inst: Instance) -> bool:
     return all(f.p in (0, 1) for f in inst.features if f.total > 0)
 
 
-# Fractional candidates are drawn as small-integer structures: pooled weight
-# rows, or eighths. Both are integer allocation rows as they stand, so the
-# bin table reads them directly and Fractions are built only for a candidate
-# the report keeps.
+# Fractional candidates are drawn as integer allocation rows and bin scores:
+# pooled weight rows, or eighths. The bin table reads the rows as they stand,
+# and `model._assignment` builds Fractions only for a candidate the report
+# keeps.
 
 
 def _below(bits, n: int) -> int:
@@ -222,15 +221,8 @@ def pooled_rounded_assignment(
     """Random row-stochastic allocation, scores rounded to each bin's pooled
     positive rate. Population-calibrated by construction, nothing more."""
     weights = _pooled_struct(len(inst.features), rng, max_bins)
-    table = _pooled(*_accumulate_bins(_scaled(inst), weights, len(weights[0])), _pooled_rate(inst))
+    table = _pooled(*_accumulate_bins(_scaled(inst), weights, len(weights[0])))
     return _assignment(inst, weights, map(Fraction, table.nums, table.dens))
-
-
-def _assignment(inst: Instance, rows, scores) -> RiskAssignment:
-    """The assignment of integer allocation rows, each read over its own
-    sum, with these bin scores."""
-    fractions = tuple(tuple(Fraction(x, sum(row)) for x in row) for row in rows)
-    return RiskAssignment(inst.ids, tuple(scores), fractions)
 
 
 def _split_draw(k: int, rng: Random) -> tuple[list[int], bool]:
@@ -242,81 +234,60 @@ def _split_draw(k: int, rng: Random) -> tuple[list[int], bool]:
     return cuts, rng.random() < 0.5
 
 
-def _split_bins(inst: Instance, cuts: list[int], merge: bool) -> list[tuple[Fraction, dict[int, int]]]:
-    """Bins whose members all share one probability: each feature's mass
-    over one or two copies, then, when merging, equal-probability bins
-    pooled. Allocations are eighths held as integers keyed by feature
-    position."""
-    bins: list[tuple[Fraction, dict[int, int]]] = []
-    for i, (f, j) in enumerate(zip(inst.features, cuts)):
-        bins.append((f.p, {i: j}))
-        if j < 8:
-            bins.append((f.p, {i: 8 - j}))
-    if merge:
-        merged: dict[Fraction, dict[int, int]] = {}
-        for p, alloc in bins:
-            slot = merged.setdefault(p, {})
-            for i, j in alloc.items():
-                slot[i] = slot.get(i, 0) + j
-        bins = [(p, alloc) for p, alloc in merged.items()]
-    return bins
-
-
-def _split_structure(inst: Instance, rng: Random) -> list[tuple[Fraction, dict[int, int]]]:
-    """A drawn split structure (see _split_bins)."""
-    return _split_bins(inst, *_split_draw(len(inst.features), rng))
-
-
-def _eighths(inst: Instance, bins: list[tuple[Fraction, dict[int, int]]]):
+def _split_bins(inst: Instance, cuts: list[int], merge: bool) -> tuple[list[list[int]], list[Fraction]]:
     """Integer allocation rows, in eighths, and bin scores of a split
-    structure."""
-    rows = [[0] * len(bins) for _ in inst.features]
-    for b, (_, alloc) in enumerate(bins):
-        for i, j in alloc.items():
-            rows[i][b] = j
-    return rows, [v for v, _ in bins]
+    structure: each feature's mass over one or two bins of its own (its
+    first in `cuts[i]` eighths), or, when merging, one bin per probability,
+    first seen first. Every bin is scored at its members' probability."""
+    probs = [f.p for f in inst.features]
+    if merge:
+        scores = list(dict.fromkeys(probs))
+        return [[8 if v == p else 0 for v in scores] for p in probs], scores
+    parts = [(8,) if j == 8 else (j, 8 - j) for j in cuts]
+    scores = [p for p, part in zip(probs, parts) for _ in part]
+    rows, b = [], 0
+    for part in parts:
+        row = [0] * len(scores)
+        row[b:b + len(part)] = part
+        b += len(part)
+        rows.append(row)
+    return rows, scores
 
 
 def calibrated_split_assignment(inst: Instance, rng: Random) -> RiskAssignment:
     """Exactly calibrated within both groups: every bin is scored at the one
     probability its members share."""
-    return _assignment(inst, *_eighths(inst, _split_structure(inst, rng)))
+    return _assignment(inst, *_split_bins(inst, *_split_draw(len(inst.features), rng)))
 
 
 def _banded_bins(inst: Instance, rng: Random, e: Fraction):
+    """A drawn split structure's rows and scores (see _split_bins), each
+    nonzero score then nudged, bin by bin, by a drawn factor inside the band
+    of width e and inside [0, 1]."""
+    rows, scores = _split_bins(inst, *_split_draw(len(inst.features), rng))
     lo = -e / (1 + e)
     cap = e / (1 - e) if e < 1 else Fraction(1)
-    out = []
-    for p, alloc in _split_structure(inst, rng):
-        if p == 0:
-            out.append((p, alloc))
-            continue
-        hi = min(cap, (1 - p) / p)
-        delta = lo + (hi - lo) * Fraction(_below(rng.getrandbits, 17), 16)
-        out.append((p * (1 + delta), alloc))
-    return out
+    for b, p in enumerate(scores):
+        if p:
+            hi = min(cap, (1 - p) / p)
+            delta = lo + (hi - lo) * Fraction(_below(rng.getrandbits, 17), 16)
+            scores[b] = p * (1 + delta)
+    return rows, scores
 
 
 def banded_split_assignment(inst: Instance, rng: Random, eps) -> RiskAssignment:
     """Calibrated up to the multiplicative band of width eps: bin scores are
     nudged off the members' shared probability by a factor kept inside the
     band (and inside [0, 1])."""
-    bins = _banded_bins(inst, rng, _nonnegative(eps, "eps"))
-    return _assignment(inst, *_eighths(inst, bins))
+    return _assignment(inst, *_banded_bins(inst, rng, _nonnegative(eps, "eps")))
 
 
 def two_bin_certain_assignment(inst: Instance) -> RiskAssignment:
     """For perfect-prediction instances: a 0-bin and a 1-bin."""
     if not is_perfect_prediction(inst):
         raise DomainError("instance has an uncertain populated feature")
-    order = tuple(f.id for f in inst.features)
-    rows = []
-    for f in inst.features:
-        hot = 1 if f.p == 1 else 0
-        rows.append((Fraction(1 - hot), Fraction(hot)))
-    return RiskAssignment(
-        feature_ids=order, scores=(Fraction(0), Fraction(1)), rows=tuple(rows)
-    )
+    rows = [(int(f.p != 1), int(f.p == 1)) for f in inst.features]
+    return _assignment(inst, rows, (Fraction(0), Fraction(1)))
 
 
 @dataclass(frozen=True)
@@ -400,8 +371,9 @@ def theorem_sweep(
         consider(verdicts(table), lambda: _witness(inst, blocks)[1])
         return False
 
-    # a candidate outside the calibration band can pass neither check
-    calibrated = partial(_calibrated_within, e=e) if e else _calibrated
+    # a candidate outside the calibration band (at eps = 0, exact
+    # calibration) can pass neither check
+    calibrated = partial(_calibrated_within, e=e)
     integral_explored, _, integral_complete = _integral_search(inst, integral_cap, calibrated, visit)
 
     # Every split candidate shares the verdicts of the first one. Each of its
@@ -415,21 +387,20 @@ def theorem_sweep(
     # averages, both balance verdicts and every field of the relaxed report
     # are those of the identity assignment.
     split = None
-    pooled = _pooled_rate(inst)
     rng = Random(seed)
     for _ in range(search_budget):
         roll = rng.random()
         if roll < 0.6:
             rows = _pooled_struct(k, rng)
-            table = _pooled(*_accumulate_bins(scaled, rows, len(rows[0])), pooled)
+            table = _pooled(*_accumulate_bins(scaled, rows, len(rows[0])))
             consider(verdicts(table), lambda: _assignment(inst, rows, map(Fraction, table.nums, table.dens)))
         elif roll < 0.8 or e == 0:
             draw = _split_draw(k, rng)
             if split is None:
-                split = verdicts(_scored(scaled, *_eighths(inst, _split_bins(inst, *draw))))
-            consider(split, lambda: _assignment(inst, *_eighths(inst, _split_bins(inst, *draw))))
+                split = verdicts(_scored(scaled, *_split_bins(inst, *draw)))
+            consider(split, lambda: _assignment(inst, *_split_bins(inst, *draw)))
         else:
-            rows, scores = _eighths(inst, _banded_bins(inst, rng, e))
+            rows, scores = _banded_bins(inst, rng, e)
             consider(verdicts(_scored(scaled, rows, scores)), lambda: _assignment(inst, rows, scores))
 
     return SweepReport(

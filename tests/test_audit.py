@@ -270,6 +270,28 @@ def test_every_oracle_definition_is_used():
     assert unused == []
 
 
+def test_every_private_definition_is_used():
+    # package code outside its own body refers to each private top-level
+    # function or class of the package; a helper that only tests call is dead
+    import ast
+    from collections import Counter
+    from pathlib import Path
+
+    import riskaudit
+
+    def names(node) -> Counter:
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(riskaudit.__file__).parent.glob("*.py"))}
+    used = sum(map(names, trees.values()), Counter())
+    unused = [f"{file}:{node.lineno} {node.name}" for file, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+              and not node.name.startswith("__") and used[node.name] == names(node)[node.name]]
+    assert unused == []
+
+
 # (p, n1, n2) of feature "a"; feature "b" is (1/4, 1, 0)
 INVALID = {
     "negative-mass": (F(1, 2), -1, 1),

@@ -26,6 +26,7 @@ from riskaudit import (
     dumps_doc,
     identity_assignment,
     instance_to_doc,
+    interpolate,
     reduce_subset_sum,
     reduced_to_doc,
     trivial_assignment,
@@ -337,6 +338,83 @@ def test_deep_nesting_exit_two(tmp_path, capsys, command, flag):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == ["error: JSON nested too deeply"]
     assert captured.out == ""
+
+
+def test_find_fair_one_sided_exit_one(ws, capsys):
+    # rigid's identity favors group 1 strictly, and no candidate leans the other way
+    assert run_cli(["find-fair", "-i", ws["rigid"], "-c", ws["rigid_id"]]) == 1
+    assert capsys.readouterr().out == "found: false\n"
+    assert run_cli(["find-fair", "-i", ws["rigid"], "-c", ws["rigid_id"], "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"found": False}
+
+
+def test_find_fair_writes_or_prints_the_assignment(ws, tmp_path, capsys, balanced):
+    out = tmp_path / "fair.json"
+    assert run_cli(["find-fair", "-i", ws["balanced"], "-c", ws["balanced_id"], "-o", str(out)]) == 0
+    assert capsys.readouterr().out == "found: true\n"
+    written = json.loads(out.read_text())
+    assert written == assignment_to_doc(identity_assignment(balanced))
+    assert run_cli(["find-fair", "-i", ws["balanced"], "-c", ws["balanced_id"], "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"found": True, "assignment": written}
+
+
+def test_reduce_bad_weights_exit_two(capsys):
+    assert run_cli(["reduce", "--weights", "1,x", "--target", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: weights must be comma-separated integers\n" and captured.out == ""
+
+
+def test_text_mode_without_output_prints_the_document(ws, capsys, rigid):
+    assert run_cli(["reduce", "--weights", "1,2", "--target", "3"]) == 0
+    assert capsys.readouterr().out == dumps_doc(reduced_to_doc(reduce_subset_sum(SubsetSumInstance((1, 2), 3))))
+    assert run_cli(["interpolate", "-i", ws["rigid"], "-a", ws["rigid_id"], "-b", ws["rigid_tr"], "-w", "1/2"]) == 0
+    mixed = interpolate(rigid, identity_assignment(rigid), trivial_assignment(rigid), F(1, 2))
+    assert capsys.readouterr().out == dumps_doc(assignment_to_doc(mixed))
+
+
+def test_verify_zero_tolerance_exit_two(tmp_path, capsys):
+    # the document's rates are rounded through doubles, so its base rates
+    # miss 1/2 by about 1e-17: inside the default tolerance, not inside 0
+    red = tmp_path / "red.json"
+    assert run_cli(["reduce", "--weights", "1,2", "--target", "3", "-o", str(red)]) == 0
+    capsys.readouterr()
+    assert run_cli(["verify-reduction", "-r", str(red), "--tolerance", "0"]) == 2
+    out = capsys.readouterr().out
+    assert "embedded_base_rates_ok: false" in out and "agreement: true" in out
+
+
+_CSV_HEADER = "feature_id,group,outcome\n"
+
+
+@pytest.mark.parametrize(
+    "argv,text,place",
+    [
+        (["validate", "-i", "{doc}"], '{"version": "1", "features": {}}', ".features: "),
+        (["validate", "-i", "{doc}"], '{"version": "1", "features": [1]}', ".features[0]: "),
+        (["validate", "-i", "{doc}"], '{"version": "1", "features": [{"id": "a", "p": "1/2", "counts": []}]}',
+         ".features[0].counts: "),
+        (["audit", "-i", "{balanced}", "-a", "{doc}"], '{"version": "1", "bins": []}', ".bins: "),
+        (["audit", "-i", "{balanced}", "-a", "{doc}"], '{"version": "1", "bins": [1]}', ".bins[0]: "),
+        (["audit", "-i", "{balanced}", "-a", "{doc}"], '{"version": "1", "bins": [{"score": "1", "allocation": []}]}',
+         ".bins[0].allocation: "),
+        (["verify-reduction", "-r", "{doc}"],
+         '{"version": "1", "kind": "reduction", "weights": [1, 2], "target": "3"}', ".target: "),
+        (["ingest", "-i", "{doc}", "-o", "{out}"], "", "empty CSV"),
+        (["ingest", "-i", "{doc}", "-o", "{out}"], _CSV_HEADER + "a,1\n", "line 2: expected 3 columns"),
+        (["ingest", "-i", "{doc}", "-o", "{out}"], _CSV_HEADER + " ,1,1\n", "line 2: empty feature id"),
+        (["ingest", "-i", "{doc}", "-o", "{out}"], _CSV_HEADER + "a,one,1\n", "line 2: group must be 1 or 2"),
+        (["ingest", "-i", "{doc}", "-o", "{out}"], _CSV_HEADER + "\n", "CSV contains no data rows"),
+    ],
+    ids=["features", "feature", "counts", "bins", "bin", "allocation", "target",
+         "csv-empty", "csv-columns", "csv-feature-id", "csv-group", "csv-no-rows"],
+)
+def test_document_errors_name_their_place(ws, tmp_path, capsys, argv, text, place):
+    doc = tmp_path / "doc"
+    doc.write_text(text)
+    paths = dict(ws, doc=str(doc), out=str(tmp_path / "out.json"))
+    assert run_cli([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {place}") and captured.out == ""
 
 
 def _python(*args):

@@ -245,3 +245,15 @@ class TestFindFair:
         # the only calibrated candidates here are trivial or one-sided
         with pytest.raises(DomainError):
             find_fair_nontrivial(rigid, [trivial_assignment(rigid)])
+
+    def test_one_sided_candidates_give_none(self, rigid):
+        # the identity favors group 1 strictly (positive-class averages 5/8
+        # and 1/2), and no candidate leans the other way
+        assert fairness_difference(rigid, identity_assignment(rigid)).difference == F(1, 8)
+        assert find_fair_nontrivial(rigid, [identity_assignment(rigid)]) is None
+
+    def test_uncalibrated_candidate_named(self, balanced):
+        # identity rows, but the first bin (probability 1/4) is scored 1/2
+        off = RiskAssignment(("s1", "s2"), (F(1, 2), F(3, 4)), ((F(1), F(0)), (F(0), F(1))))
+        with pytest.raises(DomainError, match="candidate 1 is not calibrated"):
+            find_fair_nontrivial(balanced, [identity_assignment(balanced), off])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from riskaudit import (
     DomainError,
+    FeatureVector,
     Instance,
     InvalidAssignmentError,
     InvalidInstanceError,
@@ -69,6 +70,18 @@ class TestValidation:
         inst = Instance((feature("a", F(1, 2), 1, 0),))
         rep = validate_instance(inst)
         assert not rep.ok
+        with pytest.raises(InvalidInstanceError):
+            require_valid(inst)
+
+    @pytest.mark.parametrize("field,label", [("p", "probability"), ("n1", "group-1 mass"), ("n2", "group-2 mass")],
+                             ids=["p", "n1", "n2"])
+    @pytest.mark.parametrize("value", [0.5, "1/2", True], ids=["float", "str", "bool"])
+    def test_field_that_is_not_rational(self, field, label, value):
+        # a hand-built feature skips `feature`'s coercion; the bad field is
+        # reported, not raised, and require_valid refuses the instance
+        fields = {"id": "a", "p": F(1, 2), "n1": F(1), "n2": F(1)}
+        inst = Instance((FeatureVector(**{**fields, field: value}), feature("b", F(1, 4), 1, 1)))
+        assert validate_instance(inst).violations == (f"feature 'a': {label} {value!r} is not an int or Fraction",)
         with pytest.raises(InvalidInstanceError):
             require_valid(inst)
 
@@ -155,6 +168,11 @@ class TestRiskAssignment:
             RiskAssignment(("a",), (0.5,), ((F(1),),))
         with pytest.raises(InvalidAssignmentError, match="'a', bin 1"):
             RiskAssignment(("a",), (F(0), F(1)), ((F(1, 2), 0.5),))
+        # so are bools, which are ints to isinstance but not rationals
+        with pytest.raises(InvalidAssignmentError, match="score True of bin 0"):
+            RiskAssignment(("a",), (True,), ((F(1),),))
+        with pytest.raises(InvalidAssignmentError, match="'a', bin 0"):
+            RiskAssignment(("a",), (F(1, 2),), ((True,),))
 
     def test_row_lookup(self):
         asg = RiskAssignment(

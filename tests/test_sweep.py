@@ -35,14 +35,13 @@ from riskaudit.audit import (
     _scored,
     consequence_slack,
 )
-from riskaudit.model import _pooled_rate, _scaled
+from riskaudit.model import _assignment, _scaled
 from riskaudit.sweep import (
-    _assignment,
     _banded_bins,
     _below,
-    _eighths,
     _pooled_struct,
-    _split_structure,
+    _split_bins,
+    _split_draw,
     is_perfect_prediction,
 )
 
@@ -251,18 +250,16 @@ class TestIntegerVerdicts:
         for _ in range(150):
             inst = rng.choice(INSTANCE_FAMILIES)(rng)
             scaled = _scaled(inst)
-            pooled = _pooled_rate(inst)
             for family in ("pooled", "split", "banded") * 3:
                 if family == "pooled":
                     rows = _pooled_struct(len(inst.features), rng)
-                    table = _pooled(*_accumulate_bins(scaled, rows, len(rows[0])), pooled)
+                    table = _pooled(*_accumulate_bins(scaled, rows, len(rows[0])))
                     scores = list(map(F, table.nums, table.dens))
                 else:
                     if family == "split":
-                        bins = _split_structure(inst, rng)
+                        rows, scores = _split_bins(inst, *_split_draw(len(inst.features), rng))
                     else:
-                        bins = _banded_bins(inst, rng, eps)
-                    rows, scores = _eighths(inst, bins)
+                        rows, scores = _banded_bins(inst, rng, eps)
                     table = _scored(scaled, rows, scores)
                 asg = _assignment(inst, rows, scores)
                 fair = _fair(table)
@@ -317,8 +314,11 @@ class TestDraws:
         ours, theirs = random.Random(seed), random.Random(seed)
         for max_bins in (None, 1, 3):
             assert _pooled_struct(k, ours, max_bins) == old._pooled_struct(k, theirs, max_bins)
-        assert _split_structure(inst, ours) == old._split_structure(inst, theirs)
-        assert _banded_bins(inst, ours, eps) == old._banded_bins(inst, theirs, eps)
+        # the split and banded draws, compared through the assignments they build
+        split = _split_bins(inst, *_split_draw(k, ours))
+        assert _assignment(inst, *split) == old._split_assignment(inst, old._split_structure(inst, theirs))
+        banded = _banded_bins(inst, ours, eps)
+        assert _assignment(inst, *banded) == old._split_assignment(inst, old._banded_bins(inst, theirs, eps))
         assert ours.random() == theirs.random()
 
     def test_nonpositive_max_bins_rejected(self, skewed):
