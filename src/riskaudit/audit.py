@@ -291,6 +291,23 @@ def _accumulate_bins(scaled: _Scaled, rows, nbins: int):
     return (m0, m1), (p0, p1), scale * scaled.denominator
 
 
+def _first_bin(scaled: _Scaled, rows) -> _Table:
+    """The one-bin table of the rows' first bin, scored at its pooled rate:
+    bin 0 of _accumulate_bins(scaled, rows, ...), at the same scale, summed as
+    a plain column. A search screens a candidate on it before building the
+    whole table."""
+    sums = [sum(row) for row in rows]
+    scale = lcm(*sums)
+    m0 = m1 = p0 = p1 = 0
+    for (n1, n2, q1, q2), row, total in zip(scaled.weights, rows, sums):
+        x = row[0] * (scale // total)
+        m0 += n1 * x
+        m1 += n2 * x
+        p0 += q1 * x
+        p1 += q2 * x
+    return _Table(([m0], [m1]), ([p0], [p1]), scale * scaled.denominator, [p0 + p1], [m0 + m1])
+
+
 def _scored(scaled: _Scaled, rows, scores) -> _Table:
     """The table of integer allocation rows whose bins carry `scores`."""
     nums, dens = [v.numerator for v in scores], [v.denominator for v in scores]

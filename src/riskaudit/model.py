@@ -157,16 +157,19 @@ class ValidationReport:
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check instance invariants and report every violation found.
 
-    Checks: unique feature ids, probabilities and masses that are ints or
-    Fractions (not bools), probabilities in [0, 1], nonnegative masses, and
-    strictly positive total mass in each group.
+    Checks: unique feature ids that are nonempty strings, probabilities and
+    masses that are ints or Fractions (not bools), probabilities in [0, 1],
+    nonnegative masses, and strictly positive total mass in each group.
     """
     violations: list[str] = []
     seen: set[str] = set()
     for f in inst.features:
-        if f.id in seen:
+        if not isinstance(f.id, str) or not f.id:
+            violations.append(f"feature id {f.id!r} is not a nonempty string")
+        elif f.id in seen:
             violations.append(f"duplicate feature id {f.id!r}")
-        seen.add(f.id)
+        else:
+            seen.add(f.id)
         # signs and ranges are read in integers (a denominator is positive),
         # which costs far less than comparing Fractions
         for name, v in (("probability", f.p), ("group-1 mass", f.n1), ("group-2 mass", f.n2)):

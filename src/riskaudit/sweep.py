@@ -22,6 +22,7 @@ from .audit import (
     _approx_report,
     _calibrated_within,
     _fair,
+    _first_bin,
     _pooled,
     _scored,
     audit_approx,
@@ -186,7 +187,9 @@ def is_perfect_prediction(inst: Instance) -> bool:
 # Fractional candidates are drawn as integer allocation rows and bin scores:
 # pooled weight rows, or eighths. The bin table reads the rows as they stand,
 # and `model._assignment` builds Fractions only for a candidate the report
-# keeps.
+# keeps. A pooled weight is drawn inline, as `_below(bits, 4)` would draw it,
+# and the sweep judges a pooled candidate's first bin (`audit._first_bin`)
+# before it builds the whole table.
 
 
 def _below(bits, n: int) -> int:
@@ -208,7 +211,12 @@ def _pooled_struct(k: int, rng: Random, max_bins=None) -> tuple[tuple[int, ...],
     nbins = 1 + _below(bits, most)
     out = []
     for _ in range(k):
-        weights = [_below(bits, 4) for _ in range(nbins)]
+        weights = []
+        for _ in range(nbins):
+            w = bits(3)  # _below(bits, 4), inline
+            while w > 3:
+                w = bits(3)
+            weights.append(w)
         if not any(weights):
             weights[_below(bits, nbins)] = 1
         out.append(tuple(weights))
@@ -322,10 +330,12 @@ def theorem_sweep(
 
     The stream draws pooled, split and (at eps > 0) banded candidates.
     Every split candidate has the identity assignment's class averages, so
-    all of them share the verdicts of the first one's table; pooled and
-    banded candidates are audited one by one. With eps = 0 only the exact
-    side runs. A budget too small to finish the integral side is reported
-    through integral_complete, never raised.
+    all of them share the verdicts of the first one's table. A pooled
+    candidate whose first bin lies outside the calibration band passes
+    neither check, so it is ruled out on that bin alone; the other pooled
+    candidates and every banded one are audited one by one. With eps = 0
+    only the exact side runs. A budget too small to finish the integral side
+    is reported through integral_complete, never raised.
     """
     gs = derived_stats(inst)
     e = _nonnegative(eps, "eps")
@@ -372,7 +382,8 @@ def theorem_sweep(
         return False
 
     # a candidate outside the calibration band (at eps = 0, exact
-    # calibration) can pass neither check
+    # calibration) in any one bin can pass neither check: the walk prunes
+    # with this verdict, and the stream screens pooled candidates' first bins
     calibrated = partial(_calibrated_within, e=e)
     integral_explored, _, integral_complete = _integral_search(inst, integral_cap, calibrated, visit)
 
@@ -392,8 +403,9 @@ def theorem_sweep(
         roll = rng.random()
         if roll < 0.6:
             rows = _pooled_struct(k, rng)
-            table = _pooled(*_accumulate_bins(scaled, rows, len(rows[0])))
-            consider(verdicts(table), lambda: _assignment(inst, rows, map(Fraction, table.nums, table.dens)))
+            if calibrated(_first_bin(scaled, rows)):
+                table = _pooled(*_accumulate_bins(scaled, rows, len(rows[0])))
+                consider(verdicts(table), lambda: _assignment(inst, rows, map(Fraction, table.nums, table.dens)))
         elif roll < 0.8 or e == 0:
             draw = _split_draw(k, rng)
             if split is None:

@@ -85,6 +85,14 @@ class TestValidation:
         with pytest.raises(InvalidInstanceError):
             require_valid(inst)
 
+    @pytest.mark.parametrize("fid", [["a"], 3, ""], ids=["list", "int", "empty"])
+    def test_id_that_is_not_a_nonempty_string(self, fid):
+        # reported, not raised, even when the id cannot be hashed
+        inst = Instance((FeatureVector(fid, F(1, 2), F(1), F(1)), feature("b", F(1, 4), 1, 1)))
+        assert validate_instance(inst).violations == (f"feature id {fid!r} is not a nonempty string",)
+        with pytest.raises(InvalidInstanceError):
+            require_valid(inst)
+
 
 class TestDerivedStats:
     def test_skewed_oracle(self, skewed):

@@ -30,7 +30,9 @@ import riskaudit.sweep as sweep_module
 from riskaudit.audit import (
     _accumulate_bins,
     _approx_report,
+    _calibrated_within,
     _fair,
+    _first_bin,
     _pooled,
     _scored,
     consequence_slack,
@@ -198,6 +200,29 @@ class TestTheoremSweep:
             assert rep.fractional_explored == 300
             assert len(scored) <= 1
 
+    def test_pooled_candidates_screened_on_their_first_bin(self, monkeypatch):
+        # on gapped instances most pooled candidates fail calibration in
+        # their first bin and never get a full table
+        draws, tables = [], []
+        original_draw, original_table = sweep_module._pooled_struct, sweep_module._accumulate_bins
+
+        def drawn(k, rng, max_bins=None):
+            draws.append(k)
+            return original_draw(k, rng, max_bins)
+
+        def tabled(scaled, rows, nbins):
+            tables.append(rows)
+            return original_table(scaled, rows, nbins)
+
+        monkeypatch.setattr(sweep_module, "_pooled_struct", drawn)
+        monkeypatch.setattr(sweep_module, "_accumulate_bins", tabled)
+        for seed in range(4):
+            draws.clear()
+            tables.clear()
+            rep = theorem_sweep(random_gapped_instance(random.Random(seed)), 300, F(0), seed, integral_cap=0)
+            assert rep.fractional_explored == 300 and draws
+            assert 3 * len(tables) < len(draws)
+
     def test_rejects_negative_budget(self, skewed):
         with pytest.raises(DomainError):
             theorem_sweep(skewed, -1, F(0), 1)
@@ -290,6 +315,33 @@ def test_split_candidates_audit_as_the_identity(family, seed):
         assert report.neg_class_avg == exact.neg_class_avg
         for eps, approx in relaxed.items():
             assert old.audit_approx(inst, asg, eps) == approx
+
+
+def test_first_bin_screen_is_exact():
+    # the screen's one-bin table is the kernel's first column, pooled, and a
+    # candidate it rejects passes neither the exact nor the relaxed audit
+    outcomes = set()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.sampled_from(INSTANCE_FAMILIES), st.integers(0, 10**6), st.sampled_from((F(0), F(1, 1000), F(1, 10))))
+    def check(family, seed, eps):
+        rng = random.Random(seed)
+        inst = family(rng)
+        scaled = _scaled(inst)
+        slack = consequence_slack(eps)
+        for _ in range(5):
+            rows = _pooled_struct(len(inst.features), rng)
+            screen = _first_bin(scaled, rows)
+            assert screen == _pooled(*_accumulate_bins(scaled, rows, 1))
+            passed = _calibrated_within(screen, eps)
+            if not passed:
+                full = _pooled(*_accumulate_bins(scaled, rows, len(rows[0])))
+                assert not _fair(full)
+                assert not _approx_report(scaled, eps, slack, full).passed
+            outcomes.add(passed)
+
+    check()
+    assert outcomes == {False, True}
 
 
 class TestDraws:
