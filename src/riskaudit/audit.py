@@ -291,21 +291,24 @@ def _accumulate_bins(scaled: _Scaled, rows, nbins: int):
     return (m0, m1), (p0, p1), scale * scaled.denominator
 
 
-def _first_bin(scaled: _Scaled, rows) -> _Table:
-    """The one-bin table of the rows' first bin, scored at its pooled rate:
-    bin 0 of _accumulate_bins(scaled, rows, ...), at the same scale, summed as
-    a plain column. A search screens a candidate on it before building the
-    whole table."""
+def _first_bin_within(columns, rows, e: Fraction) -> bool:
+    """Whether the rows' first bin, scored at its pooled rate, lies in the
+    calibration band of width e in both groups:
+    _calibrated_within(_pooled(*_accumulate_bins(scaled, rows, 1)), e) for
+    columns = tuple(zip(*scaled.weights)), decided on four integer column
+    sums without a table. The band test is homogeneous in the bin's column,
+    so the instance's denominator drops out. An empty first bin passes. A
+    search screens a candidate on it before building the whole table."""
     sums = [sum(row) for row in rows]
     scale = lcm(*sums)
-    m0 = m1 = p0 = p1 = 0
-    for (n1, n2, q1, q2), row, total in zip(scaled.weights, rows, sums):
-        x = row[0] * (scale // total)
-        m0 += n1 * x
-        m1 += n2 * x
-        p0 += q1 * x
-        p1 += q2 * x
-    return _Table(([m0], [m1]), ([p0], [p1]), scale * scaled.denominator, [p0 + p1], [m0 + m1])
+    xs = [row[0] * (scale // total) for row, total in zip(rows, sums)]
+    n1, n2, q1, q2 = columns
+    m0, m1 = sum(map(mul, n1, xs)), sum(map(mul, n2, xs))
+    p0, p1 = sum(map(mul, q1, xs)), sum(map(mul, q2, xs))
+    n, d = p0 + p1, m0 + m1
+    en, ed = e.numerator, e.denominator
+    lo, hi = (ed - en) * n, (ed + en) * n
+    return lo * m0 <= p0 * d * ed <= hi * m0 and lo * m1 <= p1 * d * ed <= hi * m1
 
 
 def _scored(scaled: _Scaled, rows, scores) -> _Table:

@@ -22,7 +22,7 @@ from .audit import (
     _approx_report,
     _calibrated_within,
     _fair,
-    _first_bin,
+    _first_bin_within,
     _pooled,
     _scored,
     audit_approx,
@@ -58,9 +58,15 @@ def _rand_probability(rng: Random) -> Fraction:
     return _rand_fraction(rng)
 
 
+def _feature_count(rng: Random, max_features: int) -> int:
+    if max_features < 2:
+        raise DomainError("max_features must be at least 2")
+    return rng.randint(2, max_features)
+
+
 def random_instance(rng: Random, max_features: int = 6) -> Instance:
     """Unconstrained valid instance with small rational masses."""
-    k = rng.randint(2, max_features)
+    k = _feature_count(rng, max_features)
     feats = []
     for i in range(k):
         feats.append(
@@ -86,7 +92,7 @@ def random_instance(rng: Random, max_features: int = 6) -> Instance:
 
 def random_perfect_instance(rng: Random, max_features: int = 6) -> Instance:
     """Every populated feature is certain: probability 0 or 1."""
-    k = rng.randint(2, max_features)
+    k = _feature_count(rng, max_features)
     feats = []
     for i in range(k):
         feats.append(
@@ -109,7 +115,7 @@ def random_perfect_instance(rng: Random, max_features: int = 6) -> Instance:
 def random_proportional_instance(rng: Random, max_features: int = 6) -> Instance:
     """Group 2 is a scaled copy of group 1, so every group-average statistic
     coincides across groups for every assignment."""
-    k = rng.randint(2, max_features)
+    k = _feature_count(rng, max_features)
     scale = Fraction(rng.randint(1, 3), rng.randint(1, 3))
     feats = []
     for i in range(k):
@@ -170,7 +176,11 @@ def random_gapped_instance(
     rng: Random, min_gap: Fraction = Fraction(1, 10), max_features: int = 6
 ) -> Instance:
     """Instance with base rates at least min_gap apart and some uncertain
-    populated feature, by rejection sampling."""
+    populated feature, by rejection sampling. A min_gap of 1 or more is
+    refused: an uncertain populated feature keeps its group's base rate
+    strictly inside (0, 1), so the gap is always below 1."""
+    if min_gap >= 1:
+        raise DomainError("min_gap must be below 1")
     while True:
         inst = random_instance(rng, max_features)
         gs = derived_stats(inst)
@@ -187,9 +197,13 @@ def is_perfect_prediction(inst: Instance) -> bool:
 # Fractional candidates are drawn as integer allocation rows and bin scores:
 # pooled weight rows, or eighths. The bin table reads the rows as they stand,
 # and `model._assignment` builds Fractions only for a candidate the report
-# keeps. A pooled weight is drawn inline, as `_below(bits, 4)` would draw it,
-# and the sweep judges a pooled candidate's first bin (`audit._first_bin`)
-# before it builds the whole table.
+# keeps. A pooled weight is drawn inline, as `_below(bits, 4)` would draw it.
+# What every candidate would recompute is made once per sweep, and reusing it
+# is exact because it is the same integer or Fraction each time: the
+# instance's feature columns, on which a pooled candidate's first bin is
+# judged (`audit._first_bin_within`) before its whole table is built, and a
+# `_Splits`, which holds the merged layout and the at most 17 nudged scores
+# per feature that a banded candidate can draw.
 
 
 def _below(bits, n: int) -> int:
@@ -242,52 +256,96 @@ def _split_draw(k: int, rng: Random) -> tuple[list[int], bool]:
     return cuts, rng.random() < 0.5
 
 
-def _split_bins(inst: Instance, cuts: list[int], merge: bool) -> tuple[list[list[int]], list[Fraction]]:
-    """Integer allocation rows, in eighths, and bin scores of a split
-    structure: each feature's mass over one or two bins of its own (its
-    first in `cuts[i]` eighths), or, when merging, one bin per probability,
-    first seen first. Every bin is scored at its members' probability."""
-    probs = [f.p for f in inst.features]
-    if merge:
-        scores = list(dict.fromkeys(probs))
-        return [[8 if v == p else 0 for v in scores] for p in probs], scores
-    parts = [(8,) if j == 8 else (j, 8 - j) for j in cuts]
-    scores = [p for p, part in zip(probs, parts) for _ in part]
-    rows, b = [], 0
-    for part in parts:
-        row = [0] * len(scores)
-        row[b:b + len(part)] = part
-        b += len(part)
-        rows.append(row)
-    return rows, scores
+class _Splits:
+    """The exact parts of one instance's split and banded candidates at band
+    width e, made on first use and read back by every later draw. A bin is
+    keyed by the position of the feature that owns it, not by its Fraction,
+    whose hash is slow."""
+
+    def __init__(self, inst: Instance, e: Fraction = Fraction(0)) -> None:
+        self.probs = [f.p for f in inst.features]
+        self.e = e
+        self.merged = None
+        self.band = None  # lo, the cap on hi, 1 + lo, and (cap - lo) / 16
+        self.steps = [None] * len(self.probs)  # per feature: nudged score at j = 0, and its step
+        self.nudged = [None] * (17 * len(self.probs))  # at slot 17 * i + j
+
+    def bins(self, cuts: list[int], merge: bool):
+        """Integer allocation rows in eighths, bin scores and each bin's
+        owning feature, shared between draws: each feature's mass over one or
+        two bins of its own (its first in `cuts[i]` eighths), or, merging,
+        one bin per probability, first seen first. Every bin is scored at
+        its members' probability."""
+        probs = self.probs
+        if merge:
+            if self.merged is None:
+                first: dict[Fraction, int] = {}
+                for i, p in enumerate(probs):
+                    first.setdefault(p, i)
+                owners = list(first.values())
+                rows = [[8 if o == first[p] else 0 for o in owners] for p in probs]
+                self.merged = rows, list(first), owners
+            return self.merged
+        parts = [(8,) if j == 8 else (j, 8 - j) for j in cuts]
+        owners = [i for i, part in enumerate(parts) for _ in part]
+        rows, b = [], 0
+        for part in parts:
+            row = [0] * len(owners)
+            row[b:b + len(part)] = part
+            b += len(part)
+            rows.append(row)
+        return rows, [probs[i] for i in owners], owners
+
+    def nudge(self, i: int, j: int) -> Fraction:
+        """The score of a bin owned by feature i at draw j,
+        p_i * (1 + lo + (hi_i - lo) * j / 16) with lo = -e / (1 + e) and
+        hi_i = min(cap, (1 - p_i) / p_i), where cap = e / (1 - e) below e = 1
+        and 1 from there: inside the band of width e and inside [0, 1]. The
+        band, each feature's first score and step, and each score are made
+        on first use."""
+        slot = 17 * i + j
+        value = self.nudged[slot]
+        if value is None:
+            if self.steps[i] is None:
+                if self.band is None:
+                    e = self.e
+                    lo = -e / (1 + e)
+                    cap = e / (1 - e) if e < 1 else Fraction(1)
+                    self.band = lo, cap, 1 + lo, (cap - lo) / 16
+                lo, cap, base, width = self.band
+                p = self.probs[i]
+                hi = (1 - p) / p
+                self.steps[i] = p * base, p * (width if cap <= hi else (hi - lo) / 16)
+            first, step = self.steps[i]
+            value = self.nudged[slot] = first + step * j
+        return value
 
 
 def calibrated_split_assignment(inst: Instance, rng: Random) -> RiskAssignment:
     """Exactly calibrated within both groups: every bin is scored at the one
     probability its members share."""
-    return _assignment(inst, *_split_bins(inst, *_split_draw(len(inst.features), rng)))
+    rows, scores, _ = _Splits(inst).bins(*_split_draw(len(inst.features), rng))
+    return _assignment(inst, rows, scores)
 
 
-def _banded_bins(inst: Instance, rng: Random, e: Fraction):
-    """A drawn split structure's rows and scores (see _split_bins), each
-    nonzero score then nudged, bin by bin, by a drawn factor inside the band
-    of width e and inside [0, 1]."""
-    rows, scores = _split_bins(inst, *_split_draw(len(inst.features), rng))
-    lo = -e / (1 + e)
-    cap = e / (1 - e) if e < 1 else Fraction(1)
-    for b, p in enumerate(scores):
+def _banded_bins(splits: _Splits, rng: Random):
+    """A drawn split structure's rows and scores, each nonzero score then
+    replaced, bin by bin, by its owner's nudged score at a drawn j."""
+    rows, scores, owners = splits.bins(*_split_draw(len(splits.probs), rng))
+    bits = rng.getrandbits
+    out = []
+    for p, i in zip(scores, owners):
         if p:
-            hi = min(cap, (1 - p) / p)
-            delta = lo + (hi - lo) * Fraction(_below(rng.getrandbits, 17), 16)
-            scores[b] = p * (1 + delta)
-    return rows, scores
+            p = splits.nudge(i, _below(bits, 17))
+        out.append(p)
+    return rows, out
 
 
 def banded_split_assignment(inst: Instance, rng: Random, eps) -> RiskAssignment:
     """Calibrated up to the multiplicative band of width eps: bin scores are
     nudged off the members' shared probability by a factor kept inside the
     band (and inside [0, 1])."""
-    return _assignment(inst, *_banded_bins(inst, rng, _nonnegative(eps, "eps")))
+    return _assignment(inst, *_banded_bins(_Splits(inst, _nonnegative(eps, "eps")), rng))
 
 
 def two_bin_certain_assignment(inst: Instance) -> RiskAssignment:
@@ -296,6 +354,14 @@ def two_bin_certain_assignment(inst: Instance) -> RiskAssignment:
         raise DomainError("instance has an uncertain populated feature")
     rows = [(int(f.p != 1), int(f.p == 1)) for f in inst.features]
     return _assignment(inst, rows, (Fraction(0), Fraction(1)))
+
+
+def _require_count(value, name: str) -> None:
+    # a bool is not a count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{name} must be an int, not {value!r}")
+    if value < 0:
+        raise DomainError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -333,16 +399,17 @@ def theorem_sweep(
     all of them share the verdicts of the first one's table. A pooled
     candidate whose first bin lies outside the calibration band passes
     neither check, so it is ruled out on that bin alone; the other pooled
-    candidates and every banded one are audited one by one. With eps = 0
-    only the exact side runs. A budget too small to finish the integral side
-    is reported through integral_complete, never raised.
+    candidates and every banded one are audited one by one. The split
+    layouts and nudged scores are made once per sweep. With eps = 0 only
+    the exact side runs. The budget and cap are nonnegative ints. A budget
+    too small to finish the integral side is reported through
+    integral_complete, never raised.
     """
     gs = derived_stats(inst)
     e = _nonnegative(eps, "eps")
-    if search_budget < 0:
-        raise DomainError("search budget must be nonnegative")
-    if integral_cap is not None and integral_cap < 0:
-        raise DomainError("integral cap must be nonnegative")
+    _require_count(search_budget, "search budget")
+    if integral_cap is not None:
+        _require_count(integral_cap, "integral cap")
     gap = gs.base_rate[0] - gs.base_rate[1]
     perfect = is_perfect_prediction(inst)
     special = gap == 0 or perfect
@@ -383,7 +450,8 @@ def theorem_sweep(
 
     # a candidate outside the calibration band (at eps = 0, exact
     # calibration) in any one bin can pass neither check: the walk prunes
-    # with this verdict, and the stream screens pooled candidates' first bins
+    # with this verdict, and the stream applies it to pooled candidates'
+    # first bins (`_first_bin_within`)
     calibrated = partial(_calibrated_within, e=e)
     integral_explored, _, integral_complete = _integral_search(inst, integral_cap, calibrated, visit)
 
@@ -398,21 +466,23 @@ def theorem_sweep(
     # averages, both balance verdicts and every field of the relaxed report
     # are those of the identity assignment.
     split = None
+    splits = _Splits(inst, e)
+    columns = tuple(zip(*scaled.weights))
     rng = Random(seed)
     for _ in range(search_budget):
         roll = rng.random()
         if roll < 0.6:
             rows = _pooled_struct(k, rng)
-            if calibrated(_first_bin(scaled, rows)):
+            if _first_bin_within(columns, rows, e):
                 table = _pooled(*_accumulate_bins(scaled, rows, len(rows[0])))
                 consider(verdicts(table), lambda: _assignment(inst, rows, map(Fraction, table.nums, table.dens)))
         elif roll < 0.8 or e == 0:
             draw = _split_draw(k, rng)
             if split is None:
-                split = verdicts(_scored(scaled, *_split_bins(inst, *draw)))
-            consider(split, lambda: _assignment(inst, *_split_bins(inst, *draw)))
+                split = verdicts(_scored(scaled, *splits.bins(*draw)[:2]))
+            consider(split, lambda: _assignment(inst, *splits.bins(*draw)[:2]))
         else:
-            rows, scores = _banded_bins(inst, rng, e)
+            rows, scores = _banded_bins(splits, rng)
             consider(verdicts(_scored(scaled, rows, scores)), lambda: _assignment(inst, rows, scores))
 
     return SweepReport(

@@ -19,7 +19,8 @@
     `test_solver_matches_old_implementation`.
 - The `randint` draws `_pooled_struct`, `_split_structure` and
   `_banded_bins`, which pin the seeded stream the package draws with
-  `getrandbits`: `tests/test_sweep.py::TestDraws`.
+  `getrandbits`: `tests/test_sweep.py::TestDraws`, and for many draws from
+  one per-sweep split structure, `test_one_split_structure_serves_every_draw`.
 - `plain_sweep` and `exhaustive_solve` visit every partition through the
   package's walk with pruning off (`_integral_search` with a calibration
   verdict that passes every block, and no bound), which
