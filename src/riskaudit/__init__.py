@@ -5,14 +5,23 @@ vectors. Everything numeric is an exact rational unless a function says
 otherwise, so audit verdicts are decisions, not approximations.
 
 Each exported name is imported from its module on first use, so a program
-that audits loads neither the searches nor the reduction.
+that audits loads neither the searches nor the reduction, and one that only
+validates loads no audit.
 """
+import sys
 from importlib import import_module
+from types import ModuleType
 
-# `loss` names both a submodule and its function. Importing the submodule binds
-# the module to `riskaudit.loss`, which `__getattr__` would never replace, so
-# the function is bound here, after that import
-from .loss import loss
+
+class _Package(ModuleType):
+    # `loss` names both a submodule and its function. Importing the submodule
+    # binds it to `riskaudit.loss`, which `__getattr__` would then never see,
+    # so that binding takes the function instead
+    def __setattr__(self, name: str, value) -> None:
+        super().__setattr__(name, value.loss if name == "loss" and isinstance(value, ModuleType) else value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 __version__ = "0.1.0"
 

@@ -12,7 +12,6 @@ multiplicative band of width eps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import isqrt, lcm
@@ -32,8 +31,7 @@ from .model import (
 PerGroup = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class BinStats:
+class BinStats(NamedTuple):
     """Per-group, per-bin aggregates (group-major: index 0 is group 1).
 
     mass: people of the group in the bin.
@@ -59,8 +57,7 @@ def bin_statistics(inst: Instance, asg: RiskAssignment) -> BinStats:
     )
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Exact audit outcome.
 
     `pos_class_avg` and `neg_class_avg` are None for a group whose positive
@@ -144,20 +141,21 @@ def consequence_slack(eps) -> Fraction:
     Computed as sqrt(eps) * max(1, 3*sqrt(eps) + 3/4). Exact whenever
     sqrt(eps) is rational; otherwise sqrt(eps) is replaced by a rational
     upper bound at granularity 2**-128, which keeps the result an upper
-    bound because the formula is nondecreasing in sqrt(eps).
+    bound because the formula is nondecreasing in sqrt(eps). This is the
+    slack reports show; the flags are decided against the exact value.
     """
     e = _nonnegative(eps, "eps")
     s, _ = _sqrt_upper(e)
     return s * max(Fraction(1), 3 * s + Fraction(3, 4))
 
 
-@dataclass(frozen=True)
-class ConsequenceFlags:
-    """Which of the two consequences holds at the given slack.
+class ConsequenceFlags(NamedTuple):
+    """Which of the two consequences holds at tolerance eps.
 
     near_perfect_prediction: every nonempty positive class has average score
-    at least 1 - slack. near_equal_base_rates: the base rates differ by at
-    most slack.
+    at least 1 - s. near_equal_base_rates: the base rates differ by at most
+    s. Here s is the exact slack sqrt(eps) * max(1, 3 sqrt(eps) + 3/4), and
+    `slack` is consequence_slack(eps), which equals s or bounds it above.
     """
 
     slack: Fraction
@@ -170,22 +168,34 @@ class ConsequenceFlags:
 
 
 def classify_consequence(inst: Instance, asg: RiskAssignment, eps) -> ConsequenceFlags:
-    """Evaluate both consequence conditions at slack consequence_slack(eps).
+    """Evaluate both consequence conditions at tolerance eps.
 
     A group with an empty positive class counts as perfectly predicted: its
     whole population is certain-negative, so the near-perfect flag ignores it.
     """
-    slack = consequence_slack(eps)
+    e = _nonnegative(eps, "eps")
     c, pos, _ = _classes(_bin_table(inst, asg))
-    return _consequence(_scaled(inst), c, pos, slack)
+    return _consequence(_scaled(inst), c, pos, e, consequence_slack(e))
 
 
-def _consequence(scaled: _Scaled, c: int, pos, slack: Fraction) -> ConsequenceFlags:
-    sn, sd = slack.numerator, slack.denominator
+def _within_slack(x: int, d: int, e: Fraction) -> bool:
+    """Whether x / d is at most the exact slack sqrt(e) * max(1, 3 sqrt(e) + 3/4)
+    for x >= 0 and d > 0, decided in integers by squaring. The slack is
+    sqrt(e) when 144 e <= 1, and 3e + (3/4) sqrt(e) otherwise."""
+    en, ed = e.numerator, e.denominator
+    if 144 * en <= ed:
+        return x * x * ed <= en * d * d
+    y = x * ed - 3 * en * d  # (x / d - 3e) * d * ed
+    return y <= 0 or 16 * y * y <= 9 * en * d * d * ed
+
+
+def _consequence(scaled: _Scaled, c: int, pos, e: Fraction, slack: Fraction) -> ConsequenceFlags:
+    """The flags at tolerance e, decided against the exact slack; `slack`,
+    consequence_slack(e), is only reported."""
     n1, n2, mu1, mu2 = scaled.totals
-    # a / (c * mu) >= 1 - slack and |mu1 / n1 - mu2 / n2| <= slack, cross-multiplied
-    near_perfect = all(not mu or a * sd >= (sd - sn) * c * mu for a, mu in pos)
-    near_equal = sd * abs(mu1 * n2 - mu2 * n1) <= sn * n1 * n2
+    # 1 - a / (c * mu) and |mu1 / n1 - mu2 / n2| against the slack
+    near_perfect = all(not mu or _within_slack(c * mu - a, c * mu, e) for a, mu in pos)
+    near_equal = _within_slack(abs(mu1 * n2 - mu2 * n1), n1 * n2, e)
     return ConsequenceFlags(
         slack=slack,
         near_perfect_prediction=near_perfect,
@@ -193,8 +203,7 @@ def _consequence(scaled: _Scaled, c: int, pos, slack: Fraction) -> ConsequenceFl
     )
 
 
-@dataclass(frozen=True)
-class ApproxAuditReport:
+class ApproxAuditReport(NamedTuple):
     """Relaxed audit outcome at tolerance eps, plus the consequence flags."""
 
     epsilon: Fraction
@@ -244,7 +253,7 @@ def _approx_report(scaled: _Scaled, e: Fraction, slack: Fraction, table: _Table)
         balance_neg_ok=neg_ok,
         balance_neg_vacuous=_vacuous(neg),
         passed=calib_ok and pos_ok and neg_ok,
-        consequence=_consequence(scaled, c, pos, slack),
+        consequence=_consequence(scaled, c, pos, e, slack),
     )
 
 

@@ -8,10 +8,9 @@ where a is the positive-class average score.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .audit import (
     _accumulate_bins,
@@ -38,8 +37,7 @@ from .model import (
 PerGroup = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class LossReport:
+class LossReport(NamedTuple):
     per_group: PerGroup
     total: Fraction
 
@@ -72,8 +70,7 @@ def trivial_assignment(inst: Instance) -> RiskAssignment:
     return _assignment(inst, rows, map(Fraction, table.nums, table.dens))
 
 
-@dataclass(frozen=True)
-class FairnessDifference:
+class FairnessDifference(NamedTuple):
     """Gap between the groups' positive-class average scores.
 
     Nonnegative difference means the assignment weakly favors group 1,

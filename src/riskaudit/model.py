@@ -9,10 +9,9 @@ not necessarily integers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import DomainError, InvalidAssignmentError, InvalidInstanceError
 
@@ -90,14 +89,57 @@ def _parse_literal(text: str) -> Fraction:
     raise ValueError(f"not a rational literal: {text if len(text) <= 40 else text[:40] + '...'!r}")
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+# sets an attribute of a `_Frozen` value, which refuses `setattr`
+_set = object.__setattr__
+
+
+class _Frozen:
+    """An immutable value over the fields named in `_fields`: its repr is
+    `Name(field=value, ...)`, it equals a value of the same class with equal
+    fields, and it hashes as the tuple of its fields. A subclass stores its
+    values in `__slots__` and sets each once, in `__init__`, with `_set`;
+    assigning or deleting an attribute afterwards raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state) -> None:
+        # copy and pickle restore the slots, given as (None, {slot: value}), here
+        for name, value in state[1].items():
+            _set(self, name, value)
+
+
+class FeatureVector(_Frozen):
     """One feature: an id, a shared positive-outcome probability, per-group masses."""
 
-    id: str
-    p: Fraction
-    n1: Fraction
-    n2: Fraction
+    __slots__ = _fields = ("id", "p", "n1", "n2")
+
+    def __init__(self, id: str, p: Fraction, n1: Fraction, n2: Fraction):
+        _set(self, "id", id)
+        _set(self, "p", p)
+        _set(self, "n1", n1)
+        _set(self, "n2", n2)
 
     def count(self, group: int) -> Fraction:
         if group == 1:
@@ -125,8 +167,7 @@ class _Scaled(NamedTuple):
     totals: tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Frozen):
     """An ordered collection of features describing both groups at once.
 
     Construction does not enforce semantic validity; `validate_instance`
@@ -135,19 +176,19 @@ class Instance:
     form on it; a frozen instance cannot change under that form.
     """
 
-    features: tuple[FeatureVector, ...]
-    _form: Optional[_Scaled] = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("features", "_form")
+    _fields = ("features",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "features", tuple(self.features))
+    def __init__(self, features: Iterable[FeatureVector]):
+        _set(self, "features", tuple(features))
+        _set(self, "_form", None)
 
     @property
     def ids(self) -> tuple[str, ...]:
         return tuple(f.id for f in self.features)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of structural validation. Never raised; inspect `ok`."""
 
     ok: bool
@@ -210,12 +251,11 @@ def _scaled(inst: Instance) -> _Scaled:
         flat = [a * (d // b) for a, b in parts]
         # flat holds n1, n1 * p, n2, n2 * p per feature
         weights = tuple(zip(flat[0::4], flat[2::4], flat[1::4], flat[3::4]))
-        object.__setattr__(inst, "_form", _Scaled(weights, d, tuple(map(sum, zip(*weights)))))
+        _set(inst, "_form", _Scaled(weights, d, tuple(map(sum, zip(*weights)))))
     return inst._form
 
 
-@dataclass(frozen=True)
-class GroupStats:
+class GroupStats(NamedTuple):
     """Exact per-group aggregates; index 0 holds group 1, index 1 holds group 2."""
 
     population: tuple[Fraction, Fraction]
@@ -243,8 +283,7 @@ def derived_stats(inst: Instance) -> GroupStats:
     )
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     """One observed person: which feature they hold, their group, their outcome."""
 
     feature_id: str
@@ -252,35 +291,33 @@ class Record:
     positive: bool
 
 
-@dataclass(frozen=True)
-class RecordTable:
+class RecordTable(_Frozen):
     """A nonempty table of records covering both groups."""
 
-    rows: tuple[Record, ...]
+    __slots__ = _fields = ("rows",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if not self.rows:
+    def __init__(self, rows: Iterable[Record]):
+        rows = tuple(rows)
+        if not rows:
             raise DomainError("record table is empty")
-        for r in self.rows:
+        for r in rows:
             if r.group not in GROUPS:
                 raise DomainError(f"record for {r.feature_id!r}: unknown group {r.group}")
-        present = {r.group for r in self.rows}
+        present = {r.group for r in rows}
         for t in GROUPS:
             if t not in present:
                 raise DomainError(f"group {t} has no records")
+        _set(self, "rows", rows)
 
 
-@dataclass(frozen=True)
-class DivergenceEntry:
+class DivergenceEntry(NamedTuple):
     feature_id: str
     group: int
     group_rate: Fraction
     deviation: Fraction
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(NamedTuple):
     """Per-feature, per-group gap between the group's empirical positive rate
     and the pooled rate the instance was built with."""
 
@@ -340,8 +377,7 @@ def split_by_group(inst: Instance) -> Instance:
     return require_valid(Instance(tuple(out)))
 
 
-@dataclass(frozen=True)
-class RiskAssignment:
+class RiskAssignment(_Frozen):
     """Bins with scores plus a row-stochastic allocation of features to bins.
 
     `rows[i][b]` is the fraction of feature `feature_ids[i]` sent to bin `b`.
@@ -351,31 +387,27 @@ class RiskAssignment:
     denominators.
     """
 
-    feature_ids: tuple[str, ...]
-    scores: tuple[Fraction, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
-    _int_rows: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("feature_ids", "scores", "rows", "_int_rows")
+    _fields = __slots__[:3]
 
-    def __post_init__(self):
-        object.__setattr__(self, "feature_ids", tuple(self.feature_ids))
-        object.__setattr__(self, "scores", tuple(self.scores))
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        if not self.scores:
+    def __init__(self, feature_ids: Iterable[str], scores: Iterable[Fraction], rows: Iterable[Iterable]):
+        feature_ids, scores, rows = tuple(feature_ids), tuple(scores), tuple(tuple(r) for r in rows)
+        if not scores:
             raise InvalidAssignmentError("assignment has no bins")
-        if len(set(self.feature_ids)) != len(self.feature_ids):
+        if len(set(feature_ids)) != len(feature_ids):
             raise InvalidAssignmentError("duplicate feature id in assignment")
-        if len(self.rows) != len(self.feature_ids):
+        if len(rows) != len(feature_ids):
             raise InvalidAssignmentError("one allocation row per feature required")
-        for b, v in enumerate(self.scores):
+        for b, v in enumerate(scores):
             if not _rational(v):
                 raise InvalidAssignmentError(f"score {v!r} of bin {b} is not an int or Fraction")
             if not (0 <= v <= 1):
                 raise InvalidAssignmentError(f"score {v} outside [0, 1]")
         int_rows = []
-        for fid, row in zip(self.feature_ids, self.rows):
-            if len(row) != len(self.scores):
+        for fid, row in zip(feature_ids, rows):
+            if len(row) != len(scores):
                 raise InvalidAssignmentError(
-                    f"allocation row for {fid!r} has {len(row)} entries, expected {len(self.scores)}"
+                    f"allocation row for {fid!r} has {len(row)} entries, expected {len(scores)}"
                 )
             for b, x in enumerate(row):
                 if not _rational(x):
@@ -392,7 +424,10 @@ class RiskAssignment:
                     f"allocation row for {fid!r} sums to {Fraction(sum(ints), d)}, expected exactly 1"
                 )
             int_rows.append(ints)
-        object.__setattr__(self, "_int_rows", tuple(int_rows))
+        _set(self, "feature_ids", feature_ids)
+        _set(self, "scores", scores)
+        _set(self, "rows", rows)
+        _set(self, "_int_rows", tuple(int_rows))
 
     @property
     def bin_count(self) -> int:

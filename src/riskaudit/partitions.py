@@ -1,20 +1,22 @@
 """Set partitions in canonical order, with exact Bell counts."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .errors import DomainError
+from .model import _Frozen, _set
 
 DEFAULT_MAX_ITEMS = 12
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Frozen):
     """Blocks sorted internally and by smallest member."""
 
-    blocks: tuple[tuple, ...]
+    __slots__ = _fields = ("blocks",)
+
+    def __init__(self, blocks: tuple[tuple, ...]):
+        _set(self, "blocks", blocks)
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable]) -> "Partition":

@@ -30,34 +30,33 @@ tolerance-based search only.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .audit import _SQRT_SCALE, _sqrt_upper
 from .errors import DomainError, ReductionInfeasibleError
-from .model import FeatureVector, Instance, as_fraction, require_valid
+from .model import FeatureVector, Instance, _Frozen, _set, as_fraction, require_valid
 from .partitions import DEFAULT_MAX_ITEMS, Partition
 
 
-@dataclass(frozen=True)
-class SubsetSumInstance:
+class SubsetSumInstance(_Frozen):
     """Positive integer weights and a positive integer target."""
 
-    weights: tuple[int, ...]
-    target: int
+    __slots__ = _fields = ("weights", "target")
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if not self.weights:
+    def __init__(self, weights: Iterable[int], target: int):
+        weights = tuple(weights)
+        if not weights:
             raise DomainError("at least one weight required")
-        for w in self.weights:
+        for w in weights:
             if not isinstance(w, int) or isinstance(w, bool) or w < 1:
                 raise DomainError(f"weights must be positive integers, got {w!r}")
-        if not isinstance(self.target, int) or self.target < 1:
-            raise DomainError(f"target must be a positive integer, got {self.target!r}")
+        if not isinstance(target, int) or target < 1:
+            raise DomainError(f"target must be a positive integer, got {target!r}")
+        _set(self, "weights", weights)
+        _set(self, "target", target)
 
 
 def _require_searchable(count: int) -> None:
@@ -83,17 +82,19 @@ def solve_subset_sum(ss: SubsetSumInstance) -> Optional[frozenset[int]]:
     return None
 
 
-@dataclass(frozen=True, eq=False)
-class Surd:
+class Surd(_Frozen):
     """The quadratic surd ``center + sign * sqrt(half_gap_squared)``.
 
     Equal to a Fraction when the root is rational; otherwise equal only to a
     surd with the same three fields. `float()` rounds correctly.
     """
 
-    center: Fraction
-    half_gap_squared: Fraction
-    sign: int
+    __slots__ = _fields = ("center", "half_gap_squared", "sign")
+
+    def __init__(self, center: Fraction, half_gap_squared: Fraction, sign: int):
+        _set(self, "center", center)
+        _set(self, "half_gap_squared", half_gap_squared)
+        _set(self, "sign", sign)
 
     def _key(self):
         root, exact = _sqrt_upper(self.half_gap_squared)
@@ -123,8 +124,7 @@ class Surd:
             scale <<= 64
 
 
-@dataclass(frozen=True)
-class ReducedInstance:
+class ReducedInstance(_Frozen):
     """Output of the construction.
 
     Exact rational side data lives in `scaled_weights` and
@@ -134,19 +134,18 @@ class ReducedInstance:
     group 2 spread uniformly over the 2m pair features.
     """
 
-    input_weights: tuple[int, ...]
-    target: int
-    kept_indices: tuple[int, ...]
-    dropped_indices: tuple[int, ...]
-    m: int
-    scaled_weights: tuple[Fraction, ...]
-    required_pos_avg: Fraction
-    rates_exact: tuple[Surd, ...]
-    rates: tuple[float, ...]
-    group1_mass: tuple[Fraction, ...]
-    group2_mass: tuple[Fraction, ...]
-    instance: Instance
-    _basis: Optional[_RadicalBasis] = field(compare=False, repr=False)
+    __slots__ = (
+        "input_weights", "target", "kept_indices", "dropped_indices", "m", "scaled_weights",
+        "required_pos_avg", "rates_exact", "rates", "group1_mass", "group2_mass", "instance", "_basis",
+    )
+    _fields = __slots__[:-1]
+
+    def __init__(self, input_weights, target, kept_indices, dropped_indices, m, scaled_weights,
+                 required_pos_avg, rates_exact, rates, group1_mass, group2_mass, instance, _basis):
+        values = (input_weights, target, kept_indices, dropped_indices, m, scaled_weights,
+                  required_pos_avg, rates_exact, rates, group1_mass, group2_mass, instance, _basis)
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
 
     @property
     def weights(self) -> tuple[int, ...]:
@@ -268,8 +267,7 @@ def check_reduction_equation(ri: ReducedInstance, part: Partition) -> bool:
     return ri._basis.holds(part.blocks)
 
 
-@dataclass(frozen=True)
-class _RadicalBasis:
+class _RadicalBasis(NamedTuple):
     """The reduction equation over the integers, built once per instance.
 
     Pair feature j is ``(center + root * sqrt(n_u)) / D`` for one integer

@@ -9,11 +9,10 @@ were rounded through floats.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import or_
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .audit import _accumulate_bins, _balances, _calibrated, _pooled, _Table
 from .errors import DomainError
@@ -24,8 +23,7 @@ from .partitions import Partition, _check_enumerable
 OBJECTIVES = ("any_fair", "min_loss")
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Search outcome.
 
     status "found" carries a fair non-trivial witness; "none" means the

@@ -10,11 +10,10 @@ none. Identical seeds give identical reports.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from random import Random
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .audit import (
     ApproxAuditReport,
@@ -176,11 +175,16 @@ def random_gapped_instance(
     rng: Random, min_gap: Fraction = Fraction(1, 10), max_features: int = 6
 ) -> Instance:
     """Instance with base rates at least min_gap apart and some uncertain
-    populated feature, by rejection sampling. A min_gap of 1 or more is
-    refused: an uncertain populated feature keeps its group's base rate
-    strictly inside (0, 1), so the gap is always below 1."""
-    if min_gap >= 1:
-        raise DomainError("min_gap must be below 1")
+    populated feature, by rejection sampling from `random_instance`. A
+    min_gap above the widest gap a draw can reach is refused, so the
+    sampling ends. That gap is below 1, because an uncertain populated
+    feature keeps its group's base rate inside (0, 1)."""
+    # the widest gap drawn: one group on max_features - 2 certain features of
+    # mass 4 and on one feature of mass 1 at probability 1/12 from certain,
+    # the other group on a feature of the opposite certain outcome
+    widest = 1 - Fraction(1, 12 * (4 * max(max_features - 2, 0) + 1))
+    if min_gap > widest:
+        raise DomainError(f"min_gap must be below 1 and at most {widest} for {max_features} features")
     while True:
         inst = random_instance(rng, max_features)
         gs = derived_stats(inst)
@@ -364,8 +368,7 @@ def _require_count(value, name: str) -> None:
         raise DomainError(f"{name} must be nonnegative")
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Outcome of one seeded search. Counterexample fields hold the first
     witness assignment found, or None."""
 

@@ -11,6 +11,8 @@
     `passes_fairness` and `audit_approx` also judge the sweep's candidates
     in `tests/test_sweep.py::TestIntegerVerdicts`.
   - `derived_stats`: `test_derived_stats_match_the_fraction_sums`.
+  - `_within_slack`, the consequence flags' test, by squaring:
+    `test_slack_decision_matches_squaring`.
   - `assignment_checks`, the checks `RiskAssignment` makes on construction:
     `test_construction_matches_the_fraction_checks`.
   - `assignment_from_partition`:
@@ -210,24 +212,30 @@ def statistical_parity_gap(inst: Instance, asg: RiskAssignment) -> Fraction:
     return totals[0] / gs.population[0] - totals[1] / gs.population[1]
 
 
-# from riskaudit/audit.py
+def _within_slack(x: Fraction, e: Fraction) -> bool:
+    """Whether 0 <= x <= sqrt(e) * max(1, 3 sqrt(e) + 3/4), which is
+    max(sqrt(e), 3e + (3/4) sqrt(e)); each side is compared by squaring."""
+    return x * x <= e or x <= 3 * e or (4 * (x - 3 * e) / 3) ** 2 <= e
+
+
 def classify_consequence(inst: Instance, asg: RiskAssignment, eps) -> ConsequenceFlags:
-    """Evaluate both consequence conditions at slack consequence_slack(eps).
+    """Evaluate both consequence conditions at the exact slack of eps; the
+    flags report consequence_slack(eps).
 
     A group with an empty positive class counts as perfectly predicted: its
     whole population is certain-negative, so the near-perfect flag ignores it.
     """
-    slack = consequence_slack(eps)
+    e = as_fraction(eps)
     gs = derived_stats(inst)
     report = audit_exact(inst, asg)
     near_perfect = True
     for i in range(2):
         avg = report.pos_class_avg[i]
-        if avg is not None and avg < 1 - slack:
+        if avg is not None and not _within_slack(1 - avg, e):
             near_perfect = False
-    near_equal = abs(gs.base_rate[0] - gs.base_rate[1]) <= slack
+    near_equal = _within_slack(abs(gs.base_rate[0] - gs.base_rate[1]), e)
     return ConsequenceFlags(
-        slack=slack,
+        slack=consequence_slack(e),
         near_perfect_prediction=near_perfect,
         near_equal_base_rates=near_equal,
     )

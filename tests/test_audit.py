@@ -178,6 +178,26 @@ class TestClassifyConsequence:
         flags = classify_consequence(inst, identity_assignment(inst), F(0))
         assert flags.near_perfect_prediction
 
+    @pytest.mark.parametrize("eps", [F(1, 1000), F(1, 200)])  # 144 eps above and below 1
+    def test_flags_decided_against_the_exact_slack(self, eps):
+        # group 1 at probability 1 - x, group 2 certain-positive: the group-1
+        # positive class falls short of 1 by x, and the base rates differ by
+        # x. consequence_slack rounds sqrt(eps) up at 2**-128, so both flags
+        # are false at x = consequence_slack(eps) and true where sqrt(eps) is
+        # rounded down instead
+        from riskaudit.audit import _sqrt_upper
+
+        root, exact = _sqrt_upper(eps)
+        below = root - F(1, 2**128)
+        assert not exact and below * below < eps
+        for x, inside in ((consequence_slack(eps), False), (below * max(1, 3 * below + F(3, 4)), True)):
+            inst = Instance((feature("a", 1 - x, 1, 0), feature("b", F(1), 0, 1)))
+            asg = identity_assignment(inst)
+            flags = classify_consequence(inst, asg, eps)
+            assert flags.slack == consequence_slack(eps)
+            assert flags.near_perfect_prediction is inside and flags.near_equal_base_rates is inside
+            assert audit_approx(inst, asg, eps).consequence == flags
+
 
 class TestDegenerate:
     def test_empty_positive_class_is_vacuous(self):
@@ -268,6 +288,28 @@ def test_every_oracle_definition_is_used():
                     todo.append(node.id)
         unused += [f"{module}.py:{node.lineno} {name}" for name, node in defs.items() if name not in names]
     assert unused == []
+
+
+def test_no_module_imports_dataclasses():
+    # decorating a dataclass compiles its methods at every import, and the
+    # module loads `inspect`; the package's records are NamedTuples and
+    # `model._Frozen` classes instead
+    import ast
+    from pathlib import Path
+
+    import riskaudit
+
+    importers = []
+    for path in sorted(Path(riskaudit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            importers += [f"{path.name}:{node.lineno}" for m in modules if m.partition(".")[0] == "dataclasses"]
+    assert importers == []
 
 
 def test_every_private_definition_is_used():

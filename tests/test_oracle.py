@@ -17,7 +17,6 @@ search up to 8 features: `old.exhaustive_solve` for `solve_integral`, and
 `theorem_sweep`. The integral assignment of a partition is checked against
 the `Fraction` construction on the same instances.
 """
-from dataclasses import replace
 from fractions import Fraction as F
 from functools import cache, partial
 from itertools import islice
@@ -38,6 +37,7 @@ from riskaudit import (
     bell_number,
     bin_statistics,
     classify_consequence,
+    consequence_slack,
     derived_stats,
     fairness_difference,
     is_nontrivial,
@@ -48,7 +48,7 @@ from riskaudit import (
     statistical_parity_gap,
     theorem_sweep,
 )
-from riskaudit.audit import _calibrated, _calibrated_within, _Table
+from riskaudit.audit import _calibrated, _calibrated_within, _sqrt_upper, _Table, _within_slack
 from riskaudit.model import _scaled
 from riskaudit.partitions import Partition, enumerate_partitions
 from riskaudit.solver import _integral_search, assignment_from_partition
@@ -70,9 +70,9 @@ def instances(draw, max_features=5):
     ]
     # each group needs some mass
     if not any(f.n1 for f in feats):
-        feats[0] = replace(feats[0], n1=F(1))
+        feats[0] = FeatureVector(feats[0].id, feats[0].p, F(1), feats[0].n2)
     if not any(f.n2 for f in feats):
-        feats[0] = replace(feats[0], n2=F(1))
+        feats[0] = FeatureVector(feats[0].id, feats[0].p, feats[0].n1, F(1))
     return Instance(tuple(feats))
 
 
@@ -102,6 +102,17 @@ def cases(draw):
         rows=tuple(rows[i] for i in order),
     )
     return inst, asg
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.fractions(0, 3, max_denominator=10**4), st.data())
+def test_slack_decision_matches_squaring(e, data):
+    # x anywhere, at the shown slack, and at the slack of sqrt(e) rounded down
+    root, _ = _sqrt_upper(e)
+    below = max(root - F(1, 2**128), F(0))
+    edges = (consequence_slack(e), below * max(1, 3 * below + F(3, 4)))
+    x = data.draw(st.fractions(0, 4, max_denominator=10**4) | st.sampled_from(edges))
+    assert _within_slack(x.numerator, x.denominator, e) == old._within_slack(x, e)
 
 
 def outcome(fn, *args):
@@ -138,7 +149,7 @@ def test_solver_matches_old_implementation(inst, objective, cap, tolerance):
     res = solve_integral(inst, objective, cap, tolerance)
     # the old search visits every partition it counts
     assert 0 <= res.pruned <= res.explored
-    assert replace(res, pruned=0) == old.solve_integral(inst, objective, cap, tolerance)
+    assert res._replace(pruned=0) == old.solve_integral(inst, objective, cap, tolerance)
 
 
 # a few repeated probabilities, so that blocks of several features can be
@@ -158,9 +169,9 @@ def search_cases(draw):
         n1, n2 = draw(st.sampled_from(SEARCH_MASSES))
         feats.append(FeatureVector(fid, draw(st.sampled_from(SEARCH_PROBS)), F(n1), F(n2)))
     if not any(f.n1 for f in feats):
-        feats[0] = replace(feats[0], n1=F(1))
+        feats[0] = FeatureVector(feats[0].id, feats[0].p, F(1), feats[0].n2)
     if not any(f.n2 for f in feats):
-        feats[-1] = replace(feats[-1], n2=F(1))
+        feats[-1] = FeatureVector(feats[-1].id, feats[-1].p, feats[-1].n1, F(1))
     cap = draw(st.sampled_from(SEARCH_CAPS))
     if isinstance(cap, str):
         cap = bell_number(k) + {"bell-1": -1, "bell": 0, "bell+1": 1}[cap]
@@ -174,7 +185,7 @@ EIGHT = Instance(tuple(
 ))
 # group 2 a scaled copy of group 1: every block is calibrated, every
 # non-trivial partition fair, and min_loss leans on its bound alone
-PROPORTIONAL = Instance(tuple(replace(f, n2=2 * f.n1) for f in EIGHT.features))
+PROPORTIONAL = Instance(tuple(FeatureVector(f.id, f.p, f.n1, 2 * f.n1) for f in EIGHT.features))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -188,7 +199,7 @@ def test_pruned_search_matches_unpruned(case, objective, tolerance):
     inst, cap = case
     res = solve_integral(inst, objective, cap, tolerance)
     assert 0 <= res.pruned <= res.explored
-    assert replace(res, pruned=0) == old.exhaustive_solve(inst, objective, cap, tolerance)
+    assert res._replace(pruned=0) == old.exhaustive_solve(inst, objective, cap, tolerance)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -284,9 +295,9 @@ def wide_instances(draw):
         for i in range(k)
     ]
     if not any(f.n1 for f in feats):
-        feats[0] = replace(feats[0], n1=F(1, 3))
+        feats[0] = FeatureVector(feats[0].id, feats[0].p, F(1, 3), feats[0].n2)
     if not any(f.n2 for f in feats):
-        feats[-1] = replace(feats[-1], n2=7)
+        feats[-1] = FeatureVector(feats[-1].id, feats[-1].p, feats[-1].n1, 7)
     return Instance(tuple(feats))
 
 

@@ -112,12 +112,21 @@ class TestGenerators:
             return original(rng, max_features)
 
         monkeypatch.setattr(sweep_module, "random_instance", counted)
-        for min_gap in (F(1), 1, F(3, 2)):
+        for min_gap in (F(1), 1, F(3, 2), F(996, 1000)):  # 203/204 is the widest gap of 6 features
             with pytest.raises(DomainError, match="min_gap must be below 1"):
                 random_gapped_instance(random.Random(0), min_gap)
+        with pytest.raises(DomainError, match="at most 11/12 for 2 features"):
+            random_gapped_instance(random.Random(0), F(11, 12) + F(1, 10**9), max_features=2)
         assert drawn == []
         inst = random_gapped_instance(random.Random(0), F(1, 2))
         assert abs(derived_stats(inst).base_rate[0] - derived_stats(inst).base_rate[1]) >= F(1, 2)
+
+    def test_widest_gap_is_drawn(self):
+        # 1 - 1/(12 (4 (k - 2) + 1)) is the widest gap k features reach, so
+        # refusing a wider one refuses nothing reachable: 11/12 at k = 2 is
+        # drawn from seed 0 after about 2,000 instances
+        gs = derived_stats(random_gapped_instance(random.Random(0), F(11, 12), max_features=2))
+        assert abs(gs.base_rate[0] - gs.base_rate[1]) == F(11, 12)
 
     @pytest.mark.parametrize("family", [
         random_instance, random_gapped_instance, random_perfect_instance, random_proportional_instance,
