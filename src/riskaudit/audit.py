@@ -26,6 +26,7 @@ from .model import (
     _row_order,
     _scaled,
     _Scaled,
+    _set,
 )
 
 PerGroup = tuple[Fraction, Fraction]
@@ -144,9 +145,10 @@ def consequence_slack(eps) -> Fraction:
     bound because the formula is nondecreasing in sqrt(eps). This is the
     slack reports show; the flags are decided against the exact value.
     """
-    e = _nonnegative(eps, "eps")
-    s, _ = _sqrt_upper(e)
-    return s * max(Fraction(1), 3 * s + Fraction(3, 4))
+    root, _ = _sqrt_upper(_nonnegative(eps, "eps"))
+    # with sqrt(eps) = a / b, the slack is a * max(4b, 12a + 3b) / (4 b**2)
+    a, b = root.numerator, root.denominator
+    return Fraction(a * max(4 * b, 12 * a + 3 * b), 4 * b * b)
 
 
 class ConsequenceFlags(NamedTuple):
@@ -328,9 +330,17 @@ def _scored(scaled: _Scaled, rows, scores) -> _Table:
 
 def _bin_table(inst: Instance, asg: RiskAssignment) -> _Table:
     """The table of an assignment on a valid instance; raises
-    InvalidInstanceError on an invalid one."""
+    InvalidInstanceError on an invalid one. The assignment keeps it with the
+    instance's form: both are frozen and a form is built once per instance,
+    so the form, held and compared by identity, names the pair."""
+    kept = asg._table
+    if kept is not None and kept[0] is inst._form:
+        return kept[1]
     rows = [asg._int_rows[i] for i in _row_order(inst, asg)]
-    return _scored(_scaled(inst), rows, asg.scores)
+    scaled = _scaled(inst)
+    table = _scored(scaled, rows, asg.scores)
+    _set(asg, "_table", (scaled, table))
+    return table
 
 
 def _pooled(mass, positive, scale: int) -> _Table:

@@ -44,11 +44,23 @@ def _rational(value) -> bool:
 
 
 def _nonnegative(value: RationalLike, name: str) -> Fraction:
-    """`as_fraction(value)`, refused with DomainError when negative."""
-    v = as_fraction(value)
+    """`as_fraction(value)`, refused with DomainError when negative or when it
+    is no rational at all: NaN, an infinity, malformed text, another type."""
+    try:
+        v = as_fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a rational, not {value!r:.60}") from None
     if v < 0:
         raise DomainError(f"{name} must be nonnegative")
     return v
+
+
+def _require_count(value, name: str) -> None:
+    # a bool is not a count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{name} must be an int, not {value!r}")
+    if value < 0:
+        raise DomainError(f"{name} must be nonnegative")
 
 
 # Python converts ints of more digits than this to and from text only after
@@ -200,10 +212,13 @@ def validate_instance(inst: Instance) -> ValidationReport:
 
     Checks: unique feature ids that are nonempty strings, probabilities and
     masses that are ints or Fractions (not bools), probabilities in [0, 1],
-    nonnegative masses, and strictly positive total mass in each group.
+    nonnegative masses, and strictly positive total mass in each group. The
+    same pass scales a valid instance to integers and keeps that form on it
+    (see `_scaled`).
     """
     violations: list[str] = []
     seen: set[str] = set()
+    parts: list[tuple[int, int]] = []  # n1, n1 * p, n2, n2 * p per feature, as (numerator, denominator)
     for f in inst.features:
         if not isinstance(f.id, str) or not f.id:
             violations.append(f"feature id {f.id!r} is not a nonempty string")
@@ -220,11 +235,26 @@ def validate_instance(inst: Instance) -> ValidationReport:
                 violations.append(f"feature {f.id!r}: probability {v} outside [0, 1]")
             elif name != "probability" and v.numerator < 0:
                 violations.append(f"feature {f.id!r}: negative {name} {v}")
-    for t in GROUPS:
-        masses = [n for n in (f.count(t) for f in inst.features) if _rational(n)]
-        d = lcm(*(n.denominator for n in masses))
-        if sum(n.numerator * (d // n.denominator) for n in masses) <= 0:
-            violations.append(f"group {t} has no mass")
+        if not violations:  # an instance with a violation has no integer form
+            for n in (f.n1, f.n2):
+                top, bottom = n.numerator * f.p.numerator, n.denominator * f.p.denominator
+                r = gcd(top, bottom)
+                parts += ((n.numerator, n.denominator), (top // r, bottom // r))
+    if violations:
+        totals = []
+        for t in GROUPS:
+            masses = [n for n in (f.count(t) for f in inst.features) if _rational(n)]
+            d = lcm(*(n.denominator for n in masses))
+            totals.append(sum(n.numerator * (d // n.denominator) for n in masses))
+    else:
+        d = lcm(*(b for _, b in parts))
+        flat = [a * (d // b) for a, b in parts]
+        columns = (flat[0::4], flat[2::4], flat[1::4], flat[3::4])
+        form = _Scaled(tuple(zip(*columns)), d, tuple(map(sum, columns)))
+        totals = form.totals[:2]
+    violations += [f"group {t} has no mass" for t, total in zip(GROUPS, totals) if total <= 0]
+    if not violations and inst._form is None:
+        _set(inst, "_form", form)
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
@@ -236,22 +266,12 @@ def require_valid(inst: Instance) -> Instance:
 
 
 def _scaled(inst: Instance) -> _Scaled:
-    """A valid instance's integer form, built on the first call and kept on the instance."""
+    """A valid instance's integer form, built by its first validation and
+    kept on the instance."""
     if inst._form is None:
         report = validate_instance(inst)
         if not report.ok:
             raise InvalidInstanceError(report.violations)
-        parts = []
-        for f in inst.features:
-            for n in (f.n1, f.n2):
-                top, bottom = n.numerator * f.p.numerator, n.denominator * f.p.denominator
-                r = gcd(top, bottom)
-                parts += ((n.numerator, n.denominator), (top // r, bottom // r))
-        d = lcm(*(b for _, b in parts))
-        flat = [a * (d // b) for a, b in parts]
-        # flat holds n1, n1 * p, n2, n2 * p per feature
-        weights = tuple(zip(flat[0::4], flat[2::4], flat[1::4], flat[3::4]))
-        _set(inst, "_form", _Scaled(weights, d, tuple(map(sum, zip(*weights)))))
     return inst._form
 
 
@@ -384,10 +404,11 @@ class RiskAssignment(_Frozen):
     Rows must sum to exactly 1 (no tolerance); scores and allocation entries
     must be ints or Fractions (not bools) in [0, 1]. A bin may receive zero mass.
     Construction checks and keeps each row as integers over the lcm of its
-    denominators.
+    denominators. The audits keep the bin table of the last instance this
+    assignment was read against in `_table` (see `audit._bin_table`).
     """
 
-    __slots__ = ("feature_ids", "scores", "rows", "_int_rows")
+    __slots__ = ("feature_ids", "scores", "rows", "_int_rows", "_table")
     _fields = __slots__[:3]
 
     def __init__(self, feature_ids: Iterable[str], scores: Iterable[Fraction], rows: Iterable[Iterable]):
@@ -428,6 +449,7 @@ class RiskAssignment(_Frozen):
         _set(self, "scores", scores)
         _set(self, "rows", rows)
         _set(self, "_int_rows", tuple(int_rows))
+        _set(self, "_table", None)
 
     @property
     def bin_count(self) -> int:

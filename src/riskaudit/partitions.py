@@ -5,7 +5,7 @@ from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .errors import DomainError
-from .model import _Frozen, _set
+from .model import _Frozen, _require_count, _set
 
 DEFAULT_MAX_ITEMS = 12
 
@@ -84,12 +84,11 @@ def _growth_strings(k: int) -> Iterator[tuple[int, ...]]:
 
 
 def _check_enumerable(k: int, cap: Optional[int]) -> None:
-    """Refuse a negative item count or cap, and more than DEFAULT_MAX_ITEMS
-    items unless a cap bounds whatever the caller takes."""
-    if k < 0:
-        raise DomainError("k must be nonnegative")
-    if cap is not None and cap < 0:
-        raise DomainError("cap must be nonnegative")
+    """Refuse an item count or cap that is no nonnegative int, and more than
+    DEFAULT_MAX_ITEMS items unless a cap bounds whatever the caller takes."""
+    _require_count(k, "k")
+    if cap is not None:
+        _require_count(cap, "cap")
     if k > DEFAULT_MAX_ITEMS and cap is None:
         raise DomainError(
             f"{k} items would enumerate {bell_number(k)} partitions; pass a cap to proceed"

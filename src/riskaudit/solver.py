@@ -98,9 +98,9 @@ def _integral_search(inst: Instance, cap: Optional[int], calibrated, visit, boun
     visited, and whether the cap did not end the walk.
     """
     k = len(inst.features)
+    _check_enumerable(k, cap)
     if cap == 0:
         return 0, 0, False
-    _check_enumerable(k, cap)
     if k > MAX_SEARCH_ITEMS:
         raise DomainError(f"{k} features: the integral search takes at most {MAX_SEARCH_ITEMS}, even with a cap")
     scaled = _scaled(inst)

@@ -35,6 +35,7 @@ from .model import (
     RiskAssignment,
     _assignment,
     _nonnegative,
+    _require_count,
     _scaled,
     as_fraction,
     derived_stats,
@@ -358,14 +359,6 @@ def two_bin_certain_assignment(inst: Instance) -> RiskAssignment:
         raise DomainError("instance has an uncertain populated feature")
     rows = [(int(f.p != 1), int(f.p == 1)) for f in inst.features]
     return _assignment(inst, rows, (Fraction(0), Fraction(1)))
-
-
-def _require_count(value, name: str) -> None:
-    # a bool is not a count
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{name} must be an int, not {value!r}")
-    if value < 0:
-        raise DomainError(f"{name} must be nonnegative")
 
 
 class SweepReport(NamedTuple):

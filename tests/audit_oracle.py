@@ -11,6 +11,11 @@
     `passes_fairness` and `audit_approx` also judge the sweep's candidates
     in `tests/test_sweep.py::TestIntegerVerdicts`.
   - `derived_stats`: `test_derived_stats_match_the_fraction_sums`.
+  - `validate_instance` and `scaled_form`, checking an instance and then
+    scaling it in a second pass:
+    `test_one_pass_check_matches_check_then_scale`.
+  - `consequence_slack`, the shown slack in `Fraction`s:
+    `test_slack_matches_the_fraction_formula`.
   - `_within_slack`, the consequence flags' test, by squaring:
     `test_slack_decision_matches_squaring`.
   - `assignment_checks`, the checks `RiskAssignment` makes on construction:
@@ -43,6 +48,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from random import Random
 from typing import Optional
 
@@ -54,7 +60,7 @@ from riskaudit.audit import (
     ConsequenceFlags,
     _approx_report,
     _fair,
-    consequence_slack,
+    _sqrt_upper,
 )
 from riskaudit.errors import DegenerateGroupError, DomainError, InvalidAssignmentError
 from riskaudit.loss import FairnessDifference, LossReport, _loss_report, _nontrivial
@@ -63,7 +69,11 @@ from riskaudit.model import (
     GroupStats,
     Instance,
     RiskAssignment,
+    ValidationReport,
+    _nonnegative,
+    _rational,
     _scaled,
+    _Scaled,
     as_fraction,
     assignment_rows_for,
     require_valid,
@@ -90,6 +100,48 @@ def derived_stats(inst: Instance) -> GroupStats:
         positive_mass=(pos[0], pos[1]),
         base_rate=rate,  # type: ignore[arg-type]
     )
+
+
+# from riskaudit/model.py, from when checking an instance and scaling it took
+# two passes over its features: `validate_instance`, then the integer form
+# that `_scaled` built from a valid instance
+def validate_instance(inst: Instance) -> ValidationReport:
+    violations: list[str] = []
+    seen: set[str] = set()
+    for f in inst.features:
+        if not isinstance(f.id, str) or not f.id:
+            violations.append(f"feature id {f.id!r} is not a nonempty string")
+        elif f.id in seen:
+            violations.append(f"duplicate feature id {f.id!r}")
+        else:
+            seen.add(f.id)
+        for name, v in (("probability", f.p), ("group-1 mass", f.n1), ("group-2 mass", f.n2)):
+            if not _rational(v):
+                violations.append(f"feature {f.id!r}: {name} {v!r} is not an int or Fraction")
+            elif name == "probability" and not (0 <= v.numerator <= v.denominator):
+                violations.append(f"feature {f.id!r}: probability {v} outside [0, 1]")
+            elif name != "probability" and v.numerator < 0:
+                violations.append(f"feature {f.id!r}: negative {name} {v}")
+    for t in GROUPS:
+        masses = [n for n in (f.count(t) for f in inst.features) if _rational(n)]
+        d = lcm(*(n.denominator for n in masses))
+        if sum(n.numerator * (d // n.denominator) for n in masses) <= 0:
+            violations.append(f"group {t} has no mass")
+    return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def scaled_form(inst: Instance) -> _Scaled:
+    parts = []
+    for f in inst.features:
+        for n in (f.n1, f.n2):
+            top, bottom = n.numerator * f.p.numerator, n.denominator * f.p.denominator
+            r = gcd(top, bottom)
+            parts += ((n.numerator, n.denominator), (top // r, bottom // r))
+    d = lcm(*(b for _, b in parts))
+    flat = [a * (d // b) for a, b in parts]
+    # flat holds n1, n1 * p, n2, n2 * p per feature
+    weights = tuple(zip(flat[0::4], flat[2::4], flat[1::4], flat[3::4]))
+    return _Scaled(weights, d, tuple(map(sum, zip(*weights))))
 
 
 # from riskaudit/model.py, the body of RiskAssignment.__post_init__ with
@@ -210,6 +262,14 @@ def statistical_parity_gap(inst: Instance, asg: RiskAssignment) -> Fraction:
     stats = bin_statistics(inst, asg)
     totals = [sum(stats.score_mass[i], Fraction(0)) for i in range(2)]
     return totals[0] / gs.population[0] - totals[1] / gs.population[1]
+
+
+# from riskaudit/audit.py
+def consequence_slack(eps) -> Fraction:
+    """sqrt(eps) * max(1, 3*sqrt(eps) + 3/4), with sqrt(eps) exact when it
+    is rational and rounded up at 2**-128 otherwise, in `Fraction`s."""
+    s, _ = _sqrt_upper(_nonnegative(eps, "eps"))
+    return s * max(Fraction(1), 3 * s + Fraction(3, 4))
 
 
 def _within_slack(x: Fraction, e: Fraction) -> bool:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from riskaudit import (
     DegenerateGroupError,
+    DomainError,
     Instance,
     InvalidInstanceError,
     RiskAssignment,
@@ -334,6 +335,28 @@ def test_every_private_definition_is_used():
     assert unused == []
 
 
+def test_fields_are_written_only_on_construction():
+    # a kept table is sound only while no field of an instance or an
+    # assignment changes: outside `__init__` and `__setstate__`, `_set`
+    # writes nothing but the cache slots
+    import ast
+    from pathlib import Path
+
+    import riskaudit
+
+    writes = []
+    for path in sorted(Path(riskaudit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        constructing = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                        and fn.name in ("__init__", "__setstate__") for node in ast.walk(fn)}
+        writes += [f"{path.name}:{node.lineno} {ast.unparse(node)}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_set"
+                   and id(node) not in constructing
+                   and not (len(node.args) == 3 and isinstance(node.args[1], ast.Constant)
+                            and node.args[1].value in ("_form", "_table"))]
+    assert writes == []
+
+
 # (p, n1, n2) of feature "a"; feature "b" is (1/4, 1, 0)
 INVALID = {
     "negative-mass": (F(1, 2), -1, 1),
@@ -390,3 +413,73 @@ def test_an_instance_is_validated_once(monkeypatch):
     assert again == inst and hash(again) == hash(inst)
     assert audit_exact(again, asg) == audit_exact(inst, asg)
     assert len(validated) == 2
+
+
+# the views that read one (instance, assignment) pair's bin table
+PAIR_VIEWS = ("bin_statistics", "audit_exact", "statistical_parity_gap", "classify_consequence", "audit_approx",
+              "passes_fairness", "loss", "is_nontrivial")
+
+
+def _counted_tables(monkeypatch) -> list:
+    import riskaudit.audit as audit_module
+
+    tabled = []
+    original = audit_module._accumulate_bins
+
+    def counted(*args):
+        tabled.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(audit_module, "_accumulate_bins", counted)
+    return tabled
+
+
+def test_every_view_of_a_pair_reads_one_table(monkeypatch):
+    rng = random.Random(5)
+    inst = random_instance(rng)
+    asg = pooled_rounded_assignment(inst, rng)
+    tabled = _counted_tables(monkeypatch)
+    for name in PAIR_VIEWS:
+        VIEWS[name](inst, asg)
+    passes_fairness(inst, asg, F(1, 10))
+    assert len(tabled) == 1
+
+
+def test_a_table_belongs_to_one_instance(monkeypatch):
+    import audit_oracle as old
+
+    feats = (feature("a", F(1, 4), 1, 1), feature("b", F(3, 4), 1, 2))
+    inst = Instance(feats)
+    other = Instance((feature("a", F(1, 2), 3, 1), feature("b", F(1, 3), 0, 2)))
+    asg = RiskAssignment(("b", "a"), (F(3, 4), F(1, 4)), ((F(1), F(0)), (F(1, 2), F(1, 2))))
+    tabled = _counted_tables(monkeypatch)
+    # an equal but new instance has its own integer form, so its own table
+    audit_exact(inst, asg)
+    audit_exact(Instance(feats), asg)
+    assert len(tabled) == 2
+    for _ in range(3):
+        for x in (inst, other):
+            assert bin_statistics(x, asg) == old.bin_statistics(x, asg)
+            assert audit_exact(x, asg) == old.audit_exact(x, asg)
+            assert audit_approx(x, asg, F(1, 10)) == old.audit_approx(x, asg, F(1, 10))
+            assert loss(x, asg) == old.loss(x, asg)
+            assert is_nontrivial(x, asg) == old.is_nontrivial(x, asg)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_no_view_changes_the_kept_table(seed):
+    from riskaudit.audit import _scored
+    from riskaudit.model import _row_order, _scaled
+
+    rng = random.Random(seed)
+    inst = random_instance(rng)
+    asg = pooled_rounded_assignment(inst, rng)
+    for view in VIEWS.values():
+        try:
+            view(inst, asg)
+        except (DegenerateGroupError, DomainError):
+            pass  # a view that refuses the pair still reads its table
+    scaled, table = asg._table
+    # the key is the form itself, held, so no later form can take over its identity
+    assert scaled is _scaled(inst)
+    assert table == _scored(scaled, [asg._int_rows[i] for i in _row_order(inst, asg)], asg.scores)

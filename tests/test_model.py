@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -16,11 +17,19 @@ from riskaudit import (
     RiskAssignment,
     as_fraction,
     assignment_rows_for,
+    audit_approx,
+    banded_split_assignment,
+    classify_consequence,
+    consequence_slack,
     derived_stats,
     feature,
+    identity_assignment,
     ingest_records,
+    passes_fairness,
     require_valid,
+    solve_integral,
     split_by_group,
+    theorem_sweep,
     validate_instance,
 )
 
@@ -44,6 +53,31 @@ class TestAsFraction:
             as_fraction(True)
         with pytest.raises(TypeError):
             as_fraction(None)
+
+
+# eps and tolerance values that are no rational at all; None is left out, as
+# it is the default tolerance
+NOT_RATIONAL = (float("nan"), float("inf"), float("-inf"), "1/x", "1/0", "", True, [F(1, 2)], 1j)
+# each public function that reads an eps or a tolerance, and the name it gives it
+TOLERANT = {
+    "consequence_slack": (lambda inst, asg, x: consequence_slack(x), "eps"),
+    "classify_consequence": (lambda inst, asg, x: classify_consequence(inst, asg, x), "eps"),
+    "audit_approx": (lambda inst, asg, x: audit_approx(inst, asg, x), "eps"),
+    "passes_fairness": (lambda inst, asg, x: passes_fairness(inst, asg, x), "tolerance"),
+    "solve_integral": (lambda inst, asg, x: solve_integral(inst, tolerance=x), "tolerance"),
+    "banded_split_assignment": (lambda inst, asg, x: banded_split_assignment(inst, Random(1), x), "eps"),
+    "theorem_sweep": (lambda inst, asg, x: theorem_sweep(inst, 5, x, 1), "eps"),
+}
+
+
+@pytest.mark.parametrize("call, name", TOLERANT.values(), ids=TOLERANT.keys())
+def test_a_tolerance_that_is_no_rational_is_a_domain_error(call, name, skewed):
+    asg = identity_assignment(skewed)
+    for bad in NOT_RATIONAL:
+        with pytest.raises(DomainError, match=f"^{name} must be a rational, not "):
+            call(skewed, asg, bad)
+    with pytest.raises(DomainError, match=f"^{name} must be nonnegative"):
+        call(skewed, asg, "-1/2")
 
 
 class TestValidation:

@@ -30,6 +30,7 @@ from riskaudit import (
     OBJECTIVES,
     FeatureVector,
     Instance,
+    InvalidInstanceError,
     RiskAssignment,
     RiskAuditError,
     audit_approx,
@@ -47,6 +48,7 @@ from riskaudit import (
     solve_integral,
     statistical_parity_gap,
     theorem_sweep,
+    validate_instance,
 )
 from riskaudit.audit import _calibrated, _calibrated_within, _sqrt_upper, _Table, _within_slack
 from riskaudit.model import _scaled
@@ -306,6 +308,49 @@ def wide_instances(draw):
 def test_derived_stats_match_the_fraction_sums(inst):
     # repr compares field types as well as values
     assert repr(derived_stats(inst)) == repr(old.derived_stats(inst))
+
+
+# ids and values that break the instance invariants, next to fitting ones:
+# empty, duplicate and non-string ids; bools, floats, text and None;
+# negative masses and probabilities above one
+HOSTILE_IDS = st.sampled_from(("a", "b", "", 3, None))
+HOSTILE_VALUES = st.one_of(st.sampled_from((True, False, 0.5, "1/2", None, -1, F(-1, 3), F(3, 2), 2)),
+                           st.sampled_from(PROBS), MASS_VALUES)
+
+
+@st.composite
+def hostile_instances(draw):
+    # from zero features up, so groups without mass are common
+    k = draw(st.integers(0, 4))
+    return Instance(tuple(FeatureVector(draw(HOSTILE_IDS), draw(HOSTILE_VALUES), draw(HOSTILE_VALUES),
+                                        draw(HOSTILE_VALUES)) for _ in range(k)))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(instances(), wide_instances(), hostile_instances()))
+def test_one_pass_check_matches_check_then_scale(inst):
+    want = old.validate_instance(inst)
+    assert validate_instance(inst) == want
+    if want.ok:
+        assert inst._form == old.scaled_form(inst) and _scaled(inst) is inst._form
+    else:
+        assert inst._form is None
+        try:
+            _scaled(inst)
+        except InvalidInstanceError as exc:
+            assert exc.violations == want.violations
+        else:
+            raise AssertionError("an invalid instance was scaled")
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.one_of(st.fractions(0, 3, max_denominator=10**6), st.floats(0, 10),
+                 st.sampled_from((0, 1, "1/144", F(1, 144) - F(1, 10**12), F(1, 144) + F(1, 10**12),
+                                  F(1, 143), F(1, 145), F(1, 64), F(1, 2), F(10**40 + 1, 10**40)))))
+@example(F(1, 144))
+def test_slack_matches_the_fraction_formula(e):
+    # 1/144 is where the two arms of the max meet
+    assert consequence_slack(e) == old.consequence_slack(e)
 
 
 @st.composite

@@ -76,6 +76,17 @@ def test_large_k_needs_cap():
     assert (rep.integral_explored, rep.integral_complete) == (3, False)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "3", F(3)])
+def test_counts_that_are_no_int_are_refused(bad, skewed):
+    with pytest.raises(DomainError, match="^k must be an int"):
+        enumerate_partitions(bad)
+    with pytest.raises(DomainError, match="^cap must be an int"):
+        enumerate_partitions(3, cap=bad)
+    # the integral search reads its cap through the same check
+    with pytest.raises(DomainError, match="^cap must be an int"):
+        solve_integral(skewed, cap=bad)
+
+
 def test_negative_k_rejected():
     with pytest.raises(DomainError):
         list(enumerate_partitions(-1))

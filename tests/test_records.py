@@ -38,7 +38,10 @@ from riskaudit import (
     SubsetSumInstance,
     SweepReport,
     ValidationReport,
+    audit_approx,
+    audit_exact,
     feature,
+    loss,
     reduce_subset_sum,
     require_valid,
 )
@@ -181,6 +184,24 @@ def test_private_slots_stay_out_of_repr_and_equality(skewed):
         object.__setattr__(twin, slot, "other")
         assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
     assert skewed == inst and hash(skewed) == hash(inst)
+
+
+def test_a_kept_table_stays_out_of_the_value(skewed):
+    args = (("s1", "s2"), (F(1, 2), F(1, 4)), ((1, 0), (F(1, 2), F(1, 2))))
+    asg, bare = RiskAssignment(*args), RiskAssignment(*args)
+
+    def reports(inst, a):
+        return audit_exact(inst, a), audit_approx(inst, a, F(1, 10)), loss(inst, a)
+
+    want = reports(skewed, asg)
+    assert asg._table is not None and bare._table is None
+    assert "_table" not in repr(asg) and repr(asg) == repr(bare)
+    assert asg == bare and hash(asg) == hash(bare)
+    for twin in (copy.copy(asg), copy.deepcopy(asg), pickle.loads(pickle.dumps(asg))):
+        assert twin == asg and reports(skewed, twin) == want
+    # copied together, an instance and an assignment keep their shared form
+    inst, twin = pickle.loads(pickle.dumps((skewed, asg)))
+    assert twin._table[0] is inst._form and reports(inst, twin) == want
 
 
 def test_feature_vector_keeps_count():
