@@ -49,8 +49,8 @@ _EXPORTS = {
     "partitions": ("DEFAULT_MAX_ITEMS", "Partition", "bell_number", "enumerate_partitions"),
     "reduction": (
         "ReducedInstance", "SubsetSumInstance", "check_reduction_equation", "decode_partition",
-        "encode_solution", "is_normal_form", "reduce_subset_sum", "search_normal_forms",
-        "solve_subset_sum", "sum_of_squares_identity",
+        "encode_solution", "is_normal_form", "reduce_subset_sum", "search_groupings",
+        "search_normal_forms", "solve_subset_sum", "sum_of_squares_identity",
     ),
     "serialize": (
         "SCHEMA_VERSION", "assignment_from_doc", "assignment_to_doc", "dumps_doc",

@@ -91,8 +91,8 @@ def _exact_report(table: _Table) -> AuditReport:
         for mass, positive in zip(table.mass, table.positive)
     )
     c, pos, neg = _classes(table)
-    calibration_ok = _calibrated(table)
-    pos_ok, neg_ok = _balanced(pos, c), _balanced(neg, c)
+    calibration_ok = _calibrated_within(table, 0)
+    pos_ok, neg_ok = _balanced(pos), _balanced(neg)
     total = [a + b for (a, _), (b, _) in zip(pos, neg)]
     population = [mu + nu for (_, mu), (_, nu) in zip(pos, neg)]
     return AuditReport(
@@ -380,48 +380,26 @@ def _averages(cls, c: int):
     return tuple(Fraction(a, c * m) if m else None for a, m in cls)
 
 
-def _calibrated(table: _Table, tol: Optional[Fraction] = None) -> bool:
-    """Each bin's expected positives equal score times mass in both groups;
-    with a tolerance, to within it in absolute value."""
-    nums, dens = table.nums, table.dens
-    if not tol:
-        (m0, m1), (g0, g1) = table.mass, table.positive
-        return (
-            list(map(mul, g0, dens)) == list(map(mul, nums, m0))
-            and list(map(mul, g1, dens)) == list(map(mul, nums, m1))
-        )
-    tn, td, s = tol.numerator, tol.denominator, table.scale
-    return all(
-        td * abs(g * d - n * m) <= tn * d * s
-        for mass, positive in zip(table.mass, table.positive)
-        for n, d, m, g in zip(nums, dens, mass, positive)
-    )
-
-
-def _balanced(cls, c: int, tol: Optional[Fraction] = None) -> bool:
-    """The groups' class averages agree (to within tol), or a class is empty."""
+def _balanced(cls) -> bool:
+    """The groups' class averages agree, or a class is empty."""
     (a0, m0), (a1, m1) = cls
-    if not (m0 and m1):
-        return True
-    if not tol:
-        return a0 * m1 == a1 * m0
-    return tol.denominator * abs(a0 * m1 - a1 * m0) <= tol.numerator * c * m0 * m1
+    return not (m0 and m1) or a0 * m1 == a1 * m0
 
 
-def _balances(table: _Table, tol: Optional[Fraction] = None) -> bool:
-    """Both balance conditions, exactly or to within an absolute tolerance."""
-    c, pos, neg = _classes(table)
-    return _balanced(pos, c, tol) and _balanced(neg, c, tol)
+def _balances(table: _Table) -> bool:
+    """Both balance conditions, exactly."""
+    _, pos, neg = _classes(table)
+    return _balanced(pos) and _balanced(neg)
 
 
-def _fair(table: _Table, tol: Optional[Fraction] = None) -> bool:
-    """All three conditions, exactly or to within an absolute tolerance."""
-    return _calibrated(table, tol) and _balances(table, tol)
+def _fair(table: _Table) -> bool:
+    """All three conditions, exactly: calibration is the band at width 0."""
+    return _calibrated_within(table, 0) and _balances(table)
 
 
 def _calibrated_within(table: _Table, e: Fraction) -> bool:
     """Each bin's expected positives lie in the band [1 - e, 1 + e] times
-    score times mass, in both groups."""
+    score times mass, in both groups. At e = 0 this is exact calibration."""
     en, ed = e.numerator, e.denominator
     lo, hi = ed - en, ed + en
     for mass, positive in zip(table.mass, table.positive):
@@ -438,13 +416,6 @@ def _balanced_within(cls, e: Fraction) -> bool:
     return not (m0 and m1) or _ratio_band_ok(a0 * m1, a1 * m0, e)
 
 
-def passes_fairness(inst: Instance, asg: RiskAssignment, tolerance: Optional[Fraction] = None) -> bool:
-    """Fast verdict with early exits.
-
-    tolerance None checks the exact conditions; otherwise every calibration
-    residual and each balance gap must be at most tolerance in absolute value.
-    A tolerance is read as eps is, by `as_fraction`. Agrees with
-    audit_exact(...).fair when tolerance is None.
-    """
-    tol = None if tolerance is None else _nonnegative(tolerance, "tolerance")
-    return _fair(_bin_table(inst, asg), tol)
+def passes_fairness(inst: Instance, asg: RiskAssignment) -> bool:
+    """Fast verdict with early exits; agrees with audit_exact(...).fair."""
+    return _fair(_bin_table(inst, asg))

@@ -15,7 +15,7 @@ import warnings
 from fractions import Fraction
 
 from .errors import DocumentError, ReductionInfeasibleError, RiskAuditError
-from .model import as_fraction, derived_stats, ingest_records, require_valid, validate_instance
+from .model import as_fraction, ingest_records, require_valid, validate_instance
 from .serialize import (
     approx_doc,
     assignment_to_doc,
@@ -35,9 +35,6 @@ from .serialize import (
     sweep_doc,
     validation_doc,
 )
-
-DEFAULT_TOLERANCE = Fraction(1, 10**9)
-
 
 def _rational(text: str) -> Fraction:
     try:
@@ -195,7 +192,7 @@ def cmd_solve_integral(args) -> int:
 
     inst = require_valid(parse_instance(_read(args.instance)))
     objective = args.objective.replace("-", "_")
-    result = solve_integral(inst, objective, cap=args.cap, tolerance=args.tolerance)
+    result = solve_integral(inst, objective, cap=args.cap)
     doc = solve_doc(result)
     lines = [f"status: {doc['status']}", f"explored: {doc['explored']}", f"pruned: {doc['pruned']}"]
     if doc["partition"] is not None:
@@ -246,6 +243,7 @@ def cmd_reduce(args) -> int:
 def cmd_verify_reduction(args) -> int:
     from .reduction import (
         SubsetSumInstance,
+        _base_rates_are_half,
         check_reduction_equation,
         decode_partition,
         encode_solution,
@@ -254,12 +252,7 @@ def cmd_verify_reduction(args) -> int:
     )
 
     ri = parse_reduced(_read(args.reduction))
-    tol = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-
-    gs = derived_stats(ri.instance)
-    half_gap = max(abs(r - Fraction(1, 2)) for r in gs.base_rate)
-    rates_ok = half_gap <= tol
-
+    rates_ok = _base_rates_are_half(ri)
     witness = search_normal_forms(ri)
     # weights above the target are in no solution, so the oracle scans the kept ones
     oracle = solve_subset_sum(SubsetSumInstance(ri.weights, ri.target))
@@ -389,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--objective", choices=("any-fair", "min-loss"), default="any-fair"
     )
     p.add_argument("--cap", type=int, default=None, help="most partitions to search")
-    p.add_argument("--tolerance", type=_rational, default=None, help="absolute residual tolerance")
     p.set_defaults(func=cmd_solve_integral)
 
     p = sub.add_parser("reduce", parents=[common], help="embed a subset-sum instance")
@@ -403,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("-r", "--reduction", required=True)
     p.add_argument("--subset", default=None, help="comma-separated weight positions to test")
-    p.add_argument("--tolerance", type=_rational, default=None, help="absolute residual tolerance")
     p.set_defaults(func=cmd_verify_reduction)
 
     p = sub.add_parser(

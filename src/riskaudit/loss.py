@@ -9,13 +9,12 @@ where a is the positive-class average score.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .audit import (
     _accumulate_bins,
     _bin_table,
-    _calibrated,
+    _calibrated_within,
     _classes,
     _exact_report,
     _pooled,
@@ -98,22 +97,13 @@ def _difference(report) -> Fraction:
     return a1 - a2
 
 
-# A pooled score is a convex combination of probabilities, so rounding an
-# instance's numbers through doubles moves it by a few units of 2**-53 at
-# most. Scores further apart than this are distinct whatever the tolerance.
-_ROUNDING = Fraction(1, 1 << 40)
-
-
-def _nontrivial(table: _Table, tolerance: Optional[Fraction] = None) -> bool:
-    """The populated scores spread by more than min(tolerance, _ROUNDING);
-    with no tolerance, that is two distinct populated scores."""
+def _nontrivial(table: _Table) -> bool:
+    """Two distinct scores carry people mass, compared by cross-multiplying."""
     populated = [(n, d) for n, d, m1, m2 in zip(table.nums, table.dens, *table.mass) if m1 + m2 > 0]
     if not populated:
         return False
-    c = lcm(*(d for _, d in populated))
-    scores = [n * (c // d) for n, d in populated]
-    tol = Fraction(0) if tolerance is None else min(tolerance, _ROUNDING)
-    return (max(scores) - min(scores)) * tol.denominator > tol.numerator * c
+    n0, d0 = populated[0]
+    return any(n * d0 != n0 * d for n, d in populated)
 
 
 def is_nontrivial(inst: Instance, asg: RiskAssignment) -> bool:
@@ -167,7 +157,7 @@ def interpolate(inst: Instance, asg1: RiskAssignment, asg2: RiskAssignment, lam)
     if not (0 <= w <= 1):
         raise DomainError(f"interpolation weight {w} outside [0, 1]")
     for name, asg in (("first", asg1), ("second", asg2)):
-        if not _calibrated(_bin_table(inst, asg)):
+        if not _calibrated_within(_bin_table(inst, asg), 0):
             raise DomainError(f"{name} assignment is not calibrated on this instance")
     return _mix(inst, asg1, asg2, w)
 

@@ -55,12 +55,12 @@ def _nonnegative(value: RationalLike, name: str) -> Fraction:
     return v
 
 
-def _require_count(value, name: str) -> None:
+def _require_count(value, name: str, least: int = 0) -> None:
     # a bool is not a count
     if isinstance(value, bool) or not isinstance(value, int):
         raise DomainError(f"{name} must be an int, not {value!r}")
-    if value < 0:
-        raise DomainError(f"{name} must be nonnegative")
+    if value < least:
+        raise DomainError(f"{name} must be at least {least}" if least else f"{name} must be nonnegative")
 
 
 # Python converts ints of more digits than this to and from text only after
@@ -355,6 +355,8 @@ def ingest_records(table: RecordTable) -> tuple[Instance, DivergenceReport]:
     the divergence report records how far each group's own empirical rate
     sits from that pooled value.
     """
+    if not isinstance(table, RecordTable):
+        raise DomainError(f"expected a RecordTable, not {table!r:.60}")
     order: dict[str, None] = {}  # feature ids, first seen first
     pos: dict[tuple[str, int], int] = {}
     tot: dict[tuple[str, int], int] = {}

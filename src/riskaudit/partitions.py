@@ -47,8 +47,7 @@ class Partition(_Frozen):
 
 def bell_number(k: int) -> int:
     """Number of partitions of a k-element set, via the Bell triangle."""
-    if k < 0:
-        raise DomainError("k must be nonnegative")
+    _require_count(k, "k")
     row = [1]
     for _ in range(k):
         nxt = [row[-1]]

@@ -21,11 +21,12 @@ equation ``sum over blocks q of (1/|q|) * sum over pairs in q of
 (p_i - p_j)**2 == 1/m**4``; blocks that keep a pair together contribute
 exactly ``w_hat_i``, so subset choices map onto pairings.
 
-Every probability is a quadratic surd ``center + sign * sqrt(q)`` (`Surd`).
+Every probability is a quadratic surd ``center + sign * sqrt(q)`` (`Surd`),
+and `rates` holds their correctly rounded float images for display only.
 The construction also writes the pair features over an integer radical basis,
-on which the equation checker decides any grouping with integer arithmetic.
-The embedded Instance holds correctly rounded float images meant for
-tolerance-based search only.
+on which the equation checker decides any grouping with integer arithmetic;
+`search_groupings` checks every grouping, and so decides exactly whether the
+reduced instance has a fair non-trivial integral assignment.
 """
 from __future__ import annotations
 
@@ -37,8 +38,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .audit import _SQRT_SCALE, _sqrt_upper
 from .errors import DomainError, ReductionInfeasibleError
-from .model import FeatureVector, Instance, _Frozen, _set, as_fraction, require_valid
-from .partitions import DEFAULT_MAX_ITEMS, Partition
+from .model import _Frozen, _set, as_fraction
+from .partitions import DEFAULT_MAX_ITEMS, Partition, enumerate_partitions
 
 
 class SubsetSumInstance(_Frozen):
@@ -53,7 +54,7 @@ class SubsetSumInstance(_Frozen):
         for w in weights:
             if not isinstance(w, int) or isinstance(w, bool) or w < 1:
                 raise DomainError(f"weights must be positive integers, got {w!r}")
-        if not isinstance(target, int) or target < 1:
+        if not isinstance(target, int) or isinstance(target, bool) or target < 1:
             raise DomainError(f"target must be a positive integer, got {target!r}")
         _set(self, "weights", weights)
         _set(self, "target", target)
@@ -129,21 +130,21 @@ class ReducedInstance(_Frozen):
 
     Exact rational side data lives in `scaled_weights` and
     `required_pos_avg`; `rates_exact` holds the surds of all 2m + 2 features
-    (pairs first, anchors last), `rates` their float images. `instance`
-    embeds the float-mode population: group 1 masses on the two anchors,
-    group 2 spread uniformly over the 2m pair features.
+    (pairs first, anchors last), `rates` their float images. Group 1's mass
+    lies on the two anchors, group 2's spreads uniformly over the 2m pair
+    features.
     """
 
     __slots__ = (
         "input_weights", "target", "kept_indices", "dropped_indices", "m", "scaled_weights",
-        "required_pos_avg", "rates_exact", "rates", "group1_mass", "group2_mass", "instance", "_basis",
+        "required_pos_avg", "rates_exact", "rates", "group1_mass", "group2_mass", "_basis",
     )
     _fields = __slots__[:-1]
 
     def __init__(self, input_weights, target, kept_indices, dropped_indices, m, scaled_weights,
-                 required_pos_avg, rates_exact, rates, group1_mass, group2_mass, instance, _basis):
+                 required_pos_avg, rates_exact, rates, group1_mass, group2_mass, _basis):
         values = (input_weights, target, kept_indices, dropped_indices, m, scaled_weights,
-                  required_pos_avg, rates_exact, rates, group1_mass, group2_mass, instance, _basis)
+                  required_pos_avg, rates_exact, rates, group1_mass, group2_mass, _basis)
         for name, value in zip(self.__slots__, values):
             _set(self, name, value)
 
@@ -206,11 +207,6 @@ def reduce_subset_sum(ss: SubsetSumInstance) -> ReducedInstance:
     group2 = tuple(
         Fraction(1, 2 * m) if j < n_pairs else Fraction(0) for j in range(n_pairs + 2)
     )
-    features = tuple(
-        FeatureVector(f"s{j + 1}", Fraction(rates[j]), group1[j], group2[j])
-        for j in range(n_pairs + 2)
-    )
-    instance = require_valid(Instance(features))
     # quadratic in m, so built only where the equation may be checked
     basis = None
     if m <= DEFAULT_MAX_ITEMS:
@@ -228,12 +224,28 @@ def reduce_subset_sum(ss: SubsetSumInstance) -> ReducedInstance:
         rates=rates,
         group1_mass=group1,
         group2_mass=group2,
-        instance=instance,
         _basis=basis,
     )
 
 
+def _base_rates_are_half(ri: ReducedInstance) -> bool:
+    """Whether both groups' base rates are exactly 1/2, decided on the surds:
+    a group's mass-weighted centers sum to half its mass, and its signed root
+    masses cancel radicand by radicand. By construction each pair's two
+    features share a radicand and a mass, and so do the two anchors."""
+    for masses in (ri.group1_mass, ri.group2_mass):
+        roots: dict[Fraction, Fraction] = {}
+        for r, x in zip(ri.rates_exact, masses):
+            roots[r.half_gap_squared] = roots.get(r.half_gap_squared, 0) + r.sign * x
+        centers = sum(r.center * x for r, x in zip(ri.rates_exact, masses))
+        if 2 * centers != sum(masses) or any(roots.values()):
+            return False
+    return True
+
+
 def _require_pair_cover(ri: ReducedInstance, part: Partition) -> None:
+    if not isinstance(part, Partition):
+        raise DomainError(f"expected a Partition, not {part!r:.60}")
     expect = frozenset(range(1, 2 * ri.m + 1))
     if part.members() != expect:
         raise DomainError(
@@ -452,6 +464,43 @@ def search_normal_forms(ri: ReducedInstance) -> Optional[Partition]:
         part = encode_solution(ri, chosen)
         if check_reduction_equation(ri, part):
             return part
+    return None
+
+
+def search_groupings(ri: ReducedInstance) -> Optional[Partition]:
+    """First grouping of the 2m pair features, in canonical order
+    (`enumerate_partitions`), on which the reduction equation holds, or None.
+    More than DEFAULT_MAX_ITEMS // 2 = 6 kept weights are refused, before any
+    grouping is enumerated: `enumerate_partitions` takes at most
+    DEFAULT_MAX_ITEMS items.
+
+    This decides whether the exact reduced instance has any fair non-trivial
+    integral assignment of its 2m + 2 features. Take a partition into
+    calibrated blocks b, each scored at its pooled rate v_b, and write
+    S_t = sum_b v_b**2 * M_bt, with M_bt group t's mass in b. Both groups
+    have mass 1 and base rate exactly 1/2, so group t's positive-class
+    average is 2 S_t and its negative-class average 1 - 2 S_t: both balance
+    conditions hold exactly when S_1 = S_2. A block with one group only is
+    always calibrated.
+
+    - Anchors in different blocks: a calibrated block scores an anchor at its
+      own rate, so S_1 = g/2, and S_2 = g/2 is exactly the reduction equation
+      on the grouping the blocks induce on the pair features. A calibrated
+      block that mixes an anchor with pair features adds to S_2 what those
+      features alone would, so every such grouping is reached with each
+      anchor kept as a singleton block. The two anchor scores differ, since
+      2g - 1 > 0 for every m >= 2 (m = 1 never builds), so the assignment is
+      non-trivial.
+    - Anchors together: S_1 = 1/4, and by Cauchy-Schwarz
+      S_2 >= (sum_b v_b * M_b2)**2 = 1/4, with equality only when every
+      populated score is 1/2, which is the trivial assignment.
+    """
+    if 2 * ri.m > DEFAULT_MAX_ITEMS:
+        raise DomainError(f"{ri.m} weights: at most {DEFAULT_MAX_ITEMS // 2} are searched by grouping")
+    for part in enumerate_partitions(2 * ri.m):
+        grouping = Partition(tuple(tuple(j + 1 for j in block) for block in part.blocks))
+        if check_reduction_equation(ri, grouping):
+            return grouping
     return None
 
 

@@ -2,10 +2,8 @@
 
 An integral assignment sends each feature wholly into one bin, so candidates
 are exactly the set partitions of the feature list; the search skips only
-partitions it can prove unfit. Rational instances are searched in exact
-arithmetic; a tolerance turns every equality in the fairness check into an
-absolute residual bound, which is meant for instances whose probabilities
-were rounded through floats.
+partitions it can prove unfit. Every verdict is exact: the instance is
+scaled to integers and each condition is an integer cross-multiplication.
 """
 from __future__ import annotations
 
@@ -14,10 +12,10 @@ from functools import partial
 from operator import or_
 from typing import NamedTuple, Optional
 
-from .audit import _accumulate_bins, _balances, _calibrated, _pooled, _Table
+from .audit import _accumulate_bins, _balances, _calibrated_within, _pooled, _Table
 from .errors import DomainError
 from .loss import LossReport, _loss_report, _nontrivial
-from .model import Instance, RiskAssignment, _assignment, _nonnegative, _scaled, require_valid
+from .model import Instance, RiskAssignment, _assignment, _scaled, require_valid
 from .partitions import Partition, _check_enumerable
 
 OBJECTIVES = ("any_fair", "min_loss")
@@ -204,41 +202,31 @@ def _witness(inst: Instance, blocks) -> tuple[Partition, RiskAssignment]:
     return part, assignment_from_partition(inst, part)
 
 
-def solve_integral(
-    inst: Instance,
-    objective: str = "any_fair",
-    cap: Optional[int] = None,
-    tolerance: Optional[Fraction] = None,
-) -> SolveResult:
+def solve_integral(inst: Instance, objective: str = "any_fair", cap: Optional[int] = None) -> SolveResult:
     """Search every partition for a fair non-trivial integral assignment.
 
     Objective "any_fair" returns the first hit in canonical enumeration
     order; "min_loss" scans everything and keeps the minimum total loss,
     ties resolved in favor of the earlier canonical encoding. The trivial
     all-in-one structure can never qualify because non-triviality requires
-    two distinct scores with mass. With a tolerance, read as eps is by
-    `as_fraction`, two populated scores count as one when they differ by at
-    most min(tolerance, 2**-40); a wider gap is more than float rounding of
-    the instance can make.
+    two distinct scores with mass.
     """
     require_valid(inst)
     if objective not in OBJECTIVES:
         raise DomainError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
-    if tolerance is not None:
-        tolerance = _nonnegative(tolerance, "tolerance")
 
     hit: Optional[tuple] = None
 
     def visit(blocks, table) -> bool:
         # the walk visits only partitions whose every block is calibrated
         nonlocal hit
-        if not (_balances(table, tolerance) and _nontrivial(table, tolerance)):
+        if not (_balances(table) and _nontrivial(table)):
             return False
         hit = tuple(blocks), table
         return True
 
     explored, pruned, complete = _integral_search(
-        inst, cap, partial(_calibrated, tol=tolerance), visit, bound=objective == "min_loss"
+        inst, cap, partial(_calibrated_within, e=0), visit, bound=objective == "min_loss"
     )
     if hit is None:
         return SolveResult("none" if complete else "budget_exceeded", None, None, None, explored, pruned)

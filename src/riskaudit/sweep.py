@@ -59,8 +59,7 @@ def _rand_probability(rng: Random) -> Fraction:
 
 
 def _feature_count(rng: Random, max_features: int) -> int:
-    if max_features < 2:
-        raise DomainError("max_features must be at least 2")
+    _require_count(max_features, "max_features", 2)
     return rng.randint(2, max_features)
 
 
@@ -133,8 +132,9 @@ def random_equal_rate_instance(rng: Random, max_features: int = 6) -> Instance:
     Group 2 gets a balancing feature of certain outcome whose mass is solved
     exactly so the rates match.
     """
+    _require_count(max_features, "max_features", 3)
     while True:
-        k = rng.randint(1, max(1, max_features - 2))
+        k = rng.randint(1, max_features - 2)
         feats = []
         for i in range(k):
             feats.append(
@@ -180,10 +180,12 @@ def random_gapped_instance(
     min_gap above the widest gap a draw can reach is refused, so the
     sampling ends. That gap is below 1, because an uncertain populated
     feature keeps its group's base rate inside (0, 1)."""
+    min_gap = _nonnegative(min_gap, "min_gap")
+    _require_count(max_features, "max_features", 2)
     # the widest gap drawn: one group on max_features - 2 certain features of
     # mass 4 and on one feature of mass 1 at probability 1/12 from certain,
     # the other group on a feature of the opposite certain outcome
-    widest = 1 - Fraction(1, 12 * (4 * max(max_features - 2, 0) + 1))
+    widest = 1 - Fraction(1, 12 * (4 * (max_features - 2) + 1))
     if min_gap > widest:
         raise DomainError(f"min_gap must be below 1 and at most {widest} for {max_features} features")
     while True:
@@ -224,8 +226,6 @@ def _below(bits, n: int) -> int:
 
 def _pooled_struct(k: int, rng: Random, max_bins=None) -> tuple[tuple[int, ...], ...]:
     most = k + 2 if max_bins is None else max_bins
-    if most < 1:
-        raise DomainError("max_bins must be positive")
     bits = rng.getrandbits
     nbins = 1 + _below(bits, most)
     out = []
@@ -247,6 +247,8 @@ def pooled_rounded_assignment(
 ) -> RiskAssignment:
     """Random row-stochastic allocation, scores rounded to each bin's pooled
     positive rate. Population-calibrated by construction, nothing more."""
+    if max_bins is not None:
+        _require_count(max_bins, "max_bins", 1)
     weights = _pooled_struct(len(inst.features), rng, max_bins)
     table = _pooled(*_accumulate_bins(_scaled(inst), weights, len(weights[0])))
     return _assignment(inst, weights, map(Fraction, table.nums, table.dens))

@@ -368,12 +368,12 @@ def _accumulate_bins(features, rows, nbins):
 
 
 # from riskaudit/audit.py
-def _fair_from_parts(gs, scores, mass, positive, tol: Fraction) -> bool:
+def _fair_from_parts(gs, scores, mass, positive) -> bool:
     nbins = len(scores)
     for i in range(2):
         mi, pi = mass[i], positive[i]
         for b in range(nbins):
-            if abs(pi[b] - scores[b] * mi[b]) > tol:
+            if pi[b] != scores[b] * mi[b]:
                 return False
     pos_avg = []
     neg_avg = []
@@ -391,24 +391,18 @@ def _fair_from_parts(gs, scores, mass, positive, tol: Fraction) -> bool:
         pos_avg.append(pos_score / mu if mu > 0 else None)
         neg_avg.append((total_score - pos_score) / neg_mass if neg_mass > 0 else None)
     for avgs in (pos_avg, neg_avg):
-        if avgs[0] is not None and avgs[1] is not None and abs(avgs[0] - avgs[1]) > tol:
+        if avgs[0] is not None and avgs[1] is not None and avgs[0] != avgs[1]:
             return False
     return True
 
 
 # from riskaudit/audit.py
-def passes_fairness(inst: Instance, asg: RiskAssignment, tolerance: Optional[Fraction] = None) -> bool:
-    """Fast verdict with early exits.
-
-    tolerance None checks the exact conditions; otherwise every calibration
-    residual and each balance gap must be at most tolerance in absolute value.
-    Agrees with audit_exact(...).fair when tolerance is None.
-    """
+def passes_fairness(inst: Instance, asg: RiskAssignment) -> bool:
+    """Fast verdict with early exits; agrees with audit_exact(...).fair."""
     gs = derived_stats(inst)
     rows = assignment_rows_for(inst, asg)
-    tol = Fraction(0) if tolerance is None else tolerance
     mass, positive = _accumulate_bins(inst.features, rows, asg.bin_count)
-    return _fair_from_parts(gs, asg.scores, mass, positive, tol)
+    return _fair_from_parts(gs, asg.scores, mass, positive)
 
 
 # from riskaudit/loss.py
@@ -549,7 +543,6 @@ def solve_integral(
     inst: Instance,
     objective: str = "any_fair",
     cap: Optional[int] = None,
-    tolerance: Optional[Fraction] = None,
 ) -> SolveResult:
     """Search every partition for a fair non-trivial integral assignment.
 
@@ -578,7 +571,7 @@ def solve_integral(
             tuple(order[i] for i in block) for block in index_part.blocks
         )
         asg = assignment_from_partition(inst, part)
-        if not passes_fairness(inst, asg, tolerance):
+        if not passes_fairness(inst, asg):
             continue
         if not is_nontrivial(inst, asg):
             continue
@@ -752,7 +745,6 @@ def exhaustive_solve(
     inst: Instance,
     objective: str = "any_fair",
     cap: Optional[int] = None,
-    tolerance: Optional[Fraction] = None,
 ) -> SolveResult:
     """`solve_integral`, visiting every partition: "any_fair" keeps the
     first fair non-trivial one, "min_loss" the one of least total loss, the
@@ -761,7 +753,7 @@ def exhaustive_solve(
 
     def visit(blocks, table) -> bool:
         nonlocal best
-        if not (_fair(table, tolerance) and _nontrivial(table, tolerance)):
+        if not (_fair(table) and _nontrivial(table)):
             return False
         report = _loss_report(table)
         if best is None or report.total < best[0].total:

@@ -3,7 +3,9 @@
 Each command runs in process through run_cli so exit codes and streams are
 observable without spawning an interpreter.
 """
+import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -140,9 +142,10 @@ def test_solve_integral_found_and_none(ws, capsys):
 
 
 def test_solve_integral_negative_tolerance_exit_two(ws, capsys):
+    # every verdict is exact, so no command reads a tolerance: a usage error
     assert run_cli(["solve-integral", "-i", ws["rigid"], "--tolerance", "-1"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: tolerance must be nonnegative\n" and captured.out == ""
+    assert "error: unrecognized arguments: --tolerance -1\n" in captured.err and captured.out == ""
 
 
 def test_reduce_and_verify(tmp_path, capsys):
@@ -373,14 +376,16 @@ def test_text_mode_without_output_prints_the_document(ws, capsys, rigid):
 
 
 def test_verify_zero_tolerance_exit_two(tmp_path, capsys):
-    # the document's rates are rounded through doubles, so its base rates
-    # miss 1/2 by about 1e-17: inside the default tolerance, not inside 0
+    # the base rates are decided on the surds, not on the document's rates
+    # rounded through doubles: no tolerance is read, and they are exactly 1/2
     red = tmp_path / "red.json"
     assert run_cli(["reduce", "--weights", "1,2", "--target", "3", "-o", str(red)]) == 0
     capsys.readouterr()
     assert run_cli(["verify-reduction", "-r", str(red), "--tolerance", "0"]) == 2
+    assert "error: unrecognized arguments: --tolerance 0\n" in capsys.readouterr().err
+    assert run_cli(["verify-reduction", "-r", str(red)]) == 0
     out = capsys.readouterr().out
-    assert "embedded_base_rates_ok: false" in out and "agreement: true" in out
+    assert "embedded_base_rates_ok: true" in out and "agreement: true" in out
 
 
 _CSV_HEADER = "feature_id,group,outcome\n"
@@ -498,7 +503,8 @@ def test_a_command_loads_only_the_modules_it_runs(ws, argv, code, unloaded):
     assert not loaded & (unloaded | _UNNEEDED)
 
 
-# the package's exports, as they stood when every module was imported eagerly
+# the package's exports: those of the package when every module was
+# imported eagerly, and `search_groupings`
 _EXPORTS = """
     ApproxAuditReport AuditReport BinStats ConsequenceFlags DEFAULT_MAX_ITEMS DegenerateGroupError
     DivergenceEntry DivergenceReport DocumentError DomainError FairnessDifference FeatureVector GROUPS
@@ -514,7 +520,7 @@ _EXPORTS = """
     parse_instance parse_rational parse_reduced passes_fairness pooled_rounded_assignment
     random_equal_rate_instance random_gapped_instance random_instance random_perfect_instance
     random_proportional_instance records_from_csv reduce_subset_sum reduced_from_doc reduced_to_doc
-    require_valid search_normal_forms solve_integral solve_subset_sum split_by_group
+    require_valid search_groupings search_normal_forms solve_integral solve_subset_sum split_by_group
     statistical_parity_gap sum_of_squares_identity target_lambda theorem_sweep trivial_assignment
     two_bin_certain_assignment validate_instance
 """.split()
@@ -525,7 +531,7 @@ def test_package_exports_resolve_on_first_use():
 
     import riskaudit
 
-    assert len(_EXPORTS) == 91 and riskaudit.__all__ == _EXPORTS
+    assert len(_EXPORTS) == 92 and riskaudit.__all__ == _EXPORTS
     for module, names in riskaudit._EXPORTS.items():
         home = importlib.import_module(f"riskaudit.{module}")
         assert all(getattr(riskaudit, name) is getattr(home, name) for name in names), module
@@ -538,6 +544,150 @@ def test_package_exports_resolve_on_first_use():
     # importing the submodule `riskaudit.loss` first leaves the name bound to the function
     proc = _python("-c", "import riskaudit.solver, riskaudit; print(riskaudit.loss.__module__, riskaudit.loss.__name__)")
     assert proc.stdout.split() == ["riskaudit.loss", "loss"], proc.stderr
+
+
+# Every knob of the package: the parameter names of each exported callable
+# ("-" where Python gives it no signature) and the long options of each
+# command. Adding or removing one shows here as a reviewed diff.
+_SIGNATURES = """
+    ApproxAuditReport: epsilon calibration_ok balance_pos_ok balance_pos_vacuous balance_neg_ok
+        balance_neg_vacuous passed consequence
+    AuditReport: calibration_ok calibration_residuals expected_score_total pos_class_avg neg_class_avg
+        balance_pos_ok balance_pos_vacuous balance_neg_ok balance_neg_vacuous parity_gap fair
+    BinStats: mass positive score_mass
+    ConsequenceFlags: slack near_perfect_prediction near_equal_base_rates
+    DegenerateGroupError: -
+    DivergenceEntry: feature_id group group_rate deviation
+    DivergenceReport: entries
+    DocumentError: message path
+    DomainError: -
+    FairnessDifference: difference favors_group1 favors_group2
+    FeatureVector: id p n1 n2
+    GroupStats: population positive_mass base_rate
+    Instance: features
+    InvalidAssignmentError: -
+    InvalidInstanceError: violations
+    LossReport: per_group total
+    Partition: blocks
+    Record: feature_id group positive
+    RecordTable: rows
+    ReducedInstance: input_weights target kept_indices dropped_indices m scaled_weights required_pos_avg
+        rates_exact rates group1_mass group2_mass _basis
+    ReductionInfeasibleError: message required_pos_avg
+    RiskAssignment: feature_ids scores rows
+    RiskAuditError: -
+    SolveResult: status partition assignment loss_report explored pruned
+    SubsetSumInstance: weights target
+    SweepReport: seed epsilon budget base_rate_gap perfect_prediction integral_explored
+        integral_complete fractional_explored exact_fair_count first_exact_fair exact_counterexample
+        approx_pass_count approx_counterexample
+    ValidationReport: ok violations
+    approx_audit_corpus: eps seed
+    as_fraction: value
+    assignment_from_doc: doc
+    assignment_from_partition: inst part
+    assignment_rows_for: inst asg
+    assignment_to_doc: asg
+    audit_approx: inst asg eps
+    audit_exact: inst asg
+    banded_split_assignment: inst rng eps
+    bell_number: k
+    bin_statistics: inst asg
+    calibrated_split_assignment: inst rng
+    check_reduction_equation: ri part
+    classify_consequence: inst asg eps
+    consequence_slack: eps
+    decode_partition: ri part
+    derived_stats: inst
+    dumps_doc: doc
+    encode_solution: ri chosen
+    enumerate_partitions: k cap
+    fairness_difference: inst asg
+    feature: fid p n1 n2
+    find_fair_nontrivial: inst candidates
+    identity_assignment: inst
+    ingest_records: table
+    instance_from_doc: doc
+    instance_to_doc: inst
+    interpolate: inst asg1 asg2 lam
+    is_nontrivial: inst asg
+    is_normal_form: ri part
+    loads_json: text
+    loss: inst asg
+    normalize_assignment: inst asg
+    parse_assignment: text
+    parse_instance: text
+    parse_rational: node path
+    parse_reduced: text
+    passes_fairness: inst asg
+    pooled_rounded_assignment: inst rng max_bins
+    random_equal_rate_instance: rng max_features
+    random_gapped_instance: rng min_gap max_features
+    random_instance: rng max_features
+    random_perfect_instance: rng max_features
+    random_proportional_instance: rng max_features
+    records_from_csv: text
+    reduce_subset_sum: ss
+    reduced_from_doc: doc
+    reduced_to_doc: ri
+    require_valid: inst
+    search_groupings: ri
+    search_normal_forms: ri
+    solve_integral: inst objective cap
+    solve_subset_sum: ss
+    split_by_group: inst
+    statistical_parity_gap: inst asg
+    sum_of_squares_identity: values
+    target_lambda: d1 d2 d3
+    theorem_sweep: inst search_budget eps seed integral_cap
+    trivial_assignment: inst
+    two_bin_certain_assignment: inst
+    validate_instance: inst
+"""
+_COMMAND_OPTIONS = """
+    ingest: --help --format --input --output
+    validate: --help --format --instance
+    audit: --help --format --instance --assignment --eps
+    loss: --help --format --instance --assignment
+    interpolate: --help --format --instance --first --second --weight --output
+    find-fair: --help --format --instance --candidate --output
+    solve-integral: --help --format --instance --objective --cap
+    reduce: --help --format --weights --target --output
+    verify-reduction: --help --format --reduction --subset
+    theorem-sweep: --help --format --instance --eps --budget --seed --cap
+"""
+
+
+def _inventory(text: str) -> dict:
+    entries: dict = {}
+    for word in text.split():
+        if word.endswith(":"):
+            name = word[:-1]
+            entries[name] = []
+        else:
+            entries[name].append(word)
+    return {name: tuple(words) for name, words in entries.items()}
+
+
+def _parameters(obj) -> tuple:
+    try:
+        return tuple(inspect.signature(obj).parameters)
+    except ValueError:
+        return ("-",)
+
+
+def test_every_knob_is_pinned():
+    import riskaudit
+    from riskaudit.cli import build_parser
+
+    exported = {name: getattr(riskaudit, name) for name in riskaudit.__all__}
+    assert {name: _parameters(obj) for name, obj in exported.items() if callable(obj)} == _inventory(_SIGNATURES)
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    options = {
+        name: tuple(opt for action in parser._actions for opt in action.option_strings if opt.startswith("--"))
+        for name, parser in commands.items()
+    }
+    assert options == _inventory(_COMMAND_OPTIONS)
 
 
 # -- the exit-code contract under arbitrary input ------------------------------

@@ -25,9 +25,8 @@ from riskaudit import (
     feature,
     identity_assignment,
     ingest_records,
-    passes_fairness,
+    random_gapped_instance,
     require_valid,
-    solve_integral,
     split_by_group,
     theorem_sweep,
     validate_instance,
@@ -55,18 +54,16 @@ class TestAsFraction:
             as_fraction(None)
 
 
-# eps and tolerance values that are no rational at all; None is left out, as
-# it is the default tolerance
-NOT_RATIONAL = (float("nan"), float("inf"), float("-inf"), "1/x", "1/0", "", True, [F(1, 2)], 1j)
-# each public function that reads an eps or a tolerance, and the name it gives it
+# eps and gap values that are no rational at all
+NOT_RATIONAL = (float("nan"), float("inf"), float("-inf"), "1/x", "1/0", "", True, [F(1, 2)], 1j, None)
+# each public function that reads an eps or a least gap, and the name it gives it
 TOLERANT = {
     "consequence_slack": (lambda inst, asg, x: consequence_slack(x), "eps"),
     "classify_consequence": (lambda inst, asg, x: classify_consequence(inst, asg, x), "eps"),
     "audit_approx": (lambda inst, asg, x: audit_approx(inst, asg, x), "eps"),
-    "passes_fairness": (lambda inst, asg, x: passes_fairness(inst, asg, x), "tolerance"),
-    "solve_integral": (lambda inst, asg, x: solve_integral(inst, tolerance=x), "tolerance"),
     "banded_split_assignment": (lambda inst, asg, x: banded_split_assignment(inst, Random(1), x), "eps"),
     "theorem_sweep": (lambda inst, asg, x: theorem_sweep(inst, 5, x, 1), "eps"),
+    "random_gapped_instance": (lambda inst, asg, x: random_gapped_instance(Random(1), x), "min_gap"),
 }
 
 
@@ -169,6 +166,8 @@ class TestIngest:
     def test_empty_table_rejected(self):
         with pytest.raises(DomainError):
             RecordTable(())
+        with pytest.raises(DomainError, match="^expected a RecordTable, not"):
+            ingest_records([])
 
     def test_missing_group_rejected(self):
         with pytest.raises(DomainError):

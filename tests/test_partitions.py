@@ -80,6 +80,8 @@ def test_large_k_needs_cap():
 def test_counts_that_are_no_int_are_refused(bad, skewed):
     with pytest.raises(DomainError, match="^k must be an int"):
         enumerate_partitions(bad)
+    with pytest.raises(DomainError, match="^k must be an int"):
+        bell_number(bad)
     with pytest.raises(DomainError, match="^cap must be an int"):
         enumerate_partitions(3, cap=bad)
     # the integral search reads its cap through the same check

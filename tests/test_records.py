@@ -80,7 +80,7 @@ FROZEN = {
     SubsetSumInstance: "weights target",
     ReducedInstance: (
         "input_weights target kept_indices dropped_indices m scaled_weights required_pos_avg rates_exact rates "
-        "group1_mass group2_mass instance"
+        "group1_mass group2_mass"
     ),
     Surd: "center half_gap_squared sign",
     Partition: "blocks",

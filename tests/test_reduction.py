@@ -6,6 +6,7 @@ fixture; its expected numbers were derived by hand and are treated as frozen.
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from itertools import combinations
+from random import Random
 
 import math
 import warnings
@@ -22,18 +23,18 @@ from riskaudit import (
     SubsetSumInstance,
     check_reduction_equation,
     decode_partition,
-    derived_stats,
     encode_solution,
     enumerate_partitions,
     is_normal_form,
     reduce_subset_sum,
+    search_groupings,
     search_normal_forms,
     solve_subset_sum,
     sum_of_squares_identity,
 )
 import reduction_oracle as old
 import riskaudit.reduction as reduction_module
-from riskaudit.reduction import Surd, _radical_basis
+from riskaudit.reduction import ReducedInstance, Surd, _base_rates_are_half, _radical_basis
 
 
 def _sympy_rate(sp, r):
@@ -73,6 +74,8 @@ class TestSubsetSumOracle:
             SubsetSumInstance((0, 1), 1)
         with pytest.raises(DomainError):
             SubsetSumInstance((1, 2), 0)
+        with pytest.raises(DomainError):
+            SubsetSumInstance((1, 2), True)
 
     def test_smallest_witness_preferred(self):
         # both {1,2} and {3} hit 3; the low-mask witness comes first
@@ -104,11 +107,25 @@ class TestConstruction:
             gap_sq = sp.expand((_sympy_rate(sp, hi) - _sympy_rate(sp, lo)) ** 2)
             assert gap_sq.is_Rational and gap_sq == 2 * sp.Rational(ri.scaled_weights[i])
 
-    def test_embedded_instance_base_rates(self, embedded_pair):
-        gs = derived_stats(embedded_pair.instance)
-        # float embedding: rates are within representation error of 1/2
-        for rate in gs.base_rate:
-            assert abs(rate - F(1, 2)) < F(1, 10**12)
+    def test_embedded_instance_base_rates(self):
+        # decided exactly on the surds, as `verify-reduction` reports it, and
+        # in agreement with sympy's expansion of each group's base rate
+        sp = pytest.importorskip("sympy")
+        for weights, target in SYMPY_CHECKED:
+            ri = _reduced(weights, target)
+            assert _base_rates_are_half(ri)
+            rates = [_sympy_rate(sp, r) for r in ri.rates_exact]
+            for masses in (ri.group1_mass, ri.group2_mass):
+                assert sp.expand(sum(sp.Rational(a) * r for a, r in zip(masses, rates)) - sp.Rational(1, 2)) == 0
+
+    def test_base_rates_off_one_half_are_seen(self, embedded_pair):
+        # group 2 on the first pair only: its centers average 1/3; and one
+        # anchor's root flipped: the roots no longer cancel
+        fields = {name: getattr(embedded_pair, name) for name in ReducedInstance.__slots__}
+        first_pair = (F(1, 2), F(1, 2), 0, 0, 0, 0)
+        anchors = fields["rates_exact"][:4] + (fields["rates_exact"][5],) * 2
+        for change in ({"group2_mass": first_pair}, {"rates_exact": anchors}):
+            assert not _base_rates_are_half(ReducedInstance(**{**fields, **change}))
 
     def test_symbolic_base_rates_exact(self, embedded_pair):
         sp = pytest.importorskip("sympy")
@@ -350,6 +367,9 @@ class TestEncodingRoundTrip:
         crossed = Partition.from_blocks([[1, 3], [2, 4]])
         with pytest.raises(DomainError):
             decode_partition(embedded_pair, crossed)
+        for call in (decode_partition, is_normal_form, check_reduction_equation):
+            with pytest.raises(DomainError, match="^expected a Partition, not None"):
+                call(embedded_pair, None)
 
 
 class TestSearch:
@@ -363,6 +383,55 @@ class TestSearch:
         ri = reduce_subset_sum(SubsetSumInstance((2, 3), 4))
         assert search_normal_forms(ri) is None
         assert solve_subset_sum(SubsetSumInstance((2, 3), 4)) is None
+
+
+def _seeded_reductions(count, seed=2016):
+    # m = 2 and m = 3 with every weight kept, solvable or not
+    rng = Random(seed)
+    while count:
+        weights = tuple(rng.randint(1, 9) for _ in range(rng.randint(2, 3)))
+        target = rng.randint(max(weights), sum(weights) + 2)
+        try:
+            ri = _reduced(weights, target)
+        except ReductionInfeasibleError:
+            continue
+        count -= 1
+        yield ri
+
+
+class TestGroupingSearch:
+    """`search_groupings` checks every grouping of the pair features, so it
+    decides the exact reduced instance, normal form or not."""
+
+    @pytest.mark.parametrize("target, subset", [(6, None), (5, frozenset({1, 2})), (10, frozenset({1, 2, 3}))],
+                             ids=["6", "5", "10"])
+    def test_nontriviality_cases(self, target, subset):
+        # (2, 3, 5) -> 6 has no subset; a search over the float image found
+        # fair splits there whose scores were only 2**-55 apart
+        ri = reduce_subset_sum(SubsetSumInstance((2, 3, 5), target))
+        found = search_groupings(ri)
+        assert (None if found is None else decode_partition(ri, found)) == subset
+
+    def test_matches_both_oracles(self):
+        outside = 0
+        for ri in [*_seeded_reductions(60), _reduced((1, 2, 3, 4), 5)]:
+            found = search_groupings(ri)
+            oracle = solve_subset_sum(SubsetSumInstance(ri.weights, ri.target))
+            assert (found is None) == (oracle is None) == (search_normal_forms(ri) is None), ri.input_weights
+            if found is not None:
+                assert is_normal_form(ri, found)
+                assert sum(ri.input_weights[i - 1] for i in decode_partition(ri, found)) == ri.target
+            outside += sum(check_reduction_equation(ri, part) for part in _groupings(ri.m)
+                           if not is_normal_form(ri, part))
+        assert outside == 0
+
+    def test_seven_weights_are_refused_before_any_grouping(self, monkeypatch):
+        ri = _reduced(tuple(range(1, 8)), 100)
+        checked = []
+        monkeypatch.setattr(reduction_module, "check_reduction_equation", lambda *args: checked.append(args))
+        with pytest.raises(DomainError, match="^7 weights: at most 6"):
+            search_groupings(ri)
+        assert checked == []
 
 
 class TestSumOfSquares:

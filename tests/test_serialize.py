@@ -137,7 +137,7 @@ class TestReducedDocs:
         assert back.scaled_weights == embedded_pair.scaled_weights
         assert back.required_pos_avg == embedded_pair.required_pos_avg
         assert back.rates == embedded_pair.rates
-        assert back.instance == embedded_pair.instance
+        assert back == embedded_pair
 
     def test_text_round_trip(self, embedded_pair):
         text = dumps_doc(reduced_to_doc(embedded_pair))

@@ -7,7 +7,6 @@ from riskaudit import (
     DomainError,
     Instance,
     Partition,
-    SubsetSumInstance,
     assignment_from_partition,
     audit_exact,
     bell_number,
@@ -15,8 +14,6 @@ from riskaudit import (
     feature,
     instance_to_doc,
     is_nontrivial,
-    passes_fairness,
-    reduce_subset_sum,
     solve_integral,
     theorem_sweep,
 )
@@ -98,42 +95,6 @@ class TestSolveIntegral:
     def test_unknown_objective(self, balanced):
         with pytest.raises(DomainError):
             solve_integral(balanced, "fastest")
-
-    def test_tolerance_relaxes(self, skewed):
-        # with a huge absolute tolerance the skewed identity counts as fair
-        res = solve_integral(skewed, "any_fair", tolerance=F(1))
-        assert res.status == "found"
-
-    def test_negative_tolerance_rejected(self, skewed):
-        # bad input, not a computed "no"
-        asg = assignment_from_partition(skewed, Partition.from_blocks([["s1"], ["s2"]]))
-        for tolerance in (F(-1), F(-1, 10**9), -0.1, "-1/10"):
-            with pytest.raises(DomainError, match="tolerance must be nonnegative"):
-                solve_integral(skewed, "any_fair", tolerance=tolerance)
-            with pytest.raises(DomainError, match="tolerance must be nonnegative"):
-                passes_fairness(skewed, asg, tolerance)
-
-    @pytest.mark.parametrize("tolerance, fair", [
-        (0.1, False), ("1/10", False), (F(1, 10), False), (0.5, True), ("1/2", True), (F(1, 2), True),
-    ])
-    def test_tolerance_read_as_a_rational(self, skewed, tolerance, fair):
-        # a float or a rational string is read as eps is; both class
-        # averages differ by 1/4 across the groups
-        asg = assignment_from_partition(skewed, Partition.from_blocks([["s1"], ["s2"]]))
-        assert passes_fairness(skewed, asg, tolerance) is fair
-        assert (solve_integral(skewed, "any_fair", tolerance=tolerance).status == "found") is fair
-
-
-class TestToleranceNontriviality:
-    # the reduction's float-rounded rates make some splits fair at the
-    # tolerance with scores only 2**-55 apart: not two distinct scores
-    @pytest.mark.parametrize(
-        "target, status, explored", [(6, "none", 4140), (5, "found", 505), (10, "found", 479)]
-    )
-    def test_reduced_subset_sum(self, target, status, explored):
-        ri = reduce_subset_sum(SubsetSumInstance((2, 3, 5), target))
-        res = solve_integral(ri.instance, "any_fair", tolerance=F(1, 10**9))
-        assert (res.status, res.explored) == (status, explored)
 
 
 def _spread(k):

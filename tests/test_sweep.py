@@ -135,7 +135,20 @@ class TestGenerators:
         for max_features in (1, 0, -3):
             with pytest.raises(DomainError, match="max_features must be at least 2"):
                 family(random.Random(0), max_features=max_features)
+        for max_features in (2.5, "4", True, None):
+            with pytest.raises(DomainError, match="^max_features must be an int"):
+                family(random.Random(0), max_features=max_features)
         assert len(family(random.Random(0), max_features=2).features) == 2
+
+    def test_equal_rates_need_three_features(self):
+        # up to max_features - 2 drawn features and two balancing ones
+        for max_features in (2, 1, 0):
+            with pytest.raises(DomainError, match="max_features must be at least 3"):
+                random_equal_rate_instance(random.Random(0), max_features)
+        with pytest.raises(DomainError, match="^max_features must be an int"):
+            random_equal_rate_instance(random.Random(0), 2.5)
+        for seed in range(300):
+            assert len(random_equal_rate_instance(random.Random(seed), 3).features) <= 3
 
 
 class TestCandidateFamilies:
@@ -506,7 +519,10 @@ class TestDraws:
 
     def test_nonpositive_max_bins_rejected(self, skewed):
         for max_bins in (0, -1, -5):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match="^max_bins must be at least 1"):
+                pooled_rounded_assignment(skewed, random.Random(1), max_bins)
+        for max_bins in (2.5, "3", True):
+            with pytest.raises(DomainError, match="^max_bins must be an int"):
                 pooled_rounded_assignment(skewed, random.Random(1), max_bins)
 
 
