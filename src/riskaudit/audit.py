@@ -92,7 +92,7 @@ def _exact_report(table: _Table) -> AuditReport:
     )
     c, pos, neg = _classes(table)
     calibration_ok = _calibrated_within(table, 0)
-    pos_ok, neg_ok = _balanced(pos), _balanced(neg)
+    pos_ok, neg_ok = _balanced_within(pos, 0), _balanced_within(neg, 0)
     total = [a + b for (a, _), (b, _) in zip(pos, neg)]
     population = [mu + nu for (_, mu), (_, nu) in zip(pos, neg)]
     return AuditReport(
@@ -137,7 +137,7 @@ def _sqrt_upper(x: Fraction) -> tuple[Fraction, bool]:
 
 
 def consequence_slack(eps) -> Fraction:
-    """Slack allowed in the two consequence conditions for tolerance eps.
+    """Slack allowed in the two consequence conditions at band width eps.
 
     Computed as sqrt(eps) * max(1, 3*sqrt(eps) + 3/4). Exact whenever
     sqrt(eps) is rational; otherwise sqrt(eps) is replaced by a rational
@@ -152,7 +152,7 @@ def consequence_slack(eps) -> Fraction:
 
 
 class ConsequenceFlags(NamedTuple):
-    """Which of the two consequences holds at tolerance eps.
+    """Which of the two consequences holds at band width eps.
 
     near_perfect_prediction: every nonempty positive class has average score
     at least 1 - s. near_equal_base_rates: the base rates differ by at most
@@ -170,7 +170,7 @@ class ConsequenceFlags(NamedTuple):
 
 
 def classify_consequence(inst: Instance, asg: RiskAssignment, eps) -> ConsequenceFlags:
-    """Evaluate both consequence conditions at tolerance eps.
+    """Evaluate both consequence conditions at band width eps.
 
     A group with an empty positive class counts as perfectly predicted: its
     whole population is certain-negative, so the near-perfect flag ignores it.
@@ -192,7 +192,7 @@ def _within_slack(x: int, d: int, e: Fraction) -> bool:
 
 
 def _consequence(scaled: _Scaled, c: int, pos, e: Fraction, slack: Fraction) -> ConsequenceFlags:
-    """The flags at tolerance e, decided against the exact slack; `slack`,
+    """The flags at band width e, decided against the exact slack; `slack`,
     consequence_slack(e), is only reported."""
     n1, n2, mu1, mu2 = scaled.totals
     # 1 - a / (c * mu) and |mu1 / n1 - mu2 / n2| against the slack
@@ -206,7 +206,7 @@ def _consequence(scaled: _Scaled, c: int, pos, e: Fraction, slack: Fraction) -> 
 
 
 class ApproxAuditReport(NamedTuple):
-    """Relaxed audit outcome at tolerance eps, plus the consequence flags."""
+    """Relaxed audit outcome at band width eps, plus the consequence flags."""
 
     epsilon: Fraction
     calibration_ok: bool
@@ -218,21 +218,8 @@ class ApproxAuditReport(NamedTuple):
     consequence: ConsequenceFlags
 
 
-def _ratio_band_ok(x, y, eps: Fraction) -> bool:
-    # two-sided multiplicative band, both orderings, on x and y given over
-    # any common positive scale; zero cases follow the limit of the ratio
-    # form: 0 vs 0 passes, 0 vs positive needs eps >= 1
-    if x == 0 and y == 0:
-        return True
-    if x == 0 or y == 0:
-        return eps >= 1
-    en, ed = eps.numerator, eps.denominator
-    lo, hi = ed - en, ed + en
-    return lo * y <= ed * x <= hi * y and lo * x <= ed * y <= hi * x
-
-
 def audit_approx(inst: Instance, asg: RiskAssignment, eps) -> ApproxAuditReport:
-    """Audit the relaxed conditions at tolerance eps (eps = 0 is the exact audit).
+    """Audit the relaxed conditions at band width eps (eps = 0 is the exact audit).
 
     Calibration relaxes per bin and group to a multiplicative band around
     score times mass. Each balance condition relaxes to the band between the
@@ -380,21 +367,15 @@ def _averages(cls, c: int):
     return tuple(Fraction(a, c * m) if m else None for a, m in cls)
 
 
-def _balanced(cls) -> bool:
-    """The groups' class averages agree, or a class is empty."""
-    (a0, m0), (a1, m1) = cls
-    return not (m0 and m1) or a0 * m1 == a1 * m0
-
-
-def _balances(table: _Table) -> bool:
-    """Both balance conditions, exactly."""
+def _balances(table: _Table, e: Fraction) -> bool:
+    """Both balance conditions, in the band of width e."""
     _, pos, neg = _classes(table)
-    return _balanced(pos) and _balanced(neg)
+    return _balanced_within(pos, e) and _balanced_within(neg, e)
 
 
 def _fair(table: _Table) -> bool:
-    """All three conditions, exactly: calibration is the band at width 0."""
-    return _calibrated_within(table, 0) and _balances(table)
+    """All three conditions, exactly: each is its band at width 0."""
+    return _calibrated_within(table, 0) and _balances(table, 0)
 
 
 def _calibrated_within(table: _Table, e: Fraction) -> bool:
@@ -412,8 +393,19 @@ def _calibrated_within(table: _Table, e: Fraction) -> bool:
 
 
 def _balanced_within(cls, e: Fraction) -> bool:
+    """The groups' class averages a0 / m0 and a1 / m1 lie in the two-sided
+    multiplicative band of width e, both orderings, or a class is empty. At
+    e = 0 the averages agree. The zero cases follow the limit of the ratio
+    form: 0 against 0 passes, 0 against a positive average needs e >= 1."""
     (a0, m0), (a1, m1) = cls
-    return not (m0 and m1) or _ratio_band_ok(a0 * m1, a1 * m0, e)
+    if not (m0 and m1):
+        return True
+    x, y = a0 * m1, a1 * m0
+    if not (x and y):
+        return x == y or e >= 1
+    en, ed = e.numerator, e.denominator
+    lo, hi = ed - en, ed + en
+    return lo * y <= ed * x <= hi * y and lo * x <= ed * y <= hi * x
 
 
 def passes_fairness(inst: Instance, asg: RiskAssignment) -> bool:

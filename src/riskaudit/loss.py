@@ -26,8 +26,8 @@ from .model import (
     Instance,
     RiskAssignment,
     _assignment,
+    _read_rational,
     _scaled,
-    as_fraction,
     assignment_rows_for,
     derived_stats,
     require_valid,
@@ -153,7 +153,7 @@ def interpolate(inst: Instance, asg1: RiskAssignment, asg2: RiskAssignment, lam)
     is itself calibrated. Its fairness difference is the lam-weighted average
     of the inputs' differences.
     """
-    w = as_fraction(lam)
+    w = _read_rational(lam, "interpolation weight")
     if not (0 <= w <= 1):
         raise DomainError(f"interpolation weight {w} outside [0, 1]")
     for name, asg in (("first", asg1), ("second", asg2)):
@@ -176,7 +176,7 @@ def target_lambda(d1, d2, d3) -> Fraction:
 
     Requires d1 != d2 and d3 between them; the result then lies in [0, 1].
     """
-    a, b, c = as_fraction(d1), as_fraction(d2), as_fraction(d3)
+    a, b, c = _read_rational(d1, "d1"), _read_rational(d2, "d2"), _read_rational(d3, "d3")
     if a == b:
         raise DomainError("endpoint differences are equal; no unique weight exists")
     if not (min(a, b) <= c <= max(a, b)):

@@ -43,22 +43,31 @@ def _rational(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
-def _nonnegative(value: RationalLike, name: str) -> Fraction:
-    """`as_fraction(value)`, refused with DomainError when negative or when it
-    is no rational at all: NaN, an infinity, malformed text, another type."""
+def _read_rational(value: RationalLike, name: str) -> Fraction:
+    """`as_fraction(value)`, refused with DomainError naming the argument when
+    it is no rational at all: NaN, an infinity, malformed text, another type."""
     try:
-        v = as_fraction(value)
+        return as_fraction(value)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{name} must be a rational, not {value!r:.60}") from None
+
+
+def _nonnegative(value: RationalLike, name: str) -> Fraction:
+    """`_read_rational(value, name)`, refused with DomainError when negative."""
+    v = _read_rational(value, name)
     if v < 0:
         raise DomainError(f"{name} must be nonnegative")
     return v
 
 
-def _require_count(value, name: str, least: int = 0) -> None:
-    # a bool is not a count
+def _require_int(value, name: str) -> None:
+    # a bool is not an int here
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{name} must be an int, not {value!r}")
+        raise DomainError(f"{name} must be an int, not {value!r:.60}")
+
+
+def _require_count(value, name: str, least: int = 0) -> None:
+    _require_int(value, name)
     if value < least:
         raise DomainError(f"{name} must be at least {least}" if least else f"{name} must be nonnegative")
 
@@ -154,11 +163,7 @@ class FeatureVector(_Frozen):
         _set(self, "n2", n2)
 
     def count(self, group: int) -> Fraction:
-        if group == 1:
-            return self.n1
-        if group == 2:
-            return self.n2
-        raise DomainError(f"unknown group {group!r}; groups are 1 and 2")
+        return (self.n1, self.n2)[_group_index(group)]
 
     @property
     def total(self) -> Fraction:
@@ -166,8 +171,9 @@ class FeatureVector(_Frozen):
 
 
 def feature(fid: str, p: RationalLike, n1: RationalLike, n2: RationalLike) -> FeatureVector:
-    """Convenience constructor coercing all numeric fields."""
-    return FeatureVector(str(fid), as_fraction(p), as_fraction(n1), as_fraction(n2))
+    """Convenience constructor coercing all numeric fields; a field that is
+    no rational is refused with DomainError naming it."""
+    return FeatureVector(str(fid), _read_rational(p, "p"), _read_rational(n1, "n1"), _read_rational(n2, "n2"))
 
 
 class _Scaled(NamedTuple):
@@ -241,11 +247,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
                 r = gcd(top, bottom)
                 parts += ((n.numerator, n.denominator), (top // r, bottom // r))
     if violations:
-        totals = []
-        for t in GROUPS:
-            masses = [n for n in (f.count(t) for f in inst.features) if _rational(n)]
-            d = lcm(*(n.denominator for n in masses))
-            totals.append(sum(n.numerator * (d // n.denominator) for n in masses))
+        totals = [sum(n for n in (f.count(t) for f in inst.features) if _rational(n)) for t in GROUPS]
     else:
         d = lcm(*(b for _, b in parts))
         flat = [a * (d // b) for a, b in parts]

@@ -38,7 +38,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .audit import _SQRT_SCALE, _sqrt_upper
 from .errors import DomainError, ReductionInfeasibleError
-from .model import _Frozen, _set, as_fraction
+from .model import _Frozen, _read_rational, _set
 from .partitions import DEFAULT_MAX_ITEMS, Partition, enumerate_partitions
 
 
@@ -510,7 +510,7 @@ def sum_of_squares_identity(values: Sequence) -> tuple[Fraction, Fraction]:
     of pairwise squared differences. The two returned values are always
     equal; callers use the pair as a self-check.
     """
-    z = [as_fraction(v) for v in values]
+    z = [_read_rational(v, f"values[{i}]") for i, v in enumerate(values)]
     if not z:
         raise DomainError("empty vector")
     k = len(z)

@@ -220,7 +220,7 @@ def solve_integral(inst: Instance, objective: str = "any_fair", cap: Optional[in
     def visit(blocks, table) -> bool:
         # the walk visits only partitions whose every block is calibrated
         nonlocal hit
-        if not (_balances(table) and _nontrivial(table)):
+        if not (_balances(table, 0) and _nontrivial(table)):
             return False
         hit = tuple(blocks), table
         return True

@@ -3,7 +3,7 @@
 An exactly fair assignment on an instance with unequal base rates and
 imperfect prediction would be a counterexample to the impossibility result
 this package audits; so would an assignment passing the relaxed audit at
-tolerance eps while both consequence flags are false. The sweep enumerates
+band width eps while both consequence flags are false. The sweep enumerates
 every integral candidate and a seeded stream of fractional ones and reports
 the first witness of either kind, or the exploration counts when there is
 none. Identical seeds give identical reports.
@@ -36,8 +36,8 @@ from .model import (
     _assignment,
     _nonnegative,
     _require_count,
+    _require_int,
     _scaled,
-    as_fraction,
     derived_stats,
     require_valid,
 )
@@ -63,52 +63,36 @@ def _feature_count(rng: Random, max_features: int) -> int:
     return rng.randint(2, max_features)
 
 
+def _features(k: int, draw) -> list[FeatureVector]:
+    """Features x1 to xk, each (p, n1, n2) from one call of `draw`."""
+    return [FeatureVector(f"x{i + 1}", *draw()) for i in range(k)]
+
+
+def _populate(feats: list[FeatureVector], pick) -> None:
+    """Give each group without mass one person, at feature feats[pick()]."""
+    for gi in range(2):
+        if not any(f.count(gi + 1) for f in feats):
+            j = pick()
+            f = feats[j]
+            feats[j] = FeatureVector(f.id, f.p, f.n1 + 1 - gi, f.n2 + gi)
+
+
 def random_instance(rng: Random, max_features: int = 6) -> Instance:
     """Unconstrained valid instance with small rational masses."""
     k = _feature_count(rng, max_features)
-    feats = []
-    for i in range(k):
-        feats.append(
-            FeatureVector(
-                f"x{i + 1}",
-                _rand_probability(rng),
-                Fraction(rng.randint(0, 4)),
-                Fraction(rng.randint(0, 4)),
-            )
-        )
-    for gi in range(2):
-        if sum((f.n1 if gi == 0 else f.n2 for f in feats), Fraction(0)) == 0:
-            j = rng.randrange(k)
-            f = feats[j]
-            feats[j] = FeatureVector(
-                f.id,
-                f.p,
-                f.n1 + (1 if gi == 0 else 0),
-                f.n2 + (1 if gi == 1 else 0),
-            )
-    return require_valid(Instance(tuple(feats)))
+    feats = _features(k, lambda: (_rand_probability(rng), Fraction(rng.randint(0, 4)), Fraction(rng.randint(0, 4))))
+    _populate(feats, partial(rng.randrange, k))
+    return require_valid(Instance(feats))
 
 
 def random_perfect_instance(rng: Random, max_features: int = 6) -> Instance:
     """Every populated feature is certain: probability 0 or 1."""
     k = _feature_count(rng, max_features)
-    feats = []
-    for i in range(k):
-        feats.append(
-            FeatureVector(
-                f"x{i + 1}",
-                Fraction(rng.randint(0, 1)),
-                Fraction(rng.randint(0, 3)),
-                Fraction(rng.randint(0, 3)),
-            )
-        )
-    for gi in range(2):
-        if sum((f.count(gi + 1) for f in feats), Fraction(0)) == 0:
-            f = feats[0]
-            feats[0] = FeatureVector(
-                f.id, f.p, f.n1 + (1 - gi), f.n2 + gi
-            )
-    return require_valid(Instance(tuple(feats)))
+    feats = _features(
+        k, lambda: (Fraction(rng.randint(0, 1)), Fraction(rng.randint(0, 3)), Fraction(rng.randint(0, 3)))
+    )
+    _populate(feats, lambda: 0)
+    return require_valid(Instance(feats))
 
 
 def random_proportional_instance(rng: Random, max_features: int = 6) -> Instance:
@@ -116,14 +100,16 @@ def random_proportional_instance(rng: Random, max_features: int = 6) -> Instance
     coincides across groups for every assignment."""
     k = _feature_count(rng, max_features)
     scale = Fraction(rng.randint(1, 3), rng.randint(1, 3))
-    feats = []
-    for i in range(k):
+
+    def draw():
         n1 = Fraction(rng.randint(0, 4))
-        feats.append(FeatureVector(f"x{i + 1}", _rand_probability(rng), n1, n1 * scale))
+        return _rand_probability(rng), n1, n1 * scale
+
+    feats = _features(k, draw)
     if sum((f.n1 for f in feats), Fraction(0)) == 0:
         f = feats[0]
         feats[0] = FeatureVector(f.id, f.p, Fraction(1), scale)
-    return require_valid(Instance(tuple(feats)))
+    return require_valid(Instance(feats))
 
 
 def random_equal_rate_instance(rng: Random, max_features: int = 6) -> Instance:
@@ -135,16 +121,7 @@ def random_equal_rate_instance(rng: Random, max_features: int = 6) -> Instance:
     _require_count(max_features, "max_features", 3)
     while True:
         k = rng.randint(1, max_features - 2)
-        feats = []
-        for i in range(k):
-            feats.append(
-                FeatureVector(
-                    f"x{i + 1}",
-                    _rand_probability(rng),
-                    Fraction(rng.randint(0, 3)),
-                    Fraction(rng.randint(0, 3)),
-                )
-            )
+        feats = _features(k, lambda: (_rand_probability(rng), Fraction(rng.randint(0, 3)), Fraction(rng.randint(0, 3))))
         n1 = sum((f.n1 for f in feats), Fraction(0))
         if n1 == 0:
             continue
@@ -157,16 +134,10 @@ def random_equal_rate_instance(rng: Random, max_features: int = 6) -> Instance:
             feats.append(FeatureVector("bal0", Fraction(0), Fraction(0), 1 - rate))
             feats.append(FeatureVector("bal1", Fraction(1), Fraction(0), rate))
         elif mu2 > rate * n2:
-            feats.append(
-                FeatureVector("bal0", Fraction(0), Fraction(0), (mu2 - rate * n2) / rate)
-            )
+            feats.append(FeatureVector("bal0", Fraction(0), Fraction(0), (mu2 - rate * n2) / rate))
         elif mu2 < rate * n2:
-            feats.append(
-                FeatureVector(
-                    "bal1", Fraction(1), Fraction(0), (rate * n2 - mu2) / (1 - rate)
-                )
-            )
-        inst = require_valid(Instance(tuple(feats)))
+            feats.append(FeatureVector("bal1", Fraction(1), Fraction(0), (rate * n2 - mu2) / (1 - rate)))
+        inst = require_valid(Instance(feats))
         gs = derived_stats(inst)
         assert gs.base_rate[0] == gs.base_rate[1]
         return inst
@@ -224,10 +195,9 @@ def _below(bits, n: int) -> int:
     return r
 
 
-def _pooled_struct(k: int, rng: Random, max_bins=None) -> tuple[tuple[int, ...], ...]:
-    most = k + 2 if max_bins is None else max_bins
+def _pooled_struct(k: int, rng: Random) -> tuple[tuple[int, ...], ...]:
     bits = rng.getrandbits
-    nbins = 1 + _below(bits, most)
+    nbins = 1 + _below(bits, k + 2)
     out = []
     for _ in range(k):
         weights = []
@@ -242,14 +212,10 @@ def _pooled_struct(k: int, rng: Random, max_bins=None) -> tuple[tuple[int, ...],
     return tuple(out)
 
 
-def pooled_rounded_assignment(
-    inst: Instance, rng: Random, max_bins: Optional[int] = None
-) -> RiskAssignment:
+def pooled_rounded_assignment(inst: Instance, rng: Random) -> RiskAssignment:
     """Random row-stochastic allocation, scores rounded to each bin's pooled
     positive rate. Population-calibrated by construction, nothing more."""
-    if max_bins is not None:
-        _require_count(max_bins, "max_bins", 1)
-    weights = _pooled_struct(len(inst.features), rng, max_bins)
+    weights = _pooled_struct(len(inst.features), rng)
     table = _pooled(*_accumulate_bins(_scaled(inst), weights, len(weights[0])))
     return _assignment(inst, weights, map(Fraction, table.nums, table.dens))
 
@@ -399,15 +365,17 @@ def theorem_sweep(
     neither check, so it is ruled out on that bin alone; the other pooled
     candidates and every banded one are audited one by one. The split
     layouts and nudged scores are made once per sweep. With eps = 0 only
-    the exact side runs. The budget and cap are nonnegative ints. A budget
-    too small to finish the integral side is reported through
-    integral_complete, never raised.
+    the exact side runs. The budget and cap are nonnegative ints and the
+    seed is an int, so one seed names one stream. A budget too small to
+    finish the integral side is reported through integral_complete, never
+    raised.
     """
     gs = derived_stats(inst)
     e = _nonnegative(eps, "eps")
     _require_count(search_budget, "search budget")
     if integral_cap is not None:
         _require_count(integral_cap, "integral cap")
+    _require_int(seed, "seed")
     gap = gs.base_rate[0] - gs.base_rate[1]
     perfect = is_perfect_prediction(inst)
     special = gap == 0 or perfect
@@ -510,7 +478,8 @@ def approx_audit_corpus(
     free base rates; candidates that fail the audit are discarded, so every
     yielded triple is a live subject for the consequence check.
     """
-    e = as_fraction(eps)
+    e = _nonnegative(eps, "eps")
+    _require_int(seed, "seed")
     rng = Random(seed)
     while True:
         roll = rng.random()

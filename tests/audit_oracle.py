@@ -603,8 +603,8 @@ def _ratio_band_ok(x: Fraction, y: Fraction, eps: Fraction) -> bool:
 
 
 # from riskaudit/sweep.py, the candidate draws before they read rng.getrandbits
-def _pooled_struct(k: int, rng: Random, max_bins=None) -> tuple[tuple[int, ...], ...]:
-    nbins = rng.randint(1, max_bins or k + 2)
+def _pooled_struct(k: int, rng: Random) -> tuple[tuple[int, ...], ...]:
+    nbins = rng.randint(1, k + 2)
     out = []
     for _ in range(k):
         weights = [rng.randint(0, 3) for _ in range(nbins)]

@@ -620,7 +620,7 @@ _SIGNATURES = """
     parse_rational: node path
     parse_reduced: text
     passes_fairness: inst asg
-    pooled_rounded_assignment: inst rng max_bins
+    pooled_rounded_assignment: inst rng
     random_equal_rate_instance: rng max_features
     random_gapped_instance: rng min_gap max_features
     random_instance: rng max_features

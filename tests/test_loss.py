@@ -125,8 +125,9 @@ class TestInterpolate:
 
     def test_weight_range_enforced(self, rigid):
         a = identity_assignment(rigid)
-        with pytest.raises(DomainError):
-            interpolate(rigid, a, a, F(3, 2))
+        for bad in (F(3, 2), "-1/2"):
+            with pytest.raises(DomainError, match=r"^interpolation weight -?\d+/2 outside \[0, 1\]"):
+                interpolate(rigid, a, a, bad)
 
     def test_requires_calibrated_inputs(self, skewed):
         bad = RiskAssignment(

@@ -15,6 +15,7 @@ from riskaudit import (
     Record,
     RecordTable,
     RiskAssignment,
+    approx_audit_corpus,
     as_fraction,
     assignment_rows_for,
     audit_approx,
@@ -25,9 +26,12 @@ from riskaudit import (
     feature,
     identity_assignment,
     ingest_records,
+    interpolate,
     random_gapped_instance,
     require_valid,
     split_by_group,
+    sum_of_squares_identity,
+    target_lambda,
     theorem_sweep,
     validate_instance,
 )
@@ -64,6 +68,7 @@ TOLERANT = {
     "banded_split_assignment": (lambda inst, asg, x: banded_split_assignment(inst, Random(1), x), "eps"),
     "theorem_sweep": (lambda inst, asg, x: theorem_sweep(inst, 5, x, 1), "eps"),
     "random_gapped_instance": (lambda inst, asg, x: random_gapped_instance(Random(1), x), "min_gap"),
+    "approx_audit_corpus": (lambda inst, asg, x: next(approx_audit_corpus(x, 1)), "eps"),
 }
 
 
@@ -75,6 +80,23 @@ def test_a_tolerance_that_is_no_rational_is_a_domain_error(call, name, skewed):
             call(skewed, asg, bad)
     with pytest.raises(DomainError, match=f"^{name} must be nonnegative"):
         call(skewed, asg, "-1/2")
+
+
+# each other public function that reads a rational argument, and the name it gives it
+READERS = {
+    "interpolate": (lambda inst, asg, x: interpolate(inst, asg, asg, x), "interpolation weight"),
+    "target_lambda": (lambda inst, asg, x: target_lambda(x, 1, 0), "d1"),
+    "sum_of_squares_identity": (lambda inst, asg, x: sum_of_squares_identity([1, x]), r"values\[1\]"),
+    "feature": (lambda inst, asg, x: feature("x", x, 1, 1), "p"),
+}
+
+
+@pytest.mark.parametrize("call, name", READERS.values(), ids=READERS.keys())
+def test_an_argument_that_is_no_rational_is_a_domain_error(call, name, skewed):
+    asg = identity_assignment(skewed)
+    for bad in NOT_RATIONAL:
+        with pytest.raises(DomainError, match=f"^{name} must be a rational, not "):
+            call(skewed, asg, bad)
 
 
 class TestValidation:

@@ -261,9 +261,9 @@ class TestTheoremSweep:
         draws, tables = [], []
         original_draw, original_table = sweep_module._pooled_struct, sweep_module._accumulate_bins
 
-        def drawn(k, rng, max_bins=None):
+        def drawn(k, rng):
             draws.append(k)
-            return original_draw(k, rng, max_bins)
+            return original_draw(k, rng)
 
         def tabled(scaled, rows, nbins):
             tables.append(rows)
@@ -293,6 +293,20 @@ class TestTheoremSweep:
                 with pytest.raises(DomainError, match="integral cap must be an int"):
                     theorem_sweep(skewed, 5, F(0), 1, integral_cap=bad)
         assert theorem_sweep(skewed, 0, F(0), 1, integral_cap=0).integral_explored == 0
+
+    def test_seed_must_be_an_int(self, skewed):
+        # `Random(None)` reads the clock, and the report and its document
+        # carry the seed as an int; a negative int names a stream like any other
+        for bad in (None, "abc", 1.5, True, F(3)):
+            with pytest.raises(DomainError, match="^seed must be an int"):
+                theorem_sweep(skewed, 5, F(0), bad)
+            with pytest.raises(DomainError, match="^seed must be an int"):
+                next(approx_audit_corpus(F(1, 100), bad))
+        with pytest.raises(DomainError) as refused:
+            theorem_sweep(skewed, 5, F(0), "x" * 10**5)
+        assert len(str(refused.value)) < 100  # the refused value is shown cut short
+        assert theorem_sweep(skewed, 40, F(1, 100), -3) == theorem_sweep(skewed, 40, F(1, 100), -3)
+        assert next(approx_audit_corpus(F(1, 100), -3))[2].passed
 
 
 class TestCorpus:
@@ -508,22 +522,13 @@ class TestDraws:
         inst = family(random.Random(seed))
         k = len(inst.features)
         ours, theirs = random.Random(seed), random.Random(seed)
-        for max_bins in (None, 1, 3):
-            assert _pooled_struct(k, ours, max_bins) == old._pooled_struct(k, theirs, max_bins)
+        assert _pooled_struct(k, ours) == old._pooled_struct(k, theirs)
         # the split and banded draws, compared through the assignments they build
         rows, scores, _ = _Splits(inst).bins(*_split_draw(k, ours))
         assert _assignment(inst, rows, scores) == old._split_assignment(inst, old._split_structure(inst, theirs))
         banded = _banded_bins(_Splits(inst, eps), ours)
         assert _assignment(inst, *banded) == old._split_assignment(inst, old._banded_bins(inst, theirs, eps))
         assert ours.random() == theirs.random()
-
-    def test_nonpositive_max_bins_rejected(self, skewed):
-        for max_bins in (0, -1, -5):
-            with pytest.raises(DomainError, match="^max_bins must be at least 1"):
-                pooled_rounded_assignment(skewed, random.Random(1), max_bins)
-        for max_bins in (2.5, "3", True):
-            with pytest.raises(DomainError, match="^max_bins must be an int"):
-                pooled_rounded_assignment(skewed, random.Random(1), max_bins)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
