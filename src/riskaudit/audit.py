@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from math import isqrt, lcm
+from math import lcm
 from operator import add, mul
 from typing import NamedTuple, Optional
 
-from .errors import DomainError
 from .model import (
     Instance,
     RiskAssignment,
@@ -27,6 +26,7 @@ from .model import (
     _scaled,
     _Scaled,
     _set,
+    _sqrt_upper,
 )
 
 PerGroup = tuple[Fraction, Fraction]
@@ -113,27 +113,6 @@ def _exact_report(table: _Table) -> AuditReport:
 def statistical_parity_gap(inst: Instance, asg: RiskAssignment) -> Fraction:
     """Difference of per-person expected score between the groups."""
     return audit_exact(inst, asg).parity_gap
-
-
-_SQRT_SCALE = 1 << 128
-
-
-def _sqrt_upper(x: Fraction) -> tuple[Fraction, bool]:
-    """Exact square root when it is rational, else a tight rational upper bound.
-
-    The bound rounds up at granularity 2**-128. Returns (value, exact).
-    """
-    if x < 0:
-        raise DomainError("square root of a negative value")
-    a, b = x.numerator, x.denominator
-    ra, rb = isqrt(a), isqrt(b)
-    if ra * ra == a and rb * rb == b:
-        return Fraction(ra, rb), True
-    t = a * _SQRT_SCALE * _SQRT_SCALE
-    q = isqrt(t // b)
-    while q * q * b < t:
-        q += 1
-    return Fraction(q, _SQRT_SCALE), False
 
 
 def consequence_slack(eps) -> Fraction:

@@ -17,23 +17,19 @@ from fractions import Fraction
 from .errors import DocumentError, ReductionInfeasibleError, RiskAuditError
 from .model import as_fraction, ingest_records, require_valid, validate_instance
 from .serialize import (
-    approx_doc,
     assignment_to_doc,
     audit_doc,
-    difference_doc,
     divergence_doc,
     dumps_doc,
     fmt_rational,
     instance_to_doc,
-    loss_doc,
     parse_assignment,
     parse_instance,
     parse_reduced,
     records_from_csv,
     reduced_to_doc,
+    report_doc,
     solve_doc,
-    sweep_doc,
-    validation_doc,
 )
 
 def _rational(text: str) -> Fraction:
@@ -66,6 +62,21 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
     else:
         for line in text_lines:
             print(line)
+
+
+def _deliver(args, out_doc: dict, report) -> None:
+    """Deliver a command's built document: with --output, write it there and
+    emit the command's report, the (doc, lines) that `report()` builds;
+    without, text format prints the whole document instead. `report()` runs
+    after the write, so a report that fails (interpolate's difference on an
+    empty positive class) leaves the document written."""
+    if args.output:
+        _write(args.output, dumps_doc(out_doc))
+    doc, lines = report()
+    if args.output or args.format == "json":
+        _emit(args, doc, lines)
+    else:
+        sys.stdout.write(dumps_doc(out_doc))
 
 
 def _audit_lines(doc: dict) -> list[str]:
@@ -106,7 +117,7 @@ def cmd_audit(args) -> int:
     verdict = report.fair
     if args.eps is not None:
         approx = audit_approx(inst, asg, args.eps)
-        doc["approx"] = approx_doc(approx)
+        doc["approx"] = audit_doc(approx)
         a = doc["approx"]
         lines += [
             f"approx.epsilon: {a['epsilon']}",
@@ -129,7 +140,7 @@ def cmd_loss(args) -> int:
     inst = require_valid(parse_instance(_read(args.instance)))
     asg = parse_assignment(_read(args.assignment))
     report = loss(inst, asg)
-    doc = loss_doc(report)
+    doc = report_doc(report)
     _emit(
         args,
         doc,
@@ -150,19 +161,17 @@ def cmd_interpolate(args) -> int:
     second = parse_assignment(_read(args.second))
     result = interpolate(inst, first, second, args.weight)
     out_doc = assignment_to_doc(result)
-    if args.output:
-        _write(args.output, dumps_doc(out_doc))
-    d = difference_doc(fairness_difference(inst, result))
-    doc = {"difference": d, "assignment": out_doc}
-    lines = [
-        f"weight: {fmt_rational(as_fraction(args.weight))}",
-        f"bins: {result.bin_count}",
-        f"difference: {d['difference']}",
-    ]
-    if not args.output and args.format == "text":
-        sys.stdout.write(dumps_doc(out_doc))
-        return 0
-    _emit(args, doc, lines)
+
+    def report():
+        d = report_doc(fairness_difference(inst, result))
+        lines = [
+            f"weight: {fmt_rational(as_fraction(args.weight))}",
+            f"bins: {result.bin_count}",
+            f"difference: {d['difference']}",
+        ]
+        return {"difference": d, "assignment": out_doc}, lines
+
+    _deliver(args, out_doc, report)
     return 0
 
 
@@ -176,14 +185,9 @@ def cmd_find_fair(args) -> int:
         _emit(args, {"found": False}, ["found: false"])
         return 1
     out_doc = assignment_to_doc(result)
-    if args.output:
-        _write(args.output, dumps_doc(out_doc))
-        _emit(args, {"found": True, "assignment": out_doc}, ["found: true"])
-    elif args.format == "json":
-        _emit(args, {"found": True, "assignment": out_doc}, [])
-    else:
+    if not args.output and args.format == "text":
         print("found: true")
-        sys.stdout.write(dumps_doc(out_doc))
+    _deliver(args, out_doc, lambda: ({"found": True, "assignment": out_doc}, ["found: true"]))
     return 0
 
 
@@ -225,18 +229,13 @@ def cmd_reduce(args) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1
     doc = reduced_to_doc(ri)
-    if args.output:
-        _write(args.output, dumps_doc(doc))
     lines = [
         f"pairs: {ri.m}",
         f"dropped: {len(ri.dropped_indices)}",
         f"required_pos_avg: {fmt_rational(ri.required_pos_avg)}",
         "rates: " + ", ".join(doc["rates"]),
     ]
-    if not args.output and args.format == "text":
-        sys.stdout.write(dumps_doc(doc))
-        return 0
-    _emit(args, doc, lines)
+    _deliver(args, doc, lambda: (doc, lines))
     return 0
 
 
@@ -299,7 +298,7 @@ def cmd_theorem_sweep(args) -> int:
     report = theorem_sweep(
         inst, args.budget, args.eps, args.seed, integral_cap=args.cap
     )
-    doc = sweep_doc(report)
+    doc = report_doc(report)
     lines = [
         f"seed: {doc['seed']}",
         f"epsilon: {doc['epsilon']}",
@@ -320,7 +319,7 @@ def cmd_theorem_sweep(args) -> int:
 def cmd_validate(args) -> int:
     inst = parse_instance(_read(args.instance))
     report = validate_instance(inst)
-    doc = validation_doc(report)
+    doc = report_doc(report)
     lines = [f"ok: {_bool(report.ok)}"] + [f"  {v}" for v in report.violations]
     _emit(args, doc, lines)
     return 0 if report.ok else 1

@@ -27,8 +27,8 @@ from .model import (
     RiskAssignment,
     _assignment,
     _read_rational,
+    _row_order,
     _scaled,
-    assignment_rows_for,
     derived_stats,
     require_valid,
 )
@@ -123,26 +123,19 @@ def normalize_assignment(inst: Instance, asg: RiskAssignment) -> RiskAssignment:
     dropped bins is moved to the first kept bin so rows still sum to 1.
     """
     table = _bin_table(inst, asg)
-    rows_in = assignment_rows_for(inst, asg)
     masses = [m1 + m2 for m1, m2 in zip(*table.mass)]
-    kept = [b for b in range(asg.bin_count) if masses[b] > 0]
-    if not kept:
+    scores = sorted({v for v, m in zip(asg.scores, masses) if m > 0})
+    if not scores:
         raise DomainError("assignment carries no people")
-    scores = sorted({asg.scores[b] for b in kept})
-    groups = {v: [b for b in kept if asg.scores[b] == v] for v in scores}
-    dropped = [b for b in range(asg.bin_count) if masses[b] == 0]
-
-    rows_out = []
-    for row in rows_in:
-        new_row = [sum((row[b] for b in groups[v]), Fraction(0)) for v in scores]
-        spill = sum((row[b] for b in dropped), Fraction(0))
-        new_row[0] += spill
-        rows_out.append(tuple(new_row))
-    return RiskAssignment(
-        feature_ids=tuple(f.id for f in inst.features),
-        scores=tuple(scores),
-        rows=tuple(rows_out),
-    )
+    # each bin's column in the result: its score's, or 0 for a dropped bin
+    column = [scores.index(v) if m > 0 else 0 for v, m in zip(asg.scores, masses)]
+    rows = []
+    for i in _row_order(inst, asg):
+        row = [0] * len(scores)
+        for b, x in enumerate(asg._int_rows[i]):
+            row[column[b]] += x
+        rows.append(row)
+    return _assignment(inst, rows, scores)
 
 
 def interpolate(inst: Instance, asg1: RiskAssignment, asg2: RiskAssignment, lam) -> RiskAssignment:
@@ -163,12 +156,14 @@ def interpolate(inst: Instance, asg1: RiskAssignment, asg2: RiskAssignment, lam)
 
 
 def _mix(inst: Instance, asg1: RiskAssignment, asg2: RiskAssignment, w: Fraction) -> RiskAssignment:
-    pairs = zip(assignment_rows_for(inst, asg1), assignment_rows_for(inst, asg2))
-    return RiskAssignment(
-        feature_ids=inst.ids,
-        scores=asg1.scores + asg2.scores,
-        rows=tuple(tuple(w * x for x in r1) + tuple((1 - w) * x for x in r2) for r1, r2 in pairs),
-    )
+    # at w = a/b, a row is a * s2 * r1 then (b - a) * s1 * r2, over b * s1 * s2
+    a, b = w.numerator, w.denominator
+    rows = []
+    for i, j in zip(_row_order(inst, asg1), _row_order(inst, asg2)):
+        r1, r2 = asg1._int_rows[i], asg2._int_rows[j]
+        s1, s2 = sum(r1), sum(r2)
+        rows.append([a * s2 * x for x in r1] + [(b - a) * s1 * y for y in r2])
+    return _assignment(inst, rows, asg1.scores + asg2.scores)
 
 
 def target_lambda(d1, d2, d3) -> Fraction:

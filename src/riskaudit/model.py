@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, NamedTuple, Union
 
 from .errors import DomainError, InvalidAssignmentError, InvalidInstanceError
@@ -108,6 +108,27 @@ def _parse_literal(text: str) -> Fraction:
         if "/" not in text or denominator.strip("0"):  # a zero denominator is no literal
             return Fraction(text)
     raise ValueError(f"not a rational literal: {text if len(text) <= 40 else text[:40] + '...'!r}")
+
+
+_SQRT_SCALE = 1 << 128
+
+
+def _sqrt_upper(x: Fraction) -> tuple[Fraction, bool]:
+    """Exact square root when it is rational, else a tight rational upper bound.
+
+    The bound rounds up at granularity 2**-128. Returns (value, exact).
+    """
+    if x < 0:
+        raise DomainError("square root of a negative value")
+    a, b = x.numerator, x.denominator
+    ra, rb = isqrt(a), isqrt(b)
+    if ra * ra == a and rb * rb == b:
+        return Fraction(ra, rb), True
+    t = a * _SQRT_SCALE * _SQRT_SCALE
+    q = isqrt(t // b)
+    while q * q * b < t:
+        q += 1
+    return Fraction(q, _SQRT_SCALE), False
 
 
 # sets an attribute of a `_Frozen` value, which refuses `setattr`

@@ -36,10 +36,9 @@ from itertools import combinations
 from math import gcd, isqrt, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .audit import _SQRT_SCALE, _sqrt_upper
 from .errors import DomainError, ReductionInfeasibleError
-from .model import _Frozen, _read_rational, _set
-from .partitions import DEFAULT_MAX_ITEMS, Partition, enumerate_partitions
+from .model import _SQRT_SCALE, _Frozen, _read_rational, _set, _sqrt_upper
+from .partitions import DEFAULT_MAX_ITEMS, Partition, _blocks, _growth_strings
 
 
 class SubsetSumInstance(_Frozen):
@@ -246,11 +245,10 @@ def _base_rates_are_half(ri: ReducedInstance) -> bool:
 def _require_pair_cover(ri: ReducedInstance, part: Partition) -> None:
     if not isinstance(part, Partition):
         raise DomainError(f"expected a Partition, not {part!r:.60}")
-    expect = frozenset(range(1, 2 * ri.m + 1))
-    if part.members() != expect:
-        raise DomainError(
-            f"partition must cover the group-2 indices 1..{2 * ri.m} exactly"
-        )
+    n = 2 * ri.m
+    # a repeated index or an empty block leaves the member set whole
+    if sum(map(len, part.blocks)) != n or not all(part.blocks) or part.members() != frozenset(range(1, n + 1)):
+        raise DomainError(f"partition must split the group-2 indices 1..{n} into nonempty blocks")
 
 
 def is_normal_form(ri: ReducedInstance, part: Partition) -> bool:
@@ -471,8 +469,9 @@ def search_groupings(ri: ReducedInstance) -> Optional[Partition]:
     """First grouping of the 2m pair features, in canonical order
     (`enumerate_partitions`), on which the reduction equation holds, or None.
     More than DEFAULT_MAX_ITEMS // 2 = 6 kept weights are refused, before any
-    grouping is enumerated: `enumerate_partitions` takes at most
-    DEFAULT_MAX_ITEMS items.
+    grouping is walked: `enumerate_partitions` takes at most DEFAULT_MAX_ITEMS
+    items. Each grouping is checked as its blocks; only the hit becomes a
+    `Partition`.
 
     This decides whether the exact reduced instance has any fair non-trivial
     integral assignment of its 2m + 2 features. Take a partition into
@@ -497,10 +496,11 @@ def search_groupings(ri: ReducedInstance) -> Optional[Partition]:
     """
     if 2 * ri.m > DEFAULT_MAX_ITEMS:
         raise DomainError(f"{ri.m} weights: at most {DEFAULT_MAX_ITEMS // 2} are searched by grouping")
-    for part in enumerate_partitions(2 * ri.m):
-        grouping = Partition(tuple(tuple(j + 1 for j in block) for block in part.blocks))
-        if check_reduction_equation(ri, grouping):
-            return grouping
+    items = range(1, 2 * ri.m + 1)
+    for labels in _growth_strings(2 * ri.m):
+        blocks = _blocks(labels, items)
+        if ri._basis.holds(blocks):
+            return Partition(tuple(map(tuple, blocks)))
     return None
 
 

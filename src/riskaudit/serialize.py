@@ -4,7 +4,9 @@ Rationals travel as "a/b" strings (integers as plain digit strings) and are
 parsed back exactly; decimal literals in documents are converted at their
 decimal value, so "0.1" means 1/10. Floats appear only in reduction output,
 rendered with 17 significant digits next to the exact fields that define
-them.
+them. A report record becomes its document by one rule, `report_doc`: its
+fields in order, under their own names; only the audit, search and
+divergence reports lay theirs out on top of it.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import io
 import json
 import warnings
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any
 
 from .errors import DocumentError, InvalidAssignmentError
 from .model import (
@@ -23,18 +25,15 @@ from .model import (
     Record,
     RecordTable,
     RiskAssignment,
-    ValidationReport,
     _LiteralTooLong,
     _MAX_DIGITS,
     as_fraction,
 )
 
 if TYPE_CHECKING:
-    from .audit import ApproxAuditReport, AuditReport, ConsequenceFlags
-    from .loss import FairnessDifference, LossReport
+    from .audit import ApproxAuditReport, AuditReport
     from .reduction import ReducedInstance
     from .solver import SolveResult
-    from .sweep import SweepReport
 
 SCHEMA_VERSION = "1"
 
@@ -69,10 +68,6 @@ def dumps_doc(doc: dict) -> str:
 
 def fmt_rational(x: Fraction) -> str:
     return str(x)
-
-
-def _opt(x: Optional[Fraction]) -> Optional[str]:
-    return None if x is None else fmt_rational(x)
 
 
 def parse_rational(node: Any, path: str) -> Fraction:
@@ -308,107 +303,50 @@ def records_from_csv(text: str) -> RecordTable:
 
 # -- report documents ---------------------------------------------------------
 
-def validation_doc(report: ValidationReport) -> dict:
-    return {"ok": report.ok, "violations": list(report.violations)}
+def report_doc(value: Any) -> Any:
+    """A report record as its document, by one rule: a record (a NamedTuple)
+    becomes an object of its fields in order, a Fraction its `fmt_rational`
+    string, any other tuple a list, an assignment its `assignment_to_doc`;
+    None, bools, ints and strings stay as they are. A field added to a record
+    reaches its document with no edit here."""
+    if isinstance(value, Fraction):
+        return fmt_rational(value)
+    if isinstance(value, RiskAssignment):
+        return assignment_to_doc(value)
+    if isinstance(value, tuple):
+        if hasattr(value, "_fields"):
+            return {name: report_doc(x) for name, x in zip(value._fields, value)}
+        return [report_doc(x) for x in value]
+    return value
 
 
-def audit_doc(report: AuditReport) -> dict:
-    return {
-        "calibration_ok": report.calibration_ok,
-        "calibration_residuals": [
-            [fmt_rational(r) for r in per_group]
-            for per_group in report.calibration_residuals
-        ],
-        "expected_score_total": [fmt_rational(x) for x in report.expected_score_total],
-        "pos_class_avg": [_opt(x) for x in report.pos_class_avg],
-        "neg_class_avg": [_opt(x) for x in report.neg_class_avg],
-        "balance_pos": {"ok": report.balance_pos_ok, "vacuous": report.balance_pos_vacuous},
-        "balance_neg": {"ok": report.balance_neg_ok, "vacuous": report.balance_neg_vacuous},
-        "parity_gap": fmt_rational(report.parity_gap),
-        "fair": report.fair,
-    }
-
-
-def consequence_doc(flags: ConsequenceFlags) -> dict:
-    return {
-        "slack": fmt_rational(flags.slack),
-        "near_perfect_prediction": flags.near_perfect_prediction,
-        "near_equal_base_rates": flags.near_equal_base_rates,
-    }
-
-
-def approx_doc(report: ApproxAuditReport) -> dict:
-    return {
-        "epsilon": fmt_rational(report.epsilon),
-        "calibration_ok": report.calibration_ok,
-        "balance_pos": {"ok": report.balance_pos_ok, "vacuous": report.balance_pos_vacuous},
-        "balance_neg": {"ok": report.balance_neg_ok, "vacuous": report.balance_neg_vacuous},
-        "passed": report.passed,
-        "consequence": consequence_doc(report.consequence),
-    }
-
-
-def loss_doc(report: LossReport) -> dict:
-    return {
-        "per_group": [fmt_rational(x) for x in report.per_group],
-        "total": fmt_rational(report.total),
-    }
-
-
-def difference_doc(diff: FairnessDifference) -> dict:
-    return {
-        "difference": fmt_rational(diff.difference),
-        "favors_group1": diff.favors_group1,
-        "favors_group2": diff.favors_group2,
-    }
+def audit_doc(report: AuditReport | ApproxAuditReport) -> dict:
+    """An exact or relaxed audit report's document: `report_doc`, with each
+    balance condition's ok/vacuous pair nested as {"ok", "vacuous"} in its
+    place."""
+    doc: dict = {}
+    for key, value in report_doc(report).items():
+        if key.startswith("balance_"):
+            condition, _, flag = key.rpartition("_")
+            doc.setdefault(condition, {})[flag] = value
+        else:
+            doc[key] = value
+    return doc
 
 
 def divergence_doc(report: DivergenceReport) -> dict:
-    return {
-        "entries": [
-            {
-                "feature_id": e.feature_id,
-                "group": e.group,
-                "group_rate": fmt_rational(e.group_rate),
-                "deviation": fmt_rational(e.deviation),
-            }
-            for e in report.entries
-        ],
-        "max_deviation": fmt_rational(report.max_deviation),
-    }
+    return {**report_doc(report), "max_deviation": fmt_rational(report.max_deviation)}
 
 
 def solve_doc(result: SolveResult) -> dict:
+    """A search result's document: its own key order, the partition as lists
+    of feature ids, and the loss report under "loss"."""
+    part = result.partition
     return {
         "status": result.status,
         "explored": result.explored,
         "pruned": result.pruned,
-        "partition": None
-        if result.partition is None
-        else [list(block) for block in result.partition.blocks],
-        "assignment": None
-        if result.assignment is None
-        else assignment_to_doc(result.assignment),
-        "loss": None if result.loss_report is None else loss_doc(result.loss_report),
-    }
-
-
-def sweep_doc(report: SweepReport) -> dict:
-    def witness(asg: Optional[RiskAssignment]):
-        return None if asg is None else assignment_to_doc(asg)
-
-    return {
-        "seed": report.seed,
-        "epsilon": fmt_rational(report.epsilon),
-        "budget": report.budget,
-        "base_rate_gap": fmt_rational(report.base_rate_gap),
-        "perfect_prediction": report.perfect_prediction,
-        "integral_explored": report.integral_explored,
-        "integral_complete": report.integral_complete,
-        "fractional_explored": report.fractional_explored,
-        "exact_fair_count": report.exact_fair_count,
-        "first_exact_fair": witness(report.first_exact_fair),
-        "exact_counterexample": witness(report.exact_counterexample),
-        "approx_pass_count": report.approx_pass_count,
-        "approx_counterexample": witness(report.approx_counterexample),
+        "partition": None if part is None else report_doc(part.blocks),
+        "assignment": report_doc(result.assignment),
+        "loss": report_doc(result.loss_report),
     }

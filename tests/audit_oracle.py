@@ -60,7 +60,6 @@ from riskaudit.audit import (
     ConsequenceFlags,
     _approx_report,
     _fair,
-    _sqrt_upper,
 )
 from riskaudit.errors import DegenerateGroupError, DomainError, InvalidAssignmentError
 from riskaudit.loss import FairnessDifference, LossReport, _loss_report, _nontrivial
@@ -74,6 +73,7 @@ from riskaudit.model import (
     _rational,
     _scaled,
     _Scaled,
+    _sqrt_upper,
     as_fraction,
     assignment_rows_for,
     require_valid,

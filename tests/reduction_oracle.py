@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from riskaudit.audit import _sqrt_upper
+from riskaudit.model import _sqrt_upper
 from riskaudit.partitions import Partition
 from riskaudit.reduction import ReducedInstance, Surd, _require_pair_cover, is_normal_form
 

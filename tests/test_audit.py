@@ -204,7 +204,7 @@ class TestClassifyConsequence:
         # x. consequence_slack rounds sqrt(eps) up at 2**-128, so both flags
         # are false at x = consequence_slack(eps) and true where sqrt(eps) is
         # rounded down instead
-        from riskaudit.audit import _sqrt_upper
+        from riskaudit.model import _sqrt_upper
 
         root, exact = _sqrt_upper(eps)
         below = root - F(1, 2**128)

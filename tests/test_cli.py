@@ -5,10 +5,12 @@ observable without spawning an interpreter.
 """
 import argparse
 import contextlib
+import hashlib
 import inspect
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -22,13 +24,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskaudit import (
+    Instance,
+    RiskAssignment,
     RiskAuditError,
     SubsetSumInstance,
     assignment_to_doc,
+    calibrated_split_assignment,
     dumps_doc,
+    feature,
     identity_assignment,
     instance_to_doc,
     interpolate,
+    pooled_rounded_assignment,
+    random_equal_rate_instance,
+    random_gapped_instance,
+    random_instance,
+    random_perfect_instance,
+    random_proportional_instance,
     reduce_subset_sum,
     reduced_to_doc,
     trivial_assignment,
@@ -479,8 +491,9 @@ _UNNEEDED = {"dataclasses", "inspect"}
         pytest.param(["interpolate", "-i", "{balanced}", "-a", "{balanced_id}", "-b", "{balanced_tr}", "-w", "1/2"],
                      0, _SEARCHES, id="interpolate"),
         pytest.param(["find-fair", "-i", "{balanced}", "-c", "{balanced_id}"], 0, _SEARCHES, id="find-fair"),
-        pytest.param(["reduce", "--weights", "1,2", "--target", "3"], 0, {"solver", "sweep", "loss"}, id="reduce"),
-        pytest.param(["verify-reduction", "-r", "{reduction}"], 0, {"solver", "sweep", "loss"},
+        pytest.param(["reduce", "--weights", "1,2", "--target", "3"], 0, {"solver", "sweep", "audit", "loss"},
+                     id="reduce"),
+        pytest.param(["verify-reduction", "-r", "{reduction}"], 0, {"solver", "sweep", "audit", "loss"},
                      id="verify-reduction"),
         pytest.param(["solve-integral", "-i", "{balanced}"], 0, {"sweep", "reduction"}, id="solve-integral"),
         pytest.param(["theorem-sweep", "-i", "{balanced}", "--seed", "0", "--budget", "10"], 0, {"reduction"},
@@ -791,3 +804,80 @@ def test_cli_fuzz_keeps_the_exit_contract(data):
             code = run_cli(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+
+
+# -- the bytes every command writes --------------------------------------------
+
+def _pinned_commands(ws: Path):
+    """A fixed set of commands, each in both formats, on seeded documents
+    written into `ws`: five instance families, each with its identity, a
+    calibrated-split and a pooled assignment, plus an instance that
+    `find-fair` mixes a fair assignment for, one whose mixes have no
+    fairness difference, a records CSV and a reduction."""
+
+    def put(name: str, text: str) -> str:
+        (ws / name).write_text(text)
+        return str(ws / name)
+
+    families = (random_instance, random_gapped_instance, random_proportional_instance,
+                random_equal_rate_instance, random_perfect_instance)
+    commands = []
+    for seed, family in enumerate(families):
+        rng = random.Random(seed)
+        inst = family(rng)
+        i = put(f"i{seed}.json", dumps_doc(instance_to_doc(inst)))
+        asgs = (identity_assignment(inst), calibrated_split_assignment(inst, rng),
+                pooled_rounded_assignment(inst, rng))
+        ident, split, pooled = (put(f"a{seed}{n}.json", dumps_doc(assignment_to_doc(a))) for n, a in enumerate(asgs))
+        commands.append(["validate", "-i", i])
+        for a in (ident, split, pooled):
+            commands += [["audit", "-i", i, "-a", a], ["audit", "-i", i, "-a", a, "--eps", "1/10"]]
+            commands.append(["loss", "-i", i, "-a", a])
+        mix = ["interpolate", "-i", i, "-a", ident, "-b", split, "-w", "1/3"]
+        commands += [mix, mix + ["-o", str(ws / f"mix{seed}.json")]]
+        commands.append(["find-fair", "-i", i, "-c", split, "-c", ident])
+        for options in (["--objective", "any-fair"], ["--objective", "min-loss"], ["--cap", "3"]):
+            commands.append(["solve-integral", "-i", i, *options])
+        for eps in ("0", "1/10"):
+            commands.append(["theorem-sweep", "-i", i, "--eps", eps, "--budget", "200", "--seed", str(seed)])
+    # identity favors group 1; pooling group 1's two features favors group 2
+    inst = Instance((feature("a", 0, 1, 0), feature("c", 1, 1, 0), feature("d", 0, 0, 1), feature("e", 1, 0, 1),
+                     feature("b", F(1, 2), 0, 2)))
+    rows = [(1, 0, 0, 0)] * 2 + [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    pooled = RiskAssignment(inst.ids, (F(1, 2), 0, 1, F(1, 2)), rows)
+    i = put("mixable.json", dumps_doc(instance_to_doc(inst)))
+    find = ["find-fair", "-i", i, "-c", put("ident.json", dumps_doc(assignment_to_doc(identity_assignment(inst)))),
+            "-c", put("pooled.json", dumps_doc(assignment_to_doc(pooled)))]
+    commands += [find, find + ["-o", str(ws / "found.json")]]
+    # group 1's positive class is empty, so the mix has no fairness difference
+    inst = Instance((feature("a", 0, 1, 0), feature("b", F(1, 2), 0, 1)))
+    i = put("empty.json", dumps_doc(instance_to_doc(inst)))
+    a = put("empty_id.json", dumps_doc(assignment_to_doc(identity_assignment(inst))))
+    commands.append(["interpolate", "-i", i, "-a", a, "-b", a, "-w", "1/2", "-o", str(ws / "empty_mix.json")])
+    records = put("records.csv", "feature_id,group,outcome\na,1,1\na,2,0\nb,1,0\nb,2,1\nb,2,1\nc,1,1\n")
+    commands.append(["ingest", "-i", records, "-o", str(ws / "ingested.json")])
+    reduce = ["reduce", "--weights", "2,3,9,5", "--target", "7"]
+    commands += [reduce, reduce + ["-o", str(ws / "reduction.json")]]
+    commands.append(["verify-reduction", "-r", str(ws / "reduction.json"), "--subset", "1,4"])
+    return [argv + ["--format", fmt] for argv in commands for fmt in ("text", "json")]
+
+
+def _cli_digest(ws: Path) -> str:
+    """sha256 over each pinned command's argv, exit code, stdout and stderr,
+    with the workspace read as "<ws>", and the bytes of every file it writes."""
+    digest = hashlib.sha256()
+    for argv in _pinned_commands(ws):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(argv)
+        seen = [argv, code, out.getvalue(), err.getvalue()]
+        digest.update(repr(seen).replace(str(ws), "<ws>").encode())
+        for path in (argv[k + 1] for k, word in enumerate(argv) if word == "-o"):
+            digest.update(Path(path).read_bytes())
+    return digest.hexdigest()
+
+
+def test_every_command_writes_the_pinned_bytes(tmp_path):
+    # a change to what any command prints or writes changes this digest,
+    # and is called out in CHANGES.md with its reason when the digest is updated
+    assert _cli_digest(tmp_path) == "577699c9d8117f8d1e359910628a225e7f8b681f55a124cb73fd900616d61475"

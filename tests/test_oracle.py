@@ -50,8 +50,8 @@ from riskaudit import (
     theorem_sweep,
     validate_instance,
 )
-from riskaudit.audit import _calibrated_within, _sqrt_upper, _Table, _within_slack
-from riskaudit.model import _scaled
+from riskaudit.audit import _calibrated_within, _Table, _within_slack
+from riskaudit.model import _scaled, _sqrt_upper
 from riskaudit.partitions import Partition, enumerate_partitions
 from riskaudit.solver import _integral_search, assignment_from_partition
 

@@ -186,6 +186,14 @@ class TestEquation:
                 embedded_pair, Partition.from_blocks([[1, 2]])
             )
 
+    @pytest.mark.parametrize("blocks", [((1, 2), (3, 4), (3,)), ((1, 2), (3, 4), ())], ids=["repeat", "empty"])
+    def test_a_grouping_repeats_no_index_and_has_no_empty_block(self, embedded_pair, blocks):
+        # both hold every index, so a member-set test alone lets them pass
+        # as the grouping ((1, 2), (3, 4)), which solves the instance
+        for check in (check_reduction_equation, is_normal_form, decode_partition):
+            with pytest.raises(DomainError, match="nonempty blocks"):
+                check(embedded_pair, Partition(blocks))
+
 
 class TestSurdOracles:
     @pytest.mark.parametrize("weights,target", ORACLE_INSTANCES)
