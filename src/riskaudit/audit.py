@@ -84,28 +84,34 @@ def audit_exact(inst: Instance, asg: RiskAssignment) -> AuditReport:
     return _exact_report(_bin_table(inst, asg))
 
 
+_ZERO = Fraction(0)
+
+
 def _exact_report(table: _Table) -> AuditReport:
     s = table.scale
+    # most residuals of a calibrated bin are zero, and they share one Fraction
     residuals = tuple(
-        tuple(Fraction(g * d - n * m, d * s) for n, d, m, g in zip(table.nums, table.dens, mass, positive))
+        tuple(Fraction(r, d * s) if (r := g * d - n * m) else _ZERO
+              for n, d, m, g in zip(table.nums, table.dens, mass, positive))
         for mass, positive in zip(table.mass, table.positive)
     )
     c, pos, neg = _classes(table)
-    calibration_ok = _calibrated_within(table, 0)
+    calibration_ok = not any(map(any, residuals))  # the band at eps 0: every residual is zero
     pos_ok, neg_ok = _balanced_within(pos, 0), _balanced_within(neg, 0)
-    total = [a + b for (a, _), (b, _) in zip(pos, neg)]
-    population = [mu + nu for (_, mu), (_, nu) in zip(pos, neg)]
+    (t0, t1), (n0, n1) = ([a + b for (a, _), (b, _) in zip(pos, neg)],
+                          [mu + nu for (_, mu), (_, nu) in zip(pos, neg)])
     return AuditReport(
         calibration_ok=calibration_ok,
         calibration_residuals=residuals,  # type: ignore[arg-type]
-        expected_score_total=(Fraction(total[0], c * s), Fraction(total[1], c * s)),
+        expected_score_total=(Fraction(t0, c * s), Fraction(t1, c * s)),
         pos_class_avg=_averages(pos, c),
         neg_class_avg=_averages(neg, c),
         balance_pos_ok=pos_ok,
         balance_pos_vacuous=_vacuous(pos),
         balance_neg_ok=neg_ok,
         balance_neg_vacuous=_vacuous(neg),
-        parity_gap=Fraction(total[0], c * population[0]) - Fraction(total[1], c * population[1]),
+        # t0 / (c * n0) - t1 / (c * n1), as one Fraction
+        parity_gap=Fraction(t0 * n1 - t1 * n0, c * n0 * n1),
         fair=calibration_ok and pos_ok and neg_ok,
     )
 
@@ -233,21 +239,27 @@ def _approx_report(scaled: _Scaled, e: Fraction, slack: Fraction, table: _Table)
 # table as numerator and denominator lists.
 
 
-class _Table(NamedTuple):
+class _Table:
     """Group-major mass and expected positives per bin, integers over
     `scale`, and the bin scores nums[b] / dens[b].
 
     Every audit, loss and search verdict reads this one value; the people
     mass of bin b is mass[0][b] + mass[1][b]. Because rows sum to one, a
     group's entries sum to its population (mass) or positive mass
-    (positive), over the same scale.
+    (positive), over the same scale. The columns never change after
+    construction; `sums` keeps the class sums once a verdict reads them
+    (see `_classes`). Tables with equal columns are equal.
     """
 
-    mass: tuple[list[int], list[int]]
-    positive: tuple[list[int], list[int]]
-    scale: int
-    nums: list[int]
-    dens: list[int]
+    __slots__ = ("mass", "positive", "scale", "nums", "dens", "sums")
+
+    def __init__(self, mass: tuple[list[int], list[int]], positive: tuple[list[int], list[int]],
+                 scale: int, nums: list[int], dens: list[int]):
+        self.mass, self.positive, self.scale, self.nums, self.dens = mass, positive, scale, nums, dens
+        self.sums = None
+
+    def __eq__(self, other):
+        return isinstance(other, _Table) and all(getattr(self, k) == getattr(other, k) for k in self.__slots__[:5])
 
 
 def _accumulate_bins(scaled: _Scaled, rows, nbins: int):
@@ -325,7 +337,14 @@ def _pooled(mass, positive, scale: int) -> _Table:
 def _classes(table: _Table):
     """Common score denominator c and, for the positive and the negative
     class, each group's (score received, class mass). A class average is
-    score / (c * mass); both are integers over the table's scale."""
+    score / (c * mass); both are integers over the table's scale. A table
+    computes them on its first read and keeps them."""
+    if table.sums is None:
+        table.sums = _class_sums(table)
+    return table.sums
+
+
+def _class_sums(table: _Table):
     c = lcm(*table.dens)
     scores = [n * (c // d) for n, d in zip(table.nums, table.dens)]
     (m0, m1), (g0, g1) = table.mass, table.positive

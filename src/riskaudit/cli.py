@@ -64,15 +64,13 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _deliver(args, out_doc: dict, report) -> None:
+def _deliver(args, out_doc: dict, doc: dict, lines: list[str]) -> None:
     """Deliver a command's built document: with --output, write it there and
-    emit the command's report, the (doc, lines) that `report()` builds;
-    without, text format prints the whole document instead. `report()` runs
-    after the write, so a report that fails (interpolate's difference on an
-    empty positive class) leaves the document written."""
+    emit the command's report, `doc` and its text `lines`; without, text
+    format prints the whole document instead. The report is built before
+    the write, so a command that fails writes no file."""
     if args.output:
         _write(args.output, dumps_doc(out_doc))
-    doc, lines = report()
     if args.output or args.format == "json":
         _emit(args, doc, lines)
     else:
@@ -95,13 +93,13 @@ def _audit_lines(doc: dict) -> list[str]:
 def cmd_ingest(args) -> int:
     table = records_from_csv(_read(args.input))
     inst, div = ingest_records(table)
-    _write(args.output, dumps_doc(instance_to_doc(inst)))
-    doc = divergence_doc(div)
+    out_doc, doc = instance_to_doc(inst), divergence_doc(div)
     lines = [f"features: {len(inst.features)}", f"max_deviation: {doc['max_deviation']}"]
     for e in doc["entries"]:
         lines.append(
             f"  {e['feature_id']} group {e['group']}: rate {e['group_rate']} deviation {e['deviation']}"
         )
+    _write(args.output, dumps_doc(out_doc))
     _emit(args, doc, lines)
     return 0
 
@@ -161,17 +159,13 @@ def cmd_interpolate(args) -> int:
     second = parse_assignment(_read(args.second))
     result = interpolate(inst, first, second, args.weight)
     out_doc = assignment_to_doc(result)
-
-    def report():
-        d = report_doc(fairness_difference(inst, result))
-        lines = [
-            f"weight: {fmt_rational(as_fraction(args.weight))}",
-            f"bins: {result.bin_count}",
-            f"difference: {d['difference']}",
-        ]
-        return {"difference": d, "assignment": out_doc}, lines
-
-    _deliver(args, out_doc, report)
+    d = report_doc(fairness_difference(inst, result))
+    lines = [
+        f"weight: {fmt_rational(as_fraction(args.weight))}",
+        f"bins: {result.bin_count}",
+        f"difference: {d['difference']}",
+    ]
+    _deliver(args, out_doc, {"difference": d, "assignment": out_doc}, lines)
     return 0
 
 
@@ -187,7 +181,7 @@ def cmd_find_fair(args) -> int:
     out_doc = assignment_to_doc(result)
     if not args.output and args.format == "text":
         print("found: true")
-    _deliver(args, out_doc, lambda: ({"found": True, "assignment": out_doc}, ["found: true"]))
+    _deliver(args, out_doc, {"found": True, "assignment": out_doc}, ["found: true"])
     return 0
 
 
@@ -235,7 +229,7 @@ def cmd_reduce(args) -> int:
         f"required_pos_avg: {fmt_rational(ri.required_pos_avg)}",
         "rates: " + ", ".join(doc["rates"]),
     ]
-    _deliver(args, doc, lambda: (doc, lines))
+    _deliver(args, doc, doc, lines)
     return 0
 
 

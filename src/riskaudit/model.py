@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import DomainError, InvalidAssignmentError, InvalidInstanceError
 
@@ -27,6 +27,8 @@ def as_fraction(value: RationalLike) -> Fraction:
     and strings in either "a/b" or decimal form ("0.25" becomes 1/4 exactly).
     A string is read by `_parse_literal`, which bounds its size.
     """
+    if type(value) is Fraction:  # immutable, so it is its own exact value
+        return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational value")
     if isinstance(value, (Fraction, int)):
@@ -43,6 +45,17 @@ def _rational(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
+def _integer_parts(value) -> Optional[tuple[int, int]]:
+    """(numerator, denominator) of a value that is `_rational`, else None.
+    The exact types are read without their properties."""
+    kind = type(value)
+    if kind is Fraction:
+        return value._numerator, value._denominator
+    if kind is int:
+        return value, 1
+    return (value.numerator, value.denominator) if _rational(value) else None
+
+
 def _read_rational(value: RationalLike, name: str) -> Fraction:
     """`as_fraction(value)`, refused with DomainError naming the argument when
     it is no rational at all: NaN, an infinity, malformed text, another type."""
@@ -55,7 +68,7 @@ def _read_rational(value: RationalLike, name: str) -> Fraction:
 def _nonnegative(value: RationalLike, name: str) -> Fraction:
     """`_read_rational(value, name)`, refused with DomainError when negative."""
     v = _read_rational(value, name)
-    if v < 0:
+    if v.numerator < 0:
         raise DomainError(f"{name} must be nonnegative")
     return v
 
@@ -255,18 +268,20 @@ def validate_instance(inst: Instance) -> ValidationReport:
             seen.add(f.id)
         # signs and ranges are read in integers (a denominator is positive),
         # which costs far less than comparing Fractions
-        for name, v in (("probability", f.p), ("group-1 mass", f.n1), ("group-2 mass", f.n2)):
-            if not _rational(v):
-                violations.append(f"feature {f.id!r}: {name} {v!r} is not an int or Fraction")
-            elif name == "probability" and not (0 <= v.numerator <= v.denominator):
-                violations.append(f"feature {f.id!r}: probability {v} outside [0, 1]")
-            elif name != "probability" and v.numerator < 0:
-                violations.append(f"feature {f.id!r}: negative {name} {v}")
+        p, n1, n2 = _integer_parts(f.p), _integer_parts(f.n1), _integer_parts(f.n2)
+        if not (p and n1 and n2 and 0 <= p[0] <= p[1] and n1[0] >= 0 and n2[0] >= 0):
+            for name, v in (("probability", f.p), ("group-1 mass", f.n1), ("group-2 mass", f.n2)):
+                if not _rational(v):
+                    violations.append(f"feature {f.id!r}: {name} {v!r} is not an int or Fraction")
+                elif name == "probability" and not (0 <= v.numerator <= v.denominator):
+                    violations.append(f"feature {f.id!r}: probability {v} outside [0, 1]")
+                elif name != "probability" and v.numerator < 0:
+                    violations.append(f"feature {f.id!r}: negative {name} {v}")
         if not violations:  # an instance with a violation has no integer form
-            for n in (f.n1, f.n2):
-                top, bottom = n.numerator * f.p.numerator, n.denominator * f.p.denominator
+            for a, b in (n1, n2):
+                top, bottom = a * p[0], b * p[1]
                 r = gcd(top, bottom)
-                parts += ((n.numerator, n.denominator), (top // r, bottom // r))
+                parts += ((a, b), (top // r, bottom // r))
     if violations:
         totals = [sum(n for n in (f.count(t) for f in inst.features) if _rational(n)) for t in GROUPS]
     else:
@@ -485,7 +500,7 @@ def _assignment(inst: Instance, rows, scores) -> RiskAssignment:
     """The assignment of `inst` whose allocation rows are these integer
     rows, each read over its own sum, and whose bins carry these scores.
     Every candidate the package builds is built here."""
-    fractions = tuple(tuple(Fraction(x, sum(row)) for x in row) for row in rows)
+    fractions = tuple(tuple(Fraction(x, total) for x in row) for row, total in zip(rows, map(sum, rows)))
     return RiskAssignment(inst.ids, tuple(scores), fractions)
 
 
@@ -498,14 +513,11 @@ def assignment_rows_for(inst: Instance, asg: RiskAssignment) -> tuple[tuple[Frac
 
 
 def _row_order(inst: Instance, asg: RiskAssignment) -> list[int]:
-    if set(asg.feature_ids) != {f.id for f in inst.features}:
-        missing = {f.id for f in inst.features} - set(asg.feature_ids)
-        extra = set(asg.feature_ids) - {f.id for f in inst.features}
-        parts = []
-        if missing:
-            parts.append(f"missing features {sorted(missing)}")
-        if extra:
-            parts.append(f"unknown features {sorted(extra)}")
-        raise InvalidAssignmentError("assignment does not match instance: " + ", ".join(parts))
     position = {fid: i for i, fid in enumerate(asg.feature_ids)}
-    return [position[f.id] for f in inst.features]
+    order = [position.get(f.id) for f in inst.features]
+    # the id sets are compared only when the order is no permutation
+    if (None in order or len(set(order)) != len(position)) and set(position) != (ids := {f.id for f in inst.features}):
+        parts = [f"{word} features {sorted(fids)}"
+                 for word, fids in (("missing", ids - set(position)), ("unknown", set(position) - ids)) if fids]
+        raise InvalidAssignmentError("assignment does not match instance: " + ", ".join(parts))
+    return order

@@ -17,7 +17,7 @@ import warnings
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
-from .errors import DocumentError, InvalidAssignmentError
+from .errors import DocumentError, DomainError, InvalidAssignmentError
 from .model import (
     DivergenceReport,
     FeatureVector,
@@ -67,7 +67,12 @@ def dumps_doc(doc: dict) -> str:
 
 
 def fmt_rational(x: Fraction) -> str:
-    return str(x)
+    """x as "a/b", or as an integer's digits; a value with a part past
+    _MAX_DIGITS digits has no text form and is refused with DomainError."""
+    try:
+        return str(x)
+    except ValueError:
+        raise DomainError(f"a value with more than {_MAX_DIGITS} digits cannot be written") from None
 
 
 def parse_rational(node: Any, path: str) -> Fraction:

@@ -24,6 +24,7 @@ from riskaudit import (
     loss,
     normalize_assignment,
     passes_fairness,
+    solve_integral,
     statistical_parity_gap,
     trivial_assignment,
 )
@@ -452,6 +453,37 @@ def test_an_instance_is_validated_once(monkeypatch):
     assert again == inst and hash(again) == hash(inst)
     assert audit_exact(again, asg) == audit_exact(inst, asg)
     assert len(validated) == 2
+
+
+def test_class_sums_are_computed_once_per_read_table(monkeypatch):
+    import riskaudit.audit as audit_module
+
+    summed = []
+    original = audit_module._class_sums
+
+    def counted(table):
+        summed.append(table)
+        return original(table)
+
+    monkeypatch.setattr(audit_module, "_class_sums", counted)
+    rng = random.Random(3)
+    inst = random_instance(rng)
+    asg = pooled_rounded_assignment(inst, rng)
+    audit_exact(inst, asg)
+    audit_approx(inst, asg, F(1, 10))
+    loss(inst, asg)
+    classify_consequence(inst, asg, F(1, 100))
+    passes_fairness(inst, asg)
+    assert len(summed) == 1 and summed[0] is asg._table[1]
+    # a search sums each table it visits once, its hit's loss included, and
+    # none of the one-bin tables of every feature subset that only its
+    # calibration screen reads
+    inst = Instance(tuple(feature(f"x{i}", F(i % 4, 4), 1 + i % 2, 1 + i % 2) for i in range(6)))
+    for objective in ("any_fair", "min_loss"):
+        summed.clear()
+        result = solve_integral(inst, objective)
+        assert result.status == "found" and 0 < len(summed) == result.explored - result.pruned
+        assert len(set(map(id, summed))) == len(summed)
 
 
 # the views that read one (instance, assignment) pair's bin table

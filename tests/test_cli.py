@@ -293,6 +293,35 @@ def test_hostile_argument_numbers_exit_two(ws, capsys):
         assert "argument --eps: number with more than 4300 digits" in line and len(line.encode()) < 200
 
 
+def test_report_values_past_the_digit_bound_exit_two(tmp_path, capsys):
+    # a valid instance whose group masses need more than 4,300 digits: its
+    # reports hold values that no int can be written as
+    features = [{"id": fid, "p": f"1/{10**1000 + k}", "counts": {"1": "1", "2": "1"}}
+                for fid, k in zip("abcde", (1, 3, 7, 9, 13))]
+    inst = tmp_path / "long.json"
+    inst.write_text(json.dumps({"version": "1", "features": features}))
+    asg = tmp_path / "one_bin.json"
+    one_bin = {"score": "1/2", "allocation": dict.fromkeys("abcde", "1")}
+    asg.write_text(json.dumps({"version": "1", "bins": [one_bin]}))
+    for argv in (["audit"], ["audit", "--eps", "1/10"], ["loss"]):
+        for fmt in ("text", "json"):
+            assert run_cli([*argv, "-i", str(inst), "-a", str(asg), "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: a value with more than 4300 digits cannot be written\n"
+
+
+def test_a_refused_command_writes_no_file(tmp_path, capsys):
+    # group 1's positive class is empty, so the mix has no fairness difference
+    inst = Instance((feature("a", 0, 1, 0), feature("b", F(1, 2), 0, 1)))
+    i, a, out = tmp_path / "i.json", tmp_path / "a.json", tmp_path / "mix.json"
+    i.write_text(dumps_doc(instance_to_doc(inst)))
+    a.write_text(dumps_doc(assignment_to_doc(identity_assignment(inst))))
+    assert run_cli(["interpolate", "-i", str(i), "-a", str(a), "-b", str(a), "-w", "1/2", "-o", str(out)]) == 2
+    assert "nonempty positive class" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_cap_exit_two(ws, capsys):
     for argv in (["solve-integral", "-i", ws["rigid"]],
                  ["theorem-sweep", "-i", ws["skewed"], "--seed", "1"]):
@@ -734,6 +763,19 @@ def _instances(draw):
     return {"version": "1", "features": features}
 
 
+# three pairwise coprime denominators of 1,501 digits: a group's positive
+# mass, and so the reports, need more than 4,300 digits
+_LONG = [10**1500 + k for k in (1, 3, 7)]
+
+
+@st.composite
+def _long_instances(draw):
+    # features a, b, c, valid, with probabilities over the long denominators
+    features = [{"id": fid, "p": f"{draw(st.integers(1, 9))}/{d}",
+                 "counts": {"1": draw(_RATIONAL), "2": draw(_RATIONAL)}} for fid, d in zip("abc", _LONG)]
+    return {"version": "1", "features": features}
+
+
 @st.composite
 def _assignments(draw):
     # each of a, b, c wholly in one bin, then perhaps one entry replaced
@@ -775,7 +817,8 @@ def _file(schema):
 
 _COMMANDS = {
     "validate": {"-i": _instances()},
-    "audit": {"-i": _instances(), "-a": _assignments()},
+    "audit": {"-i": _instances() | _long_instances(), "-a": _assignments()},
+    "loss": {"-i": _instances() | _long_instances(), "-a": _assignments()},
     "solve-integral": {"-i": _instances()},
     "verify-reduction": {"-r": _reductions()},
 }
@@ -864,7 +907,8 @@ def _pinned_commands(ws: Path):
 
 def _cli_digest(ws: Path) -> str:
     """sha256 over each pinned command's argv, exit code, stdout and stderr,
-    with the workspace read as "<ws>", and the bytes of every file it writes."""
+    with the workspace read as "<ws>", and the bytes of every file it writes
+    (or that it writes none)."""
     digest = hashlib.sha256()
     for argv in _pinned_commands(ws):
         out, err = io.StringIO(), io.StringIO()
@@ -873,11 +917,11 @@ def _cli_digest(ws: Path) -> str:
         seen = [argv, code, out.getvalue(), err.getvalue()]
         digest.update(repr(seen).replace(str(ws), "<ws>").encode())
         for path in (argv[k + 1] for k, word in enumerate(argv) if word == "-o"):
-            digest.update(Path(path).read_bytes())
+            digest.update(Path(path).read_bytes() if Path(path).exists() else b"<no file>")
     return digest.hexdigest()
 
 
 def test_every_command_writes_the_pinned_bytes(tmp_path):
     # a change to what any command prints or writes changes this digest,
     # and is called out in CHANGES.md with its reason when the digest is updated
-    assert _cli_digest(tmp_path) == "577699c9d8117f8d1e359910628a225e7f8b681f55a124cb73fd900616d61475"
+    assert _cli_digest(tmp_path) == "c91aa9afcd00853b46100afad81afbd070955dfa0ed51f903419af7e07b33026"

@@ -302,11 +302,22 @@ def test_derived_stats_match_the_fraction_sums(inst):
     assert repr(derived_stats(inst)) == repr(old.derived_stats(inst))
 
 
+class _Int(int):
+    pass
+
+
+class _Fraction(F):
+    pass
+
+
 # ids and values that break the instance invariants, next to fitting ones:
 # empty, duplicate and non-string ids; bools, floats, text and None;
-# negative masses and probabilities above one
+# negative masses and probabilities above one; and int and Fraction
+# subclasses, which are ints and Fractions to the checks
 HOSTILE_IDS = st.sampled_from(("a", "b", "", 3, None))
 HOSTILE_VALUES = st.one_of(st.sampled_from((True, False, 0.5, "1/2", None, -1, F(-1, 3), F(3, 2), 2)),
+                           st.sampled_from((_Int(0), _Int(1), _Int(-2), _Fraction(1, 3), _Fraction(-1, 2),
+                                            _Fraction(3, 2), _Fraction(5))),
                            st.sampled_from(PROBS), MASS_VALUES)
 
 
