@@ -27,9 +27,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "audit": (
-        "ApproxAuditReport", "AuditReport", "BinStats", "ConsequenceFlags", "audit_approx",
-        "audit_exact", "bin_statistics", "classify_consequence", "consequence_slack",
-        "passes_fairness", "statistical_parity_gap",
+        "ApproxAuditReport", "AuditReport", "ConsequenceFlags", "audit_approx", "audit_exact",
+        "classify_consequence", "consequence_slack", "passes_fairness",
     ),
     "errors": (
         "DegenerateGroupError", "DocumentError", "DomainError", "InvalidAssignmentError",
@@ -43,14 +42,13 @@ _EXPORTS = {
     "model": (
         "GROUPS", "DivergenceEntry", "DivergenceReport", "FeatureVector", "GroupStats", "Instance",
         "Record", "RecordTable", "RiskAssignment", "ValidationReport", "as_fraction",
-        "assignment_rows_for", "derived_stats", "feature", "ingest_records", "require_valid",
-        "split_by_group", "validate_instance",
+        "derived_stats", "feature", "ingest_records", "require_valid", "validate_instance",
     ),
     "partitions": ("DEFAULT_MAX_ITEMS", "Partition", "bell_number", "enumerate_partitions"),
     "reduction": (
         "ReducedInstance", "SubsetSumInstance", "check_reduction_equation", "decode_partition",
         "encode_solution", "is_normal_form", "reduce_subset_sum", "search_groupings",
-        "search_normal_forms", "solve_subset_sum", "sum_of_squares_identity",
+        "search_normal_forms", "solve_subset_sum",
     ),
     "serialize": (
         "SCHEMA_VERSION", "assignment_from_doc", "assignment_to_doc", "dumps_doc",

@@ -21,6 +21,7 @@ from typing import NamedTuple, Optional
 from .model import (
     Instance,
     RiskAssignment,
+    _assignment,
     _nonnegative,
     _row_order,
     _scaled,
@@ -30,32 +31,6 @@ from .model import (
 )
 
 PerGroup = tuple[Fraction, Fraction]
-
-
-class BinStats(NamedTuple):
-    """Per-group, per-bin aggregates (group-major: index 0 is group 1).
-
-    mass: people of the group in the bin.
-    positive: expected positives of the group in the bin.
-    score_mass: bin score times mass, the calibration target for `positive`.
-    """
-
-    mass: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
-    positive: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
-    score_mass: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
-
-
-def bin_statistics(inst: Instance, asg: RiskAssignment) -> BinStats:
-    """Aggregate the allocation against the instance, bin by bin."""
-    table = _bin_table(inst, asg)
-    s, nums, dens = table.scale, table.nums, table.dens
-    return BinStats(
-        mass=tuple(tuple(Fraction(m, s) for m in mass) for mass in table.mass),  # type: ignore[arg-type]
-        positive=tuple(tuple(Fraction(g, s) for g in pos) for pos in table.positive),  # type: ignore[arg-type]
-        score_mass=tuple(  # type: ignore[arg-type]
-            tuple(Fraction(n * m, d * s) for n, d, m in zip(nums, dens, mass)) for mass in table.mass
-        ),
-    )
 
 
 class AuditReport(NamedTuple):
@@ -114,11 +89,6 @@ def _exact_report(table: _Table) -> AuditReport:
         parity_gap=Fraction(t0 * n1 - t1 * n0, c * n0 * n1),
         fair=calibration_ok and pos_ok and neg_ok,
     )
-
-
-def statistical_parity_gap(inst: Instance, asg: RiskAssignment) -> Fraction:
-    """Difference of per-person expected score between the groups."""
-    return audit_exact(inst, asg).parity_gap
 
 
 def consequence_slack(eps) -> Fraction:
@@ -332,6 +302,13 @@ def _pooled(mass, positive, scale: int) -> _Table:
         nums = [n if d else g for n, d in zip(nums, dens)]
         dens = [d or m for d in dens]
     return _Table(mass, positive, scale, nums, dens)
+
+
+def _pooled_assignment(inst: Instance, rows) -> RiskAssignment:
+    """The assignment of `inst` with these integer allocation rows and each
+    bin scored at its pooled positive rate (see _pooled)."""
+    table = _pooled(*_accumulate_bins(_scaled(inst), rows, len(rows[0])))
+    return _assignment(inst, rows, map(Fraction, table.nums, table.dens))
 
 
 def _classes(table: _Table):

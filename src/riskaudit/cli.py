@@ -69,9 +69,9 @@ def _deliver(args, out_doc: dict, doc: dict, lines: list[str]) -> None:
     emit the command's report, `doc` and its text `lines`; without, text
     format prints the whole document instead. The report is built before
     the write, so a command that fails writes no file."""
-    if args.output:
+    if args.output is not None:
         _write(args.output, dumps_doc(out_doc))
-    if args.output or args.format == "json":
+    if args.output is not None or args.format == "json":
         _emit(args, doc, lines)
     else:
         sys.stdout.write(dumps_doc(out_doc))
@@ -179,7 +179,7 @@ def cmd_find_fair(args) -> int:
         _emit(args, {"found": False}, ["found: false"])
         return 1
     out_doc = assignment_to_doc(result)
-    if not args.output and args.format == "text":
+    if args.output is None and args.format == "text":
         print("found: true")
     _deliver(args, out_doc, {"found": True, "assignment": out_doc}, ["found: true"])
     return 0

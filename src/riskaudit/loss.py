@@ -12,12 +12,11 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .audit import (
-    _accumulate_bins,
     _bin_table,
     _calibrated_within,
     _classes,
     _exact_report,
-    _pooled,
+    _pooled_assignment,
     _Table,
     audit_exact,
 )
@@ -28,7 +27,6 @@ from .model import (
     _assignment,
     _read_rational,
     _row_order,
-    _scaled,
     derived_stats,
     require_valid,
 )
@@ -64,9 +62,7 @@ def identity_assignment(inst: Instance) -> RiskAssignment:
 def trivial_assignment(inst: Instance) -> RiskAssignment:
     """The one-bin pooled table's assignment: everyone in a single bin,
     scored at the pooled positive rate of the whole population."""
-    rows = [(1,)] * len(inst.features)
-    table = _pooled(*_accumulate_bins(_scaled(inst), rows, 1))
-    return _assignment(inst, rows, map(Fraction, table.nums, table.dens))
+    return _pooled_assignment(inst, [(1,)] * len(inst.features))
 
 
 class FairnessDifference(NamedTuple):

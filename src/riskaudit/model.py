@@ -320,10 +320,6 @@ class GroupStats(NamedTuple):
     positive_mass: tuple[Fraction, Fraction]
     base_rate: tuple[Fraction, Fraction]
 
-    def for_group(self, group: int) -> tuple[Fraction, Fraction, Fraction]:
-        i = _group_index(group)
-        return self.population[i], self.positive_mass[i], self.base_rate[i]
-
 
 def _group_index(group: int) -> int:
     if group not in GROUPS:
@@ -420,23 +416,6 @@ def ingest_records(table: RecordTable) -> tuple[Instance, DivergenceReport]:
     return inst, DivergenceReport(tuple(entries))
 
 
-def split_by_group(inst: Instance) -> Instance:
-    """Split every feature into single-group features.
-
-    A feature with mass in both groups becomes two features (id suffixed with
-    "@1" and "@2"); a feature with mass in one group keeps that side only.
-    Zero-mass features are dropped. Group statistics are unchanged.
-    """
-    require_valid(inst)
-    out: list[FeatureVector] = []
-    for f in inst.features:
-        if f.n1 > 0:
-            out.append(FeatureVector(f"{f.id}@1", f.p, f.n1, Fraction(0)))
-        if f.n2 > 0:
-            out.append(FeatureVector(f"{f.id}@2", f.p, Fraction(0), f.n2))
-    return require_valid(Instance(tuple(out)))
-
-
 class RiskAssignment(_Frozen):
     """Bins with scores plus a row-stochastic allocation of features to bins.
 
@@ -502,14 +481,6 @@ def _assignment(inst: Instance, rows, scores) -> RiskAssignment:
     Every candidate the package builds is built here."""
     fractions = tuple(tuple(Fraction(x, total) for x in row) for row, total in zip(rows, map(sum, rows)))
     return RiskAssignment(inst.ids, tuple(scores), fractions)
-
-
-def assignment_rows_for(inst: Instance, asg: RiskAssignment) -> tuple[tuple[Fraction, ...], ...]:
-    """Allocation rows reordered to the instance's feature order.
-
-    Raises when the feature id sets differ.
-    """
-    return tuple(asg.rows[i] for i in _row_order(inst, asg))
 
 
 def _row_order(inst: Instance, asg: RiskAssignment) -> list[int]:

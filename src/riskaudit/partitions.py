@@ -34,10 +34,6 @@ class Partition(_Frozen):
         canon.sort(key=lambda b: b[0])
         return cls(tuple(canon))
 
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
     def members(self) -> frozenset:
         return frozenset(x for b in self.blocks for x in b)
 

@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, isqrt, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, ReductionInfeasibleError
-from .model import _SQRT_SCALE, _Frozen, _read_rational, _set, _sqrt_upper
+from .model import _SQRT_SCALE, _Frozen, _set, _sqrt_upper
 from .partitions import DEFAULT_MAX_ITEMS, Partition, _blocks, _growth_strings
 
 
@@ -502,19 +501,3 @@ def search_groupings(ri: ReducedInstance) -> Optional[Partition]:
         if ri._basis.holds(blocks):
             return Partition(tuple(map(tuple, blocks)))
     return None
-
-
-def sum_of_squares_identity(values: Sequence) -> tuple[Fraction, Fraction]:
-    """Both sides of the mean-square spread identity for a rational vector:
-    sum of squares minus k times the squared mean, against the normalized sum
-    of pairwise squared differences. The two returned values are always
-    equal; callers use the pair as a self-check.
-    """
-    z = [_read_rational(v, f"values[{i}]") for i, v in enumerate(values)]
-    if not z:
-        raise DomainError("empty vector")
-    k = len(z)
-    s = sum(z, Fraction(0))
-    lhs = sum((x * x for x in z), Fraction(0)) - s * s / k
-    rhs = sum(((a - b) ** 2 for a, b in combinations(z, 2)), Fraction(0)) / k
-    return lhs, rhs

@@ -275,6 +275,13 @@ CSV_HEADER = ("feature_id", "group", "outcome")
 def records_from_csv(text: str) -> RecordTable:
     reader = csv.reader(io.StringIO(text))
     try:
+        return _records(reader)
+    except csv.Error as exc:  # a field longer than csv.field_size_limit(), for one
+        raise DocumentError(f"line {reader.line_num}: {exc}") from None
+
+
+def _records(reader) -> RecordTable:
+    try:
         header = next(reader)
     except StopIteration:
         raise DocumentError("empty CSV") from None

@@ -7,15 +7,14 @@ scaled to integers and each condition is an integer cross-multiplication.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial
 from operator import or_
 from typing import NamedTuple, Optional
 
-from .audit import _accumulate_bins, _balances, _calibrated_within, _pooled, _Table
+from .audit import _balances, _calibrated_within, _pooled, _pooled_assignment, _Table
 from .errors import DomainError
 from .loss import LossReport, _loss_report, _nontrivial
-from .model import Instance, RiskAssignment, _assignment, _scaled, require_valid
+from .model import Instance, RiskAssignment, _scaled, require_valid
 from .partitions import Partition, _check_enumerable
 
 OBJECTIVES = ("any_fair", "min_loss")
@@ -57,9 +56,7 @@ def assignment_from_partition(inst: Instance, part: Partition) -> RiskAssignment
     bin_of = dict.fromkeys(labels, 0)  # a block without people joins the first bin
     bin_of.update((b, j) for j, b in enumerate(populated))
     nbins = len(populated)
-    rows = [[int(bin_of[b] == j) for j in range(nbins)] for b in labels]
-    table = _pooled(*_accumulate_bins(scaled, rows, nbins))
-    return _assignment(inst, rows, map(Fraction, table.nums, table.dens))
+    return _pooled_assignment(inst, [[int(bin_of[b] == j) for j in range(nbins)] for b in labels])
 
 
 # More features than this are refused even with a cap: the search's tables

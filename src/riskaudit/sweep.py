@@ -23,6 +23,7 @@ from .audit import (
     _fair,
     _first_bin_within,
     _pooled,
+    _pooled_assignment,
     _scored,
     audit_approx,
     consequence_slack,
@@ -215,9 +216,7 @@ def _pooled_struct(k: int, rng: Random) -> tuple[tuple[int, ...], ...]:
 def pooled_rounded_assignment(inst: Instance, rng: Random) -> RiskAssignment:
     """Random row-stochastic allocation, scores rounded to each bin's pooled
     positive rate. Population-calibrated by construction, nothing more."""
-    weights = _pooled_struct(len(inst.features), rng)
-    table = _pooled(*_accumulate_bins(_scaled(inst), weights, len(weights[0])))
-    return _assignment(inst, weights, map(Fraction, table.nums, table.dens))
+    return _pooled_assignment(inst, _pooled_struct(len(inst.features), rng))
 
 
 def _split_draw(k: int, rng: Random) -> tuple[list[int], bool]:
@@ -441,7 +440,7 @@ def theorem_sweep(
             rows = _pooled_struct(k, rng)
             if _first_bin_within(columns, rows, e):
                 table = _pooled(*_accumulate_bins(scaled, rows, len(rows[0])))
-                consider(verdicts(table), lambda: _assignment(inst, rows, map(Fraction, table.nums, table.dens)))
+                consider(verdicts(table), lambda: _pooled_assignment(inst, rows))
         elif roll < 0.8 or e == 0:
             draw = _split_draw(k, rng)
             if split is None:

@@ -3,10 +3,12 @@
 - The `Fraction` views, written from the definitions: every sum, product
   and quotient is a `Fraction`, and calls between them resolve inside this
   module, so `audit_approx` recomputes `audit_exact` and `bin_statistics`
-  and the views read this `derived_stats`, not the package's.
-  - `bin_statistics`, `audit_exact`, `audit_approx`, `classify_consequence`,
-    `statistical_parity_gap`, `passes_fairness`, `loss`,
-    `fairness_difference`, `is_nontrivial` and `normalize_assignment`:
+  and the views read this `derived_stats`, not the package's. Allocation
+  rows are put in the instance's feature order here as well
+  (`assignment_rows_for`), by the assignment's `feature_ids`.
+  - `audit_exact`, `audit_approx`, `classify_consequence`,
+    `passes_fairness`, `loss`, `fairness_difference`, `is_nontrivial` and
+    `normalize_assignment`, all read from `bin_statistics`:
     `tests/test_oracle.py::test_views_match_old_implementation`.
     `passes_fairness` and `audit_approx` also judge the sweep's candidates
     in `tests/test_sweep.py::TestIntegerVerdicts`.
@@ -50,13 +52,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from random import Random
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import riskaudit
 from riskaudit.audit import (
     ApproxAuditReport,
     AuditReport,
-    BinStats,
     ConsequenceFlags,
     _approx_report,
     _fair,
@@ -75,7 +76,6 @@ from riskaudit.model import (
     _Scaled,
     _sqrt_upper,
     as_fraction,
-    assignment_rows_for,
     require_valid,
 )
 from riskaudit.partitions import Partition, enumerate_partitions
@@ -179,6 +179,32 @@ def _pooled_rate(gs) -> Fraction:
     )
 
 
+# from riskaudit/model.py
+def assignment_rows_for(inst: Instance, asg: RiskAssignment) -> tuple[tuple[Fraction, ...], ...]:
+    """Allocation rows reordered to the instance's feature order.
+
+    Raises when the feature id sets differ.
+    """
+    position = {fid: i for i, fid in enumerate(asg.feature_ids)}
+    if set(position) != {f.id for f in inst.features}:
+        raise InvalidAssignmentError("assignment does not match instance")
+    return tuple(asg.rows[position[f.id]] for f in inst.features)
+
+
+# from riskaudit/audit.py
+class BinStats(NamedTuple):
+    """Per-group, per-bin aggregates (group-major: index 0 is group 1).
+
+    mass: people of the group in the bin.
+    positive: expected positives of the group in the bin.
+    score_mass: bin score times mass, the calibration target for `positive`.
+    """
+
+    mass: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
+    positive: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
+    score_mass: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
+
+
 # from riskaudit/audit.py
 def bin_statistics(inst: Instance, asg: RiskAssignment) -> BinStats:
     """Aggregate the allocation against the instance, bin by bin."""
@@ -253,15 +279,6 @@ def audit_exact(inst: Instance, asg: RiskAssignment) -> AuditReport:
         parity_gap=parity_gap,
         fair=calibration_ok and pos_ok and neg_ok,
     )
-
-
-# from riskaudit/audit.py
-def statistical_parity_gap(inst: Instance, asg: RiskAssignment) -> Fraction:
-    """Difference of per-person expected score between the groups."""
-    gs = derived_stats(inst)
-    stats = bin_statistics(inst, asg)
-    totals = [sum(stats.score_mass[i], Fraction(0)) for i in range(2)]
-    return totals[0] / gs.population[0] - totals[1] / gs.population[1]
 
 
 # from riskaudit/audit.py

@@ -12,7 +12,6 @@ from riskaudit import (
     RiskAssignment,
     audit_approx,
     audit_exact,
-    bin_statistics,
     classify_consequence,
     consequence_slack,
     fairness_difference,
@@ -25,7 +24,6 @@ from riskaudit import (
     normalize_assignment,
     passes_fairness,
     solve_integral,
-    statistical_parity_gap,
     trivial_assignment,
 )
 from riskaudit.audit import _balanced_within
@@ -60,13 +58,7 @@ class TestExactAudit:
 
     def test_parity_gap_equals_base_rate_gap_when_calibrated(self, skewed):
         asg = identity_assignment(skewed)
-        assert statistical_parity_gap(skewed, asg) == F(1, 2) - F(1, 4)
-
-    def test_bin_statistics_shape(self, skewed):
-        stats = bin_statistics(skewed, identity_assignment(skewed))
-        assert len(stats.mass) == 2
-        assert stats.mass[0] == (2, 0)
-        assert stats.mass[1] == (0, 4)
+        assert audit_exact(skewed, asg).parity_gap == F(1, 2) - F(1, 4)
 
 
 class TestApproxAudit:
@@ -404,9 +396,7 @@ INVALID = {
     "empty-group": (F(1, 2), 1, 0),
 }
 VIEWS = {
-    "bin_statistics": bin_statistics,
     "audit_exact": audit_exact,
-    "statistical_parity_gap": statistical_parity_gap,
     "classify_consequence": lambda inst, asg: classify_consequence(inst, asg, F(1, 10)),
     "audit_approx": lambda inst, asg: audit_approx(inst, asg, F(1, 10)),
     "passes_fairness": passes_fairness,
@@ -487,8 +477,7 @@ def test_class_sums_are_computed_once_per_read_table(monkeypatch):
 
 
 # the views that read one (instance, assignment) pair's bin table
-PAIR_VIEWS = ("bin_statistics", "audit_exact", "statistical_parity_gap", "classify_consequence", "audit_approx",
-              "passes_fairness", "loss", "is_nontrivial")
+PAIR_VIEWS = ("audit_exact", "classify_consequence", "audit_approx", "passes_fairness", "loss", "is_nontrivial")
 
 
 def _counted_tables(monkeypatch) -> list:
@@ -529,7 +518,6 @@ def test_a_table_belongs_to_one_instance(monkeypatch):
     assert len(tabled) == 2
     for _ in range(3):
         for x in (inst, other):
-            assert bin_statistics(x, asg) == old.bin_statistics(x, asg)
             assert audit_exact(x, asg) == old.audit_exact(x, asg)
             assert audit_approx(x, asg, F(1, 10)) == old.audit_approx(x, asg, F(1, 10))
             assert loss(x, asg) == old.loss(x, asg)

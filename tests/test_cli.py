@@ -322,6 +322,23 @@ def test_a_refused_command_writes_no_file(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--weights", "2,3", "--target", "3"],
+        ["interpolate", "-i", "{balanced}", "-a", "{balanced_id}", "-b", "{balanced_tr}", "-w", "1/2"],
+        ["find-fair", "-i", "{balanced}", "-c", "{balanced_id}"],
+    ],
+    ids=["reduce", "interpolate", "find-fair"],
+)
+def test_an_empty_output_path_is_refused(ws, capsys, argv):
+    # "" names no file that can be written; it is not the absence of --output
+    for fmt in ("text", "json"):
+        assert run_cli([arg.format(**ws) for arg in argv] + ["--format", fmt, "-o", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_negative_cap_exit_two(ws, capsys):
     for argv in (["solve-integral", "-i", ws["rigid"]],
                  ["theorem-sweep", "-i", ws["skewed"], "--seed", "1"]):
@@ -450,9 +467,11 @@ _CSV_HEADER = "feature_id,group,outcome\n"
         (["ingest", "-i", "{doc}", "-o", "{out}"], _CSV_HEADER + " ,1,1\n", "line 2: empty feature id"),
         (["ingest", "-i", "{doc}", "-o", "{out}"], _CSV_HEADER + "a,one,1\n", "line 2: group must be 1 or 2"),
         (["ingest", "-i", "{doc}", "-o", "{out}"], _CSV_HEADER + "\n", "CSV contains no data rows"),
+        (["ingest", "-i", "{doc}", "-o", "{out}"], _CSV_HEADER + "a,1,1\n" + "x" * 200_000 + ",2,0\n",
+         "line 3: field larger than field limit"),
     ],
     ids=["features", "feature", "counts", "bins", "bin", "allocation", "target",
-         "csv-empty", "csv-columns", "csv-feature-id", "csv-group", "csv-no-rows"],
+         "csv-empty", "csv-columns", "csv-feature-id", "csv-group", "csv-no-rows", "csv-long-field"],
 )
 def test_document_errors_name_their_place(ws, tmp_path, capsys, argv, text, place):
     doc = tmp_path / "doc"
@@ -461,6 +480,7 @@ def test_document_errors_name_their_place(ws, tmp_path, capsys, argv, text, plac
     assert run_cli([arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {place}") and captured.out == ""
+    assert not os.path.exists(paths["out"])
 
 
 def _python(*args):
@@ -548,13 +568,13 @@ def test_a_command_loads_only_the_modules_it_runs(ws, argv, code, unloaded):
 # the package's exports: those of the package when every module was
 # imported eagerly, and `search_groupings`
 _EXPORTS = """
-    ApproxAuditReport AuditReport BinStats ConsequenceFlags DEFAULT_MAX_ITEMS DegenerateGroupError
+    ApproxAuditReport AuditReport ConsequenceFlags DEFAULT_MAX_ITEMS DegenerateGroupError
     DivergenceEntry DivergenceReport DocumentError DomainError FairnessDifference FeatureVector GROUPS
     GroupStats Instance InvalidAssignmentError InvalidInstanceError LossReport OBJECTIVES Partition
     Record RecordTable ReducedInstance ReductionInfeasibleError RiskAssignment RiskAuditError
     SCHEMA_VERSION SolveResult SubsetSumInstance SweepReport ValidationReport approx_audit_corpus
-    as_fraction assignment_from_doc assignment_from_partition assignment_rows_for assignment_to_doc
-    audit_approx audit_exact banded_split_assignment bell_number bin_statistics
+    as_fraction assignment_from_doc assignment_from_partition assignment_to_doc
+    audit_approx audit_exact banded_split_assignment bell_number
     calibrated_split_assignment check_reduction_equation classify_consequence consequence_slack
     decode_partition derived_stats dumps_doc encode_solution enumerate_partitions fairness_difference
     feature find_fair_nontrivial identity_assignment ingest_records instance_from_doc instance_to_doc
@@ -562,10 +582,24 @@ _EXPORTS = """
     parse_instance parse_rational parse_reduced passes_fairness pooled_rounded_assignment
     random_equal_rate_instance random_gapped_instance random_instance random_perfect_instance
     random_proportional_instance records_from_csv reduce_subset_sum reduced_from_doc reduced_to_doc
-    require_valid search_groupings search_normal_forms solve_integral solve_subset_sum split_by_group
-    statistical_parity_gap sum_of_squares_identity target_lambda theorem_sweep trivial_assignment
+    require_valid search_groupings search_normal_forms solve_integral solve_subset_sum
+    target_lambda theorem_sweep trivial_assignment
     two_bin_certain_assignment validate_instance
 """.split()
+
+
+def test_every_export_has_a_stated_purpose():
+    # the README's export table names each export once, beside the command
+    # or paper result it serves or the reason it is kept
+    import riskaudit
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Public surface\n", 1)[1].split("\n## ", 1)[0]
+    cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    names = [name for cell in cells for name in cell.replace(",", " ").split()]
+    assert all(name[0] == name[-1] == "`" for name in names), names
+    names = [name.strip("`") for name in names]
+    assert len(names) == len(set(names)) and sorted(names) == riskaudit.__all__
 
 
 def test_package_exports_resolve_on_first_use():
@@ -573,7 +607,7 @@ def test_package_exports_resolve_on_first_use():
 
     import riskaudit
 
-    assert len(_EXPORTS) == 92 and riskaudit.__all__ == _EXPORTS
+    assert len(_EXPORTS) == 86 and riskaudit.__all__ == _EXPORTS
     for module, names in riskaudit._EXPORTS.items():
         home = importlib.import_module(f"riskaudit.{module}")
         assert all(getattr(riskaudit, name) is getattr(home, name) for name in names), module
@@ -596,7 +630,6 @@ _SIGNATURES = """
         balance_neg_vacuous passed consequence
     AuditReport: calibration_ok calibration_residuals expected_score_total pos_class_avg neg_class_avg
         balance_pos_ok balance_pos_vacuous balance_neg_ok balance_neg_vacuous parity_gap fair
-    BinStats: mass positive score_mass
     ConsequenceFlags: slack near_perfect_prediction near_equal_base_rates
     DegenerateGroupError: -
     DivergenceEntry: feature_id group group_rate deviation
@@ -628,13 +661,11 @@ _SIGNATURES = """
     as_fraction: value
     assignment_from_doc: doc
     assignment_from_partition: inst part
-    assignment_rows_for: inst asg
     assignment_to_doc: asg
     audit_approx: inst asg eps
     audit_exact: inst asg
     banded_split_assignment: inst rng eps
     bell_number: k
-    bin_statistics: inst asg
     calibrated_split_assignment: inst rng
     check_reduction_equation: ri part
     classify_consequence: inst asg eps
@@ -677,9 +708,6 @@ _SIGNATURES = """
     search_normal_forms: ri
     solve_integral: inst objective cap
     solve_subset_sum: ss
-    split_by_group: inst
-    statistical_parity_gap: inst asg
-    sum_of_squares_identity: values
     target_lambda: d1 d2 d3
     theorem_sweep: inst search_budget eps seed integral_cap
     trivial_assignment: inst

@@ -3,8 +3,6 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from riskaudit import (
     DomainError,
@@ -17,8 +15,8 @@ from riskaudit import (
     RiskAssignment,
     approx_audit_corpus,
     as_fraction,
-    assignment_rows_for,
     audit_approx,
+    audit_exact,
     banded_split_assignment,
     classify_consequence,
     consequence_slack,
@@ -29,12 +27,11 @@ from riskaudit import (
     interpolate,
     random_gapped_instance,
     require_valid,
-    split_by_group,
-    sum_of_squares_identity,
     target_lambda,
     theorem_sweep,
     validate_instance,
 )
+from riskaudit.model import _row_order
 
 
 class TestAsFraction:
@@ -86,7 +83,6 @@ def test_a_tolerance_that_is_no_rational_is_a_domain_error(call, name, skewed):
 READERS = {
     "interpolate": (lambda inst, asg, x: interpolate(inst, asg, asg, x), "interpolation weight"),
     "target_lambda": (lambda inst, asg, x: target_lambda(x, 1, 0), "d1"),
-    "sum_of_squares_identity": (lambda inst, asg, x: sum_of_squares_identity([1, x]), r"values\[1\]"),
     "feature": (lambda inst, asg, x: feature("x", x, 1, 1), "p"),
 }
 
@@ -153,7 +149,6 @@ class TestDerivedStats:
         assert gs.population == (2, 4)
         assert gs.positive_mass == (1, 1)
         assert gs.base_rate == (F(1, 2), F(1, 4))
-        assert gs.for_group(2) == (4, 1, F(1, 4))
 
 
 class TestIngest:
@@ -196,26 +191,6 @@ class TestIngest:
             RecordTable((Record("a", 1, True),))
 
 
-class TestSplitByGroup:
-    def test_skewed_split(self, skewed):
-        split = split_by_group(skewed)
-        assert split.ids == ("s1@1", "s2@2")
-
-    def test_both_sides_kept(self, balanced):
-        split = split_by_group(balanced)
-        assert split.ids == ("s1@1", "s1@2", "s2@1", "s2@2")
-
-    @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
-    def test_group_stats_invariant(self, a1, a2, b1, b2):
-        # splitting features by group never changes any group aggregate
-        if a1 + b1 == 0 or a2 + b2 == 0:
-            return
-        inst = Instance((feature("a", F(1, 3), a1, a2), feature("b", F(2, 3), b1, b2)))
-        gs = derived_stats(inst)
-        gs2 = derived_stats(split_by_group(inst))
-        assert gs == gs2
-
-
 class TestRiskAssignment:
     def test_row_validation(self):
         with pytest.raises(InvalidAssignmentError):
@@ -248,8 +223,8 @@ class TestRiskAssignment:
 
     def test_rows_for_requires_same_ids(self, balanced):
         asg = RiskAssignment(("s1", "zz"), (F(1, 2),), ((F(1),), (F(1),)))
-        with pytest.raises(InvalidAssignmentError):
-            assignment_rows_for(balanced, asg)
+        with pytest.raises(InvalidAssignmentError, match="^assignment does not match instance"):
+            audit_exact(balanced, asg)
 
     def test_rows_for_reorders(self, balanced):
         asg = RiskAssignment(
@@ -257,5 +232,6 @@ class TestRiskAssignment:
             (F(1, 4), F(3, 4)),
             ((F(1), F(0)), (F(0), F(1))),
         )
-        rows = assignment_rows_for(balanced, asg)
-        assert rows == ((F(0), F(1)), (F(1), F(0)))
+        assert _row_order(balanced, asg) == [1, 0]
+        in_order = RiskAssignment(("s1", "s2"), asg.scores, ((F(0), F(1)), (F(1), F(0))))
+        assert audit_exact(balanced, asg) == audit_exact(balanced, in_order)

@@ -36,7 +36,6 @@ from riskaudit import (
     audit_approx,
     audit_exact,
     bell_number,
-    bin_statistics,
     classify_consequence,
     consequence_slack,
     derived_stats,
@@ -46,7 +45,6 @@ from riskaudit import (
     normalize_assignment,
     passes_fairness,
     solve_integral,
-    statistical_parity_gap,
     theorem_sweep,
     validate_instance,
 )
@@ -128,12 +126,10 @@ def outcome(fn, *args):
 @given(cases(), st.sampled_from((0, F(1, 100), F(1, 10), F(1, 2), 1, 2)))
 def test_views_match_old_implementation(case, eps):
     inst, asg = case
-    assert bin_statistics(inst, asg) == old.bin_statistics(inst, asg)
     assert audit_exact(inst, asg) == old.audit_exact(inst, asg)
     assert audit_approx(inst, asg, eps) == old.audit_approx(inst, asg, eps)
     assert classify_consequence(inst, asg, eps) == old.classify_consequence(inst, asg, eps)
     assert loss(inst, asg) == old.loss(inst, asg)
-    assert statistical_parity_gap(inst, asg) == old.statistical_parity_gap(inst, asg)
     assert passes_fairness(inst, asg) == old.passes_fairness(inst, asg)
     assert is_nontrivial(inst, asg) == old.is_nontrivial(inst, asg)
     for fn, ref in ((fairness_difference, old.fairness_difference),

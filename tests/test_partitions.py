@@ -98,7 +98,6 @@ class TestPartitionType:
     def test_from_blocks_normalizes(self):
         p = Partition.from_blocks([[3, 1], [2]])
         assert p.blocks == ((1, 3), (2,))
-        assert p.block_count == 2
         assert list(p) == [(1, 3), (2,)]
 
     def test_rejects_duplicates(self):
@@ -114,6 +113,6 @@ class TestPartitionType:
     def test_block_counts_bounded(self, k):
         for p in enumerate_partitions(k):
             if k == 0:
-                assert p.block_count == 0
+                assert p.blocks == ()
             else:
-                assert 1 <= p.block_count <= k
+                assert 1 <= len(p.blocks) <= k

@@ -20,7 +20,6 @@ from riskaudit import (
     GROUPS,
     ApproxAuditReport,
     AuditReport,
-    BinStats,
     ConsequenceFlags,
     DivergenceEntry,
     DivergenceReport,
@@ -48,7 +47,6 @@ from riskaudit import (
 from riskaudit.reduction import Surd
 
 RECORDS = {
-    BinStats: "mass positive score_mass",
     AuditReport: (
         "calibration_ok calibration_residuals expected_score_total pos_class_avg neg_class_avg balance_pos_ok "
         "balance_pos_vacuous balance_neg_ok balance_neg_vacuous parity_gap fair"

@@ -30,7 +30,6 @@ from riskaudit import (
     search_groupings,
     search_normal_forms,
     solve_subset_sum,
-    sum_of_squares_identity,
 )
 import reduction_oracle as old
 import riskaudit.reduction as reduction_module
@@ -440,20 +439,3 @@ class TestGroupingSearch:
         with pytest.raises(DomainError, match="^7 weights: at most 6"):
             search_groupings(ri)
         assert checked == []
-
-
-class TestSumOfSquares:
-    def test_frozen_values(self):
-        assert sum_of_squares_identity([F(1), F(1)]) == (0, 0)
-        assert sum_of_squares_identity([F(0), F(1)]) == (F(1, 2), F(1, 2))
-        assert sum_of_squares_identity([F(1), F(2), F(3)]) == (2, 2)
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.fractions(min_value=-3, max_value=3), min_size=1, max_size=5))
-    def test_identity_holds(self, values):
-        lhs, rhs = sum_of_squares_identity(values)
-        n = len(values)
-        mean = sum(values) / n
-        direct = sum((v - mean) ** 2 for v in values)
-        assert lhs == rhs
-        assert lhs == direct
