@@ -250,24 +250,28 @@ def _accumulate_bins(scaled: _Scaled, rows, nbins: int):
     return (m0, m1), (p0, p1), scale * scaled.denominator
 
 
-def _first_bin_within(columns, rows, e: Fraction) -> bool:
-    """Whether the rows' first bin, scored at its pooled rate, lies in the
-    calibration band of width e in both groups:
-    _calibrated_within(_pooled(*_accumulate_bins(scaled, rows, 1)), e) for
-    columns = tuple(zip(*scaled.weights)), decided on four integer column
-    sums without a table. The band test is homogeneous in the bin's column,
-    so the instance's denominator drops out. An empty first bin passes. A
-    search screens a candidate on it before building the whole table."""
-    sums = [sum(row) for row in rows]
-    scale = lcm(*sums)
-    xs = [row[0] * (scale // total) for row, total in zip(rows, sums)]
-    n1, n2, q1, q2 = columns
-    m0, m1 = sum(map(mul, n1, xs)), sum(map(mul, n2, xs))
-    p0, p1 = sum(map(mul, q1, xs)), sum(map(mul, q2, xs))
+def _pooled_within(m0: int, m1: int, p0: int, p1: int, e: Fraction) -> bool:
+    """Whether a bin of group masses m0, m1 and expected positives p0, p1,
+    scored at its pooled rate, lies in the calibration band of width e in
+    both groups: _calibrated_within of its one-bin table, on which a common
+    scale of the four sums has no effect. An empty bin passes."""
     n, d = p0 + p1, m0 + m1
     en, ed = e.numerator, e.denominator
     lo, hi = (ed - en) * n, (ed + en) * n
     return lo * m0 <= p0 * d * ed <= hi * m0 and lo * m1 <= p1 * d * ed <= hi * m1
+
+
+def _first_bin_within(columns, rows, e: Fraction) -> bool:
+    """_pooled_within of the rows' first bin: _calibrated_within(_pooled(
+    *_accumulate_bins(scaled, rows, 1)), e) for columns =
+    tuple(zip(*scaled.weights)), without a table. A search screens a
+    candidate on it before building the whole table."""
+    sums = [sum(row) for row in rows]
+    scale = lcm(*sums)
+    xs = [row[0] * (scale // total) for row, total in zip(rows, sums)]
+    n1, n2, q1, q2 = columns
+    return _pooled_within(sum(map(mul, n1, xs)), sum(map(mul, n2, xs)),
+                          sum(map(mul, q1, xs)), sum(map(mul, q2, xs)), e)
 
 
 def _scored(scaled: _Scaled, rows, scores) -> _Table:

@@ -431,10 +431,14 @@ class RiskAssignment(_Frozen):
     _fields = __slots__[:3]
 
     def __init__(self, feature_ids: Iterable[str], scores: Iterable[Fraction], rows: Iterable[Iterable]):
-        feature_ids, scores, rows = tuple(feature_ids), tuple(scores), tuple(tuple(r) for r in rows)
+        try:
+            feature_ids, scores, rows = tuple(feature_ids), tuple(scores), tuple(map(tuple, rows))
+            distinct = len(set(feature_ids)) == len(feature_ids)
+        except TypeError as exc:  # an argument or a row that is not iterable, an unhashable id
+            raise InvalidAssignmentError(f"malformed assignment: {exc}") from None
         if not scores:
             raise InvalidAssignmentError("assignment has no bins")
-        if len(set(feature_ids)) != len(feature_ids):
+        if not distinct:
             raise InvalidAssignmentError("duplicate feature id in assignment")
         if len(rows) != len(feature_ids):
             raise InvalidAssignmentError("one allocation row per feature required")

@@ -22,16 +22,19 @@ class Partition(_Frozen):
     def from_blocks(cls, blocks: Iterable[Iterable]) -> "Partition":
         canon = []
         seen = set()
-        for block in blocks:
-            b = tuple(sorted(block))
-            if not b:
-                raise DomainError("empty block")
-            for x in b:
-                if x in seen:
-                    raise DomainError(f"element {x!r} appears in two blocks")
-                seen.add(x)
-            canon.append(b)
-        canon.sort(key=lambda b: b[0])
+        try:
+            for block in blocks:
+                b = tuple(sorted(block))
+                if not b:
+                    raise DomainError("empty block")
+                for x in b:
+                    if x in seen:
+                        raise DomainError(f"element {x!r} appears in two blocks")
+                    seen.add(x)
+                canon.append(b)
+            canon.sort(key=lambda b: b[0])
+        except TypeError as exc:  # blocks or a block not iterable, members unorderable or unhashable
+            raise DomainError(f"malformed blocks: {exc}") from None
         return cls(tuple(canon))
 
     def members(self) -> frozenset:

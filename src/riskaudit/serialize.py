@@ -290,7 +290,8 @@ def _records(reader) -> RecordTable:
             f"expected header {','.join(CSV_HEADER)}, got {','.join(header)}"
         )
     rows = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        lineno = reader.line_num  # the record's last physical line: a quoted field may span lines
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != 3:

@@ -11,7 +11,7 @@ from functools import partial
 from operator import or_
 from typing import NamedTuple, Optional
 
-from .audit import _balances, _calibrated_within, _pooled, _pooled_assignment, _Table
+from .audit import _balances, _pooled, _pooled_assignment, _pooled_within
 from .errors import DomainError
 from .loss import LossReport, _loss_report, _nontrivial
 from .model import Instance, RiskAssignment, _scaled, require_valid
@@ -71,15 +71,15 @@ def _integral_search(inst: Instance, cap: Optional[int], calibrated, visit, boun
     into a new one.
 
     A pooled block's calibration depends on that block alone.
-    `calibrated(table)`, the caller's calibration verdict, is applied once
-    to the one-bin table of every subset of the features, and a subtree is
-    skipped as soon as one of its open blocks can no longer be completed into
-    a passing block; its partitions are counted, not visited. So every block
-    of a visited partition passes. `visit(blocks, table)` gets the blocks as
-    bit masks over feature positions, in block order, and the table of the
-    populated blocks scored at their pooled rates; it returns whether the
-    partition is a hit. The mask list is the walk's own and changes after
-    the call.
+    `calibrated(m0, m1, p0, p1)`, the caller's verdict on a block's integer
+    group masses and expected positives, is applied once to the column sums
+    of every subset of the features, and a subtree is skipped as soon as one
+    of its open blocks can no longer be completed into a passing block; its
+    partitions are counted, not visited. So every block of a visited
+    partition passes. `visit(blocks, table)` gets the blocks as bit masks
+    over feature positions, in block order, and the table of the populated
+    blocks scored at their pooled rates; it returns whether the partition is
+    a hit. The mask list is the walk's own and changes after the call.
 
     Without `bound` the walk stops at the first hit. With it, each hit
     becomes the incumbent, and a subtree is skipped unless it may beat it:
@@ -99,7 +99,6 @@ def _integral_search(inst: Instance, cap: Optional[int], calibrated, visit, boun
     if k > MAX_SEARCH_ITEMS:
         raise DomainError(f"{k} features: the integral search takes at most {MAX_SEARCH_ITEMS}, even with a cap")
     scaled = _scaled(inst)
-    scale = scaled.denominator
     # block sums of every subset, by bit mask over feature positions
     m0, m1, g0, g1 = [0], [0], [0], [0]
     for n1, n2, q1, q2 in scaled.weights:
@@ -109,8 +108,7 @@ def _integral_search(inst: Instance, cap: Optional[int], calibrated, visit, boun
         g1 += [x + q2 for x in g1]
     # reach[i][mask], for a mask over positions < i: some subset of the
     # positions >= i completes it into a calibrated block
-    reach = [[calibrated(_Table(([a], [b]), ([c], [d]), scale, [c + d], [a + b]))
-              for a, b, c, d in zip(m0, m1, g0, g1)]]
+    reach = [list(map(calibrated, m0, m1, g0, g1))]
     for i in reversed(range(k)):
         h = 1 << i
         reach.append(list(map(or_, reach[-1][:h], reach[-1][h:])))
@@ -150,7 +148,7 @@ def _integral_search(inst: Instance, cap: Optional[int], calibrated, visit, boun
             visited += 1
             kept = [m for m in masks if m0[m] or m1[m]]
             mass = [m0[m] for m in kept], [m1[m] for m in kept]
-            table = _pooled(mass, ([g0[m] for m in kept], [g1[m] for m in kept]), scale)
+            table = _pooled(mass, ([g0[m] for m in kept], [g1[m] for m in kept]), scaled.denominator)
             if not visit(masks, table):
                 return False
             if not bound:
@@ -223,7 +221,7 @@ def solve_integral(inst: Instance, objective: str = "any_fair", cap: Optional[in
         return True
 
     explored, pruned, complete = _integral_search(
-        inst, cap, partial(_calibrated_within, e=0), visit, bound=objective == "min_loss"
+        inst, cap, partial(_pooled_within, e=0), visit, bound=objective == "min_loss"
     )
     if hit is None:
         return SolveResult("none" if complete else "budget_exceeded", None, None, None, explored, pruned)

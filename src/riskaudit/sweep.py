@@ -19,11 +19,11 @@ from .audit import (
     ApproxAuditReport,
     _accumulate_bins,
     _approx_report,
-    _calibrated_within,
     _fair,
     _first_bin_within,
     _pooled,
     _pooled_assignment,
+    _pooled_within,
     _scored,
     audit_approx,
     consequence_slack,
@@ -415,9 +415,9 @@ def theorem_sweep(
 
     # a candidate outside the calibration band (at eps = 0, exact
     # calibration) in any one bin can pass neither check: the walk prunes
-    # with this verdict, and the stream applies it to pooled candidates'
-    # first bins (`_first_bin_within`)
-    calibrated = partial(_calibrated_within, e=e)
+    # its blocks with this verdict, and the stream applies it to pooled
+    # candidates' first bins (`_first_bin_within`)
+    calibrated = partial(_pooled_within, e=e)
     integral_explored, _, integral_complete = _integral_search(inst, integral_cap, calibrated, visit)
 
     # Every split candidate shares the verdicts of the first one. Each of its

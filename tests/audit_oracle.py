@@ -30,6 +30,10 @@
   `_banded_bins`, which pin the seeded stream the package draws with
   `getrandbits`: `tests/test_sweep.py::TestDraws`, and for many draws from
   one per-sweep split structure, `test_one_split_structure_serves_every_draw`.
+- `pooled_block_within`, a pooled block's calibration band on its one-bin
+  `_Table`, the reference for the band rule the walk prunes with
+  (`audit._pooled_within` on four column sums):
+  `test_pooled_block_rule_matches_its_table`.
 - `plain_sweep` and `exhaustive_solve` visit every partition through the
   package's walk with pruning off (`_integral_search` with a calibration
   verdict that passes every block, and no bound), which
@@ -60,7 +64,9 @@ from riskaudit.audit import (
     AuditReport,
     ConsequenceFlags,
     _approx_report,
+    _calibrated_within,
     _fair,
+    _Table,
 )
 from riskaudit.errors import DegenerateGroupError, DomainError, InvalidAssignmentError
 from riskaudit.loss import FairnessDifference, LossReport, _loss_report, _nontrivial
@@ -694,6 +700,13 @@ def _partition(inst: Instance, blocks) -> Partition:
     return Partition.from_blocks([fid for i, fid in enumerate(inst.ids) if mask >> i & 1] for mask in blocks)
 
 
+# from riskaudit/solver.py, from when the walk judged a pooled block on its
+# one-bin table: the band rule `audit._pooled_within` decides on the block's
+# four column sums, `test_pooled_block_rule_matches_its_table`
+def pooled_block_within(m0: int, m1: int, p0: int, p1: int, e) -> bool:
+    return _calibrated_within(_Table(([m0], [m1]), ([p0], [p1]), 1, [p0 + p1], [m0 + m1]), e)
+
+
 def plain_sweep(inst: Instance, budget: int, eps, seed: int, integral_cap: Optional[int] = None) -> SweepReport:
     """`theorem_sweep`, visiting every partition and auditing every
     fractional candidate as a built assignment."""
@@ -725,7 +738,7 @@ def plain_sweep(inst: Instance, budget: int, eps, seed: int, integral_cap: Optio
         consider(_fair(table), approx, lambda: assignment_from_partition(inst, _partition(inst, blocks)))
         return False
 
-    integral_explored, _, integral_complete = _integral_search(inst, integral_cap, lambda table: True, visit)
+    integral_explored, _, integral_complete = _integral_search(inst, integral_cap, lambda m0, m1, p0, p1: True, visit)
 
     k = len(inst.features)
     empty = _pooled_rate(gs)
@@ -777,7 +790,7 @@ def exhaustive_solve(
             best = report, tuple(blocks)
         return objective == "any_fair"
 
-    explored, _, complete = _integral_search(inst, cap, lambda table: True, visit)
+    explored, _, complete = _integral_search(inst, cap, lambda m0, m1, p0, p1: True, visit)
     if best is None:
         return SolveResult("none" if complete else "budget_exceeded", None, None, None, explored, 0)
     report, blocks = best

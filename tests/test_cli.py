@@ -469,9 +469,11 @@ _CSV_HEADER = "feature_id,group,outcome\n"
         (["ingest", "-i", "{doc}", "-o", "{out}"], _CSV_HEADER + "\n", "CSV contains no data rows"),
         (["ingest", "-i", "{doc}", "-o", "{out}"], _CSV_HEADER + "a,1,1\n" + "x" * 200_000 + ",2,0\n",
          "line 3: field larger than field limit"),
+        (["ingest", "-i", "{doc}", "-o", "{out}"], _CSV_HEADER + '"a\nb",1,1\nc,3,1\n', "line 4: group must be 1 or 2"),
     ],
     ids=["features", "feature", "counts", "bins", "bin", "allocation", "target",
-         "csv-empty", "csv-columns", "csv-feature-id", "csv-group", "csv-no-rows", "csv-long-field"],
+         "csv-empty", "csv-columns", "csv-feature-id", "csv-group", "csv-no-rows", "csv-long-field",
+         "csv-multiline-field"],
 )
 def test_document_errors_name_their_place(ws, tmp_path, capsys, argv, text, place):
     doc = tmp_path / "doc"

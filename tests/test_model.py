@@ -212,6 +212,11 @@ class TestRiskAssignment:
         with pytest.raises(InvalidAssignmentError, match="'a', bin 0"):
             RiskAssignment(("a",), (F(1, 2),), ((True,),))
 
+    @pytest.mark.parametrize("rows", [5, (5,)], ids=["rows-not-iterable", "row-not-iterable"])
+    def test_rows_that_are_not_iterable_are_refused(self, rows):
+        with pytest.raises(InvalidAssignmentError, match="not iterable"):
+            RiskAssignment(("a",), (F(1),), rows)
+
     def test_row_lookup(self):
         asg = RiskAssignment(
             ("a", "b"),

@@ -7,7 +7,9 @@ string order differs from their position. Assignments list their features in
 a shuffled order and score bins either at random or at the bin's pooled rate,
 so fair and relaxed-passing cases occur as well as failing ones.
 
-The search's walk is checked against the definition of a calibrated block:
+The band rule the walk prunes with, on a block's four column sums, is
+checked against the same band on the block's one-bin table. The search's
+walk is checked against the definition of a calibrated block:
 it visits exactly the partitions whose every block passes, in canonical
 order (`enumerate_partitions`), each with its populated blocks' column sums
 scored at their pooled rates; with a verdict that passes every block, it
@@ -48,7 +50,7 @@ from riskaudit import (
     theorem_sweep,
     validate_instance,
 )
-from riskaudit.audit import _calibrated_within, _Table, _within_slack
+from riskaudit.audit import _pooled_within, _Table, _within_slack
 from riskaudit.model import _scaled, _sqrt_upper
 from riskaudit.partitions import Partition, enumerate_partitions
 from riskaudit.solver import _integral_search, assignment_from_partition
@@ -204,6 +206,28 @@ def test_pruned_sweep_matches_unpruned(case, eps):
     assert theorem_sweep(inst, 0, eps, 1, integral_cap=cap) == old.plain_sweep(inst, 0, eps, 1, integral_cap=cap)
 
 
+# a group's mass and expected positives, integers with 0 <= p <= m: small
+# values, so that empty blocks and blocks without positives occur, and large
+def _mass_and_positives(m):
+    return st.tuples(st.just(m), st.integers(0, m))
+
+
+GROUP_SUMS = st.one_of(st.integers(0, 3), st.integers(0, 10**12)).flatmap(_mass_and_positives)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(GROUP_SUMS, GROUP_SUMS, st.sampled_from((0, F(1, 1000), F(1, 10), 1, 3)))
+@example((0, 0), (0, 0), 0)
+@example((0, 0), (5, 2), F(1, 10))
+@example((4, 0), (0, 0), 0)
+@example((4, 0), (6, 0), 0)
+@example((2, 2), (3, 0), 1)
+@example((2, 1), (4, 2), 0)
+def test_pooled_block_rule_matches_its_table(group1, group2, e):
+    (m0, p0), (m1, p1) = group1, group2
+    assert _pooled_within(m0, m1, p0, p1, e) == old.pooled_block_within(m0, m1, p0, p1, e)
+
+
 def _passes(features, kind, x) -> bool:
     # a pooled block's calibration, from the definition: each group's expected
     # positives within the factor band 1 +- x of the block's pooled rate times
@@ -230,7 +254,7 @@ BLOCK_TESTS = (("band", F(0)), ("band", F(1, 1000)), ("band", F(1, 10)), ("band"
 def test_search_visits_exactly_the_calibrated_partitions(case, block_test):
     inst, cap = case
     kind, x = block_test
-    calibrated = {"band": partial(_calibrated_within, e=x), "all": lambda table: True}[kind]
+    calibrated = {"band": partial(_pooled_within, e=x), "all": lambda m0, m1, p0, p1: True}[kind]
     k = len(inst.features)
     scaled = _scaled(inst)
     # a block's column sums of the scaled weights (n1, n2, q1, q2)

@@ -108,6 +108,12 @@ class TestPartitionType:
         with pytest.raises(DomainError):
             Partition.from_blocks([[1], []])
 
+    @pytest.mark.parametrize("blocks", [5, [5], [[1, "a"]], [[[1]]]],
+                             ids=["blocks-not-iterable", "block-not-iterable", "unorderable", "unhashable"])
+    def test_rejects_malformed_blocks(self, blocks):
+        with pytest.raises(DomainError, match="^malformed blocks: "):
+            Partition.from_blocks(blocks)
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 6))
     def test_block_counts_bounded(self, k):

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 
@@ -10,6 +11,7 @@ from riskaudit import (
     assignment_from_partition,
     audit_exact,
     bell_number,
+    derived_stats,
     dumps_doc,
     feature,
     instance_to_doc,
@@ -102,6 +104,18 @@ def _spread(k):
     return Instance(tuple(feature(f"f{i}", F(i % 3, 2), 1, i % 2) for i in range(k)))
 
 
+def _gapped(k, seed):
+    # both groups on every feature, every probability inside (0, 1), base
+    # rates at least 1/10 apart: nothing is fair
+    rng = Random(seed)
+    while True:
+        inst = Instance(tuple(feature(f"g{i}", F(rng.randint(1, 11), 12), rng.randint(1, 4), rng.randint(1, 4))
+                              for i in range(k)))
+        (r1, r2) = derived_stats(inst).base_rate
+        if abs(r1 - r2) >= F(1, 10):
+            return inst
+
+
 class TestSearchSize:
     def test_full_scan_at_twelve_features(self):
         # unequal base rates and uncertain features: nothing is fair, and the
@@ -120,6 +134,31 @@ class TestSearchSize:
         path = tmp_path / "inst17.json"
         path.write_text(dumps_doc(instance_to_doc(_spread(17))))
         assert run_cli(["solve-integral", "-i", str(path), "--cap", "3"]) == 2
+
+    @pytest.mark.parametrize("inst, cap", [
+        (_gapped(7, 301), None),
+        (_gapped(7, 302), None),
+        (Instance(tuple(feature(f"x{i}", F(i % 4, 4), 1 + i % 2, 1 + i % 2) for i in range(7))), None),
+        (_spread(16), 10),
+    ], ids=["gapped7-301", "gapped7-302", "fair7", "spread16-cap10"])
+    def test_tables_built_per_visited_partition(self, monkeypatch, inst, cap):
+        # the walk judges the blocks of all 2**k feature subsets on their
+        # column sums: it builds one table per partition it visits and one
+        # for the witness, none per subset
+        import riskaudit.audit as audit_module
+
+        built = []
+        original = audit_module._Table.__init__
+
+        def counted(table, *args):
+            built.append(table)
+            original(table, *args)
+
+        monkeypatch.setattr(audit_module._Table, "__init__", counted)
+        for objective in OBJECTIVES:
+            built.clear()
+            res = solve_integral(inst, objective, cap)
+            assert len(built) <= res.explored - res.pruned + (res.partition is not None)
 
     def test_fractional_sweep_needs_no_integral_search(self):
         rep = theorem_sweep(_spread(20), 50, F(1, 10), 1, integral_cap=0)
