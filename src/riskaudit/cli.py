@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from fractions import Fraction
 
 from .errors import DocumentError, ReductionInfeasibleError, RiskAuditError
@@ -77,17 +76,29 @@ def _deliver(args, out_doc: dict, doc: dict, lines: list[str]) -> None:
         sys.stdout.write(dumps_doc(out_doc))
 
 
-def _audit_lines(doc: dict) -> list[str]:
-    return [
-        f"calibration_ok: {_bool(doc['calibration_ok'])}",
-        f"expected_score_total: {doc['expected_score_total'][0]}, {doc['expected_score_total'][1]}",
-        f"pos_class_avg: {doc['pos_class_avg'][0]}, {doc['pos_class_avg'][1]}",
-        f"neg_class_avg: {doc['neg_class_avg'][0]}, {doc['neg_class_avg'][1]}",
-        f"balance_pos: ok={_bool(doc['balance_pos']['ok'])} vacuous={_bool(doc['balance_pos']['vacuous'])}",
-        f"balance_neg: ok={_bool(doc['balance_neg']['ok'])} vacuous={_bool(doc['balance_neg']['vacuous'])}",
-        f"parity_gap: {doc['parity_gap']}",
-        f"fair: {_bool(doc['fair'])}",
-    ]
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return _bool(value)
+    if isinstance(value, list):
+        return ", ".join(map(_text, value))
+    if isinstance(value, dict):
+        return " ".join(f"{k}={_text(v)}" for k, v in value.items())
+    return str(value)
+
+
+def _doc_lines(doc: dict, prefix: str = "") -> list[str]:
+    """A report document as text, by one rule: each field in order as
+    `key: value`, a list joined with ", ", a record of flags only (a balance
+    condition's ok/vacuous pair) as `flag=value` pairs, any other nested
+    record as one `key.field` line per field. A table (a list of lists) is
+    left to the JSON form."""
+    lines = []
+    for key, value in doc.items():
+        if isinstance(value, dict) and not all(isinstance(v, bool) for v in value.values()):
+            lines += _doc_lines(value, f"{prefix}{key}.")
+        elif not (isinstance(value, list) and any(isinstance(x, list) for x in value)):
+            lines.append(f"{prefix}{key}: {_text(value)}")
+    return lines
 
 
 def cmd_ingest(args) -> int:
@@ -99,8 +110,7 @@ def cmd_ingest(args) -> int:
         lines.append(
             f"  {e['feature_id']} group {e['group']}: rate {e['group_rate']} deviation {e['deviation']}"
         )
-    _write(args.output, dumps_doc(out_doc))
-    _emit(args, doc, lines)
+    _deliver(args, out_doc, doc, lines)
     return 0
 
 
@@ -111,22 +121,12 @@ def cmd_audit(args) -> int:
     asg = parse_assignment(_read(args.assignment))
     report = audit_exact(inst, asg)
     doc: dict = {"audit": audit_doc(report)}
-    lines = _audit_lines(doc["audit"])
+    lines = _doc_lines(doc["audit"])
     verdict = report.fair
     if args.eps is not None:
         approx = audit_approx(inst, asg, args.eps)
         doc["approx"] = audit_doc(approx)
-        a = doc["approx"]
-        lines += [
-            f"approx.epsilon: {a['epsilon']}",
-            f"approx.calibration_ok: {_bool(a['calibration_ok'])}",
-            f"approx.balance_pos: ok={_bool(a['balance_pos']['ok'])} vacuous={_bool(a['balance_pos']['vacuous'])}",
-            f"approx.balance_neg: ok={_bool(a['balance_neg']['ok'])} vacuous={_bool(a['balance_neg']['vacuous'])}",
-            f"approx.passed: {_bool(a['passed'])}",
-            f"approx.consequence.slack: {a['consequence']['slack']}",
-            f"approx.consequence.near_perfect_prediction: {_bool(a['consequence']['near_perfect_prediction'])}",
-            f"approx.consequence.near_equal_base_rates: {_bool(a['consequence']['near_equal_base_rates'])}",
-        ]
+        lines += _doc_lines(doc["approx"], "approx.")
         verdict = approx.passed
     _emit(args, doc, lines)
     return 0 if verdict else 1
@@ -161,7 +161,7 @@ def cmd_interpolate(args) -> int:
     out_doc = assignment_to_doc(result)
     d = report_doc(fairness_difference(inst, result))
     lines = [
-        f"weight: {fmt_rational(as_fraction(args.weight))}",
+        f"weight: {fmt_rational(args.weight)}",
         f"bins: {result.bin_count}",
         f"difference: {d['difference']}",
     ]
@@ -214,14 +214,13 @@ def cmd_reduce(args) -> int:
     except ValueError:
         raise argparse.ArgumentTypeError("weights must be comma-separated integers")
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ri = reduce_subset_sum(SubsetSumInstance(weights, args.target))
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
+        ri = reduce_subset_sum(SubsetSumInstance(weights, args.target))
     except ReductionInfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1
+    if ri.dropped_indices:
+        positions = list(ri.dropped_indices)
+        print(f"warning: dropping weights above the target at positions {positions}", file=sys.stderr)
     doc = reduced_to_doc(ri)
     lines = [
         f"pairs: {ri.m}",

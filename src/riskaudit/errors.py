@@ -29,10 +29,6 @@ class DomainError(RiskAuditError):
 class ReductionInfeasibleError(RiskAuditError):
     """Raised when the subset-sum construction cannot produce a valid instance."""
 
-    def __init__(self, message, required_pos_avg=None):
-        self.required_pos_avg = required_pos_avg
-        super().__init__(message)
-
 
 class DocumentError(RiskAuditError):
     """Raised on malformed serialized documents. Carries a JSON-path hint."""

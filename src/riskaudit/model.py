@@ -219,6 +219,14 @@ class _Scaled(NamedTuple):
     totals: tuple[int, int, int, int]
 
 
+def _tuple(values, name: str) -> tuple:
+    """`values` as a tuple; DomainError naming them when they are not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise DomainError(f"{name} must be iterable, not {values!r:.60}") from None
+
+
 class Instance(_Frozen):
     """An ordered collection of features describing both groups at once.
 
@@ -232,7 +240,7 @@ class Instance(_Frozen):
     _fields = ("features",)
 
     def __init__(self, features: Iterable[FeatureVector]):
-        _set(self, "features", tuple(features))
+        _set(self, "features", _tuple(features, "features"))
         _set(self, "_form", None)
 
     @property
@@ -260,6 +268,9 @@ def validate_instance(inst: Instance) -> ValidationReport:
     seen: set[str] = set()
     parts: list[tuple[int, int]] = []  # n1, n1 * p, n2, n2 * p per feature, as (numerator, denominator)
     for f in inst.features:
+        if not isinstance(f, FeatureVector):
+            violations.append(f"{f!r:.60} is not a FeatureVector")
+            continue
         if not isinstance(f.id, str) or not f.id:
             violations.append(f"feature id {f.id!r} is not a nonempty string")
         elif f.id in seen:
@@ -283,7 +294,8 @@ def validate_instance(inst: Instance) -> ValidationReport:
                 r = gcd(top, bottom)
                 parts += ((a, b), (top // r, bottom // r))
     if violations:
-        totals = [sum(n for n in (f.count(t) for f in inst.features) if _rational(n)) for t in GROUPS]
+        features = [f for f in inst.features if isinstance(f, FeatureVector)]
+        totals = [sum(n for n in (f.count(t) for f in features) if _rational(n)) for t in GROUPS]
     else:
         d = lcm(*(b for _, b in parts))
         flat = [a * (d // b) for a, b in parts]
@@ -306,6 +318,8 @@ def require_valid(inst: Instance) -> Instance:
 def _scaled(inst: Instance) -> _Scaled:
     """A valid instance's integer form, built by its first validation and
     kept on the instance."""
+    if not isinstance(inst, Instance):
+        raise DomainError(f"expected an Instance, not {inst!r:.60}")
     if inst._form is None:
         report = validate_instance(inst)
         if not report.ok:
@@ -351,10 +365,12 @@ class RecordTable(_Frozen):
     __slots__ = _fields = ("rows",)
 
     def __init__(self, rows: Iterable[Record]):
-        rows = tuple(rows)
+        rows = _tuple(rows, "rows")
         if not rows:
             raise DomainError("record table is empty")
         for r in rows:
+            if not isinstance(r, Record):
+                raise DomainError(f"rows must hold Records, not {r!r:.60}")
             if r.group not in GROUPS:
                 raise DomainError(f"record for {r.feature_id!r}: unknown group {r.group}")
         present = {r.group for r in rows}

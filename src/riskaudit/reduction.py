@@ -30,13 +30,12 @@ reduced instance has a fair non-trivial integral assignment.
 """
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, ReductionInfeasibleError
-from .model import _SQRT_SCALE, _Frozen, _set, _sqrt_upper
+from .model import _SQRT_SCALE, _Frozen, _set, _sqrt_upper, _tuple
 from .partitions import DEFAULT_MAX_ITEMS, Partition, _blocks, _growth_strings
 
 
@@ -46,7 +45,7 @@ class SubsetSumInstance(_Frozen):
     __slots__ = _fields = ("weights", "target")
 
     def __init__(self, weights: Iterable[int], target: int):
-        weights = tuple(weights)
+        weights = _tuple(weights, "weights")
         if not weights:
             raise DomainError("at least one weight required")
         for w in weights:
@@ -155,16 +154,12 @@ def reduce_subset_sum(ss: SubsetSumInstance) -> ReducedInstance:
     """Run the construction.
 
     Weights above the target cannot sit in any solution; they are dropped
-    with a warning before the embedding. Raises ReductionInfeasibleError when
+    before the embedding and listed in `dropped_indices`. Raises ReductionInfeasibleError when
     the required positive-class average g violates 2g - 1 >= 0 or a derived
     probability would leave [0, 1] (both can only happen at m == 1).
     """
     kept = [i + 1 for i, w in enumerate(ss.weights) if w <= ss.target]
     dropped = [i + 1 for i, w in enumerate(ss.weights) if w > ss.target]
-    if dropped:
-        warnings.warn(
-            f"dropping weights above the target at positions {dropped}", stacklevel=2
-        )
     if not kept:
         raise DomainError("no weight is at most the target; nothing to embed")
     m = len(kept)
@@ -180,19 +175,12 @@ def reduce_subset_sum(ss: SubsetSumInstance) -> ReducedInstance:
     )
     disc = 2 * g - 1
     if disc < 0:
-        raise ReductionInfeasibleError(
-            f"required positive-class average {g} gives 2g - 1 = {disc} < 0",
-            required_pos_avg=g,
-        )
+        raise ReductionInfeasibleError(f"required positive-class average {g} gives 2g - 1 = {disc} < 0")
     for i, (c, e) in enumerate(pairs, start=1):
         if e > c * c or e > (1 - c) * (1 - c):
-            raise ReductionInfeasibleError(
-                f"pair {i} would leave [0, 1]", required_pos_avg=g
-            )
+            raise ReductionInfeasibleError(f"pair {i} would leave [0, 1]")
     if disc > 1:
-        raise ReductionInfeasibleError(
-            f"required positive-class average {g} exceeds 1", required_pos_avg=g
-        )
+        raise ReductionInfeasibleError(f"required positive-class average {g} exceeds 1")
 
     rates_exact = tuple(
         Surd(c, e, sign) for c, e in pairs + [(Fraction(1, 2), disc / 4)] for sign in (-1, 1)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import warnings
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
@@ -241,9 +240,7 @@ def reduced_from_doc(doc: Any) -> ReducedInstance:
         raise DocumentError("expected a list of integers", ".weights")
     if not isinstance(target, int) or isinstance(target, bool):
         raise DocumentError("expected an integer", ".target")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ri = reduce_subset_sum(SubsetSumInstance(tuple(weights), target))
+    ri = reduce_subset_sum(SubsetSumInstance(tuple(weights), target))
     for key, value in reduced_to_doc(ri).items():
         if not _same_value(doc.get(key), value, "." + key):
             raise DocumentError("disagrees with the construction", "." + key)

@@ -15,7 +15,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -196,9 +195,50 @@ def test_verify_subset_check(tmp_path, capsys):
     assert "equation_holds=true" in capsys.readouterr().out
 
 
+def test_verify_disagreement_exit_two(tmp_path, capsys, monkeypatch):
+    import riskaudit.reduction
+
+    red = tmp_path / "red.json"
+    assert run_cli(["reduce", "--weights", "1,2", "--target", "3", "-o", str(red)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(riskaudit.reduction, "search_normal_forms", lambda ri: None)
+    assert run_cli(["verify-reduction", "-r", str(red)]) == 2
+    out = capsys.readouterr().out
+    assert "oracle_solvable: true" in out and "agreement: false" in out
+
+
 def test_reduce_infeasible_exit_one(capsys):
     assert run_cli(["reduce", "--weights", "1", "--target", "1"]) == 1
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_reduce_names_dropped_weights_only_when_it_succeeds(capsys):
+    assert run_cli(["reduce", "--weights", "5,1,2", "--target", "3"]) == 0
+    assert capsys.readouterr().err == "warning: dropping weights above the target at positions [1]\n"
+    # the kept weight (1,) alone cannot be embedded
+    assert run_cli(["reduce", "--weights", "9,1", "--target", "1"]) == 1
+    assert capsys.readouterr().err.startswith("infeasible: ")
+
+
+def test_audit_text_is_read_off_its_documents(ws, capsys, monkeypatch):
+    import riskaudit.cli
+    from riskaudit.serialize import audit_doc
+
+    audit = ["audit", "-i", ws["skewed"], "-a", ws["skewed_id"], "--eps", "1/10"]
+    run_cli(audit)
+    keys = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    # every field in order but the residual table, then the relaxed report's
+    assert keys == [
+        "calibration_ok", "expected_score_total", "pos_class_avg", "neg_class_avg", "balance_pos",
+        "balance_neg", "parity_gap", "fair", "approx.epsilon", "approx.calibration_ok",
+        "approx.balance_pos", "approx.balance_neg", "approx.passed", "approx.consequence.slack",
+        "approx.consequence.near_perfect_prediction", "approx.consequence.near_equal_base_rates",
+    ]
+    # a field added to an audit record reaches the text with no edit to the command
+    monkeypatch.setattr(riskaudit.cli, "audit_doc", lambda report: {**audit_doc(report), "added": "1/3"})
+    run_cli(audit)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[8] == "added: 1/3" and lines[-1] == "approx.added: 1/3"
 
 
 def test_theorem_sweep_requires_seed(ws, capsys):
@@ -650,7 +690,7 @@ _SIGNATURES = """
     RecordTable: rows
     ReducedInstance: input_weights target kept_indices dropped_indices m scaled_weights required_pos_avg
         rates_exact rates group1_mass group2_mass _basis
-    ReductionInfeasibleError: message required_pos_avg
+    ReductionInfeasibleError: -
     RiskAssignment: feature_ids scores rows
     RiskAuditError: -
     SolveResult: status partition assignment loss_report explored pruned
@@ -822,9 +862,7 @@ def _reductions(draw):
     # a faithful reduction document, then perhaps one field replaced
     weights, target = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4)), draw(st.integers(1, 20))
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # weights above the target are dropped
-            doc = reduced_to_doc(reduce_subset_sum(SubsetSumInstance(tuple(weights), target)))
+        doc = reduced_to_doc(reduce_subset_sum(SubsetSumInstance(tuple(weights), target)))
     except RiskAuditError:
         doc = {"version": "1", "kind": "reduction", "weights": weights, "target": target}
     _perhaps_replace(draw, doc)

@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction as F
 from random import Random
@@ -13,6 +14,8 @@ from riskaudit import (
     Record,
     RecordTable,
     RiskAssignment,
+    RiskAuditError,
+    SubsetSumInstance,
     approx_audit_corpus,
     as_fraction,
     audit_approx,
@@ -27,6 +30,7 @@ from riskaudit import (
     interpolate,
     random_gapped_instance,
     require_valid,
+    solve_integral,
     target_lambda,
     theorem_sweep,
     validate_instance,
@@ -93,6 +97,29 @@ def test_an_argument_that_is_no_rational_is_a_domain_error(call, name, skewed):
     for bad in NOT_RATIONAL:
         with pytest.raises(DomainError, match=f"^{name} must be a rational, not "):
             call(skewed, asg, bad)
+
+
+# calls given an argument of the wrong type, and the start of the message of
+# the RiskAuditError each raises (not a bare TypeError or AttributeError)
+WRONG_TYPE = {
+    "Instance": (lambda inst, asg: Instance(5), "features must be iterable, not 5"),
+    "RecordTable": (lambda inst, asg: RecordTable(5), "rows must be iterable, not 5"),
+    "RecordTable-row": (lambda inst, asg: RecordTable([5]), "rows must hold Records, not 5"),
+    "SubsetSumInstance": (lambda inst, asg: SubsetSumInstance(5, 1), "weights must be iterable, not 5"),
+    "require_valid": (lambda inst, asg: require_valid(Instance([5])), "invalid instance: 5 is not a FeatureVector;"),
+    "solve_integral": (lambda inst, asg: solve_integral(5), "expected an Instance, not 5"),
+    "audit_exact": (lambda inst, asg: audit_exact(inst, 5), "expected a RiskAssignment, not 5"),
+    # `asg` keeps a table, whose fast path reads the instance's form
+    "audit_exact-instance": (lambda inst, asg: audit_exact(5, asg), "expected an Instance, not 5"),
+}
+
+
+@pytest.mark.parametrize("call, message", WRONG_TYPE.values(), ids=WRONG_TYPE.keys())
+def test_an_argument_of_the_wrong_type_is_refused(call, message, skewed):
+    asg = identity_assignment(skewed)
+    audit_exact(skewed, asg)  # so that asg keeps a table
+    with pytest.raises(RiskAuditError, match=f"^{re.escape(message)}"):
+        call(skewed, asg)
 
 
 class TestValidation:
@@ -190,6 +217,10 @@ class TestIngest:
         with pytest.raises(DomainError):
             RecordTable((Record("a", 1, True),))
 
+    def test_unknown_group_rejected(self):
+        with pytest.raises(DomainError, match="^record for 'a': unknown group 3"):
+            RecordTable((Record("a", 1, True), Record("a", 3, True), Record("b", 2, False)))
+
 
 class TestRiskAssignment:
     def test_row_validation(self):
@@ -201,6 +232,8 @@ class TestRiskAssignment:
             RiskAssignment(("a", "a"), (F(1, 2),), ((F(1),), (F(1),)))
         with pytest.raises(InvalidAssignmentError):
             RiskAssignment((), (), ())
+        with pytest.raises(InvalidAssignmentError, match="^one allocation row per feature"):
+            RiskAssignment(("a", "b"), (F(1),), ((F(1),),))
         # floats are refused at construction, naming the bin or the feature
         with pytest.raises(InvalidAssignmentError, match="bin 0"):
             RiskAssignment(("a",), (0.5,), ((F(1),),))

@@ -23,6 +23,7 @@ from riskaudit import (
     ConsequenceFlags,
     DivergenceEntry,
     DivergenceReport,
+    DomainError,
     FairnessDifference,
     FeatureVector,
     GroupStats,
@@ -206,3 +207,5 @@ def test_feature_vector_keeps_count():
     # the reason a feature vector is no NamedTuple: `count` is tuple's
     f = feature("a", "1/2", 1, 3)
     assert f.count(1) == 1 and f.count(2) == 3 and f.total == 4
+    with pytest.raises(DomainError, match="^unknown group 3"):
+        f.count(3)

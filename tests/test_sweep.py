@@ -193,6 +193,10 @@ class TestCandidateFamilies:
         assert rep.calibration_ok
         assert set(asg.scores) <= {F(0), F(1)}
 
+    def test_two_bin_certain_refuses_an_uncertain_instance(self, skewed):
+        with pytest.raises(DomainError, match="uncertain populated feature"):
+            two_bin_certain_assignment(skewed)
+
 
 class TestTheoremSweep:
     def test_no_counterexamples_on_skewed(self, skewed):
