@@ -96,9 +96,7 @@ def _difference(report) -> Fraction:
 def _nontrivial(table: _Table) -> bool:
     """Two distinct scores carry people mass, compared by cross-multiplying."""
     populated = [(n, d) for n, d, m1, m2 in zip(table.nums, table.dens, *table.mass) if m1 + m2 > 0]
-    if not populated:
-        return False
-    n0, d0 = populated[0]
+    n0, d0 = populated[0]  # rows sum to 1 and each group has mass, so some bin holds people
     return any(n * d0 != n0 * d for n, d in populated)
 
 
@@ -121,8 +119,6 @@ def normalize_assignment(inst: Instance, asg: RiskAssignment) -> RiskAssignment:
     table = _bin_table(inst, asg)
     masses = [m1 + m2 for m1, m2 in zip(*table.mass)]
     scores = sorted({v for v, m in zip(asg.scores, masses) if m > 0})
-    if not scores:
-        raise DomainError("assignment carries no people")
     # each bin's column in the result: its score's, or 0 for a dropped bin
     column = [scores.index(v) if m > 0 else 0 for v, m in zip(asg.scores, masses)]
     rows = []

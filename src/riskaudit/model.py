@@ -264,6 +264,8 @@ def validate_instance(inst: Instance) -> ValidationReport:
     same pass scales a valid instance to integers and keeps that form on it
     (see `_scaled`).
     """
+    if not isinstance(inst, Instance):
+        raise DomainError(f"expected an Instance, not {inst!r:.60}")
     violations: list[str] = []
     seen: set[str] = set()
     parts: list[tuple[int, int]] = []  # n1, n1 * p, n2, n2 * p per feature, as (numerator, denominator)

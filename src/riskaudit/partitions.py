@@ -88,9 +88,7 @@ def _check_enumerable(k: int, cap: Optional[int]) -> None:
     if cap is not None:
         _require_count(cap, "cap")
     if k > DEFAULT_MAX_ITEMS and cap is None:
-        raise DomainError(
-            f"{k} items would enumerate {bell_number(k)} partitions; pass a cap to proceed"
-        )
+        raise DomainError(f"{k} items: more than {DEFAULT_MAX_ITEMS} are enumerated only with a cap")
 
 
 def enumerate_partitions(k: int, cap: Optional[int] = None) -> Iterator[Partition]:

@@ -179,8 +179,6 @@ def reduce_subset_sum(ss: SubsetSumInstance) -> ReducedInstance:
     for i, (c, e) in enumerate(pairs, start=1):
         if e > c * c or e > (1 - c) * (1 - c):
             raise ReductionInfeasibleError(f"pair {i} would leave [0, 1]")
-    if disc > 1:
-        raise ReductionInfeasibleError(f"required positive-class average {g} exceeds 1")
 
     rates_exact = tuple(
         Surd(c, e, sign) for c, e in pairs + [(Fraction(1, 2), disc / 4)] for sign in (-1, 1)
@@ -382,8 +380,6 @@ def _split_root(n: int, base: list[int]) -> tuple[int, int]:
     are pairwise coprime non-squares, so a product of distinct ones is a
     square only when it is empty: sqrt(x) and sqrt(y) share a class iff
     their cores are equal."""
-    if n == 0:
-        return 0, 1
     core = 1
     for b in base:
         rest, odd = n, False
@@ -401,22 +397,16 @@ def encode_solution(ri: ReducedInstance, chosen: Iterable[int]) -> Partition:
     `chosen` uses 1-based positions in the original weight list; positions
     that were dropped (or are out of range) are rejected.
     """
-    chosen_set = set(chosen)
+    chosen_set = set(_tuple(chosen, "chosen"))
     position = {orig: k + 1 for k, orig in enumerate(ri.kept_indices)}
+    outside = sorted(chosen_set - position.keys())
+    if outside:
+        raise DomainError(f"weight position {outside[0]} is not part of the embedding")
+    paired = {position[orig] for orig in chosen_set}
     blocks: list[tuple[int, ...]] = []
-    paired: set[int] = set()
-    for orig in sorted(chosen_set):
-        if orig not in position:
-            raise DomainError(
-                f"weight position {orig} is not part of the embedding"
-            )
-        i = position[orig]
-        blocks.append((2 * i - 1, 2 * i))
-        paired.update(blocks[-1])
-    for j in range(1, 2 * ri.m + 1):
-        if j not in paired:
-            blocks.append((j,))
-    return Partition.from_blocks(blocks)
+    for i in range(1, ri.m + 1):
+        blocks += [(2 * i - 1, 2 * i)] if i in paired else [(2 * i - 1,), (2 * i,)]
+    return Partition(tuple(blocks))
 
 
 def decode_partition(ri: ReducedInstance, part: Partition) -> frozenset[int]:
@@ -439,16 +429,16 @@ def decode_partition(ri: ReducedInstance, part: Partition) -> frozenset[int]:
 def search_normal_forms(ri: ReducedInstance) -> Optional[Partition]:
     """First normal-form partition satisfying the reduction equation, if any.
 
-    Scans subset choices in increasing bitmask order; deterministic. More
-    than DEFAULT_MAX_ITEMS kept weights are refused.
+    Scans subset choices in increasing bitmask order, each checked as its
+    kept pairs alone (singletons add nothing to the equation); only the hit
+    becomes a `Partition`. More than DEFAULT_MAX_ITEMS kept weights are refused.
     """
     m = ri.m
     _require_searchable(m)
     for mask in range(1 << m):
-        chosen = [ri.kept_indices[i] for i in range(m) if mask >> i & 1]
-        part = encode_solution(ri, chosen)
-        if check_reduction_equation(ri, part):
-            return part
+        chosen = [i for i in range(m) if mask >> i & 1]
+        if ri._basis.holds([(2 * i + 1, 2 * i + 2) for i in chosen]):
+            return encode_solution(ri, [ri.kept_indices[i] for i in chosen])
     return None
 
 

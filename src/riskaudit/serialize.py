@@ -53,6 +53,8 @@ def _number(literal: str, kind=Fraction):
 
 
 def loads_json(text: str) -> Any:
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise DomainError(f"text must be a str, bytes or bytearray, not {text!r:.60}")
     try:
         return json.loads(text, parse_float=_number, parse_int=lambda literal: _number(literal, int))
     except json.JSONDecodeError as exc:
@@ -270,6 +272,8 @@ CSV_HEADER = ("feature_id", "group", "outcome")
 
 
 def records_from_csv(text: str) -> RecordTable:
+    if not isinstance(text, str):
+        raise DomainError(f"text must be a str, not {text!r:.60}")
     reader = csv.reader(io.StringIO(text))
     try:
         return _records(reader)

@@ -1,19 +1,26 @@
 """The reduction-equation checker as it was written before the per-instance
-integer radical basis, kept as a test oracle.
+integer radical basis, and the normal-form search and solution encoding as
+they were before the search read the basis directly, kept as test oracles.
 
 `check_reduction_equation`, `_square`, `_merge` and `_class_coefficients` are
 copied unchanged from the package, apart from `rates_exact[j - 1].terms()`,
 which became `_terms(rates_exact[j - 1])` when the package dropped
-`Surd.terms`. `tests/test_reduction.py` compares the package against them.
+`Surd.terms`. `encode_solution` and `search_normal_forms` are copied
+unchanged as well; here the search's `check_reduction_equation` is the
+`Fraction` checker above, which decides a normal-form partition by summing
+its kept scaled weights. `tests/test_reduction.py` compares the package
+against them.
 """
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from typing import Iterable, Optional
 
+from riskaudit.errors import DomainError
 from riskaudit.model import _sqrt_upper
 from riskaudit.partitions import Partition
-from riskaudit.reduction import ReducedInstance, Surd, _require_pair_cover, is_normal_form
+from riskaudit.reduction import ReducedInstance, Surd, _require_pair_cover, _require_searchable, is_normal_form
 
 
 def _terms(surd: Surd) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -76,3 +83,45 @@ def _class_coefficients(terms) -> list[Fraction]:
         else:
             classes.append([r, c])
     return [c for _, c in classes]
+
+
+# from riskaudit/reduction.py
+def encode_solution(ri: ReducedInstance, chosen: Iterable[int]) -> Partition:
+    """Partition that keeps the chosen weights' pairs together.
+
+    `chosen` uses 1-based positions in the original weight list; positions
+    that were dropped (or are out of range) are rejected.
+    """
+    chosen_set = set(chosen)
+    position = {orig: k + 1 for k, orig in enumerate(ri.kept_indices)}
+    blocks: list[tuple[int, ...]] = []
+    paired: set[int] = set()
+    for orig in sorted(chosen_set):
+        if orig not in position:
+            raise DomainError(
+                f"weight position {orig} is not part of the embedding"
+            )
+        i = position[orig]
+        blocks.append((2 * i - 1, 2 * i))
+        paired.update(blocks[-1])
+    for j in range(1, 2 * ri.m + 1):
+        if j not in paired:
+            blocks.append((j,))
+    return Partition.from_blocks(blocks)
+
+
+# from riskaudit/reduction.py
+def search_normal_forms(ri: ReducedInstance) -> Optional[Partition]:
+    """First normal-form partition satisfying the reduction equation, if any.
+
+    Scans subset choices in increasing bitmask order; deterministic. More
+    than DEFAULT_MAX_ITEMS kept weights are refused.
+    """
+    m = ri.m
+    _require_searchable(m)
+    for mask in range(1 << m):
+        chosen = [ri.kept_indices[i] for i in range(m) if mask >> i & 1]
+        part = encode_solution(ri, chosen)
+        if check_reduction_equation(ri, part):
+            return part
+    return None

@@ -388,6 +388,19 @@ def test_negative_cap_exit_two(ws, capsys):
         assert captured.out == ""
 
 
+def test_oversized_integral_search_exit_two(tmp_path, capsys):
+    # a valid 2,000-feature instance: refused by the enumeration guard, whose
+    # message states the bound rather than the Bell number it would exceed
+    inst = Instance(tuple(feature(f"f{i}", F(i % 3, 2), 1, i % 2) for i in range(2000)))
+    path = tmp_path / "wide.json"
+    path.write_text(dumps_doc(instance_to_doc(inst)))
+    for argv in (["solve-integral", "-i", str(path)], ["theorem-sweep", "-i", str(path), "--seed", "1"]):
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: 2000 items: more than 12 are enumerated only with a cap\n"
+        assert captured.out == ""
+
+
 def test_verify_bad_subset_exit_two(tmp_path, capsys):
     red = tmp_path / "red.json"
     run_cli(["reduce", "--weights", "1,2", "--target", "3", "-o", str(red)])

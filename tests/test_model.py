@@ -24,11 +24,18 @@ from riskaudit import (
     classify_consequence,
     consequence_slack,
     derived_stats,
+    encode_solution,
     feature,
     identity_assignment,
     ingest_records,
     interpolate,
+    loads_json,
+    parse_assignment,
+    parse_instance,
+    parse_reduced,
     random_gapped_instance,
+    records_from_csv,
+    reduce_subset_sum,
     require_valid,
     solve_integral,
     target_lambda,
@@ -111,6 +118,15 @@ WRONG_TYPE = {
     "audit_exact": (lambda inst, asg: audit_exact(inst, 5), "expected a RiskAssignment, not 5"),
     # `asg` keeps a table, whose fast path reads the instance's form
     "audit_exact-instance": (lambda inst, asg: audit_exact(5, asg), "expected an Instance, not 5"),
+    "validate_instance": (lambda inst, asg: validate_instance(5), "expected an Instance, not 5"),
+    # one check in loads_json serves every document parser
+    "loads_json": (lambda inst, asg: loads_json(5), "text must be a str, bytes or bytearray, not 5"),
+    "parse_instance": (lambda inst, asg: parse_instance(5), "text must be a str, bytes or bytearray, not 5"),
+    "parse_assignment": (lambda inst, asg: parse_assignment(5), "text must be a str, bytes or bytearray, not 5"),
+    "parse_reduced": (lambda inst, asg: parse_reduced(5), "text must be a str, bytes or bytearray, not 5"),
+    "records_from_csv": (lambda inst, asg: records_from_csv(5), "text must be a str, not 5"),
+    "encode_solution": (lambda inst, asg: encode_solution(reduce_subset_sum(SubsetSumInstance((1, 2), 3)), 5),
+                        "chosen must be iterable, not 5"),
 }
 
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -74,6 +75,16 @@ def test_large_k_needs_cap():
     assert solve_integral(inst, cap=3).explored == 3
     rep = theorem_sweep(inst, 0, 0, 1, integral_cap=3)
     assert (rep.integral_explored, rep.integral_complete) == (3, False)
+
+
+@pytest.mark.parametrize("k", [2_000, 10**6])
+def test_an_oversized_enumeration_is_refused_before_any_work(k):
+    # the refusal states the bound and computes no Bell number, whose
+    # triangle costs k**2 / 2 big-integer additions
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match=f"^{k} items: more than 12 are enumerated only with a cap$"):
+        enumerate_partitions(k)
+    assert time.perf_counter() - t0 < 0.1
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "3", F(3)])

@@ -81,7 +81,32 @@ class TestSubsetSumOracle:
         assert got == frozenset({1, 2})
 
 
+@st.composite
+def _subset_sums(draw):
+    target = draw(st.integers(1, 10**12) | st.just(10**40))
+    weight = st.integers(1, target) | st.sampled_from([1, target])
+    return tuple(draw(st.lists(weight, min_size=1, max_size=12))), target
+
+
 class TestConstruction:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_subset_sums())
+    @example(((7,) * 12, 7))  # every weight at its largest
+    @example(((1,) * 12, 10**40))  # every weight vanishingly small
+    @example(((3, 3), 3))
+    def test_required_average_keeps_the_anchors_in_range(self, instance):
+        # every weight is kept, so m = len(weights). The construction refuses
+        # m = 1 and no larger m; from m = 2 on, g < 2/3 + 1/16, so the anchors
+        # (1 -+ sqrt(2g - 1)) / 2 lie in [0, 1] with no check of their own
+        weights, target = instance
+        try:
+            ri = _reduced(weights, target)
+        except ReductionInfeasibleError:
+            assert len(weights) == 1
+            return
+        assert ri.m == len(weights)
+        assert 0 <= 2 * ri.required_pos_avg - 1 < 1
+
     def test_frozen_small_example(self, embedded_pair):
         ri = embedded_pair
         assert ri.m == 2
@@ -383,6 +408,65 @@ class TestSearch:
         ri = reduce_subset_sum(SubsetSumInstance((2, 3), 4))
         assert search_normal_forms(ri) is None
         assert solve_subset_sum(SubsetSumInstance((2, 3), 4)) is None
+
+
+def _refusal(call) -> str:
+    with pytest.raises(DomainError) as info:
+        call()
+    return str(info.value)
+
+
+class TestAgainstTheReferences:
+    """`search_normal_forms` decides each subset choice on the radical basis
+    and `encode_solution` writes the canonical blocks directly; both give
+    what the versions kept in `reduction_oracle` give."""
+
+    def test_search_on_seeded_reductions(self):
+        # m = 2..8 kept weights (m = 1 never builds), solvable and not, some
+        # beside a dropped weight so that kept and original positions differ
+        rng = Random(2016)
+        seen = []
+        for m in range(2, 9):
+            for solvable in (True, False):
+                weights = [2 * rng.randint(1, 20) for _ in range(m)]
+                rest = sorted(weights)[:-1]
+                # even weights miss an odd target; any subset with the
+                # largest weight hits its sum
+                target = max(weights) + (sum(rng.sample(rest, rng.randint(0, m - 1))) if solvable else 1)
+                if rng.random() < 0.5:
+                    weights.insert(rng.randint(0, m), target + 1)
+                ri = _reduced(tuple(weights), target)
+                assert ri.m == m
+                found = search_normal_forms(ri)
+                assert found == old.search_normal_forms(ri), (weights, target)
+                seen.append((found is None) != solvable)
+        assert all(seen)
+
+    def test_search_builds_only_the_hit(self, monkeypatch):
+        built = []
+        encode = reduction_module.encode_solution
+
+        def counted(ri, chosen):
+            built.append(chosen)
+            return encode(ri, chosen)
+
+        monkeypatch.setattr(reduction_module, "encode_solution", counted)
+        solvable = _reduced((3, 5, 7, 9), 16)
+        assert search_normal_forms(solvable) == old.search_normal_forms(solvable)
+        assert search_normal_forms(_reduced((2, 4, 6), 5)) is None
+        assert built == [[3, 4]]
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_encode_on_every_choice(self, m):
+        # position 1 is dropped, so kept positions run 2..m + 1
+        ri = _reduced((100,) + tuple(range(1, m + 1)), 99)
+        kept = ri.kept_indices
+        for mask in range(1 << m):
+            chosen = [kept[i] for i in range(m) if mask >> i & 1]
+            assert encode_solution(ri, chosen) == old.encode_solution(ri, chosen), chosen
+            for bad in ([1], [m + 2], [m + 2, 1]):
+                choice = chosen + bad
+                assert _refusal(lambda: encode_solution(ri, choice)) == _refusal(lambda: old.encode_solution(ri, choice))
 
 
 def _seeded_reductions(count, seed=2016):

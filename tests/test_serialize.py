@@ -59,6 +59,8 @@ class TestInstanceDocs:
     def test_text_round_trip(self, rigid):
         text = dumps_doc(instance_to_doc(rigid))
         assert parse_instance(text) == rigid
+        # what json.loads reads besides text, bytes and bytearray, parses too
+        assert parse_instance(text.encode()) == parse_instance(bytearray(text.encode())) == rigid
 
     def test_version_checked(self, skewed):
         doc = instance_to_doc(skewed)

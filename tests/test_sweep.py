@@ -16,8 +16,10 @@ from riskaudit import (
     banded_split_assignment,
     calibrated_split_assignment,
     derived_stats,
+    dumps_doc,
     feature,
     identity_assignment,
+    instance_to_doc,
     pooled_rounded_assignment,
     random_equal_rate_instance,
     random_gapped_instance,
@@ -41,6 +43,7 @@ from riskaudit.audit import (
     _scored,
     consequence_slack,
 )
+from riskaudit.cli import run_cli
 from riskaudit.model import _assignment, _scaled
 from riskaudit.sweep import (
     _banded_bins,
@@ -311,6 +314,61 @@ class TestTheoremSweep:
         assert len(str(refused.value)) < 100  # the refused value is shown cut short
         assert theorem_sweep(skewed, 40, F(1, 100), -3) == theorem_sweep(skewed, 40, F(1, 100), -3)
         assert next(approx_audit_corpus(F(1, 100), -3))[2].passed
+
+
+class TestCounterexamples:
+    """The sweep keeps a counterexample when a gapped instance has a fair
+    candidate, or one that passes the relaxed audit with neither
+    consequence. The theorems rule both out, so the verdicts are forced
+    here, on the integral side of a sweep with no fractional budget."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        witnesses = []
+        original = sweep_module._witness
+
+        def counted(inst, blocks):
+            witnesses.append(tuple(blocks))
+            return original(inst, blocks)
+
+        monkeypatch.setattr(sweep_module, "_witness", counted)
+        return witnesses
+
+    @staticmethod
+    def _exits_one(skewed, tmp_path, capsys, *flags):
+        path = tmp_path / "skewed.json"
+        path.write_text(dumps_doc(instance_to_doc(skewed)))
+        assert run_cli(["theorem-sweep", "-i", str(path), "--seed", "1", "--budget", "0", *flags]) == 1
+        capsys.readouterr()
+
+    def test_a_fair_candidate_is_the_exact_counterexample(self, skewed, built, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(sweep_module, "_fair", lambda table: True)
+        rep = theorem_sweep(skewed, 0, F(0), 1)
+        assert rep.exact_fair_count >= 1
+        assert rep.first_exact_fair is not None
+        assert rep.exact_counterexample is rep.first_exact_fair
+        assert len(built) == 1
+        self._exits_one(skewed, tmp_path, capsys)
+
+    def test_a_pass_without_a_consequence_is_the_approximate_counterexample(
+            self, skewed, built, monkeypatch, tmp_path, capsys):
+        eps = F(1, 100)
+        candidates = []
+
+        def passing(*args):
+            candidates.append(args)
+            report = _approx_report(*args)
+            flags = report.consequence._replace(near_perfect_prediction=False, near_equal_base_rates=False)
+            return report._replace(passed=True, consequence=flags)
+
+        monkeypatch.setattr(sweep_module, "_approx_report", passing)
+        rep = theorem_sweep(skewed, 0, eps, 1)
+        assert rep.approx_pass_count >= 1
+        assert rep.exact_fair_count == 0
+        # the witness kept is the first candidate, and audits as it did
+        assert audit_approx(skewed, rep.approx_counterexample, eps) == _approx_report(*candidates[0])
+        assert len(built) == 1
+        self._exits_one(skewed, tmp_path, capsys, "--eps", "1/100")
 
 
 class TestCorpus:
