@@ -256,8 +256,10 @@ def _pooled_within(m0: int, m1: int, p0: int, p1: int, e: Fraction) -> bool:
     scored at its pooled rate, lies in the calibration band of width e in
     both groups: _calibrated_within of its one-bin table, on which a common
     scale of the four sums has no effect. An empty bin passes."""
-    n, d = p0 + p1, m0 + m1
     en, ed = e.numerator, e.denominator
+    if not en:  # at width 0 both groups' rates equal the pooled rate, p0 / m0 = p1 / m1
+        return p0 * m1 == p1 * m0
+    n, d = p0 + p1, m0 + m1
     lo, hi = (ed - en) * n, (ed + en) * n
     return lo * m0 <= p0 * d * ed <= hi * m0 and lo * m1 <= p1 * d * ed <= hi * m1
 
@@ -313,10 +315,12 @@ def _pooled(mass, positive, scale: int) -> _Table:
     return _Table(mass, positive, scale, nums, dens)
 
 
-def _pooled_assignment(inst: Instance, rows) -> RiskAssignment:
+def _pooled_assignment(inst: Instance, rows, table: Optional[_Table] = None) -> RiskAssignment:
     """The assignment of `inst` with these integer allocation rows and each
-    bin scored at its pooled positive rate (see _pooled)."""
-    table = _pooled(*_accumulate_bins(_scaled(inst), rows, len(rows[0])))
+    bin scored at its pooled positive rate (see _pooled), read off `table`,
+    the rows' pooled table, which is built here when not given."""
+    if table is None:
+        table = _pooled(*_accumulate_bins(_scaled(inst), rows, len(rows[0])))
     return _assignment(inst, rows, map(Fraction, table.nums, table.dens))
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .errors import DocumentError, ReductionInfeasibleError, RiskAuditError
 from .model import as_fraction, ingest_records, require_valid, validate_instance
 from .serialize import (
+    _undecodable,
     assignment_to_doc,
     audit_doc,
     divergence_doc,
@@ -43,7 +44,7 @@ def _read(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise DocumentError(f"not UTF-8 text ({exc.reason} at byte {exc.start})", path) from None
+        raise DocumentError(_undecodable(exc), path) from None
 
 
 def _write(path: str, text: str) -> None:

@@ -127,12 +127,13 @@ _SQRT_SCALE = 1 << 128
 
 
 def _sqrt_upper(x: Fraction) -> tuple[Fraction, bool]:
-    """Exact square root when it is rational, else a tight rational upper bound.
+    """Exact square root of x >= 0 when it is rational, else a tight rational
+    upper bound. Every caller passes a value it has checked or built
+    nonnegative: a band width, or a surd's squared half-gap, which is half a
+    positive weight or a checked nonnegative discriminant.
 
     The bound rounds up at granularity 2**-128. Returns (value, exact).
     """
-    if x < 0:
-        raise DomainError("square root of a negative value")
     a, b = x.numerator, x.denominator
     ra, rb = isqrt(a), isqrt(b)
     if ra * ra == a and rb * rb == b:

@@ -52,6 +52,11 @@ def _number(literal: str, kind=Fraction):
         return _TooLong()
 
 
+def _undecodable(exc: UnicodeDecodeError) -> str:
+    """What is wrong with bytes that do not decode, and where."""
+    return f"not {exc.encoding.upper()} text ({exc.reason} at byte {exc.start})"
+
+
 def loads_json(text: str) -> Any:
     if not isinstance(text, (str, bytes, bytearray)):
         raise DomainError(f"text must be a str, bytes or bytearray, not {text!r:.60}")
@@ -59,6 +64,8 @@ def loads_json(text: str) -> Any:
         return json.loads(text, parse_float=_number, parse_int=lambda literal: _number(literal, int))
     except json.JSONDecodeError as exc:
         raise DocumentError(f"malformed JSON: {exc}") from None
+    except UnicodeDecodeError as exc:  # bytes, read as UTF-8, -16 or -32 by their first bytes
+        raise DocumentError(_undecodable(exc)) from None
     except RecursionError:
         raise DocumentError("JSON nested too deeply") from None
 

@@ -11,10 +11,10 @@ from functools import partial
 from operator import or_
 from typing import NamedTuple, Optional
 
-from .audit import _balances, _pooled, _pooled_assignment, _pooled_within
+from .audit import _pooled, _pooled_assignment, _pooled_within, _Table
 from .errors import DomainError
-from .loss import LossReport, _loss_report, _nontrivial
-from .model import Instance, RiskAssignment, _scaled, require_valid
+from .loss import LossReport, _loss_report
+from .model import Instance, RiskAssignment, _scaled, _Scaled
 from .partitions import Partition, _check_enumerable
 
 OBJECTIVES = ("any_fair", "min_loss")
@@ -50,13 +50,19 @@ def assignment_from_partition(inst: Instance, part: Partition) -> RiskAssignment
     ids = inst.ids
     if part.members() != set(ids) or sum(map(len, part.blocks)) != len(ids):
         raise DomainError("partition does not cover exactly the instance's features")
-    block_of = {fid: b for b, block in enumerate(part.blocks) for fid in block}
-    labels = [block_of[fid] for fid in ids]
-    populated = sorted({b for b, (n1, n2, _, _) in zip(labels, scaled.weights) if n1 or n2})
-    bin_of = dict.fromkeys(labels, 0)  # a block without people joins the first bin
-    bin_of.update((b, j) for j, b in enumerate(populated))
-    nbins = len(populated)
-    return _pooled_assignment(inst, [[int(bin_of[b] == j) for j in range(nbins)] for b in labels])
+    position = {fid: i for i, fid in enumerate(ids)}
+    return _pooled_assignment(inst, _block_rows(scaled, [sum(1 << position[fid] for fid in block)
+                                                         for block in part.blocks]))
+
+
+def _block_rows(scaled: _Scaled, blocks) -> list[list[int]]:
+    """The integer allocation rows of the partition whose blocks are these
+    bit masks over feature positions: one bin per block with people, in
+    block order, and the features of the other blocks in the first bin."""
+    people = sum(1 << i for i, (n1, n2, _, _) in enumerate(scaled.weights) if n1 or n2)
+    kept = [mask for mask in blocks if mask & people]
+    kept[0] |= sum(mask for mask in blocks if not mask & people)  # the blocks are disjoint
+    return [[mask >> i & 1 for mask in kept] for i in range(len(scaled.weights))]
 
 
 # More features than this are refused even with a cap: the search's tables
@@ -76,10 +82,12 @@ def _integral_search(inst: Instance, cap: Optional[int], calibrated, visit, boun
     of every subset of the features, and a subtree is skipped as soon as one
     of its open blocks can no longer be completed into a passing block; its
     partitions are counted, not visited. So every block of a visited
-    partition passes. `visit(blocks, table)` gets the blocks as bit masks
-    over feature positions, in block order, and the table of the populated
-    blocks scored at their pooled rates; it returns whether the partition is
-    a hit. The mask list is the walk's own and changes after the call.
+    partition passes. `visit(blocks, sums)` gets the blocks as bit masks
+    over feature positions, in block order, and the walk's column sums of
+    every subset, (m0, m1, g0, g1) indexed by mask; it returns whether the
+    partition is a hit. A visitor decides on the sums (see `_received`) and
+    builds a table only where it needs one (`_leaf_table`). The mask list is
+    the walk's own and changes after the call.
 
     Without `bound` the walk stops at the first hit. With it, each hit
     becomes the incumbent, and a subtree is skipped unless it may beat it:
@@ -106,6 +114,7 @@ def _integral_search(inst: Instance, cap: Optional[int], calibrated, visit, boun
         m1 += [x + n2 for x in m1]
         g0 += [x + q1 for x in g0]
         g1 += [x + q2 for x in g1]
+    sums = m0, m1, g0, g1
     # reach[i][mask], for a mask over positions < i: some subset of the
     # positions >= i completes it into a calibrated block
     reach = [list(map(calibrated, m0, m1, g0, g1))]
@@ -146,10 +155,7 @@ def _integral_search(inst: Instance, cap: Optional[int], calibrated, visit, boun
                 return True
             explored += 1
             visited += 1
-            kept = [m for m in masks if m0[m] or m1[m]]
-            mass = [m0[m] for m in kept], [m1[m] for m in kept]
-            table = _pooled(mass, ([g0[m] for m in kept], [g1[m] for m in kept]), scaled.denominator)
-            if not visit(masks, table):
+            if not visit(masks, sums):
                 return False
             if not bound:
                 return True
@@ -189,12 +195,67 @@ def _exceeds(x, y) -> bool:
     return x[0] * y[1] > y[0] * x[1]
 
 
-def _witness(inst: Instance, blocks) -> tuple[Partition, RiskAssignment]:
+def _leaf_table(sums, blocks, scale: int) -> _Table:
+    """The table of a visited partition's pooled assignment, from the walk's
+    subset column sums (see _integral_search): one bin per block with
+    people, in block order, scored at its pooled rate, over `scale`."""
+    m0, m1, g0, g1 = sums
+    kept = [mask for mask in blocks if m0[mask] or m1[mask]]
+    return _pooled(([m0[mask] for mask in kept], [m1[mask] for mask in kept]),
+                   ([g0[mask] for mask in kept], [g1[mask] for mask in kept]), scale)
+
+
+def _received(sums, blocks) -> tuple[int, int, int]:
+    """The score S_t that group t's positive class receives in a visited
+    partition's pooled assignment: the sum over blocks with people of
+    G * g_t / M (G, M the block's expected positives and mass, g_t group
+    t's expected positives), as (n1, n2, den) with S_t = n_t / den,
+    unreduced."""
+    m0, m1, g0, g1 = sums
+    n1 = n2 = 0
+    den = 1
+    for mask in blocks:
+        m = m0[mask] + m1[mask]
+        if m:
+            g = g0[mask] + g1[mask]
+            n1, n2, den = n1 * m + g * g0[mask] * den, n2 * m + g * g1[mask] * den, den * m
+    return n1, n2, den
+
+
+def _balanced(totals, n1: int, n2: int, den: int) -> bool:
+    """Both balance conditions at eps 0, `_balances(table, 0)`, of a visited
+    partition whose every block is exactly calibrated, from its `_received`
+    (n1, n2, den) and the instance's totals (M_1, M_2, P_1, P_2) of mass
+    and expected positives. Group t's positive class, of mass P_t, receives
+    S_t; calibration gives its negative class, of mass M_t - P_t, the rest
+    of the P_t that group t receives in all. A class empty in a group
+    (P_t = 0, or M_t = P_t) makes both sides of its test 0: it passes, as
+    in `_balanced_within`."""
+    m1, m2, p1, p2 = totals
+    return n1 * p2 == n2 * p1 and (p1 * den - n1) * (m2 - p2) == (p2 * den - n2) * (m1 - p1)
+
+
+def _scores_differ(totals, n1: int, n2: int, den: int) -> bool:
+    """Non-triviality, `_nontrivial(table)`, of a visited partition's pooled
+    assignment, from its (n1, n2, den) = _received and the instance's totals
+    (see _balanced). S_1 + S_2 is the sum of G**2 / M over blocks with
+    people, which exceeds its least value, (P_1 + P_2)**2 / (M_1 + M_2),
+    unless all of them have one pooled rate."""
+    m1, m2, p1, p2 = totals
+    return (n1 + n2) * (m1 + m2) > (p1 + p2) ** 2 * den
+
+
+def _witness(inst: Instance, blocks, sums=None) -> tuple[Partition, RiskAssignment, Optional[_Table]]:
     """The partition of feature ids whose blocks are these bit masks over
-    feature positions, and its integral assignment."""
+    feature positions, and its integral assignment, whose bins follow the
+    partition's block order (by smallest id); given the walk's column sums,
+    also that assignment's table, else None."""
     ids = inst.ids
+    blocks = sorted(blocks, key=lambda mask: min(fid for i, fid in enumerate(ids) if mask >> i & 1))
     part = Partition.from_blocks([fid for i, fid in enumerate(ids) if mask >> i & 1] for mask in blocks)
-    return part, assignment_from_partition(inst, part)
+    scaled = _scaled(inst)
+    table = None if sums is None else _leaf_table(sums, blocks, scaled.denominator)
+    return part, _pooled_assignment(inst, _block_rows(scaled, blocks), table), table
 
 
 def solve_integral(inst: Instance, objective: str = "any_fair", cap: Optional[int] = None) -> SolveResult:
@@ -206,18 +267,19 @@ def solve_integral(inst: Instance, objective: str = "any_fair", cap: Optional[in
     all-in-one structure can never qualify because non-triviality requires
     two distinct scores with mass.
     """
-    require_valid(inst)
+    scaled = _scaled(inst)
     if objective not in OBJECTIVES:
         raise DomainError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
-
+    totals = scaled.totals
     hit: Optional[tuple] = None
 
-    def visit(blocks, table) -> bool:
+    def visit(blocks, sums) -> bool:
         # the walk visits only partitions whose every block is calibrated
         nonlocal hit
-        if not (_balances(table, 0) and _nontrivial(table)):
+        received = _received(sums, blocks)
+        if not (_balanced(totals, *received) and _scores_differ(totals, *received)):
             return False
-        hit = tuple(blocks), table
+        hit = tuple(blocks), sums
         return True
 
     explored, pruned, complete = _integral_search(
@@ -225,6 +287,6 @@ def solve_integral(inst: Instance, objective: str = "any_fair", cap: Optional[in
     )
     if hit is None:
         return SolveResult("none" if complete else "budget_exceeded", None, None, None, explored, pruned)
-    blocks, table = hit
+    part, asg, table = _witness(inst, *hit)
     status = "found" if complete else "budget_exceeded"
-    return SolveResult(status, *_witness(inst, blocks), _loss_report(table), explored, pruned)
+    return SolveResult(status, part, asg, _loss_report(table), explored, pruned)

@@ -42,7 +42,7 @@ from .model import (
     derived_stats,
     require_valid,
 )
-from .solver import _integral_search, _witness
+from .solver import _balanced, _integral_search, _leaf_table, _received, _witness
 
 
 def _rand_fraction(rng: Random, den: int = 12) -> Fraction:
@@ -59,7 +59,14 @@ def _rand_probability(rng: Random) -> Fraction:
     return _rand_fraction(rng)
 
 
+def _require_rng(rng) -> None:
+    """Refuse an `rng` that is no random.Random, before any draw."""
+    if not isinstance(rng, Random):
+        raise DomainError(f"rng must be a random.Random, not {rng!r:.60}")
+
+
 def _feature_count(rng: Random, max_features: int) -> int:
+    _require_rng(rng)
     _require_count(max_features, "max_features", 2)
     return rng.randint(2, max_features)
 
@@ -119,6 +126,7 @@ def random_equal_rate_instance(rng: Random, max_features: int = 6) -> Instance:
     Group 2 gets a balancing feature of certain outcome whose mass is solved
     exactly so the rates match.
     """
+    _require_rng(rng)
     _require_count(max_features, "max_features", 3)
     while True:
         k = rng.randint(1, max_features - 2)
@@ -216,6 +224,7 @@ def _pooled_struct(k: int, rng: Random) -> tuple[tuple[int, ...], ...]:
 def pooled_rounded_assignment(inst: Instance, rng: Random) -> RiskAssignment:
     """Random row-stochastic allocation, scores rounded to each bin's pooled
     positive rate. Population-calibrated by construction, nothing more."""
+    _require_rng(rng)
     return _pooled_assignment(inst, _pooled_struct(len(inst.features), rng))
 
 
@@ -296,6 +305,7 @@ class _Splits:
 def calibrated_split_assignment(inst: Instance, rng: Random) -> RiskAssignment:
     """Exactly calibrated within both groups: every bin is scored at the one
     probability its members share."""
+    _require_rng(rng)
     rows, scores, _ = _Splits(inst).bins(*_split_draw(len(inst.features), rng))
     return _assignment(inst, rows, scores)
 
@@ -317,6 +327,7 @@ def banded_split_assignment(inst: Instance, rng: Random, eps) -> RiskAssignment:
     """Calibrated up to the multiplicative band of width eps: bin scores are
     nudged off the members' shared probability by a factor kept inside the
     band (and inside [0, 1])."""
+    _require_rng(rng)
     return _assignment(inst, *_banded_bins(_Splits(inst, _nonnegative(eps, "eps")), rng))
 
 
@@ -409,8 +420,15 @@ def theorem_sweep(
             if not report.consequence.any and approx_ce is None:
                 approx_ce = build()
 
-    def visit(blocks, table) -> bool:
-        consider(verdicts(table), lambda: _witness(inst, blocks)[1])
+    def visit(blocks, sums) -> bool:
+        # at eps = 0 every visited block is exactly calibrated, so the exact
+        # verdict is the balance rule on the blocks' sums; a wider band needs
+        # the table
+        if e:
+            verdict = verdicts(_leaf_table(sums, blocks, scaled.denominator))
+        else:
+            verdict = _balanced(scaled.totals, *_received(sums, blocks)), None
+        consider(verdict, lambda: _witness(inst, blocks)[1])
         return False
 
     # a candidate outside the calibration band (at eps = 0, exact
@@ -440,7 +458,7 @@ def theorem_sweep(
             rows = _pooled_struct(k, rng)
             if _first_bin_within(columns, rows, e):
                 table = _pooled(*_accumulate_bins(scaled, rows, len(rows[0])))
-                consider(verdicts(table), lambda: _pooled_assignment(inst, rows))
+                consider(verdicts(table), lambda: _pooled_assignment(inst, rows, table))
         elif roll < 0.8 or e == 0:
             draw = _split_draw(k, rng)
             if split is None:

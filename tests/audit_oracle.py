@@ -38,10 +38,13 @@
   package's walk with pruning off (`_integral_search` with a calibration
   verdict that passes every block, and no bound), which
   `test_search_visits_exactly_the_calibrated_partitions` checks against
-  `enumerate_partitions` and the block sums. They judge each partition on
-  its table with the package's verdicts, which the tests above pin to the
-  `Fraction` views, and build each witness with this module's
-  `assignment_from_partition`.
+  `enumerate_partitions` and the block sums, with the table
+  `solver._leaf_table` builds for each visited partition. They judge every
+  partition on that table with the package's verdicts, which the tests
+  above pin to the `Fraction` views, and build each witness with this
+  module's `assignment_from_partition`. So they are the reference for the
+  rule the package's walk decides its partitions by, on two integers
+  (`solver._received` and `solver._balanced`).
   - `plain_sweep` is the reference for `theorem_sweep`. Its fractional
     half replays the `randint` draws, builds each candidate as a
     `Fraction` assignment and audits it through the package's public
@@ -85,7 +88,7 @@ from riskaudit.model import (
     require_valid,
 )
 from riskaudit.partitions import Partition, enumerate_partitions
-from riskaudit.solver import OBJECTIVES, SolveResult, _integral_search
+from riskaudit.solver import OBJECTIVES, SolveResult, _integral_search, _leaf_table
 from riskaudit.sweep import SweepReport, is_perfect_prediction
 
 
@@ -733,7 +736,8 @@ def plain_sweep(inst: Instance, budget: int, eps, seed: int, integral_cap: Optio
             if not approx.consequence.any and approx_ce is None:
                 approx_ce = build()
 
-    def visit(blocks, table) -> bool:
+    def visit(blocks, sums) -> bool:
+        table = _leaf_table(sums, blocks, scaled.denominator)
         approx = _approx_report(scaled, e, slack, table) if e else None
         consider(_fair(table), approx, lambda: assignment_from_partition(inst, _partition(inst, blocks)))
         return False
@@ -780,9 +784,11 @@ def exhaustive_solve(
     first fair non-trivial one, "min_loss" the one of least total loss, the
     earlier on a tie."""
     best: Optional[tuple] = None
+    scale = _scaled(inst).denominator
 
-    def visit(blocks, table) -> bool:
+    def visit(blocks, sums) -> bool:
         nonlocal best
+        table = _leaf_table(sums, blocks, scale)
         if not (_fair(table) and _nontrivial(table)):
             return False
         report = _loss_report(table)

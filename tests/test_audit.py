@@ -465,15 +465,13 @@ def test_class_sums_are_computed_once_per_read_table(monkeypatch):
     classify_consequence(inst, asg, F(1, 100))
     passes_fairness(inst, asg)
     assert len(summed) == 1 and summed[0] is asg._table[1]
-    # a search sums each table it visits once, its hit's loss included, and
-    # none of the one-bin tables of every feature subset that only its
-    # calibration screen reads
+    # a search decides the partitions it visits on their column sums, and
+    # sums one table: its witness's, for the loss
     inst = Instance(tuple(feature(f"x{i}", F(i % 4, 4), 1 + i % 2, 1 + i % 2) for i in range(6)))
     for objective in ("any_fair", "min_loss"):
         summed.clear()
         result = solve_integral(inst, objective)
-        assert result.status == "found" and 0 < len(summed) == result.explored - result.pruned
-        assert len(set(map(id, summed))) == len(summed)
+        assert result.status == "found" and result.explored - result.pruned > 1 and len(summed) == 1
 
 
 # the views that read one (instance, assignment) pair's bin table

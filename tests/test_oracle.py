@@ -11,7 +11,8 @@ The band rule the walk prunes with, on a block's four column sums, is
 checked against the same band on the block's one-bin table. The search's
 walk is checked against the definition of a calibrated block:
 it visits exactly the partitions whose every block passes, in canonical
-order (`enumerate_partitions`), each with its populated blocks' column sums
+order (`enumerate_partitions`), each with the column sums of every subset,
+from which `solver._leaf_table` builds the table of its populated blocks
 scored at their pooled rates; with a verdict that passes every block, it
 visits every partition. That unpruned walk is the reference for the pruned
 search up to 8 features: `old.exhaustive_solve` for `solve_integral`, and
@@ -53,7 +54,7 @@ from riskaudit import (
 from riskaudit.audit import _pooled_within, _Table, _within_slack
 from riskaudit.model import _scaled, _sqrt_upper
 from riskaudit.partitions import Partition, enumerate_partitions
-from riskaudit.solver import _integral_search, assignment_from_partition
+from riskaudit.solver import _integral_search, _leaf_table, assignment_from_partition
 
 PROBS = (F(0), F(1), F(1, 2), F(1, 3), F(3, 4), F(2, 5))
 MASSES = (F(0), F(1), F(2), F(3), F(1, 2))
@@ -259,14 +260,16 @@ def test_search_visits_exactly_the_calibrated_partitions(case, block_test):
     scaled = _scaled(inst)
     # a block's column sums of the scaled weights (n1, n2, q1, q2)
     sums = cache(lambda mask: [sum(w[c] for i, w in enumerate(scaled.weights) if mask >> i & 1) for c in range(4)])
-    seen = []
+    seen, handed = [], []
 
-    def visit(blocks, table):
+    def visit(blocks, walk_sums):
         seen.append(tuple(blocks))
-        # the populated blocks' sums, each scored at its pooled rate
+        handed.append(walk_sums)
+        # the leaf's table: its populated blocks' sums, each scored at its
+        # pooled rate
         m1, m2, g1, g2 = map(list, zip(*(s for s in map(sums, blocks) if s[0] or s[1])))
-        assert table == _Table((m1, m2), (g1, g2), scaled.denominator,
-                               list(map(add, g1, g2)), list(map(add, m1, m2)))
+        assert _leaf_table(walk_sums, blocks, scaled.denominator) == _Table(
+            (m1, m2), (g1, g2), scaled.denominator, list(map(add, g1, g2)), list(map(add, m1, m2)))
         return False
 
     explored, pruned, complete = _integral_search(inst, cap, calibrated, visit)
@@ -279,6 +282,10 @@ def test_search_visits_exactly_the_calibrated_partitions(case, block_test):
         if all(map(passes, part))
     ]
     assert seen == expected
+    # every visit gets the column sums of every subset
+    every = [[sums(mask)[c] for mask in range(1 << k)] for c in range(4)]
+    assert all(walk is handed[0] or walk == handed[0] for walk in handed)
+    assert not handed or list(map(list, handed[0])) == every
     assert (explored, pruned, complete) == (counted, counted - len(seen), counted == bell)
 
 

@@ -260,6 +260,9 @@ class TestSurdOracles:
         assert Surd(F(1, 3), F(1, 2), 1) != Surd(F(1, 3), F(1, 2), -1)
         assert Surd(F(1, 3), F(1, 2), 1) != F(1, 3)
         assert len({Surd(F(1, 2), F(1, 4), 1), F(1)}) == 1
+        # anything else is left to the other operand, and so is unequal
+        assert Surd(F(1, 2), F(1, 4), 1).__eq__("1") is NotImplemented
+        assert Surd(F(1, 2), F(1, 4), 1) != "1" and Surd(F(1, 2), F(0), 1) != 0.5
 
 
 def _groupings(m):

@@ -67,6 +67,10 @@ class TestInstanceDocs:
         doc["version"] = "99"
         with pytest.raises(DocumentError):
             instance_from_doc(doc)
+        # a version too long to hold is named by what stands in for it
+        with pytest.raises(DocumentError) as info:
+            parse_instance('{"version": 1' + "0" * 4400 + "}")
+        assert str(info.value) == ".version: unsupported document version <number with more than 4300 digits>"
 
     def test_duplicate_ids_rejected(self, skewed):
         doc = instance_to_doc(skewed)
@@ -77,6 +81,18 @@ class TestInstanceDocs:
     def test_malformed_json(self):
         with pytest.raises(DocumentError):
             parse_instance("{not json")
+
+    @pytest.mark.parametrize("data, message", [
+        (b"\xff", "not UTF-8 text (invalid start byte at byte 0)"),
+        (bytearray(b'{"a": "\xff"}'), "not UTF-8 text (invalid start byte at byte 7)"),
+        (b"\xff\xfe\x00", "not UTF-16-LE text (truncated data at byte 2)"),
+    ])
+    def test_undecodable_bytes_name_the_byte(self, data, message):
+        # bytes are read as UTF-8, -16 or -32, told apart by their first bytes
+        for read in (loads_json, parse_instance):
+            with pytest.raises(DocumentError) as info:
+                read(data)
+            assert str(info.value) == message
 
     def test_counts_default_to_zero(self):
         doc = {

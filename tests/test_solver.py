@@ -1,7 +1,10 @@
 from fractions import Fraction as F
+from functools import partial
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riskaudit import (
     OBJECTIVES,
@@ -16,10 +19,19 @@ from riskaudit import (
     feature,
     instance_to_doc,
     is_nontrivial,
+    random_equal_rate_instance,
+    random_gapped_instance,
+    random_instance,
+    random_perfect_instance,
+    random_proportional_instance,
     solve_integral,
     theorem_sweep,
 )
+from riskaudit.audit import _balances, _pooled_within
 from riskaudit.cli import run_cli
+from riskaudit.loss import _nontrivial
+from riskaudit.model import FeatureVector, _scaled
+from riskaudit.solver import _balanced, _integral_search, _leaf_table, _received, _scores_differ
 
 
 class TestAssignmentFromPartition:
@@ -142,9 +154,9 @@ class TestSearchSize:
         (_spread(16), 10),
     ], ids=["gapped7-301", "gapped7-302", "fair7", "spread16-cap10"])
     def test_tables_built_per_visited_partition(self, monkeypatch, inst, cap):
-        # the walk judges the blocks of all 2**k feature subsets on their
-        # column sums: it builds one table per partition it visits and one
-        # for the witness, none per subset
+        # the walk judges the blocks of all 2**k feature subsets and each
+        # partition it visits on their column sums: a solve builds one
+        # table, for its witness, and none without one
         import riskaudit.audit as audit_module
 
         built = []
@@ -158,8 +170,78 @@ class TestSearchSize:
         for objective in OBJECTIVES:
             built.clear()
             res = solve_integral(inst, objective, cap)
-            assert len(built) <= res.explored - res.pruned + (res.partition is not None)
+            assert len(built) == (res.partition is not None)
 
     def test_fractional_sweep_needs_no_integral_search(self):
         rep = theorem_sweep(_spread(20), 50, F(1, 10), 1, integral_cap=0)
         assert (rep.integral_explored, rep.integral_complete, rep.fractional_explored) == (0, False, 50)
+
+
+FAMILIES = {
+    "free": random_instance,
+    "gapped": random_gapped_instance,
+    "proportional": random_proportional_instance,
+    "equal-rate": random_equal_rate_instance,
+    "perfect": random_perfect_instance,
+}
+
+
+def _forced(inst, zero):
+    """The instance with one zero case forced: group t with no positives
+    (P_t = 0) or no negatives (M_t = P_t), each by moving group t's mass off
+    the features that would give it some and onto one certain feature of its
+    own, or with a feature of no mass, which makes zero-mass blocks."""
+    if zero == "massless":
+        return Instance(inst.features + (FeatureVector("z", F(1, 2), F(0), F(0)),))
+    case, t = zero
+    keep = F(0) if case == "no-positives" else F(1)
+    feats = []
+    for f in inst.features:
+        n = [f.n1, f.n2]
+        if f.p != keep:
+            n[t] = F(0)
+        feats.append(FeatureVector(f.id, f.p, *n))
+    n = [F(0), F(0)]
+    n[t] = F(1)
+    return Instance(tuple(feats) + (FeatureVector("z", keep, *n),))
+
+
+ZEROS = (None, "massless", ("no-positives", 0), ("no-positives", 1), ("no-negatives", 0), ("no-negatives", 1))
+
+
+class TestLeafRule:
+    """The walk decides a partition whose every block is exactly calibrated
+    on two integers, S_1 and S_2 over one denominator (`_received`): both
+    balance conditions (`_balanced`) and non-triviality (`_scores_differ`)
+    agree with the table's verdicts on every such partition."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(FAMILIES)), st.integers(0, 10**9), st.sampled_from(ZEROS))
+    @example("free", 3, ("no-positives", 0))
+    @example("equal-rate", 5, ("no-negatives", 1))
+    @example("proportional", 8, "massless")
+    def test_integer_rule_matches_the_table(self, family, seed, zero):
+        # at most 7 features, the forced one included
+        inst = FAMILIES[family](Random(seed), max_features=7 if zero is None else 6)
+        if zero is not None:
+            inst = _forced(inst, zero)
+        scaled = _scaled(inst)
+        visited = []
+
+        def visit(blocks, sums):
+            m0, m1, g0, g1 = sums
+            table = _leaf_table(sums, blocks, scaled.denominator)
+            n1, n2, den = received = _received(sums, blocks)
+            # S_t: each populated block's pooled rate times group t's
+            # expected positives in it
+            populated = [m for m in blocks if m0[m] + m1[m]]
+            rates = [F(g0[m] + g1[m], m0[m] + m1[m]) for m in populated]
+            for n, g in ((n1, g0), (n2, g1)):
+                assert F(n, den) == sum((v * g[m] for v, m in zip(rates, populated)), F(0))
+            assert _balanced(scaled.totals, *received) == _balances(table, 0)
+            assert _scores_differ(scaled.totals, *received) == _nontrivial(table)
+            visited.append(tuple(blocks))
+            return False
+
+        _integral_search(inst, None, partial(_pooled_within, e=0), visit)
+        assert visited  # one feature per block is always calibrated

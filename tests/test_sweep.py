@@ -57,7 +57,36 @@ from riskaudit.sweep import (
 SEEDS = st.integers(0, 10**9)
 
 
+# the eight seeded generators, each called with `rng` in place of its stream
+RNG_TAKERS = {
+    "random_instance": lambda rng, inst: random_instance(rng),
+    "random_gapped_instance": lambda rng, inst: random_gapped_instance(rng),
+    "random_proportional_instance": lambda rng, inst: random_proportional_instance(rng),
+    "random_equal_rate_instance": lambda rng, inst: random_equal_rate_instance(rng),
+    "random_perfect_instance": lambda rng, inst: random_perfect_instance(rng),
+    "calibrated_split_assignment": lambda rng, inst: calibrated_split_assignment(inst, rng),
+    "banded_split_assignment": lambda rng, inst: banded_split_assignment(inst, rng, F(1, 10)),
+    "pooled_rounded_assignment": lambda rng, inst: pooled_rounded_assignment(inst, rng),
+}
+
+
 class TestGenerators:
+    @pytest.mark.parametrize("name", sorted(RNG_TAKERS))
+    def test_rng_must_be_a_random(self, name, skewed):
+        drawn = []
+
+        class Drawing:
+            # answers every draw Random makes, and records it
+            def __getattr__(self, attr):
+                drawn.append(attr)
+                return lambda *args: 0
+
+        for rng in (5, None, Drawing()):
+            with pytest.raises(DomainError, match="^rng must be a random.Random, not "):
+                RNG_TAKERS[name](rng, skewed)
+        assert drawn == []  # refused before any draw
+        RNG_TAKERS[name](random.Random(1), skewed)
+
     @settings(max_examples=50, deadline=None)
     @given(SEEDS)
     def test_random_instances_valid(self, seed):
@@ -342,7 +371,8 @@ class TestCounterexamples:
         capsys.readouterr()
 
     def test_a_fair_candidate_is_the_exact_counterexample(self, skewed, built, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(sweep_module, "_fair", lambda table: True)
+        # at eps 0 the walk's exact verdict is the balance rule on its sums
+        monkeypatch.setattr(sweep_module, "_balanced", lambda *args: True)
         rep = theorem_sweep(skewed, 0, F(0), 1)
         assert rep.exact_fair_count >= 1
         assert rep.first_exact_fair is not None
