@@ -18,12 +18,12 @@ from math import lcm
 from operator import add, mul
 from typing import NamedTuple, Optional
 
-from .errors import DomainError
 from .model import (
     Instance,
     RiskAssignment,
     _assignment,
     _nonnegative,
+    _require_type,
     _row_order,
     _scaled,
     _Scaled,
@@ -288,10 +288,8 @@ def _bin_table(inst: Instance, asg: RiskAssignment) -> _Table:
     InvalidInstanceError on an invalid one. The assignment keeps it with the
     instance's form: both are frozen and a form is built once per instance,
     so the form, held and compared by identity, names the pair."""
-    if not isinstance(asg, RiskAssignment):
-        raise DomainError(f"expected a RiskAssignment, not {asg!r:.60}")
-    if not isinstance(inst, Instance):
-        raise DomainError(f"expected an Instance, not {inst!r:.60}")
+    _require_type(asg, RiskAssignment)
+    _require_type(inst, Instance)
     kept = asg._table
     if kept is not None and kept[0] is inst._form:
         return kept[1]

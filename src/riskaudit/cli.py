@@ -227,7 +227,6 @@ def cmd_reduce(args) -> int:
         f"pairs: {ri.m}",
         f"dropped: {len(ri.dropped_indices)}",
         f"required_pos_avg: {fmt_rational(ri.required_pos_avg)}",
-        "rates: " + ", ".join(doc["rates"]),
     ]
     _deliver(args, doc, doc, lines)
     return 0

@@ -27,6 +27,7 @@ from .model import (
     _assignment,
     _read_rational,
     _row_order,
+    _scaled,
     derived_stats,
     require_valid,
 )
@@ -62,7 +63,7 @@ def identity_assignment(inst: Instance) -> RiskAssignment:
 def trivial_assignment(inst: Instance) -> RiskAssignment:
     """The one-bin pooled table's assignment: everyone in a single bin,
     scored at the pooled positive rate of the whole population."""
-    return _pooled_assignment(inst, [(1,)] * len(inst.features))
+    return _pooled_assignment(inst, [(1,)] * len(_scaled(inst).weights))
 
 
 class FairnessDifference(NamedTuple):

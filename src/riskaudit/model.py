@@ -79,6 +79,14 @@ def _require_int(value, name: str) -> None:
         raise DomainError(f"{name} must be an int, not {value!r:.60}")
 
 
+def _require_type(value, kind: type) -> None:
+    """Refuse an argument that is no `kind`, naming the kind and the value,
+    before any work is done on it."""
+    if not isinstance(value, kind):
+        name = kind.__name__
+        raise DomainError(f"expected {'an' if name[0] in 'AEIOU' else 'a'} {name}, not {value!r:.60}")
+
+
 def _require_count(value, name: str, least: int = 0) -> None:
     _require_int(value, name)
     if value < least:
@@ -265,8 +273,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
     same pass scales a valid instance to integers and keeps that form on it
     (see `_scaled`).
     """
-    if not isinstance(inst, Instance):
-        raise DomainError(f"expected an Instance, not {inst!r:.60}")
+    _require_type(inst, Instance)
     violations: list[str] = []
     seen: set[str] = set()
     parts: list[tuple[int, int]] = []  # n1, n1 * p, n2, n2 * p per feature, as (numerator, denominator)
@@ -321,8 +328,7 @@ def require_valid(inst: Instance) -> Instance:
 def _scaled(inst: Instance) -> _Scaled:
     """A valid instance's integer form, built by its first validation and
     kept on the instance."""
-    if not isinstance(inst, Instance):
-        raise DomainError(f"expected an Instance, not {inst!r:.60}")
+    _require_type(inst, Instance)
     if inst._form is None:
         report = validate_instance(inst)
         if not report.ok:

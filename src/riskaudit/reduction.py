@@ -22,11 +22,11 @@ equation ``sum over blocks q of (1/|q|) * sum over pairs in q of
 exactly ``w_hat_i``, so subset choices map onto pairings.
 
 Every probability is a quadratic surd ``center + sign * sqrt(q)`` (`Surd`),
-and `rates` holds their correctly rounded float images for display only.
-The construction also writes the pair features over an integer radical basis,
-on which the equation checker decides any grouping with integer arithmetic;
-`search_groupings` checks every grouping, and so decides exactly whether the
-reduced instance has a fair non-trivial integral assignment.
+kept exact and written as its three fields. The construction also writes
+the pair features over an integer radical basis, on which the equation
+checker decides any grouping with integer arithmetic; `search_groupings`
+checks every grouping, and so decides exactly whether the reduced instance
+has a fair non-trivial integral assignment.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, ReductionInfeasibleError
-from .model import _SQRT_SCALE, _Frozen, _set, _sqrt_upper, _tuple
+from .model import _Frozen, _require_type, _set, _sqrt_upper, _tuple
 from .partitions import DEFAULT_MAX_ITEMS, Partition, _blocks, _growth_strings
 
 
@@ -68,6 +68,7 @@ def solve_subset_sum(ss: SubsetSumInstance) -> Optional[frozenset[int]]:
     """Independent exhaustive oracle. Returns 1-based indices of a solving
     subset (smallest bitmask first), or None. Exponential in len(weights),
     so more than DEFAULT_MAX_ITEMS weights are refused."""
+    _require_type(ss, SubsetSumInstance)
     n = len(ss.weights)
     _require_searchable(n)
     for mask in range(1, 1 << n):
@@ -84,7 +85,7 @@ class Surd(_Frozen):
     """The quadratic surd ``center + sign * sqrt(half_gap_squared)``.
 
     Equal to a Fraction when the root is rational; otherwise equal only to a
-    surd with the same three fields. `float()` rounds correctly.
+    surd with the same three fields.
     """
 
     __slots__ = _fields = ("center", "half_gap_squared", "sign")
@@ -108,40 +109,26 @@ class Surd(_Frozen):
     def __hash__(self):
         return hash(self._key())
 
-    def __float__(self) -> float:
-        # sqrt(q) lies in ((root - 2**-128) / scale, root / scale]: refine
-        # until both ends round to the same double
-        scale = 1
-        while True:
-            root, exact = _sqrt_upper(self.half_gap_squared * scale * scale)
-            hi = float(self.center + self.sign * root / scale)
-            if exact:
-                return hi
-            if hi == float(self.center + self.sign * (root - Fraction(1, _SQRT_SCALE)) / scale):
-                return hi
-            scale <<= 64
-
 
 class ReducedInstance(_Frozen):
     """Output of the construction.
 
     Exact rational side data lives in `scaled_weights` and
     `required_pos_avg`; `rates_exact` holds the surds of all 2m + 2 features
-    (pairs first, anchors last), `rates` their float images. Group 1's mass
-    lies on the two anchors, group 2's spreads uniformly over the 2m pair
-    features.
+    (pairs first, anchors last). Group 1's mass lies on the two anchors,
+    group 2's spreads uniformly over the 2m pair features.
     """
 
     __slots__ = (
         "input_weights", "target", "kept_indices", "dropped_indices", "m", "scaled_weights",
-        "required_pos_avg", "rates_exact", "rates", "group1_mass", "group2_mass", "_basis",
+        "required_pos_avg", "rates_exact", "group1_mass", "group2_mass", "_basis",
     )
     _fields = __slots__[:-1]
 
     def __init__(self, input_weights, target, kept_indices, dropped_indices, m, scaled_weights,
-                 required_pos_avg, rates_exact, rates, group1_mass, group2_mass, _basis):
+                 required_pos_avg, rates_exact, group1_mass, group2_mass, _basis):
         values = (input_weights, target, kept_indices, dropped_indices, m, scaled_weights,
-                  required_pos_avg, rates_exact, rates, group1_mass, group2_mass, _basis)
+                  required_pos_avg, rates_exact, group1_mass, group2_mass, _basis)
         for name, value in zip(self.__slots__, values):
             _set(self, name, value)
 
@@ -158,6 +145,7 @@ def reduce_subset_sum(ss: SubsetSumInstance) -> ReducedInstance:
     the required positive-class average g violates 2g - 1 >= 0 or a derived
     probability would leave [0, 1] (both can only happen at m == 1).
     """
+    _require_type(ss, SubsetSumInstance)
     kept = [i + 1 for i, w in enumerate(ss.weights) if w <= ss.target]
     dropped = [i + 1 for i, w in enumerate(ss.weights) if w > ss.target]
     if not kept:
@@ -183,7 +171,6 @@ def reduce_subset_sum(ss: SubsetSumInstance) -> ReducedInstance:
     rates_exact = tuple(
         Surd(c, e, sign) for c, e in pairs + [(Fraction(1, 2), disc / 4)] for sign in (-1, 1)
     )
-    rates = tuple(float(r) for r in rates_exact)
     n_pairs = 2 * m
     group1 = tuple(
         Fraction(1, 2) if j >= n_pairs else Fraction(0) for j in range(n_pairs + 2)
@@ -205,7 +192,6 @@ def reduce_subset_sum(ss: SubsetSumInstance) -> ReducedInstance:
         scaled_weights=w_hat,
         required_pos_avg=g,
         rates_exact=rates_exact,
-        rates=rates,
         group1_mass=group1,
         group2_mass=group2,
         _basis=basis,
@@ -228,8 +214,8 @@ def _base_rates_are_half(ri: ReducedInstance) -> bool:
 
 
 def _require_pair_cover(ri: ReducedInstance, part: Partition) -> None:
-    if not isinstance(part, Partition):
-        raise DomainError(f"expected a Partition, not {part!r:.60}")
+    _require_type(ri, ReducedInstance)
+    _require_type(part, Partition)
     n = 2 * ri.m
     # a repeated index or an empty block leaves the member set whole
     if sum(map(len, part.blocks)) != n or not all(part.blocks) or part.members() != frozenset(range(1, n + 1)):
@@ -397,6 +383,7 @@ def encode_solution(ri: ReducedInstance, chosen: Iterable[int]) -> Partition:
     `chosen` uses 1-based positions in the original weight list; positions
     that were dropped (or are out of range) are rejected.
     """
+    _require_type(ri, ReducedInstance)
     chosen_set = set(_tuple(chosen, "chosen"))
     position = {orig: k + 1 for k, orig in enumerate(ri.kept_indices)}
     outside = sorted(chosen_set - position.keys())
@@ -433,6 +420,7 @@ def search_normal_forms(ri: ReducedInstance) -> Optional[Partition]:
     kept pairs alone (singletons add nothing to the equation); only the hit
     becomes a `Partition`. More than DEFAULT_MAX_ITEMS kept weights are refused.
     """
+    _require_type(ri, ReducedInstance)
     m = ri.m
     _require_searchable(m)
     for mask in range(1 << m):
@@ -471,6 +459,7 @@ def search_groupings(ri: ReducedInstance) -> Optional[Partition]:
       S_2 >= (sum_b v_b * M_b2)**2 = 1/4, with equality only when every
       populated score is 1/2, which is the trivial assignment.
     """
+    _require_type(ri, ReducedInstance)
     if 2 * ri.m > DEFAULT_MAX_ITEMS:
         raise DomainError(f"{ri.m} weights: at most {DEFAULT_MAX_ITEMS // 2} are searched by grouping")
     items = range(1, 2 * ri.m + 1)

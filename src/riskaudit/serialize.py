@@ -2,11 +2,10 @@
 
 Rationals travel as "a/b" strings (integers as plain digit strings) and are
 parsed back exactly; decimal literals in documents are converted at their
-decimal value, so "0.1" means 1/10. Floats appear only in reduction output,
-rendered with 17 significant digits next to the exact fields that define
-them. A report record becomes its document by one rule, `report_doc`: its
-fields in order, under their own names; only the audit, search and
-divergence reports lay theirs out on top of it.
+decimal value, so "0.1" means 1/10; every value written is exact. A report
+record becomes its document by one rule, `report_doc`: its fields in order,
+under their own names; only the audit, search and divergence reports lay
+theirs out on top of it.
 """
 from __future__ import annotations
 
@@ -26,6 +25,7 @@ from .model import (
     RiskAssignment,
     _LiteralTooLong,
     _MAX_DIGITS,
+    _require_type,
     as_fraction,
 )
 
@@ -110,6 +110,7 @@ def _require_version(doc: Any, path: str = "") -> dict:
 # -- instance documents -------------------------------------------------------
 
 def instance_to_doc(inst: Instance) -> dict:
+    _require_type(inst, Instance)
     return {
         "version": SCHEMA_VERSION,
         "features": [
@@ -157,6 +158,7 @@ def parse_instance(text: str) -> Instance:
 # -- assignment documents -----------------------------------------------------
 
 def assignment_to_doc(asg: RiskAssignment) -> dict:
+    _require_type(asg, RiskAssignment)
     return {
         "version": SCHEMA_VERSION,
         "bins": [
@@ -211,6 +213,9 @@ def parse_assignment(text: str) -> RiskAssignment:
 # -- reduction documents ------------------------------------------------------
 
 def reduced_to_doc(ri: ReducedInstance) -> dict:
+    from .reduction import ReducedInstance
+
+    _require_type(ri, ReducedInstance)
     return {
         "version": SCHEMA_VERSION,
         "kind": "reduction",
@@ -221,7 +226,6 @@ def reduced_to_doc(ri: ReducedInstance) -> dict:
         "dropped_indices": list(ri.dropped_indices),
         "scaled_weights": [fmt_rational(w) for w in ri.scaled_weights],
         "required_pos_avg": fmt_rational(ri.required_pos_avg),
-        "rates": [f"{r:.17g}" for r in ri.rates],
         "rate_structure": [
             {
                 "center": fmt_rational(r.center),

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 from .audit import _pooled, _pooled_assignment, _pooled_within, _Table
 from .errors import DomainError
 from .loss import LossReport, _loss_report
-from .model import Instance, RiskAssignment, _scaled, _Scaled
+from .model import Instance, RiskAssignment, _require_type, _scaled, _Scaled
 from .partitions import Partition, _check_enumerable
 
 OBJECTIVES = ("any_fair", "min_loss")
@@ -46,6 +46,7 @@ def assignment_from_partition(inst: Instance, part: Partition) -> RiskAssignment
     folded into the first populated bin, which changes nothing anyone can
     measure.
     """
+    _require_type(part, Partition)
     scaled = _scaled(inst)
     ids = inst.ids
     if part.members() != set(ids) or sum(map(len, part.blocks)) != len(ids):

@@ -38,6 +38,7 @@ from .model import (
     _nonnegative,
     _require_count,
     _require_int,
+    _require_type,
     _scaled,
     derived_stats,
     require_valid,
@@ -224,6 +225,7 @@ def _pooled_struct(k: int, rng: Random) -> tuple[tuple[int, ...], ...]:
 def pooled_rounded_assignment(inst: Instance, rng: Random) -> RiskAssignment:
     """Random row-stochastic allocation, scores rounded to each bin's pooled
     positive rate. Population-calibrated by construction, nothing more."""
+    _require_type(inst, Instance)
     _require_rng(rng)
     return _pooled_assignment(inst, _pooled_struct(len(inst.features), rng))
 
@@ -305,6 +307,7 @@ class _Splits:
 def calibrated_split_assignment(inst: Instance, rng: Random) -> RiskAssignment:
     """Exactly calibrated within both groups: every bin is scored at the one
     probability its members share."""
+    _require_type(inst, Instance)
     _require_rng(rng)
     rows, scores, _ = _Splits(inst).bins(*_split_draw(len(inst.features), rng))
     return _assignment(inst, rows, scores)
@@ -327,12 +330,14 @@ def banded_split_assignment(inst: Instance, rng: Random, eps) -> RiskAssignment:
     """Calibrated up to the multiplicative band of width eps: bin scores are
     nudged off the members' shared probability by a factor kept inside the
     band (and inside [0, 1])."""
+    _require_type(inst, Instance)
     _require_rng(rng)
     return _assignment(inst, *_banded_bins(_Splits(inst, _nonnegative(eps, "eps")), rng))
 
 
 def two_bin_certain_assignment(inst: Instance) -> RiskAssignment:
     """For perfect-prediction instances: a 0-bin and a 1-bin."""
+    _require_type(inst, Instance)
     if not is_perfect_prediction(inst):
         raise DomainError("instance has an uncertain populated feature")
     rows = [(int(f.p != 1), int(f.p == 1)) for f in inst.features]

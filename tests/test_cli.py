@@ -34,6 +34,7 @@ from riskaudit import (
     identity_assignment,
     instance_to_doc,
     interpolate,
+    parse_reduced,
     pooled_rounded_assignment,
     random_equal_rate_instance,
     random_gapped_instance,
@@ -172,11 +173,40 @@ def test_reduce_and_verify(tmp_path, capsys):
 def test_verify_tampered_rates_exit_two(tmp_path, capsys):
     red = tmp_path / "red.json"
     doc = reduced_to_doc(reduce_subset_sum(SubsetSumInstance((1, 2), 3)))
-    doc["rates"] = ["0.5"] * len(doc["rates"])
+    doc["rate_structure"][0]["half_gap_squared"] = "1/97"
     red.write_text(dumps_doc(doc))
     assert run_cli(["verify-reduction", "-r", str(red)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: .rates: ") and captured.out == ""
+    assert captured.err.startswith("error: .rate_structure: ") and captured.out == ""
+
+
+# `reduce --weights 1,2 --target 3` as written before reduction documents
+# dropped their float images, `rates`
+OLD_REDUCTION = (
+    '{"version": "1", "kind": "reduction", "weights": [1, 2], "target": 3, "m": 2, "kept_indices": [1, 2], '
+    '"dropped_indices": [], "scaled_weights": ["1/48", "1/24"], "required_pos_avg": "5/9", "rates": '
+    '["0.23127126071736759", "0.4353954059492991", "0.5223290993692602", "0.81100423396407306", '
+    '"0.33333333333333331", "0.66666666666666663"], "rate_structure": [{"center": "1/3", "half_gap_squared": '
+    '"1/96", "sign": -1}, {"center": "1/3", "half_gap_squared": "1/96", "sign": 1}, {"center": "2/3", '
+    '"half_gap_squared": "1/48", "sign": -1}, {"center": "2/3", "half_gap_squared": "1/48", "sign": 1}, '
+    '{"center": "1/2", "half_gap_squared": "1/36", "sign": -1}, {"center": "1/2", "half_gap_squared": "1/36", '
+    '"sign": 1}], "group1_mass": ["0", "0", "0", "0", "1/2", "1/2"], "group2_mass": ["1/4", "1/4", "1/4", '
+    '"1/4", "0", "0"]}'
+)
+
+
+def test_a_document_with_float_rates_still_loads(tmp_path, capsys):
+    # loading compares only the fields the construction writes, so the old
+    # `rates` key is read past, and the verdicts are those of the new document
+    ri = reduce_subset_sum(SubsetSumInstance((1, 2), 3))
+    assert "rates" in json.loads(OLD_REDUCTION) and "rates" not in reduced_to_doc(ri)
+    assert parse_reduced(OLD_REDUCTION) == ri
+    seen = []
+    for name, text in (("old", OLD_REDUCTION), ("new", dumps_doc(reduced_to_doc(ri)))):
+        (tmp_path / name).write_text(text)
+        code = run_cli(["verify-reduction", "-r", str(tmp_path / name), "--subset", "1,2"])
+        seen.append((code, capsys.readouterr()))
+    assert seen[0] == seen[1] and seen[0][0] == 0
 
 
 def test_verify_unsolvable_exit_one(tmp_path, capsys):
@@ -487,8 +517,8 @@ def test_text_mode_without_output_prints_the_document(ws, capsys, rigid):
 
 
 def test_verify_zero_tolerance_exit_two(tmp_path, capsys):
-    # the base rates are decided on the surds, not on the document's rates
-    # rounded through doubles: no tolerance is read, and they are exactly 1/2
+    # the base rates are decided on the surds, not on any rounded value: no
+    # tolerance is read, and they are exactly 1/2
     red = tmp_path / "red.json"
     assert run_cli(["reduce", "--weights", "1,2", "--target", "3", "-o", str(red)]) == 0
     capsys.readouterr()
@@ -702,7 +732,7 @@ _SIGNATURES = """
     Record: feature_id group positive
     RecordTable: rows
     ReducedInstance: input_weights target kept_indices dropped_indices m scaled_weights required_pos_avg
-        rates_exact rates group1_mass group2_mass _basis
+        rates_exact group1_mass group2_mass _basis
     ReductionInfeasibleError: -
     RiskAssignment: feature_ids scores rows
     RiskAuditError: -
@@ -1005,4 +1035,4 @@ def _cli_digest(ws: Path) -> str:
 def test_every_command_writes_the_pinned_bytes(tmp_path):
     # a change to what any command prints or writes changes this digest,
     # and is called out in CHANGES.md with its reason when the digest is updated
-    assert _cli_digest(tmp_path) == "c91aa9afcd00853b46100afad81afbd070955dfa0ed51f903419af7e07b33026"
+    assert _cli_digest(tmp_path) == "ac0ddace8cda4f8fd87ad36107a44c3649f19573fb011ad16b87d4d6c75514ca"

@@ -11,6 +11,7 @@ from riskaudit import (
     Instance,
     InvalidAssignmentError,
     InvalidInstanceError,
+    Partition,
     Record,
     RecordTable,
     RiskAssignment,
@@ -18,28 +19,42 @@ from riskaudit import (
     SubsetSumInstance,
     approx_audit_corpus,
     as_fraction,
+    assignment_from_partition,
+    assignment_to_doc,
     audit_approx,
     audit_exact,
     banded_split_assignment,
+    calibrated_split_assignment,
+    check_reduction_equation,
     classify_consequence,
     consequence_slack,
+    decode_partition,
     derived_stats,
     encode_solution,
     feature,
     identity_assignment,
     ingest_records,
+    instance_to_doc,
     interpolate,
+    is_normal_form,
     loads_json,
     parse_assignment,
     parse_instance,
     parse_reduced,
+    pooled_rounded_assignment,
     random_gapped_instance,
     records_from_csv,
     reduce_subset_sum,
+    reduced_to_doc,
     require_valid,
+    search_groupings,
+    search_normal_forms,
     solve_integral,
+    solve_subset_sum,
     target_lambda,
     theorem_sweep,
+    trivial_assignment,
+    two_bin_certain_assignment,
     validate_instance,
 )
 from riskaudit.model import _row_order
@@ -106,6 +121,9 @@ def test_an_argument_that_is_no_rational_is_a_domain_error(call, name, skewed):
             call(skewed, asg, bad)
 
 
+# both pairs of a two-weight reduction kept together
+PAIRS = Partition(((1, 2), (3, 4)))
+
 # calls given an argument of the wrong type, and the start of the message of
 # the RiskAuditError each raises (not a bare TypeError or AttributeError)
 WRONG_TYPE = {
@@ -127,6 +145,30 @@ WRONG_TYPE = {
     "records_from_csv": (lambda inst, asg: records_from_csv(5), "text must be a str, not 5"),
     "encode_solution": (lambda inst, asg: encode_solution(reduce_subset_sum(SubsetSumInstance((1, 2), 3)), 5),
                         "chosen must be iterable, not 5"),
+    # one check of each argument's type, `model._require_type`, before any
+    # work or random draw
+    "check_reduction_equation-ri": (lambda inst, asg: check_reduction_equation(5, PAIRS),
+                                    "expected a ReducedInstance, not 5"),
+    "decode_partition-ri": (lambda inst, asg: decode_partition(5, PAIRS), "expected a ReducedInstance, not 5"),
+    "encode_solution-ri": (lambda inst, asg: encode_solution(5, [1]), "expected a ReducedInstance, not 5"),
+    "is_normal_form-ri": (lambda inst, asg: is_normal_form(5, PAIRS), "expected a ReducedInstance, not 5"),
+    "search_groupings-ri": (lambda inst, asg: search_groupings(5), "expected a ReducedInstance, not 5"),
+    "search_normal_forms-ri": (lambda inst, asg: search_normal_forms(5), "expected a ReducedInstance, not 5"),
+    "reduced_to_doc-ri": (lambda inst, asg: reduced_to_doc(5), "expected a ReducedInstance, not 5"),
+    "reduce_subset_sum-ss": (lambda inst, asg: reduce_subset_sum(5), "expected a SubsetSumInstance, not 5"),
+    "solve_subset_sum-ss": (lambda inst, asg: solve_subset_sum(5), "expected a SubsetSumInstance, not 5"),
+    "trivial_assignment-inst": (lambda inst, asg: trivial_assignment(5), "expected an Instance, not 5"),
+    "two_bin_certain_assignment-inst": (lambda inst, asg: two_bin_certain_assignment(5), "expected an Instance, not 5"),
+    "instance_to_doc-inst": (lambda inst, asg: instance_to_doc(5), "expected an Instance, not 5"),
+    "pooled_rounded_assignment-inst": (lambda inst, asg: pooled_rounded_assignment(5, Random(1)),
+                                       "expected an Instance, not 5"),
+    "calibrated_split_assignment-inst": (lambda inst, asg: calibrated_split_assignment(5, Random(1)),
+                                         "expected an Instance, not 5"),
+    "banded_split_assignment-inst": (lambda inst, asg: banded_split_assignment(5, Random(1), F(1, 10)),
+                                     "expected an Instance, not 5"),
+    "assignment_to_doc-asg": (lambda inst, asg: assignment_to_doc(5), "expected a RiskAssignment, not 5"),
+    "assignment_from_partition-part": (lambda inst, asg: assignment_from_partition(inst, 5),
+                                       "expected a Partition, not 5"),
 }
 
 

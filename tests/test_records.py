@@ -78,7 +78,7 @@ FROZEN = {
     RecordTable: "rows",
     SubsetSumInstance: "weights target",
     ReducedInstance: (
-        "input_weights target kept_indices dropped_indices m scaled_weights required_pos_avg rates_exact rates "
+        "input_weights target kept_indices dropped_indices m scaled_weights required_pos_avg rates_exact "
         "group1_mass group2_mass"
     ),
     Surd: "center half_gap_squared sign",
