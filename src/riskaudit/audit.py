@@ -264,19 +264,6 @@ def _pooled_within(m0: int, m1: int, p0: int, p1: int, e: Fraction) -> bool:
     return lo * m0 <= p0 * d * ed <= hi * m0 and lo * m1 <= p1 * d * ed <= hi * m1
 
 
-def _first_bin_within(columns, rows, e: Fraction) -> bool:
-    """_pooled_within of the rows' first bin: _calibrated_within(_pooled(
-    *_accumulate_bins(scaled, rows, 1)), e) for columns =
-    tuple(zip(*scaled.weights)), without a table. A search screens a
-    candidate on it before building the whole table."""
-    sums = [sum(row) for row in rows]
-    scale = lcm(*sums)
-    xs = [row[0] * (scale // total) for row, total in zip(rows, sums)]
-    n1, n2, q1, q2 = columns
-    return _pooled_within(sum(map(mul, n1, xs)), sum(map(mul, n2, xs)),
-                          sum(map(mul, q1, xs)), sum(map(mul, q2, xs)), e)
-
-
 def _scored(scaled: _Scaled, rows, scores) -> _Table:
     """The table of integer allocation rows whose bins carry `scores`."""
     nums, dens = [v.numerator for v in scores], [v.denominator for v in scores]
@@ -288,8 +275,8 @@ def _bin_table(inst: Instance, asg: RiskAssignment) -> _Table:
     InvalidInstanceError on an invalid one. The assignment keeps it with the
     instance's form: both are frozen and a form is built once per instance,
     so the form, held and compared by identity, names the pair."""
-    _require_type(asg, RiskAssignment)
-    _require_type(inst, Instance)
+    _require_type(asg, RiskAssignment, "asg")
+    _require_type(inst, Instance, "inst")
     kept = asg._table
     if kept is not None and kept[0] is inst._form:
         return kept[1]

@@ -26,6 +26,7 @@ from .model import (
     RiskAssignment,
     _assignment,
     _read_rational,
+    _require_type,
     _row_order,
     _scaled,
     derived_stats,
@@ -139,6 +140,8 @@ def interpolate(inst: Instance, asg1: RiskAssignment, asg2: RiskAssignment, lam)
     is itself calibrated. Its fairness difference is the lam-weighted average
     of the inputs' differences.
     """
+    _require_type(asg1, RiskAssignment, "asg1")
+    _require_type(asg2, RiskAssignment, "asg2")
     w = _read_rational(lam, "interpolation weight")
     if not (0 <= w <= 1):
         raise DomainError(f"interpolation weight {w} outside [0, 1]")

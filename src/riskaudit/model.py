@@ -79,12 +79,13 @@ def _require_int(value, name: str) -> None:
         raise DomainError(f"{name} must be an int, not {value!r:.60}")
 
 
-def _require_type(value, kind: type) -> None:
-    """Refuse an argument that is no `kind`, naming the kind and the value,
-    before any work is done on it."""
+def _require_type(value, kind: type, name: str) -> None:
+    """Refuse an argument that is no `kind`, naming the argument, the kind
+    and the value, before any work is done on it."""
     if not isinstance(value, kind):
-        name = kind.__name__
-        raise DomainError(f"expected {'an' if name[0] in 'AEIOU' else 'a'} {name}, not {value!r:.60}")
+        kind_name = kind.__name__
+        article = "an" if kind_name[0] in "AEIOU" else "a"
+        raise DomainError(f"{name} must be {article} {kind_name}, not {value!r:.60}")
 
 
 def _require_count(value, name: str, least: int = 0) -> None:
@@ -273,7 +274,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
     same pass scales a valid instance to integers and keeps that form on it
     (see `_scaled`).
     """
-    _require_type(inst, Instance)
+    _require_type(inst, Instance, "inst")
     violations: list[str] = []
     seen: set[str] = set()
     parts: list[tuple[int, int]] = []  # n1, n1 * p, n2, n2 * p per feature, as (numerator, denominator)
@@ -328,7 +329,7 @@ def require_valid(inst: Instance) -> Instance:
 def _scaled(inst: Instance) -> _Scaled:
     """A valid instance's integer form, built by its first validation and
     kept on the instance."""
-    _require_type(inst, Instance)
+    _require_type(inst, Instance, "inst")
     if inst._form is None:
         report = validate_instance(inst)
         if not report.ok:
@@ -414,8 +415,7 @@ def ingest_records(table: RecordTable) -> tuple[Instance, DivergenceReport]:
     the divergence report records how far each group's own empirical rate
     sits from that pooled value.
     """
-    if not isinstance(table, RecordTable):
-        raise DomainError(f"expected a RecordTable, not {table!r:.60}")
+    _require_type(table, RecordTable, "table")
     order: dict[str, None] = {}  # feature ids, first seen first
     pos: dict[tuple[str, int], int] = {}
     tot: dict[tuple[str, int], int] = {}

@@ -68,7 +68,7 @@ def solve_subset_sum(ss: SubsetSumInstance) -> Optional[frozenset[int]]:
     """Independent exhaustive oracle. Returns 1-based indices of a solving
     subset (smallest bitmask first), or None. Exponential in len(weights),
     so more than DEFAULT_MAX_ITEMS weights are refused."""
-    _require_type(ss, SubsetSumInstance)
+    _require_type(ss, SubsetSumInstance, "ss")
     n = len(ss.weights)
     _require_searchable(n)
     for mask in range(1, 1 << n):
@@ -145,7 +145,7 @@ def reduce_subset_sum(ss: SubsetSumInstance) -> ReducedInstance:
     the required positive-class average g violates 2g - 1 >= 0 or a derived
     probability would leave [0, 1] (both can only happen at m == 1).
     """
-    _require_type(ss, SubsetSumInstance)
+    _require_type(ss, SubsetSumInstance, "ss")
     kept = [i + 1 for i, w in enumerate(ss.weights) if w <= ss.target]
     dropped = [i + 1 for i, w in enumerate(ss.weights) if w > ss.target]
     if not kept:
@@ -214,8 +214,8 @@ def _base_rates_are_half(ri: ReducedInstance) -> bool:
 
 
 def _require_pair_cover(ri: ReducedInstance, part: Partition) -> None:
-    _require_type(ri, ReducedInstance)
-    _require_type(part, Partition)
+    _require_type(ri, ReducedInstance, "ri")
+    _require_type(part, Partition, "part")
     n = 2 * ri.m
     # a repeated index or an empty block leaves the member set whole
     if sum(map(len, part.blocks)) != n or not all(part.blocks) or part.members() != frozenset(range(1, n + 1)):
@@ -383,7 +383,7 @@ def encode_solution(ri: ReducedInstance, chosen: Iterable[int]) -> Partition:
     `chosen` uses 1-based positions in the original weight list; positions
     that were dropped (or are out of range) are rejected.
     """
-    _require_type(ri, ReducedInstance)
+    _require_type(ri, ReducedInstance, "ri")
     chosen_set = set(_tuple(chosen, "chosen"))
     position = {orig: k + 1 for k, orig in enumerate(ri.kept_indices)}
     outside = sorted(chosen_set - position.keys())
@@ -420,7 +420,7 @@ def search_normal_forms(ri: ReducedInstance) -> Optional[Partition]:
     kept pairs alone (singletons add nothing to the equation); only the hit
     becomes a `Partition`. More than DEFAULT_MAX_ITEMS kept weights are refused.
     """
-    _require_type(ri, ReducedInstance)
+    _require_type(ri, ReducedInstance, "ri")
     m = ri.m
     _require_searchable(m)
     for mask in range(1 << m):
@@ -459,7 +459,7 @@ def search_groupings(ri: ReducedInstance) -> Optional[Partition]:
       S_2 >= (sum_b v_b * M_b2)**2 = 1/4, with equality only when every
       populated score is 1/2, which is the trivial assignment.
     """
-    _require_type(ri, ReducedInstance)
+    _require_type(ri, ReducedInstance, "ri")
     if 2 * ri.m > DEFAULT_MAX_ITEMS:
         raise DomainError(f"{ri.m} weights: at most {DEFAULT_MAX_ITEMS // 2} are searched by grouping")
     items = range(1, 2 * ri.m + 1)

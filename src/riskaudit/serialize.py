@@ -110,7 +110,7 @@ def _require_version(doc: Any, path: str = "") -> dict:
 # -- instance documents -------------------------------------------------------
 
 def instance_to_doc(inst: Instance) -> dict:
-    _require_type(inst, Instance)
+    _require_type(inst, Instance, "inst")
     return {
         "version": SCHEMA_VERSION,
         "features": [
@@ -158,7 +158,7 @@ def parse_instance(text: str) -> Instance:
 # -- assignment documents -----------------------------------------------------
 
 def assignment_to_doc(asg: RiskAssignment) -> dict:
-    _require_type(asg, RiskAssignment)
+    _require_type(asg, RiskAssignment, "asg")
     return {
         "version": SCHEMA_VERSION,
         "bins": [
@@ -215,7 +215,7 @@ def parse_assignment(text: str) -> RiskAssignment:
 def reduced_to_doc(ri: ReducedInstance) -> dict:
     from .reduction import ReducedInstance
 
-    _require_type(ri, ReducedInstance)
+    _require_type(ri, ReducedInstance, "ri")
     return {
         "version": SCHEMA_VERSION,
         "kind": "reduction",

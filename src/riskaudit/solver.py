@@ -46,7 +46,7 @@ def assignment_from_partition(inst: Instance, part: Partition) -> RiskAssignment
     folded into the first populated bin, which changes nothing anyone can
     measure.
     """
-    _require_type(part, Partition)
+    _require_type(part, Partition, "part")
     scaled = _scaled(inst)
     ids = inst.ids
     if part.members() != set(ids) or sum(map(len, part.blocks)) != len(ids):

@@ -11,7 +11,9 @@ none. Identical seeds give identical reports.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
+from itertools import repeat
+from math import lcm
 from random import Random
 from typing import Iterator, NamedTuple, Optional
 
@@ -20,7 +22,6 @@ from .audit import (
     _accumulate_bins,
     _approx_report,
     _fair,
-    _first_bin_within,
     _pooled,
     _pooled_assignment,
     _pooled_within,
@@ -60,14 +61,8 @@ def _rand_probability(rng: Random) -> Fraction:
     return _rand_fraction(rng)
 
 
-def _require_rng(rng) -> None:
-    """Refuse an `rng` that is no random.Random, before any draw."""
-    if not isinstance(rng, Random):
-        raise DomainError(f"rng must be a random.Random, not {rng!r:.60}")
-
-
 def _feature_count(rng: Random, max_features: int) -> int:
-    _require_rng(rng)
+    _require_type(rng, Random, "rng")
     _require_count(max_features, "max_features", 2)
     return rng.randint(2, max_features)
 
@@ -127,7 +122,7 @@ def random_equal_rate_instance(rng: Random, max_features: int = 6) -> Instance:
     Group 2 gets a balancing feature of certain outcome whose mass is solved
     exactly so the rates match.
     """
-    _require_rng(rng)
+    _require_type(rng, Random, "rng")
     _require_count(max_features, "max_features", 3)
     while True:
         k = rng.randint(1, max_features - 2)
@@ -185,11 +180,12 @@ def is_perfect_prediction(inst: Instance) -> bool:
 # Fractional candidates are drawn as integer allocation rows and bin scores:
 # pooled weight rows, or eighths. The bin table reads the rows as they stand,
 # and `model._assignment` builds Fractions only for a candidate the report
-# keeps. A pooled weight is drawn inline, as `_below(bits, 4)` would draw it.
-# What every candidate would recompute is made once per sweep, and reusing it
-# is exact because it is the same integer or Fraction each time: the
-# instance's feature columns, on which a pooled candidate's first bin is
-# judged (`audit._first_bin_within`) before its whole table is built, and a
+# keeps. Pooled weights and split cuts are drawn inline, as `_below` would
+# draw them. A pooled draw also sums its first bin's four columns as it
+# goes, so the sweep judges that bin (`audit._pooled_within`) before it
+# aggregates the rest. What every candidate would recompute is made once, and
+# reusing it is exact because it is the same integer or Fraction each time:
+# the row-sum factors of each bin count (`_shares`), and per sweep a
 # `_Splits`, which holds the merged layout and the at most 17 nudged scores
 # per feature that a banded candidate can draw.
 
@@ -205,29 +201,63 @@ def _below(bits, n: int) -> int:
     return r
 
 
-def _pooled_struct(k: int, rng: Random) -> tuple[tuple[int, ...], ...]:
+@cache
+def _shares(nbins: int) -> list[int]:
+    """L // t at index t >= 1, for each row sum t a pooled draw over nbins
+    bins can have (1 to 3 * nbins), L the lcm of them all."""
+    top = lcm(*range(1, 3 * nbins + 1))
+    return [0] + [top // t for t in range(1, 3 * nbins + 1)]
+
+
+def _pooled_struct(weights, rng: Random):
+    """A pooled candidate's rows, entries from range(4), one per feature of
+    `_Scaled.weights`, and its first bin's column sums (m0, m1, p0, p1) over
+    one common multiple of every row sum it can have (see `_shares`)."""
     bits = rng.getrandbits
-    nbins = 1 + _below(bits, k + 2)
-    out = []
-    for _ in range(k):
-        weights = []
+    nbins = 1 + _below(bits, len(weights) + 2)
+    share = _shares(nbins)
+    rows = []
+    m0 = m1 = p0 = p1 = 0
+    for n1, n2, q1, q2 in weights:
+        row = []
         for _ in range(nbins):
             w = bits(3)  # _below(bits, 4), inline
             while w > 3:
                 w = bits(3)
-            weights.append(w)
-        if not any(weights):
-            weights[_below(bits, nbins)] = 1
-        out.append(tuple(weights))
-    return tuple(out)
+            row.append(w)
+        total = sum(row)
+        if not total:
+            row[_below(bits, nbins)] = total = 1
+        if row[0]:
+            x = row[0] * share[total]
+            m0 += n1 * x
+            m1 += n2 * x
+            p0 += q1 * x
+            p1 += q2 * x
+        rows.append(tuple(row))
+    return tuple(rows), (m0, m1, p0, p1)
+
+
+def _pooled_fair(scaled, rows) -> bool:
+    """`_fair` of the rows' pooled table, without it: every bin exactly
+    calibrated, then `solver._balanced` on (S_1, S_2), against the instance's
+    totals times the rows' common factor."""
+    nbins = len(rows[0])
+    mass, positive, scale = _accumulate_bins(scaled, rows, nbins)
+    columns = (*mass, *positive)
+    if not all(map(_pooled_within, *columns, repeat(0))):
+        return False
+    factor = scale // scaled.denominator
+    return _balanced([t * factor for t in scaled.totals], *_received(columns, range(nbins)))
 
 
 def pooled_rounded_assignment(inst: Instance, rng: Random) -> RiskAssignment:
     """Random row-stochastic allocation, scores rounded to each bin's pooled
     positive rate. Population-calibrated by construction, nothing more."""
-    _require_type(inst, Instance)
-    _require_rng(rng)
-    return _pooled_assignment(inst, _pooled_struct(len(inst.features), rng))
+    _require_type(inst, Instance, "inst")
+    _require_type(rng, Random, "rng")
+    rows, _ = _pooled_struct(_scaled(inst).weights, rng)
+    return _pooled_assignment(inst, rows)
 
 
 def _split_draw(k: int, rng: Random) -> tuple[list[int], bool]:
@@ -235,7 +265,18 @@ def _split_draw(k: int, rng: Random) -> tuple[list[int], bool]:
     copy in eighths (8 keeps the feature whole), then whether
     equal-probability bins merge."""
     bits = rng.getrandbits
-    cuts = [8 if _below(bits, 2) == 0 else 1 + _below(bits, 7) for _ in range(k)]
+    cuts = []
+    for _ in range(k):
+        two = bits(2)  # _below(bits, 2), inline
+        while two > 1:
+            two = bits(2)
+        if two:
+            j = bits(3)  # _below(bits, 7), inline
+            while j > 6:
+                j = bits(3)
+            cuts.append(1 + j)
+        else:
+            cuts.append(8)
     return cuts, rng.random() < 0.5
 
 
@@ -307,8 +348,8 @@ class _Splits:
 def calibrated_split_assignment(inst: Instance, rng: Random) -> RiskAssignment:
     """Exactly calibrated within both groups: every bin is scored at the one
     probability its members share."""
-    _require_type(inst, Instance)
-    _require_rng(rng)
+    _require_type(inst, Instance, "inst")
+    _require_type(rng, Random, "rng")
     rows, scores, _ = _Splits(inst).bins(*_split_draw(len(inst.features), rng))
     return _assignment(inst, rows, scores)
 
@@ -330,14 +371,14 @@ def banded_split_assignment(inst: Instance, rng: Random, eps) -> RiskAssignment:
     """Calibrated up to the multiplicative band of width eps: bin scores are
     nudged off the members' shared probability by a factor kept inside the
     band (and inside [0, 1])."""
-    _require_type(inst, Instance)
-    _require_rng(rng)
+    _require_type(inst, Instance, "inst")
+    _require_type(rng, Random, "rng")
     return _assignment(inst, *_banded_bins(_Splits(inst, _nonnegative(eps, "eps")), rng))
 
 
 def two_bin_certain_assignment(inst: Instance) -> RiskAssignment:
     """For perfect-prediction instances: a 0-bin and a 1-bin."""
-    _require_type(inst, Instance)
+    _require_type(inst, Instance, "inst")
     if not is_perfect_prediction(inst):
         raise DomainError("instance has an uncertain populated feature")
     rows = [(int(f.p != 1), int(f.p == 1)) for f in inst.features]
@@ -377,10 +418,11 @@ def theorem_sweep(
     Every split candidate has the identity assignment's class averages, so
     all of them share the verdicts of the first one's table. A pooled
     candidate whose first bin lies outside the calibration band passes
-    neither check, so it is ruled out on that bin alone; the other pooled
-    candidates and every banded one are audited one by one. The split
-    layouts and nudged scores are made once per sweep. With eps = 0 only
-    the exact side runs. The budget and cap are nonnegative ints and the
+    neither check, so it is ruled out on that bin, whose sums its draw
+    takes. At eps = 0 only the exact side runs, and the other pooled
+    candidates are decided on their bins' sums and (S_1, S_2); at eps > 0
+    they and every banded one are audited one by one, each on its table.
+    The split layouts and nudged scores are made once per sweep. The budget and cap are nonnegative ints and the
     seed is an int, so one seed names one stream. A budget too small to
     finish the integral side is reported through integral_complete, never
     raised.
@@ -438,8 +480,8 @@ def theorem_sweep(
 
     # a candidate outside the calibration band (at eps = 0, exact
     # calibration) in any one bin can pass neither check: the walk prunes
-    # its blocks with this verdict, and the stream applies it to pooled
-    # candidates' first bins (`_first_bin_within`)
+    # its blocks with this verdict, and the stream applies it to the first
+    # bin of each pooled candidate, whose sums the draw takes
     calibrated = partial(_pooled_within, e=e)
     integral_explored, _, integral_complete = _integral_search(inst, integral_cap, calibrated, visit)
 
@@ -455,15 +497,18 @@ def theorem_sweep(
     # are those of the identity assignment.
     split = None
     splits = _Splits(inst, e)
-    columns = tuple(zip(*scaled.weights))
     rng = Random(seed)
     for _ in range(search_budget):
         roll = rng.random()
         if roll < 0.6:
-            rows = _pooled_struct(k, rng)
-            if _first_bin_within(columns, rows, e):
+            rows, first = _pooled_struct(scaled.weights, rng)
+            if not calibrated(*first):
+                continue
+            if e:
                 table = _pooled(*_accumulate_bins(scaled, rows, len(rows[0])))
                 consider(verdicts(table), lambda: _pooled_assignment(inst, rows, table))
+            else:  # the exact verdict alone, without a table
+                consider((_pooled_fair(scaled, rows), None), lambda: _pooled_assignment(inst, rows))
         elif roll < 0.8 or e == 0:
             draw = _split_draw(k, rng)
             if split is None:

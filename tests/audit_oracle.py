@@ -34,6 +34,9 @@
   `_Table`, the reference for the band rule the walk prunes with
   (`audit._pooled_within` on four column sums):
   `test_pooled_block_rule_matches_its_table`.
+- `first_bin_within`, the stream's first-bin screen as a pass over drawn
+  rows, the reference for the first bin's sums that `sweep._pooled_struct`
+  takes while it draws: `tests/test_sweep.py::test_first_bin_screen_is_exact`.
 - `plain_sweep` and `exhaustive_solve` visit every partition through the
   package's walk with pruning off (`_integral_search` with a calibration
   verdict that passes every block, and no bound), which
@@ -58,6 +61,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from random import Random
 from typing import NamedTuple, Optional
 
@@ -708,6 +712,17 @@ def _partition(inst: Instance, blocks) -> Partition:
 # four column sums, `test_pooled_block_rule_matches_its_table`
 def pooled_block_within(m0: int, m1: int, p0: int, p1: int, e) -> bool:
     return _calibrated_within(_Table(([m0], [m1]), ([p0], [p1]), 1, [p0 + p1], [m0 + m1]), e)
+
+
+# from riskaudit/audit.py, the stream's first-bin screen from before the
+# draw took the bin's sums: the rows' first entries, each scaled to the lcm
+# of the row sums, summed against the feature columns
+# (columns = tuple(zip(*scaled.weights))) and judged by the band rule
+def first_bin_within(columns, rows, e) -> bool:
+    sums = [sum(row) for row in rows]
+    scale = lcm(*sums)
+    xs = [row[0] * (scale // total) for row, total in zip(rows, sums)]
+    return pooled_block_within(*(sum(map(mul, column, xs)) for column in columns), e)
 
 
 def plain_sweep(inst: Instance, budget: int, eps, seed: int, integral_cap: Optional[int] = None) -> SweepReport:

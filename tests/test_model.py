@@ -132,11 +132,11 @@ WRONG_TYPE = {
     "RecordTable-row": (lambda inst, asg: RecordTable([5]), "rows must hold Records, not 5"),
     "SubsetSumInstance": (lambda inst, asg: SubsetSumInstance(5, 1), "weights must be iterable, not 5"),
     "require_valid": (lambda inst, asg: require_valid(Instance([5])), "invalid instance: 5 is not a FeatureVector;"),
-    "solve_integral": (lambda inst, asg: solve_integral(5), "expected an Instance, not 5"),
-    "audit_exact": (lambda inst, asg: audit_exact(inst, 5), "expected a RiskAssignment, not 5"),
+    "solve_integral": (lambda inst, asg: solve_integral(5), "inst must be an Instance, not 5"),
+    "audit_exact": (lambda inst, asg: audit_exact(inst, 5), "asg must be a RiskAssignment, not 5"),
     # `asg` keeps a table, whose fast path reads the instance's form
-    "audit_exact-instance": (lambda inst, asg: audit_exact(5, asg), "expected an Instance, not 5"),
-    "validate_instance": (lambda inst, asg: validate_instance(5), "expected an Instance, not 5"),
+    "audit_exact-instance": (lambda inst, asg: audit_exact(5, asg), "inst must be an Instance, not 5"),
+    "validate_instance": (lambda inst, asg: validate_instance(5), "inst must be an Instance, not 5"),
     # one check in loads_json serves every document parser
     "loads_json": (lambda inst, asg: loads_json(5), "text must be a str, bytes or bytearray, not 5"),
     "parse_instance": (lambda inst, asg: parse_instance(5), "text must be a str, bytes or bytearray, not 5"),
@@ -148,27 +148,35 @@ WRONG_TYPE = {
     # one check of each argument's type, `model._require_type`, before any
     # work or random draw
     "check_reduction_equation-ri": (lambda inst, asg: check_reduction_equation(5, PAIRS),
-                                    "expected a ReducedInstance, not 5"),
-    "decode_partition-ri": (lambda inst, asg: decode_partition(5, PAIRS), "expected a ReducedInstance, not 5"),
-    "encode_solution-ri": (lambda inst, asg: encode_solution(5, [1]), "expected a ReducedInstance, not 5"),
-    "is_normal_form-ri": (lambda inst, asg: is_normal_form(5, PAIRS), "expected a ReducedInstance, not 5"),
-    "search_groupings-ri": (lambda inst, asg: search_groupings(5), "expected a ReducedInstance, not 5"),
-    "search_normal_forms-ri": (lambda inst, asg: search_normal_forms(5), "expected a ReducedInstance, not 5"),
-    "reduced_to_doc-ri": (lambda inst, asg: reduced_to_doc(5), "expected a ReducedInstance, not 5"),
-    "reduce_subset_sum-ss": (lambda inst, asg: reduce_subset_sum(5), "expected a SubsetSumInstance, not 5"),
-    "solve_subset_sum-ss": (lambda inst, asg: solve_subset_sum(5), "expected a SubsetSumInstance, not 5"),
-    "trivial_assignment-inst": (lambda inst, asg: trivial_assignment(5), "expected an Instance, not 5"),
-    "two_bin_certain_assignment-inst": (lambda inst, asg: two_bin_certain_assignment(5), "expected an Instance, not 5"),
-    "instance_to_doc-inst": (lambda inst, asg: instance_to_doc(5), "expected an Instance, not 5"),
+                                    "ri must be a ReducedInstance, not 5"),
+    "decode_partition-ri": (lambda inst, asg: decode_partition(5, PAIRS), "ri must be a ReducedInstance, not 5"),
+    "encode_solution-ri": (lambda inst, asg: encode_solution(5, [1]), "ri must be a ReducedInstance, not 5"),
+    "is_normal_form-ri": (lambda inst, asg: is_normal_form(5, PAIRS), "ri must be a ReducedInstance, not 5"),
+    "search_groupings-ri": (lambda inst, asg: search_groupings(5), "ri must be a ReducedInstance, not 5"),
+    "search_normal_forms-ri": (lambda inst, asg: search_normal_forms(5), "ri must be a ReducedInstance, not 5"),
+    "reduced_to_doc-ri": (lambda inst, asg: reduced_to_doc(5), "ri must be a ReducedInstance, not 5"),
+    "reduce_subset_sum-ss": (lambda inst, asg: reduce_subset_sum(5), "ss must be a SubsetSumInstance, not 5"),
+    "solve_subset_sum-ss": (lambda inst, asg: solve_subset_sum(5), "ss must be a SubsetSumInstance, not 5"),
+    "trivial_assignment-inst": (lambda inst, asg: trivial_assignment(5), "inst must be an Instance, not 5"),
+    "two_bin_certain_assignment-inst": (lambda inst, asg: two_bin_certain_assignment(5), "inst must be an Instance, not 5"),
+    "instance_to_doc-inst": (lambda inst, asg: instance_to_doc(5), "inst must be an Instance, not 5"),
     "pooled_rounded_assignment-inst": (lambda inst, asg: pooled_rounded_assignment(5, Random(1)),
-                                       "expected an Instance, not 5"),
+                                       "inst must be an Instance, not 5"),
     "calibrated_split_assignment-inst": (lambda inst, asg: calibrated_split_assignment(5, Random(1)),
-                                         "expected an Instance, not 5"),
+                                         "inst must be an Instance, not 5"),
     "banded_split_assignment-inst": (lambda inst, asg: banded_split_assignment(5, Random(1), F(1, 10)),
-                                     "expected an Instance, not 5"),
-    "assignment_to_doc-asg": (lambda inst, asg: assignment_to_doc(5), "expected a RiskAssignment, not 5"),
+                                     "inst must be an Instance, not 5"),
+    "assignment_to_doc-asg": (lambda inst, asg: assignment_to_doc(5), "asg must be a RiskAssignment, not 5"),
     "assignment_from_partition-part": (lambda inst, asg: assignment_from_partition(inst, 5),
-                                       "expected a Partition, not 5"),
+                                       "part must be a Partition, not 5"),
+    # both of interpolate's assignments are checked, by name, before either
+    # is read against the instance (the trivial one is not calibrated there)
+    "interpolate-asg1": (lambda inst, asg: interpolate(inst, 5, asg, F(1, 2)), "asg1 must be a RiskAssignment, not 5"),
+    "interpolate-asg2": (lambda inst, asg: interpolate(inst, asg, 5, F(1, 2)), "asg2 must be a RiskAssignment, not 5"),
+    "interpolate-asg2-after-uncalibrated": (lambda inst, asg: interpolate(inst, trivial_assignment(inst), 5, F(1, 2)),
+                                            "asg2 must be a RiskAssignment, not 5"),
+    "pooled_rounded_assignment-rng": (lambda inst, asg: pooled_rounded_assignment(inst, 5),
+                                      "rng must be a Random, not 5"),
 }
 
 
@@ -268,7 +276,7 @@ class TestIngest:
     def test_empty_table_rejected(self):
         with pytest.raises(DomainError):
             RecordTable(())
-        with pytest.raises(DomainError, match="^expected a RecordTable, not"):
+        with pytest.raises(DomainError, match="^table must be a RecordTable, not"):
             ingest_records([])
 
     def test_missing_group_rejected(self):

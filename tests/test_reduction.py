@@ -377,7 +377,7 @@ class TestEncodingRoundTrip:
         with pytest.raises(DomainError):
             decode_partition(embedded_pair, crossed)
         for call in (decode_partition, is_normal_form, check_reduction_equation):
-            with pytest.raises(DomainError, match="^expected a Partition, not None"):
+            with pytest.raises(DomainError, match="^part must be a Partition, not None"):
                 call(embedded_pair, None)
 
 

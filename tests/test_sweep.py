@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction as F
 from itertools import islice
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,8 +39,8 @@ from riskaudit.audit import (
     _approx_report,
     _calibrated_within,
     _fair,
-    _first_bin_within,
     _pooled,
+    _pooled_within,
     _scored,
     consequence_slack,
 )
@@ -48,11 +49,13 @@ from riskaudit.model import _assignment, _scaled
 from riskaudit.sweep import (
     _banded_bins,
     _below,
+    _pooled_fair,
     _pooled_struct,
     _split_draw,
     _Splits,
     is_perfect_prediction,
 )
+from test_solver import ZEROS, _forced
 
 SEEDS = st.integers(0, 10**9)
 
@@ -82,7 +85,7 @@ class TestGenerators:
                 return lambda *args: 0
 
         for rng in (5, None, Drawing()):
-            with pytest.raises(DomainError, match="^rng must be a random.Random, not "):
+            with pytest.raises(DomainError, match="^rng must be a Random, not "):
                 RNG_TAKERS[name](rng, skewed)
         assert drawn == []  # refused before any draw
         RNG_TAKERS[name](random.Random(1), skewed)
@@ -297,9 +300,9 @@ class TestTheoremSweep:
         draws, tables = [], []
         original_draw, original_table = sweep_module._pooled_struct, sweep_module._accumulate_bins
 
-        def drawn(k, rng):
-            draws.append(k)
-            return original_draw(k, rng)
+        def drawn(weights, rng):
+            draws.append(len(weights))
+            return original_draw(weights, rng)
 
         def tabled(scaled, rows, nbins):
             tables.append(rows)
@@ -313,6 +316,32 @@ class TestTheoremSweep:
             rep = theorem_sweep(random_gapped_instance(random.Random(seed)), 300, F(0), seed, integral_cap=0)
             assert rep.fractional_explored == 300 and draws
             assert 3 * len(tables) < len(draws)
+
+    @pytest.mark.parametrize("family", [random_proportional_instance, random_equal_rate_instance])
+    def test_no_table_for_a_pooled_candidate_left_unkept(self, monkeypatch, family):
+        # at eps 0 a pooled candidate that passes its first-bin screen is
+        # decided on its bins' sums: the only tables are the split
+        # candidates' shared one and the kept candidate's
+        tables, decided = [], []
+        original = sweep_module._pooled_fair
+
+        class Counted(audit_module._Table):
+            def __init__(self, *columns):
+                tables.append(columns)
+                super().__init__(*columns)
+
+        def counted(scaled, rows):
+            decided.append(original(scaled, rows))
+            return decided[-1]
+
+        monkeypatch.setattr(audit_module, "_Table", Counted)
+        monkeypatch.setattr(sweep_module, "_pooled_fair", counted)
+        for seed in range(4):
+            tables.clear()
+            decided.clear()
+            rep = theorem_sweep(family(random.Random(seed)), 300, F(0), seed, integral_cap=0)
+            assert rep.exact_fair_count >= sum(decided) > 1
+            assert len(tables) <= 1 + (rep.first_exact_fair is not None)
 
     def test_rejects_negative_budget(self, skewed):
         with pytest.raises(DomainError):
@@ -447,7 +476,7 @@ class TestIntegerVerdicts:
             splits = _Splits(inst, eps)
             for family in ("pooled", "split", "banded") * 3:
                 if family == "pooled":
-                    rows = _pooled_struct(len(inst.features), rng)
+                    rows, _ = _pooled_struct(scaled.weights, rng)
                     table = _pooled(*_accumulate_bins(scaled, rows, len(rows[0])))
                     scores = list(map(F, table.nums, table.dens))
                 else:
@@ -487,36 +516,72 @@ def test_split_candidates_audit_as_the_identity(family, seed):
             assert old.audit_approx(inst, asg, eps) == approx
 
 
+# an instance of up to 24 drawn features from a family, with one of the
+# zero cases of tests/test_solver.py forced on it (one more feature) or none
+WIDE = (st.sampled_from(INSTANCE_FAMILIES), st.integers(0, 10**6), st.integers(3, 24), st.sampled_from(ZEROS))
+
+
+def _wide(family, seed, features, zero):
+    inst = family(random.Random(seed), max_features=features)
+    return inst if zero is None else _forced(inst, zero)
+
+
 def test_first_bin_screen_is_exact():
-    # the screen's integer verdict is the calibration band verdict of the
-    # kernel's first column, pooled, and a candidate it rejects passes
-    # neither the exact nor the relaxed audit
+    # the sums a pooled draw takes are its first column in the kernel, up
+    # to one common factor, and the screen on them is the calibration band
+    # verdict of that column pooled and the old screen's; a candidate it
+    # rejects passes neither the exact nor the relaxed audit
     outcomes = set()
 
-    @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(st.sampled_from(INSTANCE_FAMILIES), st.integers(0, 10**6),
-           st.sampled_from((F(0), F(1, 1000), F(1, 10), F(1, 2), F(2))))
-    def check(family, seed, eps):
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(*WIDE, st.sampled_from((F(0), F(1, 1000), F(1, 10), F(1, 2), F(2))))
+    def check(family, seed, features, zero, eps):
+        inst = _wide(family, seed, features, zero)
         rng = random.Random(seed)
-        inst = family(rng)
-        k = len(inst.features)
         scaled = _scaled(inst)
         columns = tuple(zip(*scaled.weights))
         slack = consequence_slack(eps)
-        # the drawn candidates, and one whose first bin holds nobody
-        draws = [_pooled_struct(k, rng) for _ in range(5)] + [((0, 1),) * k]
-        for rows in draws:
-            passed = _first_bin_within(columns, rows, eps)
+        for _ in range(5):
+            rows, first = _pooled_struct(scaled.weights, rng)
+            (m0, m1), (p0, p1), scale = _accumulate_bins(scaled, rows, 1)
+            factor = lcm(*range(1, 3 * len(rows[0]) + 1)) // (scale // scaled.denominator)
+            assert first == (m0[0] * factor, m1[0] * factor, p0[0] * factor, p1[0] * factor)
+            passed = _pooled_within(*first, eps)
             assert passed == _calibrated_within(_pooled(*_accumulate_bins(scaled, rows, 1)), eps)
+            assert passed == old.first_bin_within(columns, rows, eps)
             if not passed:
                 full = _pooled(*_accumulate_bins(scaled, rows, len(rows[0])))
                 assert not _fair(full)
                 assert not _approx_report(scaled, eps, slack, full).passed
             outcomes.add(passed)
-        assert _first_bin_within(columns, draws[-1], eps)
+        # a first bin that holds nobody passes
+        assert _pooled_within(0, 0, 0, 0, eps)
 
     check()
     assert outcomes == {False, True}
+
+
+def test_exact_pooled_verdict_is_read_off_the_sums():
+    # at eps 0 a pooled candidate is fair exactly when every bin passes the
+    # band rule and (S_1, S_2) passes the balance rule; all three outcomes
+    # (a bin off, calibrated but unbalanced, fair) are seen
+    outcomes = set()
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(*WIDE)
+    def check(family, seed, features, zero):
+        inst = _wide(family, seed, features, zero)
+        rng = random.Random(seed)
+        scaled = _scaled(inst)
+        for _ in range(5):
+            rows, _ = _pooled_struct(scaled.weights, rng)
+            table = _pooled(*_accumulate_bins(scaled, rows, len(rows[0])))
+            fair = _pooled_fair(scaled, rows)
+            assert fair == _fair(table)
+            outcomes.add((_calibrated_within(table, 0), fair))
+
+    check()
+    assert outcomes == {(False, False), (True, False), (True, True)}
 
 
 # an instance with certain features of both kinds and shared probabilities,
@@ -607,14 +672,15 @@ class TestDraws:
             ]
             assert ours.random() == theirs.random()
 
-    @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(st.sampled_from(INSTANCE_FAMILIES), st.integers(0, 10**6),
-           st.sampled_from((F(0), F(1, 1000), F(1, 10), F(2))))
-    def test_structures_match_the_randint_draws(self, family, seed, eps):
-        inst = family(random.Random(seed))
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(*WIDE, st.sampled_from((F(0), F(1, 1000), F(1, 10), F(2))))
+    def test_structures_match_the_randint_draws(self, family, seed, features, zero, eps):
+        inst = _wide(family, seed, features, zero)
         k = len(inst.features)
         ours, theirs = random.Random(seed), random.Random(seed)
-        assert _pooled_struct(k, ours) == old._pooled_struct(k, theirs)
+        rows, _ = _pooled_struct(_scaled(inst).weights, ours)
+        assert rows == old._pooled_struct(k, theirs)
+        assert ours.getstate() == theirs.getstate()
         # the split and banded draws, compared through the assignments they build
         rows, scores, _ = _Splits(inst).bins(*_split_draw(k, ours))
         assert _assignment(inst, rows, scores) == old._split_assignment(inst, old._split_structure(inst, theirs))
