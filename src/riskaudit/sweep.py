@@ -11,7 +11,7 @@ none. Identical seeds give identical reports.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial
+from functools import lru_cache, partial
 from itertools import repeat
 from math import lcm
 from random import Random
@@ -185,7 +185,7 @@ def is_perfect_prediction(inst: Instance) -> bool:
 # goes, so the sweep judges that bin (`audit._pooled_within`) before it
 # aggregates the rest. What every candidate would recompute is made once, and
 # reusing it is exact because it is the same integer or Fraction each time:
-# the row-sum factors of each bin count (`_shares`), and per sweep a
+# the row-sum factors of a bin count (`_shares`), and per sweep a
 # `_Splits`, which holds the merged layout and the at most 17 nudged scores
 # per feature that a banded candidate can draw.
 
@@ -201,10 +201,12 @@ def _below(bits, n: int) -> int:
     return r
 
 
-@cache
+@lru_cache(maxsize=32)
 def _shares(nbins: int) -> list[int]:
     """L // t at index t >= 1, for each row sum t a pooled draw over nbins
-    bins can have (1 to 3 * nbins), L the lcm of them all."""
+    bins can have (1 to 3 * nbins), L the lcm of them all. A list holds
+    about 13 * nbins**2 bits, so only the last 32 bin counts are kept: every
+    count of an instance of at most 30 features, and about 5 MB at 300."""
     top = lcm(*range(1, 3 * nbins + 1))
     return [0] + [top // t for t in range(1, 3 * nbins + 1)]
 
@@ -422,10 +424,10 @@ def theorem_sweep(
     takes. At eps = 0 only the exact side runs, and the other pooled
     candidates are decided on their bins' sums and (S_1, S_2); at eps > 0
     they and every banded one are audited one by one, each on its table.
-    The split layouts and nudged scores are made once per sweep. The budget and cap are nonnegative ints and the
-    seed is an int, so one seed names one stream. A budget too small to
-    finish the integral side is reported through integral_complete, never
-    raised.
+    The split layouts and nudged scores are made once per sweep. The budget
+    and cap are nonnegative ints and the seed is an int, so one seed names
+    one stream. A budget too small to finish the integral side is reported
+    through integral_complete, never raised.
     """
     gs = derived_stats(inst)
     e = _nonnegative(eps, "eps")

@@ -3,12 +3,13 @@
 Run from the repository root:
 
     python tests/bench_pairs.py PARENT_SHA --out BENCH_<n>.json \\
-        [--change HEAD] [--seeds 101-110] [--extra-seed 263] [--seconds 30] \\
-        [--workloads audit-stream,search,cli] [--claim search:round_s]
+        [--extra-seed 263] [--claim search:round_s]
 
-Each side runs `python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0` from its own `git archive` extract of its commit, made in a fresh
-temporary directory and removed afterwards. Every `__pycache__` directory in
+The change is HEAD. For every workload of BENCHMARK.json and each seed from
+101 to 110, each side runs `python3 perfbench/run.py --workload W --seed S
+--seconds T --trace 0`, T being BENCHMARK.json's run_seconds, from its own
+`git archive` extract of its commit, made in a fresh temporary directory and
+removed afterwards. Every `__pycache__` directory in
 the extract is removed before each run, and the runs get
 PYTHONDONTWRITEBYTECODE=1, so neither side reads bytecode the other wrote.
 The pairs alternate in order: the first pair of a workload runs the parent
@@ -37,6 +38,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = list(range(101, 111))
 
 
 def _git(*args: str) -> bytes:
@@ -102,36 +104,26 @@ def summarize(runs: list[dict], seeds: list[int], metrics: dict) -> dict:
     return out
 
 
-def _seeds(text: str) -> list[int]:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="the parent commit")
-    parser.add_argument("--change", default="HEAD", help="the changed commit (default HEAD)")
     parser.add_argument("--out", required=True, type=Path, help="the BENCH_<n>.json file to write")
-    parser.add_argument("--seeds", default="101-110", type=_seeds, help="one pair per seed, as LO-HI")
     parser.add_argument("--extra-seed", default=263, type=int)
-    parser.add_argument("--seconds", default=30.0, type=float)
-    parser.add_argument("--workloads", default=None, help="comma-separated; default every one in BENCHMARK.json")
     parser.add_argument("--claim", default=None, help="the claimed gain, as WORKLOAD:METRIC, for the description")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
-        shas = {side: extract(ref, trees[side]) for side, ref in (("parent", args.parent), ("change", args.change))}
+        shas = {side: extract(ref, trees[side]) for side, ref in (("parent", args.parent), ("change", "HEAD"))}
         bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
-        workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
-        seeds = args.seeds
+        seconds = bench["run_seconds"]
         doc = {
             "description": (
-                f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0, run on "
+                f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0, run on "
                 "the parent commit and on the change, each from its own git archive extract, in alternating "
                 "order (the first pair runs the parent first, the next the change first, and so on), seeds "
-                f"{seeds[0]}-{seeds[-1]} for every workload, with PYTHONDONTWRITEBYTECODE=1 after every "
+                f"{SEEDS[0]}-{SEEDS[-1]} for every workload, with PYTHONDONTWRITEBYTECODE=1 after every "
                 "__pycache__ directory in the extract was removed; then one more pair per workload (parent "
                 f"first) on seed {args.extra_seed}, a seed not run while the change was written, under "
                 "extra_pair. Each entry is the run's last JSON line; quartiles are "
@@ -145,17 +137,17 @@ def main(argv=None) -> int:
             "change_sha": shas["change"],
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
-            "seconds": args.seconds,
+            "seconds": seconds,
             "workloads": {},
         }
-        for workload in workloads:
+        for workload in (w["name"] for w in bench["workloads"]):
             runs = []
-            for i, seed in enumerate(seeds):
-                runs += _pair(trees, workload, seed, args.seconds, parent_first=i % 2 == 0)
-            extra = _pair(trees, workload, args.extra_seed, args.seconds, parent_first=True)
+            for i, seed in enumerate(SEEDS):
+                runs += _pair(trees, workload, seed, seconds, parent_first=i % 2 == 0)
+            extra = _pair(trees, workload, args.extra_seed, seconds, parent_first=True)
             doc["workloads"][workload] = {
                 "runs": runs,
-                "summary": summarize(runs, seeds, metrics),
+                "summary": summarize(runs, SEEDS, metrics),
                 "extra_pair": {
                     "seed": args.extra_seed,
                     "runs": extra,
