@@ -182,12 +182,13 @@ def audit_approx(inst: Instance, asg: RiskAssignment, eps) -> ApproxAuditReport:
     two group averages, required in both orderings.
     """
     e = _nonnegative(eps, "eps")
-    return _approx_report(_scaled(inst), e, consequence_slack(e), _bin_table(inst, asg))
+    table = _bin_table(inst, asg)
+    return _approx_report(_scaled(inst), e, consequence_slack(e), _calibrated_within(table, e), _classes(table))
 
 
-def _approx_report(scaled: _Scaled, e: Fraction, slack: Fraction, table: _Table) -> ApproxAuditReport:
-    calib_ok = _calibrated_within(table, e)
-    c, pos, neg = _classes(table)
+def _approx_report(scaled: _Scaled, e: Fraction, slack: Fraction, calib_ok: bool, classes) -> ApproxAuditReport:
+    """The relaxed report from the calibration verdict and the class sums."""
+    c, pos, neg = classes
     pos_ok = _balanced_within(pos, e)
     neg_ok = _balanced_within(neg, e)
     return ApproxAuditReport(
@@ -300,12 +301,10 @@ def _pooled(mass, positive, scale: int) -> _Table:
     return _Table(mass, positive, scale, nums, dens)
 
 
-def _pooled_assignment(inst: Instance, rows, table: Optional[_Table] = None) -> RiskAssignment:
+def _pooled_assignment(inst: Instance, rows) -> RiskAssignment:
     """The assignment of `inst` with these integer allocation rows and each
-    bin scored at its pooled positive rate (see _pooled), read off `table`,
-    the rows' pooled table, which is built here when not given."""
-    if table is None:
-        table = _pooled(*_accumulate_bins(_scaled(inst), rows, len(rows[0])))
+    bin scored at its pooled positive rate (see _pooled)."""
+    table = _pooled(*_accumulate_bins(_scaled(inst), rows, len(rows[0])))
     return _assignment(inst, rows, map(Fraction, table.nums, table.dens))
 
 
@@ -332,6 +331,25 @@ def _class_sums(table: _Table):
     return c, pos, neg
 
 
+def _pooled_classes(sums, bins, totals):
+    """`_classes` of the pooled table (see _pooled) of bins `bins` of the
+    column sums (m0, m1, g0, g1), equal in every class average, with no
+    table; `totals` are the sums over all bins, (M_1, M_2, P_1, P_2). Over
+    c, the product of the people masses M, group t's positive class receives
+    S_t, the sum of G * g_t / M (G a bin's expected positives), group 1 in
+    all R_1, the sum of G * m_1 / M, and group 2 (P_1 + P_2) * c - R_1."""
+    m0, m1, g0, g1 = sums
+    s1 = s2 = r1 = 0
+    c = 1
+    for b in bins:
+        m = m0[b] + m1[b]
+        if m:
+            g = g0[b] + g1[b]
+            s1, s2, r1, c = s1 * m + g * g0[b] * c, s2 * m + g * g1[b] * c, r1 * m + g * m0[b] * c, c * m
+    n1, n2, p1, p2 = totals
+    return c, ((s1, p1), (s2, p2)), ((r1 - s1, n1 - p1), ((p1 + p2) * c - r1 - s2, n2 - p2))
+
+
 def _vacuous(cls) -> bool:
     return not (cls[0][1] and cls[1][1])
 
@@ -340,15 +358,15 @@ def _averages(cls, c: int):
     return tuple(Fraction(a, c * m) if m else None for a, m in cls)
 
 
-def _balances(table: _Table, e: Fraction) -> bool:
-    """Both balance conditions, in the band of width e."""
-    _, pos, neg = _classes(table)
+def _balances(classes, e: Fraction) -> bool:
+    """Both balance conditions on class sums, in the band of width e."""
+    _, pos, neg = classes
     return _balanced_within(pos, e) and _balanced_within(neg, e)
 
 
 def _fair(table: _Table) -> bool:
     """All three conditions, exactly: each is its band at width 0."""
-    return _calibrated_within(table, 0) and _balances(table, 0)
+    return _calibrated_within(table, 0) and _balances(_classes(table), 0)
 
 
 def _calibrated_within(table: _Table, e: Fraction) -> bool:
@@ -374,7 +392,7 @@ def _balanced_within(cls, e: Fraction) -> bool:
     if not (m0 and m1):
         return True
     x, y = a0 * m1, a1 * m0
-    if not (x and y):
+    if not (x and y and e):
         return x == y or e >= 1
     en, ed = e.numerator, e.denominator
     lo, hi = ed - en, ed + en

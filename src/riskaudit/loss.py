@@ -29,6 +29,7 @@ from .model import (
     _require_type,
     _row_order,
     _scaled,
+    _shown,
     derived_stats,
     require_valid,
 )
@@ -43,13 +44,15 @@ class LossReport(NamedTuple):
 
 def loss(inst: Instance, asg: RiskAssignment) -> LossReport:
     """Exact expected loss per group and in total."""
-    return _loss_report(_bin_table(inst, asg))
+    table = _bin_table(inst, asg)
+    return _loss_report(_classes(table), table.scale)
 
 
-def _loss_report(table: _Table) -> LossReport:
-    c, pos, _ = _classes(table)
+def _loss_report(classes, scale: int) -> LossReport:
+    """The loss from class sums (see audit._classes) over `scale`."""
+    c, pos, _ = classes
     # per group: 2 * (positive mass - score received by the positive class)
-    per = tuple(Fraction(2 * (c * mu - a), c * table.scale) for a, mu in pos)
+    per = tuple(Fraction(2 * (c * mu - a), c * scale) for a, mu in pos)
     return LossReport(per_group=per, total=per[0] + per[1])  # type: ignore[arg-type]
 
 
@@ -144,7 +147,7 @@ def interpolate(inst: Instance, asg1: RiskAssignment, asg2: RiskAssignment, lam)
     _require_type(asg2, RiskAssignment, "asg2")
     w = _read_rational(lam, "interpolation weight")
     if not (0 <= w <= 1):
-        raise DomainError(f"interpolation weight {w} outside [0, 1]")
+        raise DomainError(f"interpolation weight {_shown(w, str)} outside [0, 1]")
     for name, asg in (("first", asg1), ("second", asg2)):
         if not _calibrated_within(_bin_table(inst, asg), 0):
             raise DomainError(f"{name} assignment is not calibrated on this instance")
@@ -171,7 +174,7 @@ def target_lambda(d1, d2, d3) -> Fraction:
     if a == b:
         raise DomainError("endpoint differences are equal; no unique weight exists")
     if not (min(a, b) <= c <= max(a, b)):
-        raise DomainError(f"target {c} outside [{min(a, b)}, {max(a, b)}]")
+        raise DomainError(f"target {_shown(c, str)} outside [{_shown(min(a, b), str)}, {_shown(max(a, b), str)}]")
     return (b - c) / (b - a)
 
 

@@ -31,9 +31,7 @@ def as_fraction(value: RationalLike) -> Fraction:
         return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational value")
-    if isinstance(value, (Fraction, int)):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, (Fraction, int, float)):
         return Fraction(value)
     if isinstance(value, str):
         return _parse_literal(value)
@@ -62,7 +60,7 @@ def _read_rational(value: RationalLike, name: str) -> Fraction:
     try:
         return as_fraction(value)
     except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{name} must be a rational, not {value!r:.60}") from None
+        raise DomainError(f"{name} must be a rational, not {_shown(value):.60}") from None
 
 
 def _nonnegative(value: RationalLike, name: str) -> Fraction:
@@ -76,7 +74,7 @@ def _nonnegative(value: RationalLike, name: str) -> Fraction:
 def _require_int(value, name: str) -> None:
     # a bool is not an int here
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{name} must be an int, not {value!r:.60}")
+        raise DomainError(f"{name} must be an int, not {_shown(value):.60}")
 
 
 def _require_type(value, kind: type, name: str) -> None:
@@ -85,7 +83,7 @@ def _require_type(value, kind: type, name: str) -> None:
     if not isinstance(value, kind):
         kind_name = kind.__name__
         article = "an" if kind_name[0] in "AEIOU" else "a"
-        raise DomainError(f"{name} must be {article} {kind_name}, not {value!r:.60}")
+        raise DomainError(f"{name} must be {article} {kind_name}, not {_shown(value):.60}")
 
 
 def _require_count(value, name: str, least: int = 0) -> None:
@@ -102,6 +100,15 @@ _MAX_DIGITS = 4300
 class _LiteralTooLong(ValueError):
     def __init__(self) -> None:
         super().__init__(f"number with more than {_MAX_DIGITS} digits")
+
+
+def _shown(value, form=repr) -> str:
+    """`form(value)`, the text a message shows for a value; a value that
+    holds a number too long for Python to turn into text is named instead."""
+    try:
+        return form(value)
+    except ValueError:
+        return f"<number with more than {_MAX_DIGITS} digits>"
 
 
 # the string forms `Fraction` reads: "[sign]a/b", or "[sign]i.f e[sign]x"
@@ -216,8 +223,12 @@ class FeatureVector(_Frozen):
 
 def feature(fid: str, p: RationalLike, n1: RationalLike, n2: RationalLike) -> FeatureVector:
     """Convenience constructor coercing all numeric fields; a field that is
-    no rational is refused with DomainError naming it."""
-    return FeatureVector(str(fid), _read_rational(p, "p"), _read_rational(n1, "n1"), _read_rational(n2, "n2"))
+    no rational, or an id with no text, is refused with DomainError naming it."""
+    try:
+        fid = str(fid)
+    except ValueError:  # a number too long to turn into text
+        raise DomainError(f"fid has no text form: {_shown(fid)}") from None
+    return FeatureVector(fid, _read_rational(p, "p"), _read_rational(n1, "n1"), _read_rational(n2, "n2"))
 
 
 class _Scaled(NamedTuple):
@@ -234,7 +245,7 @@ def _tuple(values, name: str) -> tuple:
     try:
         return tuple(values)
     except TypeError:
-        raise DomainError(f"{name} must be iterable, not {values!r:.60}") from None
+        raise DomainError(f"{name} must be iterable, not {_shown(values):.60}") from None
 
 
 class Instance(_Frozen):
@@ -280,10 +291,10 @@ def validate_instance(inst: Instance) -> ValidationReport:
     parts: list[tuple[int, int]] = []  # n1, n1 * p, n2, n2 * p per feature, as (numerator, denominator)
     for f in inst.features:
         if not isinstance(f, FeatureVector):
-            violations.append(f"{f!r:.60} is not a FeatureVector")
+            violations.append(f"{_shown(f):.60} is not a FeatureVector")
             continue
         if not isinstance(f.id, str) or not f.id:
-            violations.append(f"feature id {f.id!r} is not a nonempty string")
+            violations.append(f"feature id {_shown(f.id)} is not a nonempty string")
         elif f.id in seen:
             violations.append(f"duplicate feature id {f.id!r}")
         else:
@@ -294,11 +305,11 @@ def validate_instance(inst: Instance) -> ValidationReport:
         if not (p and n1 and n2 and 0 <= p[0] <= p[1] and n1[0] >= 0 and n2[0] >= 0):
             for name, v in (("probability", f.p), ("group-1 mass", f.n1), ("group-2 mass", f.n2)):
                 if not _rational(v):
-                    violations.append(f"feature {f.id!r}: {name} {v!r} is not an int or Fraction")
+                    violations.append(f"feature {_shown(f.id)}: {name} {_shown(v)} is not an int or Fraction")
                 elif name == "probability" and not (0 <= v.numerator <= v.denominator):
-                    violations.append(f"feature {f.id!r}: probability {v} outside [0, 1]")
+                    violations.append(f"feature {_shown(f.id)}: probability {_shown(v, str)} outside [0, 1]")
                 elif name != "probability" and v.numerator < 0:
-                    violations.append(f"feature {f.id!r}: negative {name} {v}")
+                    violations.append(f"feature {_shown(f.id)}: negative {name} {_shown(v, str)}")
         if not violations:  # an instance with a violation has no integer form
             for a, b in (n1, n2):
                 top, bottom = a * p[0], b * p[1]
@@ -347,7 +358,7 @@ class GroupStats(NamedTuple):
 
 def _group_index(group: int) -> int:
     if group not in GROUPS:
-        raise DomainError(f"unknown group {group!r}; groups are 1 and 2")
+        raise DomainError(f"unknown group {_shown(group)}; groups are 1 and 2")
     return group - 1
 
 
@@ -380,9 +391,9 @@ class RecordTable(_Frozen):
             raise DomainError("record table is empty")
         for r in rows:
             if not isinstance(r, Record):
-                raise DomainError(f"rows must hold Records, not {r!r:.60}")
+                raise DomainError(f"rows must hold Records, not {_shown(r):.60}")
             if r.group not in GROUPS:
-                raise DomainError(f"record for {r.feature_id!r}: unknown group {r.group}")
+                raise DomainError(f"record for {_shown(r.feature_id)}: unknown group {_shown(r.group, str)}")
         present = {r.group for r in rows}
         for t in GROUPS:
             if t not in present:
@@ -469,28 +480,31 @@ class RiskAssignment(_Frozen):
             raise InvalidAssignmentError("one allocation row per feature required")
         for b, v in enumerate(scores):
             if not _rational(v):
-                raise InvalidAssignmentError(f"score {v!r} of bin {b} is not an int or Fraction")
+                raise InvalidAssignmentError(f"score {_shown(v)} of bin {b} is not an int or Fraction")
             if not (0 <= v <= 1):
-                raise InvalidAssignmentError(f"score {v} outside [0, 1]")
+                raise InvalidAssignmentError(f"score {_shown(v, str)} outside [0, 1]")
         int_rows = []
         for fid, row in zip(feature_ids, rows):
             if len(row) != len(scores):
                 raise InvalidAssignmentError(
-                    f"allocation row for {fid!r} has {len(row)} entries, expected {len(scores)}"
+                    f"allocation row for {_shown(fid)} has {len(row)} entries, expected {len(scores)}"
                 )
             for b, x in enumerate(row):
                 if not _rational(x):
                     raise InvalidAssignmentError(
-                        f"allocation entry {x!r} for {fid!r}, bin {b}, is not an int or Fraction"
+                        f"allocation entry {_shown(x)} for {_shown(fid)}, bin {b}, is not an int or Fraction"
                     )
             d = lcm(*(x.denominator for x in row))
             ints = tuple(x.numerator * (d // x.denominator) for x in row)
             for x, n in zip(row, ints):
                 if not (0 <= n <= d):
-                    raise InvalidAssignmentError(f"allocation entry {x} for {fid!r} outside [0, 1]")
+                    raise InvalidAssignmentError(
+                        f"allocation entry {_shown(x, str)} for {_shown(fid)} outside [0, 1]"
+                    )
             if sum(ints) != d:
                 raise InvalidAssignmentError(
-                    f"allocation row for {fid!r} sums to {Fraction(sum(ints), d)}, expected exactly 1"
+                    f"allocation row for {_shown(fid)} sums to {_shown(Fraction(sum(ints), d), str)}, "
+                    "expected exactly 1"
                 )
             int_rows.append(ints)
         _set(self, "feature_ids", feature_ids)
@@ -517,7 +531,7 @@ def _row_order(inst: Instance, asg: RiskAssignment) -> list[int]:
     order = [position.get(f.id) for f in inst.features]
     # the id sets are compared only when the order is no permutation
     if (None in order or len(set(order)) != len(position)) and set(position) != (ids := {f.id for f in inst.features}):
-        parts = [f"{word} features {sorted(fids)}"
+        parts = [f"{word} features {_shown(sorted(fids))}"
                  for word, fids in (("missing", ids - set(position)), ("unknown", set(position) - ids)) if fids]
         raise InvalidAssignmentError("assignment does not match instance: " + ", ".join(parts))
     return order

@@ -1,11 +1,12 @@
 """Set partitions in canonical order, with exact Bell counts."""
 from __future__ import annotations
 
+import sys
 from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .errors import DomainError
-from .model import _Frozen, _require_count, _set
+from .model import _Frozen, _require_count, _set, _shown
 
 DEFAULT_MAX_ITEMS = 12
 
@@ -29,7 +30,7 @@ class Partition(_Frozen):
                     raise DomainError("empty block")
                 for x in b:
                     if x in seen:
-                        raise DomainError(f"element {x!r} appears in two blocks")
+                        raise DomainError(f"element {_shown(x)} appears in two blocks")
                     seen.add(x)
                 canon.append(b)
             canon.sort(key=lambda b: b[0])
@@ -88,7 +89,7 @@ def _check_enumerable(k: int, cap: Optional[int]) -> None:
     if cap is not None:
         _require_count(cap, "cap")
     if k > DEFAULT_MAX_ITEMS and cap is None:
-        raise DomainError(f"{k} items: more than {DEFAULT_MAX_ITEMS} are enumerated only with a cap")
+        raise DomainError(f"{_shown(k, str)} items: more than {DEFAULT_MAX_ITEMS} are enumerated only with a cap")
 
 
 def enumerate_partitions(k: int, cap: Optional[int] = None) -> Iterator[Partition]:
@@ -96,7 +97,8 @@ def enumerate_partitions(k: int, cap: Optional[int] = None) -> Iterator[Partitio
     `cap` of them. Blocks come out sorted by smallest member. More than
     DEFAULT_MAX_ITEMS items, and a negative cap, are refused eagerly."""
     _check_enumerable(k, cap)
-    stream = islice(_growth_strings(k), cap)
+    # islice takes no count past sys.maxsize, and no stream is that long
+    stream = islice(_growth_strings(k), None if cap is None else min(cap, sys.maxsize))
     return (Partition(tuple(map(tuple, _blocks(labels, range(k))))) for labels in stream)
 
 

@@ -35,7 +35,7 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, ReductionInfeasibleError
-from .model import _Frozen, _require_type, _set, _sqrt_upper, _tuple
+from .model import _Frozen, _require_type, _set, _shown, _sqrt_upper, _tuple
 from .partitions import DEFAULT_MAX_ITEMS, Partition, _blocks, _growth_strings
 
 
@@ -50,9 +50,9 @@ class SubsetSumInstance(_Frozen):
             raise DomainError("at least one weight required")
         for w in weights:
             if not isinstance(w, int) or isinstance(w, bool) or w < 1:
-                raise DomainError(f"weights must be positive integers, got {w!r}")
+                raise DomainError(f"weights must be positive integers, got {_shown(w)}")
         if not isinstance(target, int) or isinstance(target, bool) or target < 1:
-            raise DomainError(f"target must be a positive integer, got {target!r}")
+            raise DomainError(f"target must be a positive integer, got {_shown(target)}")
         _set(self, "weights", weights)
         _set(self, "target", target)
 
@@ -163,7 +163,9 @@ def reduce_subset_sum(ss: SubsetSumInstance) -> ReducedInstance:
     )
     disc = 2 * g - 1
     if disc < 0:
-        raise ReductionInfeasibleError(f"required positive-class average {g} gives 2g - 1 = {disc} < 0")
+        raise ReductionInfeasibleError(
+            f"required positive-class average {_shown(g, str)} gives 2g - 1 = {_shown(disc, str)} < 0"
+        )
     for i, (c, e) in enumerate(pairs, start=1):
         if e > c * c or e > (1 - c) * (1 - c):
             raise ReductionInfeasibleError(f"pair {i} would leave [0, 1]")
@@ -388,7 +390,7 @@ def encode_solution(ri: ReducedInstance, chosen: Iterable[int]) -> Partition:
     position = {orig: k + 1 for k, orig in enumerate(ri.kept_indices)}
     outside = sorted(chosen_set - position.keys())
     if outside:
-        raise DomainError(f"weight position {outside[0]} is not part of the embedding")
+        raise DomainError(f"weight position {_shown(outside[0], str)} is not part of the embedding")
     paired = {position[orig] for orig in chosen_set}
     blocks: list[tuple[int, ...]] = []
     for i in range(1, ri.m + 1):

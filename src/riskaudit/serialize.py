@@ -26,6 +26,7 @@ from .model import (
     _LiteralTooLong,
     _MAX_DIGITS,
     _require_type,
+    _shown,
     as_fraction,
 )
 
@@ -59,7 +60,7 @@ def _undecodable(exc: UnicodeDecodeError) -> str:
 
 def loads_json(text: str) -> Any:
     if not isinstance(text, (str, bytes, bytearray)):
-        raise DomainError(f"text must be a str, bytes or bytearray, not {text!r:.60}")
+        raise DomainError(f"text must be a str, bytes or bytearray, not {_shown(text):.60}")
     try:
         return json.loads(text, parse_float=_number, parse_int=lambda literal: _number(literal, int))
     except json.JSONDecodeError as exc:
@@ -94,7 +95,7 @@ def parse_rational(node: Any, path: str) -> Fraction:
     if isinstance(node, _TooLong):
         raise DocumentError(str(_LiteralTooLong()), path)
     if isinstance(node, (Fraction, int)):
-        return Fraction(node)
+        return as_fraction(node)
     raise DocumentError(f"expected a rational, got {type(node).__name__}", path)
 
 
@@ -103,7 +104,7 @@ def _require_version(doc: Any, path: str = "") -> dict:
         raise DocumentError("expected a JSON object", path)
     version = doc.get("version")
     if version != SCHEMA_VERSION:
-        raise DocumentError(f"unsupported document version {version!r}", path + ".version")
+        raise DocumentError(f"unsupported document version {_shown(version)}", path + ".version")
     return doc
 
 
@@ -284,7 +285,7 @@ CSV_HEADER = ("feature_id", "group", "outcome")
 
 def records_from_csv(text: str) -> RecordTable:
     if not isinstance(text, str):
-        raise DomainError(f"text must be a str, not {text!r:.60}")
+        raise DomainError(f"text must be a str, not {_shown(text):.60}")
     reader = csv.reader(io.StringIO(text))
     try:
         return _records(reader)

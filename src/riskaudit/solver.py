@@ -11,10 +11,10 @@ from functools import partial
 from operator import or_
 from typing import NamedTuple, Optional
 
-from .audit import _pooled, _pooled_assignment, _pooled_within, _Table
+from .audit import _balances, _pooled_assignment, _pooled_classes, _pooled_within
 from .errors import DomainError
 from .loss import LossReport, _loss_report
-from .model import Instance, RiskAssignment, _require_type, _scaled, _Scaled
+from .model import Instance, RiskAssignment, _require_type, _scaled, _Scaled, _shown
 from .partitions import Partition, _check_enumerable
 
 OBJECTIVES = ("any_fair", "min_loss")
@@ -86,9 +86,9 @@ def _integral_search(inst: Instance, cap: Optional[int], calibrated, visit, boun
     partition passes. `visit(blocks, sums)` gets the blocks as bit masks
     over feature positions, in block order, and the walk's column sums of
     every subset, (m0, m1, g0, g1) indexed by mask; it returns whether the
-    partition is a hit. A visitor decides on the sums (see `_received`) and
-    builds a table only where it needs one (`_leaf_table`). The mask list is
-    the walk's own and changes after the call.
+    partition is a hit. A visitor decides on the class sums that
+    `audit._pooled_classes` reads off the sums, with no table. The mask list
+    is the walk's own and changes after the call.
 
     Without `bound` the walk stops at the first hit. With it, each hit
     becomes the incumbent, and a subtree is skipped unless it may beat it:
@@ -196,67 +196,25 @@ def _exceeds(x, y) -> bool:
     return x[0] * y[1] > y[0] * x[1]
 
 
-def _leaf_table(sums, blocks, scale: int) -> _Table:
-    """The table of a visited partition's pooled assignment, from the walk's
-    subset column sums (see _integral_search): one bin per block with
-    people, in block order, scored at its pooled rate, over `scale`."""
-    m0, m1, g0, g1 = sums
-    kept = [mask for mask in blocks if m0[mask] or m1[mask]]
-    return _pooled(([m0[mask] for mask in kept], [m1[mask] for mask in kept]),
-                   ([g0[mask] for mask in kept], [g1[mask] for mask in kept]), scale)
-
-
-def _received(sums, blocks) -> tuple[int, int, int]:
-    """The score S_t that group t's positive class receives in a visited
-    partition's pooled assignment: the sum over blocks with people of
-    G * g_t / M (G, M the block's expected positives and mass, g_t group
-    t's expected positives), as (n1, n2, den) with S_t = n_t / den,
-    unreduced."""
-    m0, m1, g0, g1 = sums
-    n1 = n2 = 0
-    den = 1
-    for mask in blocks:
-        m = m0[mask] + m1[mask]
-        if m:
-            g = g0[mask] + g1[mask]
-            n1, n2, den = n1 * m + g * g0[mask] * den, n2 * m + g * g1[mask] * den, den * m
-    return n1, n2, den
-
-
-def _balanced(totals, n1: int, n2: int, den: int) -> bool:
-    """Both balance conditions at eps 0, `_balances(table, 0)`, of a visited
-    partition whose every block is exactly calibrated, from its `_received`
-    (n1, n2, den) and the instance's totals (M_1, M_2, P_1, P_2) of mass
-    and expected positives. Group t's positive class, of mass P_t, receives
-    S_t; calibration gives its negative class, of mass M_t - P_t, the rest
-    of the P_t that group t receives in all. A class empty in a group
-    (P_t = 0, or M_t = P_t) makes both sides of its test 0: it passes, as
-    in `_balanced_within`."""
-    m1, m2, p1, p2 = totals
-    return n1 * p2 == n2 * p1 and (p1 * den - n1) * (m2 - p2) == (p2 * den - n2) * (m1 - p1)
-
-
-def _scores_differ(totals, n1: int, n2: int, den: int) -> bool:
+def _scores_differ(classes, totals) -> bool:
     """Non-triviality, `_nontrivial(table)`, of a visited partition's pooled
-    assignment, from its (n1, n2, den) = _received and the instance's totals
-    (see _balanced). S_1 + S_2 is the sum of G**2 / M over blocks with
+    assignment, from its `audit._pooled_classes` and the instance's totals
+    (M_1, M_2, P_1, P_2). S_1 + S_2 is the sum of G**2 / M over blocks with
     people, which exceeds its least value, (P_1 + P_2)**2 / (M_1 + M_2),
     unless all of them have one pooled rate."""
+    c, ((s1, _), (s2, _)), _ = classes
     m1, m2, p1, p2 = totals
-    return (n1 + n2) * (m1 + m2) > (p1 + p2) ** 2 * den
+    return (s1 + s2) * (m1 + m2) > (p1 + p2) ** 2 * c
 
 
-def _witness(inst: Instance, blocks, sums=None) -> tuple[Partition, RiskAssignment, Optional[_Table]]:
+def _witness(inst: Instance, blocks) -> tuple[Partition, RiskAssignment]:
     """The partition of feature ids whose blocks are these bit masks over
     feature positions, and its integral assignment, whose bins follow the
-    partition's block order (by smallest id); given the walk's column sums,
-    also that assignment's table, else None."""
+    partition's block order (by smallest id)."""
     ids = inst.ids
     blocks = sorted(blocks, key=lambda mask: min(fid for i, fid in enumerate(ids) if mask >> i & 1))
     part = Partition.from_blocks([fid for i, fid in enumerate(ids) if mask >> i & 1] for mask in blocks)
-    scaled = _scaled(inst)
-    table = None if sums is None else _leaf_table(sums, blocks, scaled.denominator)
-    return part, _pooled_assignment(inst, _block_rows(scaled, blocks), table), table
+    return part, _pooled_assignment(inst, _block_rows(_scaled(inst), blocks))
 
 
 def solve_integral(inst: Instance, objective: str = "any_fair", cap: Optional[int] = None) -> SolveResult:
@@ -270,17 +228,17 @@ def solve_integral(inst: Instance, objective: str = "any_fair", cap: Optional[in
     """
     scaled = _scaled(inst)
     if objective not in OBJECTIVES:
-        raise DomainError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
+        raise DomainError(f"unknown objective {_shown(objective)}; expected one of {OBJECTIVES}")
     totals = scaled.totals
     hit: Optional[tuple] = None
 
     def visit(blocks, sums) -> bool:
         # the walk visits only partitions whose every block is calibrated
         nonlocal hit
-        received = _received(sums, blocks)
-        if not (_balanced(totals, *received) and _scores_differ(totals, *received)):
+        classes = _pooled_classes(sums, blocks, totals)
+        if not (_balances(classes, 0) and _scores_differ(classes, totals)):
             return False
-        hit = tuple(blocks), sums
+        hit = tuple(blocks), classes
         return True
 
     explored, pruned, complete = _integral_search(
@@ -288,6 +246,7 @@ def solve_integral(inst: Instance, objective: str = "any_fair", cap: Optional[in
     )
     if hit is None:
         return SolveResult("none" if complete else "budget_exceeded", None, None, None, explored, pruned)
-    part, asg, table = _witness(inst, *hit)
+    blocks, classes = hit
+    part, asg = _witness(inst, blocks)
     status = "found" if complete else "budget_exceeded"
-    return SolveResult(status, part, asg, _loss_report(table), explored, pruned)
+    return SolveResult(status, part, asg, _loss_report(classes, scaled.denominator), explored, pruned)

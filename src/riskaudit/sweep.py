@@ -21,9 +21,11 @@ from .audit import (
     ApproxAuditReport,
     _accumulate_bins,
     _approx_report,
-    _fair,
-    _pooled,
+    _balances,
+    _calibrated_within,
+    _classes,
     _pooled_assignment,
+    _pooled_classes,
     _pooled_within,
     _scored,
     audit_approx,
@@ -41,10 +43,11 @@ from .model import (
     _require_int,
     _require_type,
     _scaled,
+    _shown,
     derived_stats,
     require_valid,
 )
-from .solver import _balanced, _integral_search, _leaf_table, _received, _witness
+from .solver import _integral_search, _witness
 
 
 def _rand_fraction(rng: Random, den: int = 12) -> Fraction:
@@ -163,7 +166,9 @@ def random_gapped_instance(
     # the other group on a feature of the opposite certain outcome
     widest = 1 - Fraction(1, 12 * (4 * (max_features - 2) + 1))
     if min_gap > widest:
-        raise DomainError(f"min_gap must be below 1 and at most {widest} for {max_features} features")
+        raise DomainError(
+            f"min_gap must be below 1 and at most {_shown(widest, str)} for {_shown(max_features, str)} features"
+        )
     while True:
         inst = random_instance(rng, max_features)
         gs = derived_stats(inst)
@@ -238,19 +243,6 @@ def _pooled_struct(weights, rng: Random):
             p1 += q2 * x
         rows.append(tuple(row))
     return tuple(rows), (m0, m1, p0, p1)
-
-
-def _pooled_fair(scaled, rows) -> bool:
-    """`_fair` of the rows' pooled table, without it: every bin exactly
-    calibrated, then `solver._balanced` on (S_1, S_2), against the instance's
-    totals times the rows' common factor."""
-    nbins = len(rows[0])
-    mass, positive, scale = _accumulate_bins(scaled, rows, nbins)
-    columns = (*mass, *positive)
-    if not all(map(_pooled_within, *columns, repeat(0))):
-        return False
-    factor = scale // scaled.denominator
-    return _balanced([t * factor for t in scaled.totals], *_received(columns, range(nbins)))
 
 
 def pooled_rounded_assignment(inst: Instance, rng: Random) -> RiskAssignment:
@@ -421,9 +413,10 @@ def theorem_sweep(
     all of them share the verdicts of the first one's table. A pooled
     candidate whose first bin lies outside the calibration band passes
     neither check, so it is ruled out on that bin, whose sums its draw
-    takes. At eps = 0 only the exact side runs, and the other pooled
-    candidates are decided on their bins' sums and (S_1, S_2); at eps > 0
-    they and every banded one are audited one by one, each on its table.
+    takes. The other pooled candidates and the visited partitions are
+    decided on their bins' column sums (`audit._pooled_classes`), with no
+    table, and each banded one on its table; at eps = 0 only the exact side
+    runs.
     The split layouts and nudged scores are made once per sweep. The budget
     and cap are nonnegative ints and the seed is an int, so one seed names
     one stream. A budget too small to finish the integral side is reported
@@ -449,9 +442,22 @@ def theorem_sweep(
     scaled = _scaled(inst)
     slack = consequence_slack(e)
 
-    def verdicts(table):
-        # a candidate's exact verdict, and its relaxed report at eps > 0
-        return _fair(table), (_approx_report(scaled, e, slack, table) if e else None)
+    def verdicts(exact, within, classes):
+        # a candidate's exact verdict and, at eps > 0, its relaxed report
+        return exact and _balances(classes, 0), (_approx_report(scaled, e, slack, within, classes) if e else None)
+
+    def tabled(table):
+        return verdicts(_calibrated_within(table, 0), _calibrated_within(table, e), _classes(table))
+
+    def pooled(sums, bins, totals):
+        # a visited partition or a pooled draw, from its bins' column sums
+        # (m0, m1, g0, g1) and their totals: a bin outside the calibration
+        # band passes neither check, and no table is built
+        columns = [[column[b] for b in bins] for column in sums]
+        exact = all(map(_pooled_within, *columns, repeat(0)))
+        if not (exact or e and all(map(_pooled_within, *columns, repeat(e)))):
+            return False, None
+        return verdicts(exact, True, _pooled_classes(sums, bins, totals))
 
     def consider(verdict, build) -> None:
         # build() makes the assignment, called only for a candidate the
@@ -470,14 +476,7 @@ def theorem_sweep(
                 approx_ce = build()
 
     def visit(blocks, sums) -> bool:
-        # at eps = 0 every visited block is exactly calibrated, so the exact
-        # verdict is the balance rule on the blocks' sums; a wider band needs
-        # the table
-        if e:
-            verdict = verdicts(_leaf_table(sums, blocks, scaled.denominator))
-        else:
-            verdict = _balanced(scaled.totals, *_received(sums, blocks)), None
-        consider(verdict, lambda: _witness(inst, blocks)[1])
+        consider(pooled(sums, blocks, scaled.totals), lambda: _witness(inst, blocks)[1])
         return False
 
     # a candidate outside the calibration band (at eps = 0, exact
@@ -506,19 +505,17 @@ def theorem_sweep(
             rows, first = _pooled_struct(scaled.weights, rng)
             if not calibrated(*first):
                 continue
-            if e:
-                table = _pooled(*_accumulate_bins(scaled, rows, len(rows[0])))
-                consider(verdicts(table), lambda: _pooled_assignment(inst, rows, table))
-            else:  # the exact verdict alone, without a table
-                consider((_pooled_fair(scaled, rows), None), lambda: _pooled_assignment(inst, rows))
+            mass, positive, scale = _accumulate_bins(scaled, rows, len(rows[0]))
+            totals = [t * (scale // scaled.denominator) for t in scaled.totals]
+            consider(pooled((*mass, *positive), range(len(rows[0])), totals), lambda: _pooled_assignment(inst, rows))
         elif roll < 0.8 or e == 0:
             draw = _split_draw(k, rng)
             if split is None:
-                split = verdicts(_scored(scaled, *splits.bins(*draw)[:2]))
+                split = tabled(_scored(scaled, *splits.bins(*draw)[:2]))
             consider(split, lambda: _assignment(inst, *splits.bins(*draw)[:2]))
         else:
             rows, scores = _banded_bins(splits, rng)
-            consider(verdicts(_scored(scaled, rows, scores)), lambda: _assignment(inst, rows, scores))
+            consider(tabled(_scored(scaled, rows, scores)), lambda: _assignment(inst, rows, scores))
 
     return SweepReport(
         seed=seed,

@@ -37,17 +37,21 @@
 - `first_bin_within`, the stream's first-bin screen as a pass over drawn
   rows, the reference for the first bin's sums that `sweep._pooled_struct`
   takes while it draws: `tests/test_sweep.py::test_first_bin_screen_is_exact`.
+- `_leaf_table`, the table of a visited partition's pooled assignment
+  built from the walk's subset column sums, the reference for the class
+  sums the package reads off those sums with no table
+  (`audit._pooled_classes`): `tests/test_solver.py::TestLeafRule` and
+  `tests/test_sweep.py::test_pooled_class_sums_match_the_table`.
 - `plain_sweep` and `exhaustive_solve` visit every partition through the
   package's walk with pruning off (`_integral_search` with a calibration
   verdict that passes every block, and no bound), which
   `test_search_visits_exactly_the_calibrated_partitions` checks against
-  `enumerate_partitions` and the block sums, with the table
-  `solver._leaf_table` builds for each visited partition. They judge every
-  partition on that table with the package's verdicts, which the tests
-  above pin to the `Fraction` views, and build each witness with this
-  module's `assignment_from_partition`. So they are the reference for the
-  rule the package's walk decides its partitions by, on two integers
-  (`solver._received` and `solver._balanced`).
+  `enumerate_partitions` and the block sums, with the table `_leaf_table`
+  builds for each visited partition. They judge every partition on that
+  table with the package's table verdicts, which the tests above pin to
+  the `Fraction` views, and build each witness with this module's
+  `assignment_from_partition`. So they are the reference for the walk's
+  verdicts on class sums read off the column sums.
   - `plain_sweep` is the reference for `theorem_sweep`. Its fractional
     half replays the `randint` draws, builds each candidate as a
     `Fraction` assignment and audits it through the package's public
@@ -72,7 +76,9 @@ from riskaudit.audit import (
     ConsequenceFlags,
     _approx_report,
     _calibrated_within,
+    _classes,
     _fair,
+    _pooled,
     _Table,
 )
 from riskaudit.errors import DegenerateGroupError, DomainError, InvalidAssignmentError
@@ -92,7 +98,7 @@ from riskaudit.model import (
     require_valid,
 )
 from riskaudit.partitions import Partition, enumerate_partitions
-from riskaudit.solver import OBJECTIVES, SolveResult, _integral_search, _leaf_table
+from riskaudit.solver import OBJECTIVES, SolveResult, _integral_search
 from riskaudit.sweep import SweepReport, is_perfect_prediction
 
 
@@ -725,6 +731,16 @@ def first_bin_within(columns, rows, e) -> bool:
     return pooled_block_within(*(sum(map(mul, column, xs)) for column in columns), e)
 
 
+# from riskaudit/solver.py, from when the walk judged a partition on its
+# table: the pooled table of a visited partition's blocks with people, in
+# block order, from the walk's subset column sums (see _integral_search)
+def _leaf_table(sums, blocks, scale: int) -> _Table:
+    m0, m1, g0, g1 = sums
+    kept = [mask for mask in blocks if m0[mask] or m1[mask]]
+    return _pooled(([m0[mask] for mask in kept], [m1[mask] for mask in kept]),
+                   ([g0[mask] for mask in kept], [g1[mask] for mask in kept]), scale)
+
+
 def plain_sweep(inst: Instance, budget: int, eps, seed: int, integral_cap: Optional[int] = None) -> SweepReport:
     """`theorem_sweep`, visiting every partition and auditing every
     fractional candidate as a built assignment."""
@@ -753,7 +769,7 @@ def plain_sweep(inst: Instance, budget: int, eps, seed: int, integral_cap: Optio
 
     def visit(blocks, sums) -> bool:
         table = _leaf_table(sums, blocks, scaled.denominator)
-        approx = _approx_report(scaled, e, slack, table) if e else None
+        approx = _approx_report(scaled, e, slack, _calibrated_within(table, e), _classes(table)) if e else None
         consider(_fair(table), approx, lambda: assignment_from_partition(inst, _partition(inst, blocks)))
         return False
 
@@ -806,7 +822,7 @@ def exhaustive_solve(
         table = _leaf_table(sums, blocks, scale)
         if not (_fair(table) and _nontrivial(table)):
             return False
-        report = _loss_report(table)
+        report = _loss_report(_classes(table), scale)
         if best is None or report.total < best[0].total:
             best = report, tuple(blocks)
         return objective == "any_fair"

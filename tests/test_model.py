@@ -1,3 +1,4 @@
+import inspect
 import re
 import time
 from fractions import Fraction as F
@@ -30,6 +31,17 @@ from riskaudit import (
     consequence_slack,
     decode_partition,
     derived_stats,
+    random_proportional_instance,
+    random_perfect_instance,
+    random_instance,
+    random_equal_rate_instance,
+    passes_fairness,
+    normalize_assignment,
+    loss,
+    is_nontrivial,
+    find_fair_nontrivial,
+    fairness_difference,
+    dumps_doc,
     encode_solution,
     feature,
     identity_assignment,
@@ -57,6 +69,7 @@ from riskaudit import (
     two_bin_certain_assignment,
     validate_instance,
 )
+import riskaudit
 from riskaudit.model import _row_order
 
 
@@ -186,6 +199,154 @@ def test_an_argument_of_the_wrong_type_is_refused(call, message, skewed):
     audit_exact(skewed, asg)  # so that asg keeps a table
     with pytest.raises(RiskAuditError, match=f"^{re.escape(message)}"):
         call(skewed, asg)
+
+
+# past the 4,300 digits Python turns into text
+BIG = 10**5000
+TOO_LONG = "<number with more than 4300 digits>"
+
+# each export whose refusal of BIG in a parameter shows the refused value
+SHOWN_REFUSALS = """
+    Instance: features
+    RecordTable: rows
+    SubsetSumInstance: weights
+    assignment_from_partition: inst part
+    assignment_to_doc: asg
+    audit_approx: inst asg
+    audit_exact: inst asg
+    banded_split_assignment: inst rng
+    calibrated_split_assignment: inst rng
+    check_reduction_equation: ri part
+    classify_consequence: inst asg
+    decode_partition: ri part
+    derived_stats: inst
+    encode_solution: ri chosen
+    fairness_difference: inst asg
+    feature: fid
+    find_fair_nontrivial: inst
+    identity_assignment: inst
+    ingest_records: table
+    instance_to_doc: inst
+    interpolate: inst asg1 asg2 lam
+    is_nontrivial: inst asg
+    is_normal_form: ri part
+    loads_json: text
+    loss: inst asg
+    normalize_assignment: inst asg
+    parse_assignment: text
+    parse_instance: text
+    parse_reduced: text
+    passes_fairness: inst asg
+    pooled_rounded_assignment: inst rng
+    random_equal_rate_instance: rng
+    random_gapped_instance: rng
+    random_instance: rng
+    random_perfect_instance: rng
+    random_proportional_instance: rng
+    records_from_csv: text
+    reduce_subset_sum: ss
+    reduced_to_doc: ri
+    require_valid: inst
+    search_groupings: ri
+    search_normal_forms: ri
+    solve_integral: inst objective
+    solve_subset_sum: ss
+    target_lambda: d1 d3
+    theorem_sweep: inst
+    trivial_assignment: inst
+    two_bin_certain_assignment: inst
+    validate_instance: inst
+"""
+SHOWN_PAIRS = [(name.rstrip(":"), param) for name, *params in map(str.split, SHOWN_REFUSALS.strip().splitlines())
+               for param in params]
+
+
+def _accepted(inst):
+    """Arguments that each export of SHOWN_REFUSALS accepts, by name, for
+    an instance with equal base rates."""
+    asg, ri = identity_assignment(inst), reduce_subset_sum(SubsetSumInstance((1, 2), 3))
+    pairs = encode_solution(ri, [1, 2])
+    records = (Record("a", 1, True), Record("b", 2, False))
+    return {
+        "Instance": (inst.features,),
+        "RecordTable": (records,),
+        "SubsetSumInstance": ((1, 2), 3),
+        "assignment_from_partition": (inst, Partition.from_blocks([inst.ids])),
+        "assignment_to_doc": (asg,),
+        "audit_approx": (inst, asg, F(1, 10)),
+        "audit_exact": (inst, asg),
+        "banded_split_assignment": (inst, Random(1), F(1, 10)),
+        "calibrated_split_assignment": (inst, Random(1)),
+        "check_reduction_equation": (ri, pairs),
+        "classify_consequence": (inst, asg, F(1, 10)),
+        "decode_partition": (ri, pairs),
+        "derived_stats": (inst,),
+        "encode_solution": (ri, [1, 2]),
+        "fairness_difference": (inst, asg),
+        "feature": ("a", "1/2", 1, 1),
+        "find_fair_nontrivial": (inst, [asg]),
+        "identity_assignment": (inst,),
+        "ingest_records": (RecordTable(records),),
+        "instance_to_doc": (inst,),
+        "interpolate": (inst, asg, trivial_assignment(inst), F(1, 2)),
+        "is_nontrivial": (inst, asg),
+        "is_normal_form": (ri, pairs),
+        "loads_json": ("{}",),
+        "loss": (inst, asg),
+        "normalize_assignment": (inst, asg),
+        "parse_assignment": (dumps_doc(assignment_to_doc(asg)),),
+        "parse_instance": (dumps_doc(instance_to_doc(inst)),),
+        "parse_reduced": (dumps_doc(reduced_to_doc(ri)),),
+        "passes_fairness": (inst, asg),
+        "pooled_rounded_assignment": (inst, Random(1)),
+        "random_equal_rate_instance": (Random(1),),
+        "random_gapped_instance": (Random(1),),
+        "random_instance": (Random(1),),
+        "random_perfect_instance": (Random(1),),
+        "random_proportional_instance": (Random(1),),
+        "records_from_csv": ("feature_id,group,outcome\na,1,1\nb,2,0\n",),
+        "reduce_subset_sum": (SubsetSumInstance((1, 2), 3),),
+        "reduced_to_doc": (ri,),
+        "require_valid": (inst,),
+        "search_groupings": (ri,),
+        "search_normal_forms": (ri,),
+        "solve_integral": (inst, "any_fair"),
+        "solve_subset_sum": (SubsetSumInstance((1, 2), 3),),
+        "target_lambda": (0, 1, F(1, 2)),
+        "theorem_sweep": (inst, 20, F(1, 10), 1),
+        "trivial_assignment": (inst,),
+        "two_bin_certain_assignment": (Instance((feature("a", 0, 1, 1), feature("b", 1, 1, 1))),),
+        "validate_instance": (inst,),
+    }
+
+
+@pytest.mark.parametrize("name, param", SHOWN_PAIRS, ids=[f"{name}-{param}" for name, param in SHOWN_PAIRS])
+def test_a_refused_number_too_long_to_show_is_named(name, param, balanced):
+    # Python turns no int of more than 4,300 digits into text, so a message
+    # that shows such a value names it instead of raising ValueError
+    export = getattr(riskaudit, name)
+    args = _accepted(balanced)[name]
+    export(*args)
+    i = list(inspect.signature(export).parameters).index(param)
+    with pytest.raises(RiskAuditError, match=re.escape(TOO_LONG)):
+        export(*args[:i], BIG, *args[i + 1:])
+
+
+def test_a_number_too_long_to_show_inside_a_value_is_named():
+    inst = Instance((feature("a", BIG, 1, 1), feature("b", 0, 1, 1)))
+    assert validate_instance(inst).violations == (f"feature 'a': probability {TOO_LONG} outside [0, 1]",)
+    refusals = (
+        lambda: RiskAssignment(("a",), (BIG,), ((1,),)),
+        lambda: RiskAssignment(("a",), (1,), ((BIG,),)),
+        lambda: RiskAssignment((BIG,), (1,), ((1, 0),)),
+        lambda: RecordTable([Record(BIG, 3, True)]),
+        lambda: Partition.from_blocks([[BIG], [BIG]]),
+        lambda: SubsetSumInstance((-BIG,), 3),
+        lambda: FeatureVector("a", 0, 1, 1).count(BIG),
+    )
+    for refused in refusals:
+        with pytest.raises(RiskAuditError, match=re.escape(TOO_LONG)):
+            refused()
 
 
 class TestValidation:

@@ -12,7 +12,7 @@ checked against the same band on the block's one-bin table. The search's
 walk is checked against the definition of a calibrated block:
 it visits exactly the partitions whose every block passes, in canonical
 order (`enumerate_partitions`), each with the column sums of every subset,
-from which `solver._leaf_table` builds the table of its populated blocks
+from which `old._leaf_table` builds the table of its populated blocks
 scored at their pooled rates; with a verdict that passes every block, it
 visits every partition. That unpruned walk is the reference for the pruned
 search up to 8 features: `old.exhaustive_solve` for `solve_integral`, and
@@ -54,7 +54,7 @@ from riskaudit import (
 from riskaudit.audit import _pooled_within, _Table, _within_slack
 from riskaudit.model import _scaled, _sqrt_upper
 from riskaudit.partitions import Partition, enumerate_partitions
-from riskaudit.solver import _integral_search, _leaf_table, assignment_from_partition
+from riskaudit.solver import _integral_search, assignment_from_partition
 
 PROBS = (F(0), F(1), F(1, 2), F(1, 3), F(3, 4), F(2, 5))
 MASSES = (F(0), F(1), F(2), F(3), F(1, 2))
@@ -268,7 +268,7 @@ def test_search_visits_exactly_the_calibrated_partitions(case, block_test):
         # the leaf's table: its populated blocks' sums, each scored at its
         # pooled rate
         m1, m2, g1, g2 = map(list, zip(*(s for s in map(sums, blocks) if s[0] or s[1])))
-        assert _leaf_table(walk_sums, blocks, scaled.denominator) == _Table(
+        assert old._leaf_table(walk_sums, blocks, scaled.denominator) == _Table(
             (m1, m2), (g1, g2), scaled.denominator, list(map(add, g1, g2)), list(map(add, m1, m2)))
         return False
 

@@ -1,3 +1,4 @@
+import sys
 import time
 from fractions import Fraction as F
 
@@ -59,6 +60,13 @@ def test_cap_truncates():
     # a negative cap is bad input, as in the searches
     with pytest.raises(DomainError):
         enumerate_partitions(3, cap=-1)
+
+
+def test_a_cap_past_sys_maxsize_bounds_nothing():
+    # islice refuses such a count; a stream that long cannot be taken
+    every = list(enumerate_partitions(4))
+    for cap in (sys.maxsize, sys.maxsize + 1, 10**5000):
+        assert list(enumerate_partitions(4, cap)) == every
 
 
 def test_large_k_needs_cap():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import audit_oracle as old
 from riskaudit import (
     OBJECTIVES,
     DomainError,
@@ -27,11 +28,11 @@ from riskaudit import (
     solve_integral,
     theorem_sweep,
 )
-from riskaudit.audit import _balances, _pooled_within
+from riskaudit.audit import _balances, _classes, _pooled_classes, _pooled_within
 from riskaudit.cli import run_cli
 from riskaudit.loss import _nontrivial
 from riskaudit.model import FeatureVector, _scaled
-from riskaudit.solver import _balanced, _integral_search, _leaf_table, _received, _scores_differ
+from riskaudit.solver import _integral_search, _scores_differ
 
 
 class TestAssignmentFromPartition:
@@ -211,9 +212,10 @@ ZEROS = (None, "massless", ("no-positives", 0), ("no-positives", 1), ("no-negati
 
 class TestLeafRule:
     """The walk decides a partition whose every block is exactly calibrated
-    on two integers, S_1 and S_2 over one denominator (`_received`): both
-    balance conditions (`_balanced`) and non-triviality (`_scores_differ`)
-    agree with the table's verdicts on every such partition."""
+    on the class sums `audit._pooled_classes` reads off its column sums:
+    S_t over the product of the block masses, both balance conditions
+    (`_balances`) and non-triviality (`_scores_differ`) agree with the
+    verdicts of the partition's table (`old._leaf_table`)."""
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.sampled_from(sorted(FAMILIES)), st.integers(0, 10**9), st.sampled_from(ZEROS))
@@ -230,16 +232,16 @@ class TestLeafRule:
 
         def visit(blocks, sums):
             m0, m1, g0, g1 = sums
-            table = _leaf_table(sums, blocks, scaled.denominator)
-            n1, n2, den = received = _received(sums, blocks)
+            table = old._leaf_table(sums, blocks, scaled.denominator)
+            classes = c, ((s1, _), (s2, _)), _ = _pooled_classes(sums, blocks, scaled.totals)
             # S_t: each populated block's pooled rate times group t's
             # expected positives in it
             populated = [m for m in blocks if m0[m] + m1[m]]
             rates = [F(g0[m] + g1[m], m0[m] + m1[m]) for m in populated]
-            for n, g in ((n1, g0), (n2, g1)):
-                assert F(n, den) == sum((v * g[m] for v, m in zip(rates, populated)), F(0))
-            assert _balanced(scaled.totals, *received) == _balances(table, 0)
-            assert _scores_differ(scaled.totals, *received) == _nontrivial(table)
+            for s_t, g in ((s1, g0), (s2, g1)):
+                assert F(s_t, c) == sum((v * g[m] for v, m in zip(rates, populated)), F(0))
+            assert _balances(classes, 0) == _balances(_classes(table), 0)
+            assert _scores_differ(classes, scaled.totals) == _nontrivial(table)
             visited.append(tuple(blocks))
             return False
 

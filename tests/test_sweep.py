@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction as F
-from itertools import islice
+from itertools import islice, repeat
 from math import lcm
 
 import pytest
@@ -37,19 +37,24 @@ import riskaudit.sweep as sweep_module
 from riskaudit.audit import (
     _accumulate_bins,
     _approx_report,
+    _averages,
+    _balances,
     _calibrated_within,
+    _classes,
     _fair,
     _pooled,
+    _pooled_classes,
     _pooled_within,
     _scored,
     consequence_slack,
 )
+from riskaudit.loss import _loss_report
 from riskaudit.cli import run_cli
 from riskaudit.model import _assignment, _scaled
+from riskaudit.solver import _integral_search
 from riskaudit.sweep import (
     _banded_bins,
     _below,
-    _pooled_fair,
     _pooled_struct,
     _split_draw,
     _Splits,
@@ -319,29 +324,46 @@ class TestTheoremSweep:
 
     @pytest.mark.parametrize("family", [random_proportional_instance, random_equal_rate_instance])
     def test_no_table_for_a_pooled_candidate_left_unkept(self, monkeypatch, family):
-        # at eps 0 a pooled candidate that passes its first-bin screen is
-        # decided on its bins' sums: the only tables are the split
-        # candidates' shared one and the kept candidate's
-        tables, decided = [], []
-        original = sweep_module._pooled_fair
+        # a pooled candidate that passes its first-bin screen is decided on
+        # class sums read off its bins' sums, at every eps: the only pooled
+        # tables are those of the candidates the report keeps, and at eps 0
+        # the only other table is the split candidates' shared one
+        tables, decided, pooled, kept = [], [], [], []
+        original_classes, original_pooled = sweep_module._pooled_classes, audit_module._pooled
+        original_build = sweep_module._pooled_assignment
 
         class Counted(audit_module._Table):
             def __init__(self, *columns):
                 tables.append(columns)
                 super().__init__(*columns)
 
-        def counted(scaled, rows):
-            decided.append(original(scaled, rows))
+        def counted(sums, bins, totals):
+            decided.append(original_classes(sums, bins, totals))
             return decided[-1]
 
+        def pooled_table(*columns):
+            pooled.append(columns)
+            return original_pooled(*columns)
+
+        def built(inst, rows):
+            kept.append(rows)
+            return original_build(inst, rows)
+
         monkeypatch.setattr(audit_module, "_Table", Counted)
-        monkeypatch.setattr(sweep_module, "_pooled_fair", counted)
-        for seed in range(4):
-            tables.clear()
-            decided.clear()
-            rep = theorem_sweep(family(random.Random(seed)), 300, F(0), seed, integral_cap=0)
-            assert rep.exact_fair_count >= sum(decided) > 1
-            assert len(tables) <= 1 + (rep.first_exact_fair is not None)
+        monkeypatch.setattr(audit_module, "_pooled", pooled_table)
+        monkeypatch.setattr(sweep_module, "_pooled_classes", counted)
+        monkeypatch.setattr(sweep_module, "_pooled_assignment", built)
+        for eps in (F(0), F(1, 100)):
+            for seed in range(4):
+                for found in (tables, decided, pooled, kept):
+                    found.clear()
+                rep = theorem_sweep(family(random.Random(seed)), 300, eps, seed, integral_cap=0)
+                assert len(decided) > 1
+                assert len(pooled) == len(kept) <= (rep.first_exact_fair is not None) + (
+                    rep.approx_counterexample is not None)
+                if not eps:
+                    assert rep.exact_fair_count >= sum(audit_module._balances(c, 0) for c in decided) > 1
+                    assert len(tables) <= 1 + (rep.first_exact_fair is not None)
 
     def test_rejects_negative_budget(self, skewed):
         with pytest.raises(DomainError):
@@ -400,8 +422,9 @@ class TestCounterexamples:
         capsys.readouterr()
 
     def test_a_fair_candidate_is_the_exact_counterexample(self, skewed, built, monkeypatch, tmp_path, capsys):
-        # at eps 0 the walk's exact verdict is the balance rule on its sums
-        monkeypatch.setattr(sweep_module, "_balanced", lambda *args: True)
+        # at eps 0 every visited block is exactly calibrated, so the walk's
+        # exact verdict is the balance rule on its class sums
+        monkeypatch.setattr(sweep_module, "_balances", lambda *args: True)
         rep = theorem_sweep(skewed, 0, F(0), 1)
         assert rep.exact_fair_count >= 1
         assert rep.first_exact_fair is not None
@@ -487,7 +510,7 @@ class TestIntegerVerdicts:
                     table = _scored(scaled, rows, scores)
                 asg = _assignment(inst, rows, scores)
                 fair = _fair(table)
-                passed = _approx_report(scaled, eps, slack, table).passed
+                passed = _approx_report(scaled, eps, slack, _calibrated_within(table, eps), _classes(table)).passed
                 assert fair == old.passes_fairness(inst, asg)
                 assert passed == old.audit_approx(inst, asg, eps).passed
                 seen["fair"].add(fair)
@@ -530,11 +553,14 @@ def test_first_bin_screen_is_exact():
     # the sums a pooled draw takes are its first column in the kernel, up
     # to one common factor, and the screen on them is the calibration band
     # verdict of that column pooled and the old screen's; a candidate it
-    # rejects passes neither the exact nor the relaxed audit
+    # rejects passes neither the exact nor the relaxed audit; both outcomes
+    # are seen, each pinned by an example
     outcomes = set()
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(*WIDE, st.sampled_from((F(0), F(1, 1000), F(1, 10), F(1, 2), F(2))))
+    @example(random_instance, 3, 3, None, F(0))  # False
+    @example(random_proportional_instance, 0, 3, None, F(0))  # True
     def check(family, seed, features, zero, eps):
         inst = _wide(family, seed, features, zero)
         rng = random.Random(seed)
@@ -552,7 +578,7 @@ def test_first_bin_screen_is_exact():
             if not passed:
                 full = _pooled(*_accumulate_bins(scaled, rows, len(rows[0])))
                 assert not _fair(full)
-                assert not _approx_report(scaled, eps, slack, full).passed
+                assert not _approx_report(scaled, eps, slack, _calibrated_within(full, eps), _classes(full)).passed
             outcomes.add(passed)
         # a first bin that holds nobody passes
         assert _pooled_within(0, 0, 0, 0, eps)
@@ -561,27 +587,75 @@ def test_first_bin_screen_is_exact():
     assert outcomes == {False, True}
 
 
+def _pooled_sums(scaled, rows):
+    """A pooled draw's pooled table, and its column sums, bins and totals as
+    the sweep reads its class sums off them (see audit._pooled_classes)."""
+    mass, positive, scale = _accumulate_bins(scaled, rows, len(rows[0]))
+    totals = [t * (scale // scaled.denominator) for t in scaled.totals]
+    return _pooled(mass, positive, scale), ((*mass, *positive), range(len(rows[0])), totals)
+
+
 def test_exact_pooled_verdict_is_read_off_the_sums():
     # at eps 0 a pooled candidate is fair exactly when every bin passes the
-    # band rule and (S_1, S_2) passes the balance rule; all three outcomes
-    # (a bin off, calibrated but unbalanced, fair) are seen
+    # band rule and the class sums read off its column sums pass the balance
+    # rule; all three outcomes (a bin off, calibrated but unbalanced, fair)
+    # are seen, each pinned by an example
     outcomes = set()
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(*WIDE)
+    @example(random_instance, 3, 3, None)  # (False, False)
+    @example(random_gapped_instance, 1, 3, None)  # (True, False)
+    @example(random_proportional_instance, 0, 3, None)  # (True, True)
     def check(family, seed, features, zero):
         inst = _wide(family, seed, features, zero)
         rng = random.Random(seed)
         scaled = _scaled(inst)
         for _ in range(5):
             rows, _ = _pooled_struct(scaled.weights, rng)
-            table = _pooled(*_accumulate_bins(scaled, rows, len(rows[0])))
-            fair = _pooled_fair(scaled, rows)
+            table, (sums, bins, totals) = _pooled_sums(scaled, rows)
+            calibrated = all(map(_pooled_within, *sums, repeat(0)))
+            assert calibrated == _calibrated_within(table, 0)
+            fair = calibrated and _balances(_pooled_classes(sums, bins, totals), 0)
             assert fair == _fair(table)
-            outcomes.add((_calibrated_within(table, 0), fair))
+            outcomes.add((calibrated, fair))
 
     check()
     assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(*WIDE)
+def test_pooled_class_sums_match_the_table(family, seed, features, zero):
+    # the class sums read off the column sums of a visited partition (walk
+    # unpruned, at most 7 features) or a pooled draw equal the pooled
+    # table's in every class average, balance verdict, relaxed report and
+    # loss
+    inst = _wide(family, seed, min(features, 6), zero)
+    scaled = _scaled(inst)
+    candidates = []
+
+    def visit(blocks, sums):
+        candidates.append((old._leaf_table(sums, blocks, scaled.denominator), (sums, list(blocks), scaled.totals)))
+        return len(candidates) == 20
+
+    _integral_search(inst, None, lambda m0, m1, p0, p1: True, visit)
+    inst = _wide(family, seed, features, zero)
+    scaled = _scaled(inst)
+    rng = random.Random(seed)
+    candidates += [_pooled_sums(scaled, _pooled_struct(scaled.weights, rng)[0]) for _ in range(5)]
+    for table, (sums, bins, totals) in candidates:
+        ours, theirs = _pooled_classes(sums, bins, totals), _classes(table)
+        for cls, other in zip(ours[1:], theirs[1:]):
+            assert [m for _, m in cls] == [m for _, m in other]
+            assert _averages(cls, ours[0]) == _averages(other, theirs[0])
+        assert _balances(ours, 0) == _balances(theirs, 0)
+        for eps in (F(0), F(1, 1000), F(1, 10), F(1), F(2)):
+            slack = consequence_slack(eps)
+            calibrated = _calibrated_within(table, eps)
+            assert _approx_report(scaled, eps, slack, calibrated, ours) == _approx_report(
+                scaled, eps, slack, calibrated, theirs)
+        assert _loss_report(ours, table.scale) == _loss_report(theirs, table.scale)
 
 
 # an instance with certain features of both kinds and shared probabilities,
