@@ -334,10 +334,10 @@ def _class_sums(table: _Table):
 def _pooled_classes(sums, bins, totals):
     """`_classes` of the pooled table (see _pooled) of bins `bins` of the
     column sums (m0, m1, g0, g1), equal in every class average, with no
-    table; `totals` are the sums over all bins, (M_1, M_2, P_1, P_2). Over
-    c, the product of the people masses M, group t's positive class receives
-    S_t, the sum of G * g_t / M (G a bin's expected positives), group 1 in
-    all R_1, the sum of G * m_1 / M, and group 2 (P_1 + P_2) * c - R_1."""
+    table; `totals` are the sums over all bins, (M_1, M_2, P_1, P_2). Over c,
+    the product of the bin masses M = m0 + m1, the positive classes receive
+    S_1 and S_2, the sums of G * g0 / M and G * g1 / M (G = g0 + g1), group 1
+    R_1 = the sum of G * m0 / M in all, and group 2 (P_1 + P_2) * c - R_1."""
     m0, m1, g0, g1 = sums
     s1 = s2 = r1 = 0
     c = 1

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+import riskaudit
 from riskaudit import (
     DomainError,
     FeatureVector,
@@ -31,16 +32,6 @@ from riskaudit import (
     consequence_slack,
     decode_partition,
     derived_stats,
-    random_proportional_instance,
-    random_perfect_instance,
-    random_instance,
-    random_equal_rate_instance,
-    passes_fairness,
-    normalize_assignment,
-    loss,
-    is_nontrivial,
-    find_fair_nontrivial,
-    fairness_difference,
     dumps_doc,
     encode_solution,
     feature,
@@ -69,7 +60,6 @@ from riskaudit import (
     two_bin_certain_assignment,
     validate_instance,
 )
-import riskaudit
 from riskaudit.model import _row_order
 
 

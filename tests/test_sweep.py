@@ -48,8 +48,8 @@ from riskaudit.audit import (
     _scored,
     consequence_slack,
 )
-from riskaudit.loss import _loss_report
 from riskaudit.cli import run_cli
+from riskaudit.loss import _loss_report
 from riskaudit.model import _assignment, _scaled
 from riskaudit.solver import _integral_search
 from riskaudit.sweep import (
