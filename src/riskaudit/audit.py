@@ -215,10 +215,12 @@ class _Table:
     """Group-major mass and expected positives per bin, integers over
     `scale`, and the bin scores nums[b] / dens[b].
 
-    Every audit, loss and search verdict reads this one value; the people
-    mass of bin b is mass[0][b] + mass[1][b]. Because rows sum to one, a
-    group's entries sum to its population (mass) or positive mass
-    (positive), over the same scale. The columns never change after
+    Only given scores are read through a table: an assignment's audit and
+    loss views, and a sweep's banded candidates; pooled scores are read off
+    the columns (`_pooled_classes`). The people mass of bin b is
+    mass[0][b] + mass[1][b]. Because rows sum to one, a group's entries sum
+    to its population (mass) or positive mass (positive), over the same
+    scale. The columns never change after
     construction; `sums` keeps the class sums once a verdict reads them
     (see `_classes`). Tables with equal columns are equal.
     """
@@ -288,24 +290,14 @@ def _bin_table(inst: Instance, asg: RiskAssignment) -> _Table:
     return table
 
 
-def _pooled(mass, positive, scale: int) -> _Table:
-    """The table of these columns with each bin scored at its pooled
-    positive rate. A bin with no people gets the whole table's pooled rate,
-    which is the population's, since allocation rows sum to one."""
-    nums = list(map(add, *positive))
-    dens = list(map(add, *mass))
-    if not all(dens):
-        g, m = sum(nums), sum(dens)
-        nums = [n if d else g for n, d in zip(nums, dens)]
-        dens = [d or m for d in dens]
-    return _Table(mass, positive, scale, nums, dens)
-
-
 def _pooled_assignment(inst: Instance, rows) -> RiskAssignment:
     """The assignment of `inst` with these integer allocation rows and each
-    bin scored at its pooled positive rate (see _pooled)."""
-    table = _pooled(*_accumulate_bins(_scaled(inst), rows, len(rows[0])))
-    return _assignment(inst, rows, map(Fraction, table.nums, table.dens))
+    bin scored at its pooled positive rate; a bin with no people gets the
+    population's rate, the pooled rate of all bins, as rows sum to one."""
+    mass, positive, _ = _accumulate_bins(_scaled(inst), rows, len(rows[0]))
+    nums, dens = list(map(add, *positive)), list(map(add, *mass))
+    return _assignment(inst, rows, [Fraction(n, d) if d else Fraction(sum(nums), sum(dens))
+                                    for n, d in zip(nums, dens)])
 
 
 def _classes(table: _Table):
@@ -332,11 +324,11 @@ def _class_sums(table: _Table):
 
 
 def _pooled_classes(sums, bins, totals):
-    """`_classes` of the pooled table (see _pooled) of bins `bins` of the
-    column sums (m0, m1, g0, g1), equal in every class average, with no
-    table; `totals` are the sums over all bins, (M_1, M_2, P_1, P_2). Over c,
-    the product of the bin masses M = m0 + m1, the positive classes receive
-    S_1 and S_2, the sums of G * g0 / M and G * g1 / M (G = g0 + g1), group 1
+    """`_classes` of bins `bins` of the column sums (m0, m1, g0, g1) scored
+    at their pooled rates, equal in every class average, with no table;
+    `totals` are the sums over all bins, (M_1, M_2, P_1, P_2). Over c, the
+    product of the bin masses M = m0 + m1, the positive classes receive S_1
+    and S_2, the sums of G * g0 / M and G * g1 / M (G = g0 + g1), group 1
     R_1 = the sum of G * m0 / M in all, and group 2 (P_1 + P_2) * c - R_1."""
     m0, m1, g0, g1 = sums
     s1 = s2 = r1 = 0

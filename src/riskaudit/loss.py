@@ -9,7 +9,7 @@ where a is the positive-class average score.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from .audit import (
     _bin_table,
@@ -30,6 +30,7 @@ from .model import (
     _row_order,
     _scaled,
     _shown,
+    _tuple,
     derived_stats,
     require_valid,
 )
@@ -179,7 +180,7 @@ def target_lambda(d1, d2, d3) -> Fraction:
 
 
 def find_fair_nontrivial(
-    inst: Instance, candidates: Sequence[RiskAssignment]
+    inst: Instance, candidates: Iterable[RiskAssignment]
 ) -> Optional[RiskAssignment]:
     """Build a fair non-trivial assignment from calibrated non-trivial candidates.
 
@@ -192,6 +193,7 @@ def find_fair_nontrivial(
     gs = derived_stats(inst)
     if gs.base_rate[0] != gs.base_rate[1]:
         raise DomainError("equal base rates required")
+    candidates = _tuple(candidates, "candidates")  # read once: an iterator is read as a list is
     diffs = []
     for idx, asg in enumerate(candidates):
         table = _bin_table(inst, asg)

@@ -83,13 +83,16 @@ def _growth_strings(k: int) -> Iterator[tuple[int, ...]]:
 
 
 def _check_enumerable(k: int, cap: Optional[int]) -> None:
-    """Refuse an item count or cap that is no nonnegative int, and more than
-    DEFAULT_MAX_ITEMS items unless a cap bounds whatever the caller takes."""
+    """Refuse an item count or cap that is no nonnegative int, more than
+    DEFAULT_MAX_ITEMS items unless a cap bounds whatever the caller takes,
+    and more items than a list can hold."""
     _require_count(k, "k")
     if cap is not None:
         _require_count(cap, "cap")
     if k > DEFAULT_MAX_ITEMS and cap is None:
         raise DomainError(f"{_shown(k, str)} items: more than {DEFAULT_MAX_ITEMS} are enumerated only with a cap")
+    if k > sys.maxsize:
+        raise DomainError(f"{_shown(k, str)} items: a list holds at most {sys.maxsize}")
 
 
 def enumerate_partitions(k: int, cap: Optional[int] = None) -> Iterator[Partition]:

@@ -35,7 +35,7 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, ReductionInfeasibleError
-from .model import _Frozen, _require_type, _set, _shown, _sqrt_upper, _tuple
+from .model import _Frozen, _require_int, _require_type, _set, _shown, _sqrt_upper, _tuple
 from .partitions import DEFAULT_MAX_ITEMS, Partition, _blocks, _growth_strings
 
 
@@ -382,11 +382,14 @@ def _split_root(n: int, base: list[int]) -> tuple[int, int]:
 def encode_solution(ri: ReducedInstance, chosen: Iterable[int]) -> Partition:
     """Partition that keeps the chosen weights' pairs together.
 
-    `chosen` uses 1-based positions in the original weight list; positions
+    `chosen` uses 1-based int positions in the original weight list; positions
     that were dropped (or are out of range) are rejected.
     """
     _require_type(ri, ReducedInstance, "ri")
-    chosen_set = set(_tuple(chosen, "chosen"))
+    chosen = _tuple(chosen, "chosen")
+    for x in chosen:
+        _require_int(x, "weight position")
+    chosen_set = set(chosen)
     position = {orig: k + 1 for k, orig in enumerate(ri.kept_indices)}
     outside = sorted(chosen_set - position.keys())
     if outside:

@@ -72,7 +72,13 @@ def loads_json(text: str) -> Any:
 
 
 def dumps_doc(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """`doc` as indented JSON text; a value JSON cannot hold (a `Fraction`,
+    an int of more than _MAX_DIGITS digits, a cycle) is refused with
+    DomainError."""
+    try:
+        return json.dumps(doc, indent=2) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"document cannot be written as JSON: {exc}") from None
 
 
 def fmt_rational(x: Fraction) -> str:

@@ -410,13 +410,13 @@ def theorem_sweep(
 
     The stream draws pooled, split and (at eps > 0) banded candidates.
     Every split candidate has the identity assignment's class averages, so
-    all of them share the verdicts of the first one's table. A pooled
-    candidate whose first bin lies outside the calibration band passes
-    neither check, so it is ruled out on that bin, whose sums its draw
-    takes. The other pooled candidates and the visited partitions are
+    all of them share its verdicts, read once off the instance's columns,
+    one pooled bin per feature. A pooled candidate whose first bin lies
+    outside the calibration band passes neither check, so it is ruled out
+    on that bin, whose sums its draw takes. The other pooled candidates and the visited partitions are
     decided on their bins' column sums (`audit._pooled_classes`), with no
-    table, and each banded one on its table; at eps = 0 only the exact side
-    runs.
+    table, and each banded one, whose scores are given, on its table; at
+    eps = 0 only the exact side runs and no table is built.
     The split layouts and nudged scores are made once per sweep. The budget
     and cap are nonnegative ints and the seed is an int, so one seed names
     one stream. A budget too small to finish the integral side is reported
@@ -445,9 +445,6 @@ def theorem_sweep(
     def verdicts(exact, within, classes):
         # a candidate's exact verdict and, at eps > 0, its relaxed report
         return exact and _balances(classes, 0), (_approx_report(scaled, e, slack, within, classes) if e else None)
-
-    def tabled(table):
-        return verdicts(_calibrated_within(table, 0), _calibrated_within(table, e), _classes(table))
 
     def pooled(sums, bins, totals):
         # a visited partition or a pooled draw, from its bins' column sums
@@ -486,17 +483,17 @@ def theorem_sweep(
     calibrated = partial(_pooled_within, e=e)
     integral_explored, _, integral_complete = _integral_search(inst, integral_cap, calibrated, visit)
 
-    # Every split candidate shares the verdicts of the first one. Each of its
-    # bins b holds features of one probability v_b and is scored at v_b, so
-    # it is exactly calibrated, hence inside any band. Group t's expected
+    # Every split candidate has the verdicts of the identity assignment, the
+    # instance's own columns pooled one bin per feature. Each bin b of a split
+    # candidate holds features of one probability v_b and is scored at v_b,
+    # so it is exactly calibrated, hence inside any band. Group t's expected
     # positives in b are P_bt = sum_i v_b * x_ib * n_it over its members, so
     # with rows x_i summing to 1 its positive class receives score
     # sum_b v_b * P_bt = sum_i p_i**2 * n_it, and its negative class
-    # sum_i p_i * (1 - p_i) * n_it, whatever the split and the merge. The
-    # class masses and the base rates are the instance's, so the class
-    # averages, both balance verdicts and every field of the relaxed report
-    # are those of the identity assignment.
-    split = None
+    # sum_i p_i * (1 - p_i) * n_it, whatever the split and the merge. With
+    # the instance's class masses and base rates, the class averages, both
+    # balance verdicts and every field of the relaxed report are the identity's.
+    split = pooled(tuple(zip(*scaled.weights)), range(k), scaled.totals)
     splits = _Splits(inst, e)
     rng = Random(seed)
     for _ in range(search_budget):
@@ -510,12 +507,12 @@ def theorem_sweep(
             consider(pooled((*mass, *positive), range(len(rows[0])), totals), lambda: _pooled_assignment(inst, rows))
         elif roll < 0.8 or e == 0:
             draw = _split_draw(k, rng)
-            if split is None:
-                split = tabled(_scored(scaled, *splits.bins(*draw)[:2]))
             consider(split, lambda: _assignment(inst, *splits.bins(*draw)[:2]))
         else:
             rows, scores = _banded_bins(splits, rng)
-            consider(tabled(_scored(scaled, rows, scores)), lambda: _assignment(inst, rows, scores))
+            table = _scored(scaled, rows, scores)
+            consider(verdicts(_calibrated_within(table, 0), _calibrated_within(table, e), _classes(table)),
+                     lambda: _assignment(inst, rows, scores))
 
     return SweepReport(
         seed=seed,

@@ -37,7 +37,14 @@
 - `first_bin_within`, the stream's first-bin screen as a pass over drawn
   rows, the reference for the first bin's sums that `sweep._pooled_struct`
   takes while it draws: `tests/test_sweep.py::test_first_bin_screen_is_exact`.
-- `_leaf_table`, the table of a visited partition's pooled assignment
+- `pooled_table`, the table of bin columns with each bin scored at its
+  pooled rate, the package's only way to score pooled bins until pooled
+  assignments and the split family's verdict were read off the columns
+  with no table (`audit._pooled_assignment`, `audit._pooled_classes`):
+  the pooled references of `tests/test_sweep.py::TestIntegerVerdicts`,
+  `test_first_bin_screen_is_exact` and
+  `test_exact_pooled_verdict_is_read_off_the_sums`.
+- `_leaf_table`, that table for a visited partition's pooled assignment,
   built from the walk's subset column sums, the reference for the class
   sums the package reads off those sums with no table
   (`audit._pooled_classes`): `tests/test_solver.py::TestLeafRule` and
@@ -65,7 +72,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from random import Random
 from typing import NamedTuple, Optional
 
@@ -78,7 +85,6 @@ from riskaudit.audit import (
     _calibrated_within,
     _classes,
     _fair,
-    _pooled,
     _Table,
 )
 from riskaudit.errors import DegenerateGroupError, DomainError, InvalidAssignmentError
@@ -731,14 +737,28 @@ def first_bin_within(columns, rows, e) -> bool:
     return pooled_block_within(*(sum(map(mul, column, xs)) for column in columns), e)
 
 
+# from riskaudit/audit.py, from when a pooled assignment was scored through
+# its table: the table of these columns with each bin scored at its pooled
+# positive rate, and a bin with no people at the whole table's pooled rate,
+# which is the population's, since allocation rows sum to one
+def pooled_table(mass, positive, scale: int) -> _Table:
+    nums = list(map(add, *positive))
+    dens = list(map(add, *mass))
+    if not all(dens):
+        g, m = sum(nums), sum(dens)
+        nums = [n if d else g for n, d in zip(nums, dens)]
+        dens = [d or m for d in dens]
+    return _Table(mass, positive, scale, nums, dens)
+
+
 # from riskaudit/solver.py, from when the walk judged a partition on its
 # table: the pooled table of a visited partition's blocks with people, in
 # block order, from the walk's subset column sums (see _integral_search)
 def _leaf_table(sums, blocks, scale: int) -> _Table:
     m0, m1, g0, g1 = sums
     kept = [mask for mask in blocks if m0[mask] or m1[mask]]
-    return _pooled(([m0[mask] for mask in kept], [m1[mask] for mask in kept]),
-                   ([g0[mask] for mask in kept], [g1[mask] for mask in kept]), scale)
+    return pooled_table(([m0[mask] for mask in kept], [m1[mask] for mask in kept]),
+                        ([g0[mask] for mask in kept], [g1[mask] for mask in kept]), scale)
 
 
 def plain_sweep(inst: Instance, budget: int, eps, seed: int, integral_cap: Optional[int] = None) -> SweepReport:

@@ -4,6 +4,7 @@ All expected numbers here were computed by hand from the definitions and
 frozen before the implementation existed.
 """
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from riskaudit import (
     is_nontrivial,
     loss,
     normalize_assignment,
+    random_proportional_instance,
     target_lambda,
     trivial_assignment,
 )
@@ -237,6 +239,15 @@ class TestFindFair:
         assert fairness_difference(inst, result).difference == 0
         assert audit_exact(inst, result).fair
         assert is_nontrivial(inst, result)
+        # candidates given as an iterator are read once, as a list is
+        assert find_fair_nontrivial(inst, iter([sharp_left, sharp_right])) == result
+
+    def test_an_iterator_is_read_as_a_list_is(self):
+        inst = random_proportional_instance(Random(1))
+        asg = identity_assignment(inst)
+        assert fairness_difference(inst, asg).difference == 0
+        assert find_fair_nontrivial(inst, [asg]) is asg
+        assert find_fair_nontrivial(inst, iter([asg])) is asg
 
     def test_unequal_base_rates_rejected(self, skewed):
         with pytest.raises(DomainError):

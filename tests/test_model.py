@@ -1,7 +1,9 @@
 import inspect
 import re
 import time
+from collections.abc import Iterator
 from fractions import Fraction as F
+from itertools import islice
 from random import Random
 
 import pytest
@@ -34,7 +36,9 @@ from riskaudit import (
     derived_stats,
     dumps_doc,
     encode_solution,
+    enumerate_partitions,
     feature,
+    find_fair_nontrivial,
     identity_assignment,
     ingest_records,
     instance_to_doc,
@@ -60,7 +64,7 @@ from riskaudit import (
     two_bin_certain_assignment,
     validate_instance,
 )
-from riskaudit.model import _row_order
+from riskaudit.model import _row_order, _shown
 
 
 class TestAsFraction:
@@ -337,6 +341,98 @@ def test_a_number_too_long_to_show_inside_a_value_is_named():
     for refused in refusals:
         with pytest.raises(RiskAuditError, match=re.escape(TOO_LONG)):
             refused()
+
+
+# hostile arguments that three exports once met with a bare TypeError,
+# ValueError or OverflowError, each now a DomainError that says why
+HOSTILE_REFUSALS = {
+    "find_fair_nontrivial-5": (lambda inst, ri: find_fair_nontrivial(inst, 5), "candidates must be iterable, not 5"),
+    "find_fair_nontrivial-None": (lambda inst, ri: find_fair_nontrivial(inst, None),
+                                  "candidates must be iterable, not None"),
+    "encode_solution-unhashable": (lambda inst, ri: encode_solution(ri, [[]]), "weight position must be an int, not []"),
+    "encode_solution-unorderable": (lambda inst, ri: encode_solution(ri, [None, "a"]),
+                                    "weight position must be an int, not None"),
+    "encode_solution-bool": (lambda inst, ri: encode_solution(ri, [True]), "weight position must be an int, not True"),
+    "encode_solution-float": (lambda inst, ri: encode_solution(ri, [1, 2.0]), "weight position must be an int, not 2.0"),
+    "enumerate_partitions-past-maxsize": (lambda inst, ri: next(enumerate_partitions(2**63, 2)),
+                                          f"{2**63} items: a list holds at most {2**63 - 1}"),
+    "enumerate_partitions-too-long": (lambda inst, ri: next(enumerate_partitions(BIG, 2)), f"{TOO_LONG} items"),
+    "dumps_doc-fraction": (lambda inst, ri: dumps_doc({"a": F(1, 2)}),
+                           "document cannot be written as JSON: Object of type Fraction is not JSON serializable"),
+    "dumps_doc-too-long": (lambda inst, ri: dumps_doc(reduced_to_doc(reduce_subset_sum(SubsetSumInstance((BIG, 1, 2), 3)))),
+                           "document cannot be written as JSON: Exceeds the limit (4300 digits)"),
+}
+
+
+@pytest.mark.parametrize("call, message", HOSTILE_REFUSALS.values(), ids=HOSTILE_REFUSALS.keys())
+def test_a_hostile_argument_is_refused_with_its_reason(call, message, balanced):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+        call(balanced, reduce_subset_sum(SubsetSumInstance((1, 2), 3)))
+
+
+# one hostile list, substituted in turn for each argument of every call below
+HOSTILE = (None, 5, -1, 0, "x", "", 1.5, float("nan"), float("inf"), [], {}, object(), F(-1, 2), True, 2**70,
+           BIG, b"\xff", [None], [[]])
+
+
+def _every_export(inst):
+    """Arguments each callable of `__all__` accepts, by name: `_accepted`'s,
+    and the exports it lacks. Report records and errors are left out, and so
+    is `ReducedInstance`: they only store their fields."""
+    asg, ri = identity_assignment(inst), reduce_subset_sum(SubsetSumInstance((1, 2), 3))
+    return {
+        **_accepted(inst),
+        "FeatureVector": ("a", F(1, 2), F(1), F(1)),
+        "Partition": (((1,), (2,)),),
+        "RiskAssignment": (inst.ids, (F(1, 2),), ((1,), (1,))),
+        "approx_audit_corpus": (F(1, 10), 1),
+        "as_fraction": ("1/2",),
+        "assignment_from_doc": (assignment_to_doc(asg),),
+        "bell_number": (3,),
+        "consequence_slack": (F(1, 10),),
+        "dumps_doc": ({"a": "1/2"},),
+        "enumerate_partitions": (3, 2),
+        "instance_from_doc": (instance_to_doc(inst),),
+        "parse_rational": ("1/2", "p"),
+        "reduced_from_doc": (reduced_to_doc(ri),),
+    }
+
+
+# (export, argument position) pairs left out of the probe, each with its reason
+UNPROBED = {
+    # the contract lets as_fraction raise what Fraction raises
+    ("as_fraction", 0): "raises TypeError, ValueError or OverflowError as Fraction does",
+}
+# a huge count given here asks for real work, which is no refusal
+HUGE_IS_WORK = {("theorem_sweep", 1), ("bell_number", 0)}
+
+
+def test_every_export_returns_or_refuses_a_hostile_argument(balanced):
+    # the argument contract: each hostile value in each argument of each
+    # export ends in a return or a RiskAuditError; an iterator returned is
+    # read for two items, since a generator checks its arguments then
+    calls = _every_export(balanced)
+    kept = {name for name in riskaudit.__all__ if callable(export := getattr(riskaudit, name))
+            and not (isinstance(export, type) and issubclass(export, (tuple, BaseException)))}
+    assert set(calls) == kept - {"ReducedInstance"}
+    escaped = []
+    for name, args in calls.items():
+        export = getattr(riskaudit, name)
+        for i in range(len(args)):
+            if (name, i) in UNPROBED:
+                continue
+            for value in HOSTILE:
+                if (name, i) in HUGE_IS_WORK and isinstance(value, int) and value > 2**20:
+                    continue
+                try:
+                    out = export(*args[:i], value, *args[i + 1:])
+                    if isinstance(out, Iterator):
+                        list(islice(out, 2))
+                except RiskAuditError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - any other escape breaks the contract
+                    escaped.append(f"{name} argument {i} = {_shown(value):.40}: {type(exc).__name__}: {exc}")
+    assert escaped == []
 
 
 class TestValidation:

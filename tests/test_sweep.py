@@ -42,7 +42,6 @@ from riskaudit.audit import (
     _calibrated_within,
     _classes,
     _fair,
-    _pooled,
     _pooled_classes,
     _pooled_within,
     _scored,
@@ -284,7 +283,8 @@ class TestTheoremSweep:
     @pytest.mark.parametrize("family", [random_gapped_instance, random_equal_rate_instance])
     def test_split_candidates_share_one_table(self, monkeypatch, family):
         # at eps = 0 every fractional candidate is pooled or split, and every
-        # split candidate takes the verdicts of the first one's table
+        # split candidate takes the identity's verdicts, read off the
+        # instance's columns: no candidate is scored into a table
         scored = []
         original = sweep_module._scored
 
@@ -297,7 +297,7 @@ class TestTheoremSweep:
             scored.clear()
             rep = theorem_sweep(family(random.Random(seed)), 300, F(0), seed)
             assert rep.fractional_explored == 300
-            assert len(scored) <= 1
+            assert not scored
 
     def test_pooled_candidates_screened_on_their_first_bin(self, monkeypatch):
         # on gapped instances most pooled candidates fail calibration in
@@ -325,12 +325,12 @@ class TestTheoremSweep:
     @pytest.mark.parametrize("family", [random_proportional_instance, random_equal_rate_instance])
     def test_no_table_for_a_pooled_candidate_left_unkept(self, monkeypatch, family):
         # a pooled candidate that passes its first-bin screen is decided on
-        # class sums read off its bins' sums, at every eps: the only pooled
-        # tables are those of the candidates the report keeps, and at eps 0
-        # the only other table is the split candidates' shared one
-        tables, decided, pooled, kept = [], [], [], []
-        original_classes, original_pooled = sweep_module._pooled_classes, audit_module._pooled
-        original_build = sweep_module._pooled_assignment
+        # class sums read off its bins' sums, at every eps, and even a kept
+        # one is scored off its columns: the only tables are those of the
+        # banded candidates, one per draw, so at eps 0 there are none
+        tables, decided, kept, banded = [], [], [], []
+        original_classes, original_build = sweep_module._pooled_classes, sweep_module._pooled_assignment
+        original_banded = sweep_module._banded_bins
 
         class Counted(audit_module._Table):
             def __init__(self, *columns):
@@ -341,29 +341,31 @@ class TestTheoremSweep:
             decided.append(original_classes(sums, bins, totals))
             return decided[-1]
 
-        def pooled_table(*columns):
-            pooled.append(columns)
-            return original_pooled(*columns)
-
         def built(inst, rows):
             kept.append(rows)
             return original_build(inst, rows)
 
+        def drawn(splits, rng):
+            banded.append(splits)
+            return original_banded(splits, rng)
+
         monkeypatch.setattr(audit_module, "_Table", Counted)
-        monkeypatch.setattr(audit_module, "_pooled", pooled_table)
         monkeypatch.setattr(sweep_module, "_pooled_classes", counted)
         monkeypatch.setattr(sweep_module, "_pooled_assignment", built)
+        monkeypatch.setattr(sweep_module, "_banded_bins", drawn)
         for eps in (F(0), F(1, 100)):
             for seed in range(4):
-                for found in (tables, decided, pooled, kept):
+                for found in (tables, decided, kept, banded):
                     found.clear()
                 rep = theorem_sweep(family(random.Random(seed)), 300, eps, seed, integral_cap=0)
                 assert len(decided) > 1
-                assert len(pooled) == len(kept) <= (rep.first_exact_fair is not None) + (
-                    rep.approx_counterexample is not None)
+                assert len(kept) <= (rep.first_exact_fair is not None) + (rep.approx_counterexample is not None)
+                assert len(tables) == len(banded)
                 if not eps:
+                    assert not tables
                     assert rep.exact_fair_count >= sum(audit_module._balances(c, 0) for c in decided) > 1
-                    assert len(tables) <= 1 + (rep.first_exact_fair is not None)
+                else:
+                    assert banded
 
     def test_rejects_negative_budget(self, skewed):
         with pytest.raises(DomainError):
@@ -500,7 +502,7 @@ class TestIntegerVerdicts:
             for family in ("pooled", "split", "banded") * 3:
                 if family == "pooled":
                     rows, _ = _pooled_struct(scaled.weights, rng)
-                    table = _pooled(*_accumulate_bins(scaled, rows, len(rows[0])))
+                    table = old.pooled_table(*_accumulate_bins(scaled, rows, len(rows[0])))
                     scores = list(map(F, table.nums, table.dens))
                 else:
                     if family == "split":
@@ -573,10 +575,10 @@ def test_first_bin_screen_is_exact():
             factor = lcm(*range(1, 3 * len(rows[0]) + 1)) // (scale // scaled.denominator)
             assert first == (m0[0] * factor, m1[0] * factor, p0[0] * factor, p1[0] * factor)
             passed = _pooled_within(*first, eps)
-            assert passed == _calibrated_within(_pooled(*_accumulate_bins(scaled, rows, 1)), eps)
+            assert passed == _calibrated_within(old.pooled_table(*_accumulate_bins(scaled, rows, 1)), eps)
             assert passed == old.first_bin_within(columns, rows, eps)
             if not passed:
-                full = _pooled(*_accumulate_bins(scaled, rows, len(rows[0])))
+                full = old.pooled_table(*_accumulate_bins(scaled, rows, len(rows[0])))
                 assert not _fair(full)
                 assert not _approx_report(scaled, eps, slack, _calibrated_within(full, eps), _classes(full)).passed
             outcomes.add(passed)
@@ -592,7 +594,7 @@ def _pooled_sums(scaled, rows):
     the sweep reads its class sums off them (see audit._pooled_classes)."""
     mass, positive, scale = _accumulate_bins(scaled, rows, len(rows[0]))
     totals = [t * (scale // scaled.denominator) for t in scaled.totals]
-    return _pooled(mass, positive, scale), ((*mass, *positive), range(len(rows[0])), totals)
+    return old.pooled_table(mass, positive, scale), ((*mass, *positive), range(len(rows[0])), totals)
 
 
 def test_exact_pooled_verdict_is_read_off_the_sums():
