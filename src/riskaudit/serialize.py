@@ -73,12 +73,14 @@ def loads_json(text: str) -> Any:
 
 def dumps_doc(doc: dict) -> str:
     """`doc` as indented JSON text; a value JSON cannot hold (a `Fraction`,
-    an int of more than _MAX_DIGITS digits, a cycle) is refused with
-    DomainError."""
+    an int of more than _MAX_DIGITS digits, a cycle) or nesting too deep to
+    write is refused with DomainError."""
     try:
         return json.dumps(doc, indent=2) + "\n"
     except (TypeError, ValueError) as exc:
         raise DomainError(f"document cannot be written as JSON: {exc}") from None
+    except RecursionError:
+        raise DomainError("document nested too deeply to write as JSON") from None
 
 
 def fmt_rational(x: Fraction) -> str:

@@ -343,8 +343,22 @@ def test_a_number_too_long_to_show_inside_a_value_is_named():
             refused()
 
 
-# hostile arguments that three exports once met with a bare TypeError,
-# ValueError or OverflowError, each now a DomainError that says why
+def _cycle():
+    doc = {}
+    doc["a"] = doc
+    return doc
+
+
+def _nested(depth):
+    doc = []
+    for _ in range(depth):
+        doc = [doc]
+    return doc
+
+
+# hostile arguments that four exports once met with a bare TypeError,
+# ValueError, OverflowError or RecursionError, each now a DomainError that
+# says why
 HOSTILE_REFUSALS = {
     "find_fair_nontrivial-5": (lambda inst, ri: find_fair_nontrivial(inst, 5), "candidates must be iterable, not 5"),
     "find_fair_nontrivial-None": (lambda inst, ri: find_fair_nontrivial(inst, None),
@@ -361,6 +375,8 @@ HOSTILE_REFUSALS = {
                            "document cannot be written as JSON: Object of type Fraction is not JSON serializable"),
     "dumps_doc-too-long": (lambda inst, ri: dumps_doc(reduced_to_doc(reduce_subset_sum(SubsetSumInstance((BIG, 1, 2), 3)))),
                            "document cannot be written as JSON: Exceeds the limit (4300 digits)"),
+    "dumps_doc-cycle": (lambda inst, ri: dumps_doc(_cycle()), "document cannot be written as JSON: Circular reference"),
+    "dumps_doc-deep": (lambda inst, ri: dumps_doc({"a": _nested(5000)}), "document nested too deeply to write as JSON"),
 }
 
 
